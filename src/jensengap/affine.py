@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .analysis import curvature_sandwich, is_3concave, is_3convex, k1_witness
+from .analysis import AInterval, curvature_sandwich, is_3concave, is_3convex, k1_witness
 from .domain import (
     EPS_EQ,
     AffineConfig,
@@ -29,7 +29,7 @@ from .domain import (
     validate_affine_config,
 )
 from .funclib import DomainError, FunctionModel, d2_one_sided, eval_fn, negate
-from .report import FAILS, HOLDS, UNMET, ChainReport
+from .report import UNMET, ChainReport, chain_report
 
 #: grid used for witness-constant sandwiches when no declared class applies
 WITNESS_GRID = 512
@@ -162,23 +162,8 @@ def verify_mt1(
         gap_r = cross_weighted_gap(f, s.left, s.right)
     else:
         gap_r = jensen_affine_gap(f, s.right, tol)
-    sl, sr = vals["spread_left"], vals["spread_right"]
-    mid_l, mid_r = 0.5 * A * sl, 0.5 * A * sr
-    margins = (mid_l - gap_l, mid_r - mid_l, gap_r - mid_r)
-    verdict = HOLDS if min(margins) >= -tol else FAILS
-    details["A"] = A
-    return ChainReport(
-        verdict,
-        gap_left=gap_l,
-        gap_right=gap_r,
-        spread_left=sl,
-        spread_right=sr,
-        mid_left=mid_l,
-        mid_right=mid_r,
-        margins=margins,
-        hypotheses=cs.report(),
-        details=details,
-    )
+    spreads = (vals["spread_left"], vals["spread_right"])
+    return chain_report(cs, A, (gap_l, gap_r), spreads, details)
 
 
 def _signed_witness(
@@ -222,17 +207,7 @@ def _signed_witness(
         hi = min(hi, 0.0)
     if lo > hi + tol:
         return None
-    return _finite_midpoint(lo, hi)
-
-
-def _finite_midpoint(lo: float, hi: float) -> float:
-    if math.isfinite(lo) and math.isfinite(hi):
-        return 0.5 * (lo + hi)
-    if math.isfinite(lo):
-        return lo
-    if math.isfinite(hi):
-        return hi
-    return 0.0
+    return AInterval(lo, hi, True).midpoint()
 
 
 def _one_sided_or_none(f: FunctionModel, x: float, side: str) -> float | None:
@@ -307,24 +282,8 @@ def verify_mt2(
         cs.record("witness.K1c", 0.0 if A is None else A, A is not None)
         if A is None:
             return ChainReport(UNMET, hypotheses=cs.report(), details=details)
-    gap_l = jensen_affine_gap(f, s.left, tol)
-    gap_r = jensen_affine_gap(f, s.right, tol)
-    mid_l, mid_r = 0.5 * A * sl, 0.5 * A * sr
-    margins = (mid_l - gap_l, mid_r - mid_l, gap_r - mid_r)
-    verdict = HOLDS if min(margins) >= -tol else FAILS
-    details["A"] = A
-    return ChainReport(
-        verdict,
-        gap_left=gap_l,
-        gap_right=gap_r,
-        spread_left=sl,
-        spread_right=sr,
-        mid_left=mid_l,
-        mid_right=mid_r,
-        margins=margins,
-        hypotheses=cs.report(),
-        details=details,
-    )
+    gaps = (jensen_affine_gap(f, s.left, tol), jensen_affine_gap(f, s.right, tol))
+    return chain_report(cs, A, gaps, (sl, sr), details)
 
 
 def verify_mt3(
@@ -403,24 +362,8 @@ def verify_mt3(
         cs.record("witness.K2c", 0.0 if A is None else A, A is not None)
         if A is None:
             return ChainReport(UNMET, hypotheses=cs.report(), details=details)
-    gap_l = jensen_affine_gap(f, s.left, tol)
-    gap_r = jensen_affine_gap(f, s.right, tol)
-    mid_l, mid_r = 0.5 * A * sl, 0.5 * A * sr
-    margins = (gap_l - mid_l, mid_l - mid_r, mid_r - gap_r)
-    verdict = HOLDS if min(margins) >= -tol else FAILS
-    details["A"] = A
     if d2m is not None and d2p is not None:
         details["sandwich_descending_ok"] = d2m + tol >= A >= d2p - tol
         details["sandwich_ascending_ok"] = d2m - tol <= A <= d2p + tol
-    return ChainReport(
-        verdict,
-        gap_left=gap_l,
-        gap_right=gap_r,
-        spread_left=sl,
-        spread_right=sr,
-        mid_left=mid_l,
-        mid_right=mid_r,
-        margins=margins,
-        hypotheses=cs.report(),
-        details=details,
-    )
+    gaps = (jensen_affine_gap(f, s.left, tol), jensen_affine_gap(f, s.right, tol))
+    return chain_report(cs, A, gaps, (sl, sr), details, order="descending")

@@ -20,13 +20,12 @@ from .funclib import DomainError
 from .report import FAILS, HOLDS, UNMET
 from .scenario import (
     ALL_IDS,
-    MODES,
     SCHEMA_VERSION,
     TOOL,
     VERSION,
-    default_mode,
     dumps,
     fn_spec_from_string,
+    lookup,
     make_scenario,
     model_from_spec,
     run_scenario,
@@ -66,18 +65,6 @@ def _parse_sizes(text: str) -> tuple[int, int, int]:
         raise StructureError(f"sizes must be 'n,m,l', got {text!r}")
     n, m, l = (int(p) for p in parts)
     return n, m, l
-
-
-def _default_fn(theorem_id: str, mode: str) -> str:
-    if theorem_id == "mt2":
-        return {"a": "exp", "b": "quadratic:-3"}.get(mode, "signed_square")
-    if theorem_id == "mt3":
-        return {"a": "quadratic:-3"}.get(mode, "quadratic:2")
-    if theorem_id in ("it2", "it3", "ic1", "ic2", "ic3"):
-        return "quadratic:2"
-    # the literal range reading admits genuine violations for kinked functions,
-    # so default it to a function whose comparison is an exact identity
-    return "quadratic:2" if mode == "literal" else "signed_square"
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
@@ -124,9 +111,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _cmd_gen(args: argparse.Namespace) -> int:
     theorem_id = args.theorem
-    mode = args.mode or default_mode(theorem_id)
-    if mode not in MODES[theorem_id]:
-        raise StructureError(f"theorem {theorem_id} has no mode {mode!r}")
+    entry, mode = lookup(theorem_id, args.mode)
     spec = scengen.GenSpec(
         seed=args.seed,
         interval=_parse_interval(args.interval),
@@ -134,7 +119,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         sizes=_parse_sizes(args.sizes),
         count=args.count,
     )
-    fn_spec = fn_spec_from_string(args.fn or _default_fn(theorem_id, mode), point=args.point)
+    fn_spec = fn_spec_from_string(args.fn or entry.default_fn[mode], point=args.point)
     model_from_spec(fn_spec)  # reject bad function specs before emitting
     docs = []
     for i in range(spec.count):
@@ -147,12 +132,10 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _cmd_search(args: argparse.Namespace) -> int:
     theorem_id = args.theorem
-    mode = args.mode or default_mode(theorem_id)
-    if mode not in MODES[theorem_id]:
-        raise StructureError(f"theorem {theorem_id} has no mode {mode!r}")
+    entry, mode = lookup(theorem_id, args.mode)
     if args.budget < 1:
         raise StructureError("search budget must be at least 1")
-    fn_spec = fn_spec_from_string(args.fn or _default_fn(theorem_id, mode), point=args.point)
+    fn_spec = fn_spec_from_string(args.fn or entry.default_fn[mode], point=args.point)
     f = model_from_spec(fn_spec)
     spec = scengen.GenSpec(
         seed=args.seed,

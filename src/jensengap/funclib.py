@@ -101,9 +101,12 @@ def catalog(
 
     Names: quadratic (needs a curvature parameter q, f = q x^2 / 2), cubic,
     signed_square (x|x|), exp, tabulated-spline (needs a table or a file
-    path).  ``point`` anchors the declared class metadata where it depends
-    on the anchor (cubic, exp, quadratic).
+    path).  A parameter given to a function that takes none is rejected.
+    ``point`` anchors the declared class metadata where it depends on the
+    anchor (cubic, exp, quadratic).
     """
+    if param is not None and name in ("cubic", "signed_square", "exp"):
+        raise StructureError(f"catalog function {name!r} takes no parameter")
     wide = IntervalR(-WIDE, WIDE)
     if name == "quadratic":
         if param is None:
@@ -158,19 +161,7 @@ def catalog(
 def parse_fn_spec(spec: str, point: float = 0.0) -> FunctionModel:
     """Parse "name" or "name:param" (e.g. "quadratic:2", "tabulated-spline:f.txt")."""
     name, _, arg = spec.partition(":")
-    name = name.strip()
-    arg = arg.strip()
-    if name == "quadratic":
-        if not arg:
-            raise StructureError("quadratic needs a parameter, e.g. quadratic:2")
-        return catalog(name, float(arg), point)
-    if name == "tabulated-spline":
-        if not arg:
-            raise StructureError("tabulated-spline needs a file path")
-        return catalog(name, arg, point)
-    if arg:
-        raise StructureError(f"catalog function {name!r} takes no parameter")
-    return catalog(name, None, point)
+    return catalog(name.strip(), arg.strip() or None, point)
 
 
 def negate(f: FunctionModel) -> FunctionModel:

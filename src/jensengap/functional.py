@@ -35,7 +35,7 @@ from .domain import (
     ValidityReport,
 )
 from .funclib import FunctionModel, eval_fn
-from .report import FAILS, HOLDS, UNMET, ChainReport, HypothesesUnmet
+from .report import UNMET, ChainReport, chain_report, judge
 
 #: grid for convexity evidence of the section-1 style verifiers
 CONVEXITY_GRID = 257
@@ -138,13 +138,10 @@ def check_range(u, rc: RangeConstraint, tol: float = EPS_EQ) -> ValidityReport:
     v = _values(u)
     cs = CheckSet(tol)
     if rc.mode == "inside":
-        worst = max(max(rc.inner.lo - x, x - rc.inner.hi, 0.0) for x in v)
-        cs.record("range.inside", worst, worst <= tol)
+        _inside(cs, "range.inside", v, rc.inner, tol)
     else:
-        worst_out = max(max(rc.outer.lo - x, x - rc.outer.hi, 0.0) for x in v)
-        cs.record("range.in_outer", worst_out, worst_out <= tol)
-        depth = max(min(x - rc.inner.lo, rc.inner.hi - x) for x in v)
-        cs.record("range.outside_inner", max(depth, 0.0), depth <= tol)
+        _inside(cs, "range.in_outer", v, rc.outer, tol)
+        _outside_open(cs, "range.outside_inner", v, rc.inner, tol)
     return cs.report()
 
 
@@ -162,29 +159,33 @@ def _outside_open(cs: CheckSet, name: str, values, inner: IntervalR, tol: float)
     return cs.record(name, max(depth, 0.0), depth <= tol)
 
 
-def _convex_gate(cs: CheckSet, f: FunctionModel, interval: IntervalR, tol: float) -> bool:
+def _pair_range_checks(
+    cs: CheckSet, gs: dict, hs: dict, inner: IntervalR, outer: IntervalR, tol: float
+) -> None:
+    """Transfer ranges: every g inside the inner interval, every h inside the
+    outer interval but outside the open inner one.  Keys label the checks."""
+    for label, v in gs.items():
+        _inside(cs, f"range.{label}", v, inner, tol)
+    for label, v in hs.items():
+        _inside(cs, f"range.{label}_outer", v, outer, tol)
+        _outside_open(cs, f"range.{label}", v, inner, tol)
+
+
+def _labelled(prefix: str, vs) -> dict:
+    return {f"{prefix}{i}": v for i, v in enumerate(vs, start=1)}
+
+
+def _convex_gate(cs: CheckSet, f: FunctionModel, interval: IntervalR) -> bool:
     return cs.at_least("f.convex", convexity_margin(f, interval, CONVEXITY_GRID))
 
 
 def _k1_gate(
-    cs: CheckSet,
-    f: FunctionModel,
-    c: float,
-    interval: IntervalR,
-    A: float | None,
-    grid_n: int,
-    tol: float,
+    cs: CheckSet, f: FunctionModel, c: float, interval: IntervalR, A: float | None, grid_n: int
 ) -> float | None:
     if A is None:
-        A = k1_witness(f, c, interval, grid_n, tol)
+        A = k1_witness(f, c, interval, grid_n, cs.tol)
     cs.record("witness.K1c", 0.0 if A is None else A, A is not None)
     return A
-
-
-def _raise_if_unmet(cs: CheckSet) -> None:
-    if not cs.ok:
-        rep = cs.report()
-        raise HypothesesUnmet(rep.violations, rep)
 
 
 def verify_it2(
@@ -198,26 +199,16 @@ def verify_it2(
     _unital(cs, "unital.L", w_l)
     _unital(cs, "unital.H", w_h)
     cs.record("inner_in_interval", 0.0, interval.contains_interval(inner, tol))
-    _convex_gate(cs, f, interval, tol)
-    _inside(cs, "range.g", v_g, inner, tol)
-    _inside(cs, "range.h_outer", v_h, interval, tol)
-    _outside_open(cs, "range.h", v_h, inner, tol)
+    _convex_gate(cs, f, interval)
+    _pair_range_checks(cs, {"g": v_g}, {"h": v_h}, inner, interval, tol)
     lg, hh = apply(w_l, v_g), apply(w_h, v_h)
     cs.equality("1.4", lg - hh, scale=max(abs(lg), abs(hh)))
     if not cs.ok:
         return ChainReport(UNMET, hypotheses=cs.report())
     left = apply_fn(w_l, f, v_g)
     right = apply_fn(w_h, f, v_h)
-    margin = right - left
-    verdict = HOLDS if margin >= -tol else FAILS
-    return ChainReport(
-        verdict,
-        gap_left=left,
-        gap_right=right,
-        margins=(margin,),
-        hypotheses=cs.report(),
-        details={"lhs": left, "rhs": right},
-    )
+    details = {"lhs": left, "rhs": right}
+    return judge(cs, (right - left,), gap_left=left, gap_right=right, details=details)
 
 
 def verify_ic1(
@@ -227,16 +218,16 @@ def verify_ic1(
     *,
     inner: IntervalR,
     tol: float = EPS_EQ,
-    checks: CheckSet | None = None,
-) -> float:
+) -> ChainReport:
     """Jensen margin L(f.g) - f(L(g)) >= 0 for unital L and convex f."""
     w, v = _weights(L), _values(g)
-    cs = checks if checks is not None else CheckSet(tol)
+    cs = CheckSet(tol)
     _unital(cs, "unital.L", w)
-    _convex_gate(cs, f, inner, tol)
+    _convex_gate(cs, f, inner)
     _inside(cs, "range.g", v, inner, tol)
-    _raise_if_unmet(cs)
-    return apply_fn(w, f, v) - eval_fn(f, apply(w, v))
+    if not cs.ok:
+        return ChainReport(UNMET, hypotheses=cs.report())
+    return judge(cs, (apply_fn(w, f, v) - eval_fn(f, apply(w, v)),))
 
 
 def _ladder_checks(
@@ -269,8 +260,7 @@ def verify_ic2(
     inners: Sequence[IntervalR],
     interval: IntervalR,
     tol: float = EPS_EQ,
-    checks: CheckSet | None = None,
-) -> list[float]:
+) -> ChainReport:
     """Link margins along a nested ladder with matched means: each
     L_{i+1}(f.g_{i+1}) - L_i(f.g_i) >= 0 (tag "1.7" for the mean links)."""
     n = len(Ls)
@@ -280,8 +270,8 @@ def verify_ic2(
         raise StructureError("need exactly n-1 nested inner intervals")
     ws = [_weights(L) for L in Ls]
     vs = [_values(g) for g in gs]
-    cs = checks if checks is not None else CheckSet(tol)
-    _convex_gate(cs, f, interval, tol)
+    cs = CheckSet(tol)
+    _convex_gate(cs, f, interval)
     for i, w in enumerate(ws, start=1):
         _unital(cs, f"unital.L{i}", w)
     _ladder_checks(cs, "g", vs, inners, interval, tol)
@@ -292,9 +282,10 @@ def verify_ic2(
             means[i] - means[i + 1],
             scale=max(abs(means[i]), abs(means[i + 1])),
         )
-    _raise_if_unmet(cs)
+    if not cs.ok:
+        return ChainReport(UNMET, hypotheses=cs.report())
     lifted = [apply_fn(w, f, v) for w, v in zip(ws, vs)]
-    return [lifted[i + 1] - lifted[i] for i in range(n - 1)]
+    return judge(cs, [lifted[i + 1] - lifted[i] for i in range(n - 1)])
 
 
 def verify_ic3(
@@ -304,24 +295,25 @@ def verify_ic3(
     *,
     interval: IntervalR,
     tol: float = EPS_EQ,
-    checks: CheckSet | None = None,
-) -> tuple[bool, float]:
-    """Subunital family: returns (aggregate value in interval per tag "1.9",
-    Jensen margin of the aggregate)."""
+) -> ChainReport:
+    """Subunital family: Jensen margin of the aggregate, with the verdict
+    also requiring the aggregate value inside the interval (tag "1.9",
+    reported as ``details["inclusion"]``)."""
     ws = [_weights(L) for L in Ls]
     vs = [_values(g) for g in gs]
     if len(ws) != len(vs) or not ws:
         raise StructureError("need matching nonempty functional and function families")
-    cs = checks if checks is not None else CheckSet(tol)
-    _convex_gate(cs, f, interval, tol)
+    cs = CheckSet(tol)
+    _convex_gate(cs, f, interval)
     cs.equality("totals", math.fsum(math.fsum(w) for w in ws) - 1.0)
     for i, v in enumerate(vs, start=1):
         _inside(cs, f"range.g{i}", v, interval, tol)
-    _raise_if_unmet(cs)
+    if not cs.ok:
+        return ChainReport(UNMET, hypotheses=cs.report())
     value = math.fsum(apply(w, v) for w, v in zip(ws, vs))
     inclusion = interval.contains(value, tol)
     margin = math.fsum(apply_fn(w, f, v) for w, v in zip(ws, vs)) - eval_fn(f, value)
-    return inclusion, margin
+    return judge(cs, (margin,), conclusion=inclusion, details={"inclusion": inclusion})
 
 
 def verify_it3(
@@ -334,8 +326,7 @@ def verify_it3(
     inner: IntervalR,
     interval: IntervalR,
     tol: float = EPS_EQ,
-    checks: CheckSet | None = None,
-) -> float:
+) -> ChainReport:
     """Family transfer margin: sum H_j(f.h_j) - sum L_i(f.g_i) >= 0 under the
     matched family means (tag "1.11")."""
     ws_l = [_weights(L) for L in Ls]
@@ -344,37 +335,20 @@ def verify_it3(
     vs_h = [_values(h) for h in hs]
     if len(ws_l) != len(vs_g) or len(ws_h) != len(vs_h) or not ws_l or not ws_h:
         raise StructureError("family sizes must match and be nonempty")
-    cs = checks if checks is not None else CheckSet(tol)
-    _convex_gate(cs, f, interval, tol)
+    cs = CheckSet(tol)
+    _convex_gate(cs, f, interval)
     cs.record("inner_in_interval", 0.0, interval.contains_interval(inner, tol))
     cs.equality("totals.L", math.fsum(math.fsum(w) for w in ws_l) - 1.0)
     cs.equality("totals.H", math.fsum(math.fsum(w) for w in ws_h) - 1.0)
-    for i, v in enumerate(vs_g, start=1):
-        _inside(cs, f"range.g{i}", v, inner, tol)
-    for j, v in enumerate(vs_h, start=1):
-        _inside(cs, f"range.h{j}_outer", v, interval, tol)
-        _outside_open(cs, f"range.h{j}", v, inner, tol)
+    _pair_range_checks(cs, _labelled("g", vs_g), _labelled("h", vs_h), inner, interval, tol)
     sum_lg = math.fsum(apply(w, v) for w, v in zip(ws_l, vs_g))
     sum_hh = math.fsum(apply(w, v) for w, v in zip(ws_h, vs_h))
     cs.equality("1.11", sum_lg - sum_hh, scale=max(abs(sum_lg), abs(sum_hh)))
-    _raise_if_unmet(cs)
+    if not cs.ok:
+        return ChainReport(UNMET, hypotheses=cs.report())
     left = math.fsum(apply_fn(w, f, v) for w, v in zip(ws_l, vs_g))
     right = math.fsum(apply_fn(w, f, v) for w, v in zip(ws_h, vs_h))
-    return right - left
-
-
-def _pair_range_checks(
-    cs: CheckSet,
-    tag: str,
-    v_g,
-    v_h,
-    inner: IntervalR,
-    outer: IntervalR,
-    tol: float,
-) -> None:
-    _inside(cs, f"range.g{tag}", v_g, inner, tol)
-    _inside(cs, f"range.h{tag}_outer", v_h, outer, tol)
-    _outside_open(cs, f"range.h{tag}", v_h, inner, tol)
+    return judge(cs, (right - left,))
 
 
 def verify_mt4(
@@ -424,8 +398,8 @@ def verify_mt4(
         cs.record("region.inner1", 0.0, outer1.contains_interval(inner, tol))
         cs.record("region.inner2", 0.0, outer2.contains_interval(inner2, tol))
         inner1_eff, inner2_eff = inner, inner2
-    _pair_range_checks(cs, "1", v_g1, v_h1, inner1_eff, outer1, tol)
-    _pair_range_checks(cs, "2", v_g2, v_h2, inner2_eff, outer2, tol)
+    _pair_range_checks(cs, {"g1": v_g1}, {"h1": v_h1}, inner1_eff, outer1, tol)
+    _pair_range_checks(cs, {"g2": v_g2}, {"h2": v_h2}, inner2_eff, outer2, tol)
     m_g1, m_h1 = apply(w_l, v_g1), apply(w_h, v_h1)
     m_g2, m_h2 = apply(w_l, v_g2), apply(w_h, v_h2)
     cs.equality("2.12.mean1", m_g1 - m_h1, scale=max(abs(m_g1), abs(m_h1)))
@@ -433,34 +407,13 @@ def verify_mt4(
     moment1 = apply(w_h, _sq(v_h1)) - apply(w_l, _sq(v_g1))
     moment2 = apply(w_h, _sq(v_h2)) - apply(w_l, _sq(v_g2))
     cs.equality("2.12.moment", moment1 - moment2, scale=max(abs(moment1), abs(moment2)))
-    A = _k1_gate(cs, f, c, interval, A, grid_n, tol)
+    A = _k1_gate(cs, f, c, interval, A, grid_n)
+    details = {"mode": mode, "c": c}
     if not cs.ok:
-        return ChainReport(UNMET, hypotheses=cs.report(), details={"mode": mode, "c": c})
+        return ChainReport(UNMET, hypotheses=cs.report(), details=details)
     diff1 = apply_fn(w_h, f, v_h1) - apply_fn(w_l, f, v_g1)
     diff2 = apply_fn(w_h, f, v_h2) - apply_fn(w_l, f, v_g2)
-    mid1, mid2 = 0.5 * A * moment1, 0.5 * A * moment2
-    margin = diff2 - diff1
-    verdict = HOLDS if margin >= -tol else FAILS
-    details = {
-        "mode": mode,
-        "c": c,
-        "A": A,
-        "refine_left": mid1 - diff1,
-        "refine_mid": mid2 - mid1,
-        "refine_right": diff2 - mid2,
-    }
-    return ChainReport(
-        verdict,
-        gap_left=diff1,
-        gap_right=diff2,
-        spread_left=moment1,
-        spread_right=moment2,
-        mid_left=mid1,
-        mid_right=mid2,
-        margins=(margin,),
-        hypotheses=cs.report(),
-        details=details,
-    )
+    return chain_report(cs, A, (diff1, diff2), (moment1, moment2), details, order="transfer")
 
 
 def verify_mc1(
@@ -475,10 +428,9 @@ def verify_mc1(
     mode: str = "region_restricted",
     grid_n: int = WITNESS_GRID,
     tol: float = EPS_EQ,
-    checks: CheckSet | None = None,
-) -> float:
-    """Jensen-gap comparison under matched variances (tag "2.17"): returns
-    [L(f.g2) - f(L(g2))] - [L(f.g1) - f(L(g1))].
+) -> ChainReport:
+    """Jensen-gap comparison under matched variances (tag "2.17"): the margin
+    is [L(f.g2) - f(L(g2))] - [L(f.g1) - f(L(g1))].
 
     In region_restricted mode g1 is confined to values at or below c and g2
     at or above c; literal mode only requires both inside the inner interval.
@@ -488,7 +440,7 @@ def verify_mc1(
     w = _weights(L)
     v1, v2 = _values(g1), _values(g2)
     cls_interval = interval if interval is not None else inner
-    cs = checks if checks is not None else CheckSet(tol)
+    cs = CheckSet(tol)
     _unital(cs, "unital.L", w)
     _inside(cs, "range.g1", v1, inner, tol)
     _inside(cs, "range.g2", v2, inner, tol)
@@ -499,11 +451,12 @@ def verify_mc1(
     var1 = apply(w, _sq(v1)) - m1 * m1
     var2 = apply(w, _sq(v2)) - m2 * m2
     cs.equality("2.17", var1 - var2, scale=max(abs(var1), abs(var2)))
-    _k1_gate(cs, f, c, cls_interval, None, grid_n, tol)
-    _raise_if_unmet(cs)
+    _k1_gate(cs, f, c, cls_interval, None, grid_n)
+    if not cs.ok:
+        return ChainReport(UNMET, hypotheses=cs.report())
     gap1 = apply_fn(w, f, v1) - eval_fn(f, m1)
     gap2 = apply_fn(w, f, v2) - eval_fn(f, m2)
-    return gap2 - gap1
+    return judge(cs, (gap2 - gap1,))
 
 
 def verify_mc2(
@@ -519,8 +472,7 @@ def verify_mc2(
     mode: str = "region_restricted",
     grid_n: int = WITNESS_GRID,
     tol: float = EPS_EQ,
-    checks: CheckSet | None = None,
-) -> list[float]:
+) -> ChainReport:
     """Per-link comparison of two nested ladders with matched means (tag
     "2.19") and matched second-moment increments (tag "2.20"): each link
     margin [Lf(h_next) - Lf(h)] - [Lf(g_next) - Lf(g)] >= 0.
@@ -541,7 +493,7 @@ def verify_mc2(
     ws = [_weights(L) for L in Ls]
     vgs = [_values(g) for g in gs]
     vhs = [_values(h) for h in hs]
-    cs = checks if checks is not None else CheckSet(tol)
+    cs = CheckSet(tol)
     for i, w in enumerate(ws, start=1):
         _unital(cs, f"unital.L{i}", w)
     if mode == "region_restricted":
@@ -569,13 +521,13 @@ def verify_mc2(
         dg = g_sqs[i + 1] - g_sqs[i]
         dh = h_sqs[i + 1] - h_sqs[i]
         cs.equality(f"2.20[{i + 1}]", dg - dh, scale=max(abs(dg), abs(dh)))
-    _k1_gate(cs, f, c, interval, None, grid_n, tol)
-    _raise_if_unmet(cs)
+    _k1_gate(cs, f, c, interval, None, grid_n)
+    if not cs.ok:
+        return ChainReport(UNMET, hypotheses=cs.report())
     g_lift = [apply_fn(w, f, v) for w, v in zip(ws, vgs)]
     h_lift = [apply_fn(w, f, v) for w, v in zip(ws, vhs)]
-    return [
-        (h_lift[i + 1] - h_lift[i]) - (g_lift[i + 1] - g_lift[i]) for i in range(n - 1)
-    ]
+    links = range(n - 1)
+    return judge(cs, [(h_lift[i + 1] - h_lift[i]) - (g_lift[i + 1] - g_lift[i]) for i in links])
 
 
 def verify_mc3(
@@ -589,11 +541,11 @@ def verify_mc3(
     mode: str = "region_restricted",
     grid_n: int = WITNESS_GRID,
     tol: float = EPS_EQ,
-    checks: CheckSet | None = None,
-) -> tuple[bool, float]:
+) -> ChainReport:
     """Subunital-family comparison under matched aggregate variances (tag
-    "2.22").  Returns (both aggregate means inside the interval per tag
-    "2.23", margin of the aggregate Jensen-gap comparison).
+    "2.22"): margin of the aggregate Jensen-gap comparison, with the verdict
+    also requiring both aggregate means inside the interval (tag "2.23",
+    reported as ``details["inclusion"]``).
 
     The stated inclusion lists one aggregate twice; it is implemented as the
     pair (sum L_i(g_i), sum L_i(h_i)), reading the duplication as a typo.
@@ -605,7 +557,7 @@ def verify_mc3(
     vhs = [_values(h) for h in hs]
     if not ws or len(ws) != len(vgs) or len(ws) != len(vhs):
         raise StructureError("family sizes must match and be nonempty")
-    cs = checks if checks is not None else CheckSet(tol)
+    cs = CheckSet(tol)
     cs.equality("totals", math.fsum(math.fsum(w) for w in ws) - 1.0)
     for i, (vg, vh) in enumerate(zip(vgs, vhs), start=1):
         _inside(cs, f"range.g{i}", vg, interval, tol)
@@ -618,12 +570,13 @@ def verify_mc3(
     g_var = math.fsum(apply(w, _sq(v)) for w, v in zip(ws, vgs)) - g_mean * g_mean
     h_var = math.fsum(apply(w, _sq(v)) for w, v in zip(ws, vhs)) - h_mean * h_mean
     cs.equality("2.22", g_var - h_var, scale=max(abs(g_var), abs(h_var)))
-    _k1_gate(cs, f, c, interval, None, grid_n, tol)
-    _raise_if_unmet(cs)
+    _k1_gate(cs, f, c, interval, None, grid_n)
+    if not cs.ok:
+        return ChainReport(UNMET, hypotheses=cs.report())
     inclusion = interval.contains(g_mean, tol) and interval.contains(h_mean, tol)
     g_gap = math.fsum(apply_fn(w, f, v) for w, v in zip(ws, vgs)) - eval_fn(f, g_mean)
     h_gap = math.fsum(apply_fn(w, f, v) for w, v in zip(ws, vhs)) - eval_fn(f, h_mean)
-    return inclusion, h_gap - g_gap
+    return judge(cs, (h_gap - g_gap,), conclusion=inclusion, details={"inclusion": inclusion})
 
 
 def verify_mt5(
@@ -686,16 +639,9 @@ def verify_mt5(
         cs.record("region.inner1", 0.0, outer1.contains_interval(inner, tol))
         cs.record("region.inner2", 0.0, outer2.contains_interval(inner2, tol))
         inner1_eff, inner2_eff = inner, inner2
-    for i, v in enumerate(vals["g"], start=1):
-        _inside(cs, f"range.g{i}", v, inner1_eff, tol)
-    for j, v in enumerate(vals["h"], start=1):
-        _inside(cs, f"range.h{j}_outer", v, outer1, tol)
-        _outside_open(cs, f"range.h{j}", v, inner1_eff, tol)
-    for i, v in enumerate(vals["g*"], start=1):
-        _inside(cs, f"range.g*{i}", v, inner2_eff, tol)
-    for j, v in enumerate(vals["h*"], start=1):
-        _inside(cs, f"range.h*{j}_outer", v, outer2, tol)
-        _outside_open(cs, f"range.h*{j}", v, inner2_eff, tol)
+    for star, inner_eff, outer in (("", inner1_eff, outer1), ("*", inner2_eff, outer2)):
+        g, h = f"g{star}", f"h{star}"
+        _pair_range_checks(cs, _labelled(g, vals[g]), _labelled(h, vals[h]), inner_eff, outer, tol)
 
     def fam_sum(fam_key: str, val_key: str, values=None) -> float:
         fam, vv = fams[fam_key], vals[val_key]
@@ -716,34 +662,14 @@ def verify_mt5(
         "L*", "g*", [_sq(v) for v in vals["g*"]]
     )
     cs.equality("2.26", moment1 - moment2, scale=max(abs(moment1), abs(moment2)))
-    A = _k1_gate(cs, f, c, interval, A, grid_n, tol)
+    A = _k1_gate(cs, f, c, interval, A, grid_n)
+    details = {"mode": mode, "c": c}
     if not cs.ok:
-        return ChainReport(UNMET, hypotheses=cs.report(), details={"mode": mode, "c": c})
+        return ChainReport(UNMET, hypotheses=cs.report(), details=details)
 
     def fam_fsum(fam_key: str, val_key: str) -> float:
         return math.fsum(apply_fn(w, f, v) for w, v in zip(fams[fam_key], vals[val_key]))
 
     diff1 = fam_fsum("H", "h") - fam_fsum("L", "g")
     diff2 = fam_fsum("H*", "h*") - fam_fsum("L*", "g*")
-    mid1, mid2 = 0.5 * A * moment1, 0.5 * A * moment2
-    margin = diff2 - diff1
-    verdict = HOLDS if margin >= -tol else FAILS
-    return ChainReport(
-        verdict,
-        gap_left=diff1,
-        gap_right=diff2,
-        spread_left=moment1,
-        spread_right=moment2,
-        mid_left=mid1,
-        mid_right=mid2,
-        margins=(margin,),
-        hypotheses=cs.report(),
-        details={
-            "mode": mode,
-            "c": c,
-            "A": A,
-            "refine_left": mid1 - diff1,
-            "refine_mid": mid2 - mid1,
-            "refine_right": diff2 - mid2,
-        },
-    )
+    return chain_report(cs, A, (diff1, diff2), (moment1, moment2), details, order="transfer")

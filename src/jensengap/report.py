@@ -4,27 +4,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
-from .domain import ValidityReport
+from .domain import CheckSet, ValidityReport
 
 HOLDS = "holds"
 FAILS = "fails"
 UNMET = "hypotheses-unmet"
 
 
-class HypothesesUnmet(Exception):
-    """Preconditions of a verifier failed; carries (constraint, residual) pairs."""
-
-    def __init__(self, violations, full_report: ValidityReport | None = None):
-        self.violations = tuple(violations)
-        self.full_report = full_report
-        names = ", ".join(name for name, _ in self.violations) or "unspecified"
-        super().__init__(f"hypotheses unmet: {names}")
-
-
 @dataclass(frozen=True)
 class ChainReport:
-    """Outcome of a chain verification.
+    """Outcome of a verification.
 
     ``margins`` are the slacks that determine the verdict; refinement values
     that are reported but do not gate the verdict live in ``details``.
@@ -56,5 +47,53 @@ class ChainReport:
         return self.verdict == HOLDS
 
 
-def verdict_from_margins(margins, tol: float) -> str:
-    return HOLDS if min(margins) >= -tol else FAILS
+def judge(
+    cs: CheckSet, margins: Sequence[float], *, conclusion: bool = True, **fields
+) -> ChainReport:
+    """Report of a verification whose hypotheses all passed.  The one verdict
+    rule: the verdict holds exactly when the conclusion holds and
+    min(margins) >= -tol; otherwise it fails."""
+    ok = conclusion and min(margins) >= -cs.tol
+    return ChainReport(
+        HOLDS if ok else FAILS, margins=tuple(margins), hypotheses=cs.report(), **fields
+    )
+
+
+def chain_report(
+    cs: CheckSet,
+    A: float,
+    gaps: tuple[float, float],
+    spreads: tuple[float, float],
+    details: dict,
+    order: str = "ascending",
+) -> ChainReport:
+    """Four-term chain gap_left, (A/2) spread_left, (A/2) spread_right, gap_right.
+
+    "ascending" gates the verdict on the three slacks of the increasing
+    chain, "descending" on those of the decreasing one.  "transfer" gates it
+    on gap_right - gap_left alone and reports the ascending slacks in
+    ``details`` as refine_left, refine_mid and refine_right.
+    """
+    (gap_l, gap_r), (sl, sr) = gaps, spreads
+    mid_l, mid_r = 0.5 * A * sl, 0.5 * A * sr
+    details = {**details, "A": A}
+    if order == "descending":
+        margins = (gap_l - mid_l, mid_l - mid_r, mid_r - gap_r)
+    elif order == "ascending":
+        margins = (mid_l - gap_l, mid_r - mid_l, gap_r - mid_r)
+    else:
+        margins = (gap_r - gap_l,)
+        details.update(
+            refine_left=mid_l - gap_l, refine_mid=mid_r - mid_l, refine_right=gap_r - mid_r
+        )
+    return judge(
+        cs,
+        margins,
+        gap_left=gap_l,
+        gap_right=gap_r,
+        spread_left=sl,
+        spread_right=sr,
+        mid_left=mid_l,
+        mid_right=mid_r,
+        details=details,
+    )

@@ -1,11 +1,14 @@
-"""Scenario and report documents: versioned schema, parsing, and dispatch.
+"""Scenario and report documents: versioned schema, the theorem registry,
+parsing, and dispatch.
 
 A scenario file is a single JSON object:
 
     {"schema_version": 1, "theorem_id": "mt1", "mode": "proper",
      "function": {"name": "signed_square"}, "payload": {...}, "seed": 7}
 
-The payload shape depends on the theorem id (see the parsers below).  A
+``THEOREMS`` has one entry per theorem id: its modes with the CLI default
+function of each, its payload fields and its verifier.  Adding a theorem
+means one entry there plus one generator in ``scengen.GENERATORS``.  A
 report is a JSON object with verdict, headline margin, chain values, the
 named hypothesis residuals, and provenance.  Keys are emitted sorted, so
 identical inputs produce byte-identical documents.
@@ -15,20 +18,13 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Any, Sequence
+from dataclasses import dataclass, field
+from typing import Any
 
-from .affine import Mt1Scenario, verify_mt1, verify_mt2, verify_mt3
-from .domain import (
-    EPS_EQ,
-    AffineConfig,
-    CheckSet,
-    IntervalR,
-    StructureError,
-    ValidityReport,
-    WeightedGroup,
-)
+from .affine import Mt1Scenario, verify_mt1, verify_mt2, verify_mt3  # noqa: F401
+from .domain import EPS_EQ, AffineConfig, IntervalR, StructureError, ValidityReport, WeightedGroup
 from .funclib import FunctionModel, catalog
-from .functional import (
+from .functional import (  # noqa: F401  (verifiers are looked up by name)
     verify_ic1,
     verify_ic2,
     verify_ic3,
@@ -40,35 +36,104 @@ from .functional import (
     verify_mt4,
     verify_mt5,
 )
-from .report import FAILS, HOLDS, UNMET, ChainReport, HypothesesUnmet
+from .report import ChainReport
 
 TOOL = "jensengap"
 VERSION = "0.1.0"
 SCHEMA_VERSION = 1
 
-AFFINE_IDS = ("mt1", "mt2", "mt3")
-FUNCTIONAL_IDS = ("it2", "it3", "ic1", "ic2", "ic3", "mt4", "mt5", "mc1", "mc2", "mc3")
-ALL_IDS = AFFINE_IDS + FUNCTIONAL_IDS
 
-MODES = {
-    "mt1": ("proper", "literal_alpha"),
-    "mt2": ("auto", "a", "b", "c"),
-    "mt3": ("auto", "a", "b", "c"),
-    "it2": ("standard",),
-    "it3": ("standard",),
-    "ic1": ("standard",),
-    "ic2": ("standard",),
-    "ic3": ("standard",),
-    "mt4": ("region_restricted", "literal"),
-    "mt5": ("region_restricted", "literal"),
-    "mc1": ("region_restricted", "literal"),
-    "mc2": ("region_restricted", "literal"),
-    "mc3": ("region_restricted", "literal"),
+@dataclass(frozen=True)
+class Theorem:
+    """Registry entry: everything the engine knows about one theorem id."""
+
+    #: name of the verifier in this module, looked up at call time so that a
+    #: wrapper installed on the module attribute sees every call
+    verifier: str
+    #: mode -> default function of the CLI; the first mode is the default
+    default_fn: dict[str, str]
+    #: required payload fields, in the verifier's argument order
+    fields: tuple[str, ...]
+    #: optional payload fields -> value used when a field is absent or null
+    optional: dict[str, Any] = field(default_factory=dict)
+    #: verifier keyword that receives the mode; single-mode ids pass none
+    mode_arg: str = "mode"
+    #: the verifier's value of each mode whose name differs from it
+    mode_values: dict[str, str] = field(default_factory=dict)
+
+    @property
+    def modes(self) -> tuple[str, ...]:
+        return tuple(self.default_fn)
+
+
+#: the payload fields of a two-sided scenario, passed on as one Mt1Scenario
+AFFINE_FIELDS = ("left", "right", "c", "interval")
+STANDARD = {"standard": "quadratic:2"}
+# the literal range reading admits genuine violations for kinked functions,
+# so default it to a function whose comparison is an exact identity
+SPLIT = {"region_restricted": "signed_square", "literal": "quadratic:2"}
+
+THEOREMS = {
+    "mt1": Theorem(
+        "verify_mt1",
+        {"proper": "signed_square", "literal_alpha": "signed_square"},
+        AFFINE_FIELDS,
+        {"A": None},
+        mode_arg="weight_reading",
+        mode_values={"proper": "matched"},
+    ),
+    "mt2": Theorem(
+        "verify_mt2",
+        {"auto": "signed_square", "a": "exp", "b": "quadratic:-3", "c": "signed_square"},
+        AFFINE_FIELDS,
+        mode_arg="branch",
+    ),
+    "mt3": Theorem(
+        "verify_mt3",
+        {"auto": "quadratic:2", "a": "quadratic:-3", "b": "quadratic:2", "c": "quadratic:2"},
+        AFFINE_FIELDS,
+        {"c_convention": "mirrored"},
+        mode_arg="branch",
+    ),
+    "it2": Theorem("verify_it2", STANDARD, ("L", "g", "H", "h", "inner", "interval")),
+    "it3": Theorem("verify_it3", STANDARD, ("Ls", "gs", "Hs", "hs", "inner", "interval")),
+    "ic1": Theorem("verify_ic1", STANDARD, ("L", "g", "inner")),
+    "ic2": Theorem("verify_ic2", STANDARD, ("Ls", "gs", "inners", "interval")),
+    "ic3": Theorem("verify_ic3", STANDARD, ("Ls", "gs", "interval")),
+    "mt4": Theorem(
+        "verify_mt4",
+        SPLIT,
+        ("L", "H", "g1", "h1", "g2", "h2", "c", "interval", "inner"),
+        {"inner2": None, "A": None},
+    ),
+    "mt5": Theorem(
+        "verify_mt5",
+        SPLIT,
+        (
+            "Ls", "gs", "Hs", "hs", "Ls_star", "gs_star", "Hs_star", "hs_star",
+            "c", "interval", "inner",
+        ),
+        {"inner2": None, "A": None},
+    ),
+    "mc1": Theorem("verify_mc1", SPLIT, ("L", "g1", "g2", "c", "inner"), {"interval": None}),
+    "mc2": Theorem(
+        "verify_mc2", SPLIT, ("Ls", "gs", "hs", "c", "interval", "g_inners"), {"h_inners": None}
+    ),
+    "mc3": Theorem("verify_mc3", SPLIT, ("Ls", "gs", "hs", "c", "interval")),
 }
+ALL_IDS = tuple(THEOREMS)
 
 
-def default_mode(theorem_id: str) -> str:
-    return MODES[theorem_id][0]
+def lookup(theorem_id: Any, mode: Any = None) -> tuple[Theorem, str]:
+    """Registry entry of a theorem id and the effective mode, the entry's
+    first when none is given.  Rejects unknown ids and modes."""
+    if theorem_id not in ALL_IDS:
+        raise StructureError(f"unknown theorem id {theorem_id!r}")
+    entry = THEOREMS[theorem_id]
+    mode = mode or entry.modes[0]
+    if mode not in entry.modes:
+        raise StructureError(f"theorem {theorem_id} has no mode {mode!r}")
+    return entry, mode
 
 
 def dumps(obj: Any) -> str:
@@ -121,15 +186,6 @@ def config_to(cfg: AffineConfig) -> dict:
     }
 
 
-def mt1_scenario_from(payload: dict) -> Mt1Scenario:
-    return Mt1Scenario(
-        left=config_from(_need(payload, "left", "two-sided")),
-        right=config_from(_need(payload, "right", "two-sided")),
-        c=float(_need(payload, "c", "two-sided")),
-        interval=interval_from(_need(payload, "interval", "two-sided")),
-    )
-
-
 def mt1_scenario_to(s: Mt1Scenario) -> dict:
     return {
         "c": s.c,
@@ -169,11 +225,7 @@ def make_scenario(
     payload: dict,
     seed: int | None = None,
 ) -> dict:
-    if theorem_id not in ALL_IDS:
-        raise StructureError(f"unknown theorem id {theorem_id!r}")
-    mode = mode or default_mode(theorem_id)
-    if mode not in MODES[theorem_id]:
-        raise StructureError(f"theorem {theorem_id} has no mode {mode!r}")
+    _, mode = lookup(theorem_id, mode)
     doc: dict[str, Any] = {
         "schema_version": SCHEMA_VERSION,
         "theorem_id": theorem_id,
@@ -198,258 +250,67 @@ def _checks_json(vr: ValidityReport | None) -> list[dict]:
     return [{"name": c.name, "residual": _num(c.residual), "ok": c.ok} for c in vr.checks]
 
 
-def _base(theorem_id: str, mode: str) -> dict:
+_VALUE_KEYS = ("gap_left", "gap_right", "spread_left", "spread_right", "mid_left", "mid_right")
+
+
+def _report(theorem_id: str, mode: str, rep: ChainReport) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "verification",
         "theorem_id": theorem_id,
         "mode": mode,
         "provenance": {"tool": TOOL, "version": VERSION},
+        "verdict": rep.verdict,
+        "margins": [_num(m) for m in rep.margins],
+        "margin": _num(min(rep.margins)) if rep.margins else None,
+        "chain": list(rep.chain),
+        "values": {k: getattr(rep, k) for k in _VALUE_KEYS if not math.isnan(getattr(rep, k))},
+        "hypotheses": _checks_json(rep.hypotheses),
+        "details": {k: _num(v) for k, v in rep.details.items()},
     }
 
 
-def _from_chain(base: dict, rep: ChainReport) -> dict:
-    base["verdict"] = rep.verdict
-    base["margins"] = [_num(m) for m in rep.margins]
-    base["margin"] = _num(min(rep.margins)) if rep.margins else None
-    base["chain"] = list(rep.chain)
-    values = {}
-    for key in ("gap_left", "gap_right", "spread_left", "spread_right", "mid_left", "mid_right"):
-        v = getattr(rep, key)
-        if not math.isnan(v):
-            values[key] = v
-    base["values"] = values
-    base["hypotheses"] = _checks_json(rep.hypotheses)
-    base["details"] = {k: _num(v) for k, v in rep.details.items()}
-    return base
+def _intervals_from(v: Any) -> list[IntervalR]:
+    return [interval_from(x) for x in v]
 
 
-def _from_margins(
-    base: dict,
-    margins: Sequence[float],
-    cs: CheckSet,
-    tol: float,
-    details: dict | None = None,
-    conclusion_ok: bool = True,
-) -> dict:
-    margins = list(margins)
-    ok = conclusion_ok and (not margins or min(margins) >= -tol)
-    base["verdict"] = HOLDS if ok else FAILS
-    base["margins"] = margins
-    base["margin"] = min(margins) if margins else None
-    base["chain"] = []
-    base["values"] = {}
-    base["hypotheses"] = _checks_json(cs.report())
-    base["details"] = details or {}
-    return base
+#: payload fields that are parsed before they reach a verifier
+_FIELD_PARSERS = {
+    "left": config_from,
+    "right": config_from,
+    "c": float,
+    "A": float,
+    "interval": interval_from,
+    "inner": interval_from,
+    "inner2": interval_from,
+    "inners": _intervals_from,
+    "g_inners": _intervals_from,
+    "h_inners": _intervals_from,
+}
 
 
-def _from_unmet(base: dict, exc: HypothesesUnmet) -> dict:
-    base["verdict"] = UNMET
-    base["margins"] = []
-    base["margin"] = None
-    base["chain"] = []
-    base["values"] = {}
-    if exc.full_report is not None:
-        base["hypotheses"] = _checks_json(exc.full_report)
-    else:
-        base["hypotheses"] = [
-            {"name": n, "residual": _num(r), "ok": False} for n, r in exc.violations
-        ]
-    base["details"] = {}
-    return base
-
-
-def _maybe_interval(payload: dict, key: str) -> IntervalR | None:
-    v = payload.get(key)
-    return None if v is None else interval_from(v)
-
-
-def _maybe_float(payload: dict, key: str) -> float | None:
-    v = payload.get(key)
-    return None if v is None else float(v)
+def _parse_field(key: str, value: Any) -> Any:
+    parser = _FIELD_PARSERS.get(key)
+    return value if parser is None else parser(value)
 
 
 def run_payload(
     theorem_id: str, mode: str | None, f: FunctionModel, payload: dict, tol: float = EPS_EQ
 ) -> dict:
-    """Dispatch a payload to the matching verifier and normalize the outcome."""
-    if theorem_id not in ALL_IDS:
-        raise StructureError(f"unknown theorem id {theorem_id!r}")
-    mode = mode or default_mode(theorem_id)
-    if mode not in MODES[theorem_id]:
-        raise StructureError(f"theorem {theorem_id} has no mode {mode!r}")
+    """Verify a payload with the registered verifier and render its report."""
+    entry, mode = lookup(theorem_id, mode)
     if not isinstance(payload, dict):
         raise StructureError("payload must be an object")
-    base = _base(theorem_id, mode)
-    p = payload
-
-    if theorem_id in AFFINE_IDS:
-        s = mt1_scenario_from(p)
-        if theorem_id == "mt1":
-            reading = "literal_alpha" if mode == "literal_alpha" else "matched"
-            rep = verify_mt1(f, s, A=_maybe_float(p, "A"), tol=tol, weight_reading=reading)
-        elif theorem_id == "mt2":
-            rep = verify_mt2(f, s, branch=mode, tol=tol)
-        else:
-            rep = verify_mt3(
-                f,
-                s,
-                branch=mode,
-                c_convention=p.get("c_convention", "mirrored"),
-                tol=tol,
-            )
-        return _from_chain(base, rep)
-
-    if theorem_id == "it2":
-        rep = verify_it2(
-            f,
-            _need(p, "L", theorem_id),
-            _need(p, "g", theorem_id),
-            _need(p, "H", theorem_id),
-            _need(p, "h", theorem_id),
-            inner=interval_from(_need(p, "inner", theorem_id)),
-            interval=interval_from(_need(p, "interval", theorem_id)),
-            tol=tol,
-        )
-        return _from_chain(base, rep)
-
-    if theorem_id == "mt4":
-        rep = verify_mt4(
-            f,
-            _need(p, "L", theorem_id),
-            _need(p, "H", theorem_id),
-            _need(p, "g1", theorem_id),
-            _need(p, "h1", theorem_id),
-            _need(p, "g2", theorem_id),
-            _need(p, "h2", theorem_id),
-            c=float(_need(p, "c", theorem_id)),
-            interval=interval_from(_need(p, "interval", theorem_id)),
-            inner=interval_from(_need(p, "inner", theorem_id)),
-            inner2=_maybe_interval(p, "inner2"),
-            mode=mode,
-            A=_maybe_float(p, "A"),
-            tol=tol,
-        )
-        return _from_chain(base, rep)
-
-    if theorem_id == "mt5":
-        rep = verify_mt5(
-            f,
-            _need(p, "Ls", theorem_id),
-            _need(p, "gs", theorem_id),
-            _need(p, "Hs", theorem_id),
-            _need(p, "hs", theorem_id),
-            _need(p, "Ls_star", theorem_id),
-            _need(p, "gs_star", theorem_id),
-            _need(p, "Hs_star", theorem_id),
-            _need(p, "hs_star", theorem_id),
-            c=float(_need(p, "c", theorem_id)),
-            interval=interval_from(_need(p, "interval", theorem_id)),
-            inner=interval_from(_need(p, "inner", theorem_id)),
-            inner2=_maybe_interval(p, "inner2"),
-            mode=mode,
-            A=_maybe_float(p, "A"),
-            tol=tol,
-        )
-        return _from_chain(base, rep)
-
-    cs = CheckSet(tol)
-    try:
-        if theorem_id == "ic1":
-            m = verify_ic1(
-                f,
-                _need(p, "L", theorem_id),
-                _need(p, "g", theorem_id),
-                inner=interval_from(_need(p, "inner", theorem_id)),
-                tol=tol,
-                checks=cs,
-            )
-            return _from_margins(base, [m], cs, tol)
-        if theorem_id == "ic2":
-            ms = verify_ic2(
-                f,
-                _need(p, "Ls", theorem_id),
-                _need(p, "gs", theorem_id),
-                inners=[interval_from(x) for x in _need(p, "inners", theorem_id)],
-                interval=interval_from(_need(p, "interval", theorem_id)),
-                tol=tol,
-                checks=cs,
-            )
-            return _from_margins(base, ms, cs, tol)
-        if theorem_id == "ic3":
-            inc, m = verify_ic3(
-                f,
-                _need(p, "Ls", theorem_id),
-                _need(p, "gs", theorem_id),
-                interval=interval_from(_need(p, "interval", theorem_id)),
-                tol=tol,
-                checks=cs,
-            )
-            return _from_margins(
-                base, [m], cs, tol, details={"inclusion": inc}, conclusion_ok=inc
-            )
-        if theorem_id == "it3":
-            m = verify_it3(
-                f,
-                _need(p, "Ls", theorem_id),
-                _need(p, "gs", theorem_id),
-                _need(p, "Hs", theorem_id),
-                _need(p, "hs", theorem_id),
-                inner=interval_from(_need(p, "inner", theorem_id)),
-                interval=interval_from(_need(p, "interval", theorem_id)),
-                tol=tol,
-                checks=cs,
-            )
-            return _from_margins(base, [m], cs, tol)
-        if theorem_id == "mc1":
-            m = verify_mc1(
-                f,
-                _need(p, "L", theorem_id),
-                _need(p, "g1", theorem_id),
-                _need(p, "g2", theorem_id),
-                c=float(_need(p, "c", theorem_id)),
-                inner=interval_from(_need(p, "inner", theorem_id)),
-                interval=_maybe_interval(p, "interval"),
-                mode=mode,
-                tol=tol,
-                checks=cs,
-            )
-            return _from_margins(base, [m], cs, tol)
-        if theorem_id == "mc2":
-            h_inners = p.get("h_inners")
-            ms = verify_mc2(
-                f,
-                _need(p, "Ls", theorem_id),
-                _need(p, "gs", theorem_id),
-                _need(p, "hs", theorem_id),
-                c=float(_need(p, "c", theorem_id)),
-                interval=interval_from(_need(p, "interval", theorem_id)),
-                g_inners=[interval_from(x) for x in _need(p, "g_inners", theorem_id)],
-                h_inners=None if h_inners is None else [interval_from(x) for x in h_inners],
-                mode=mode,
-                tol=tol,
-                checks=cs,
-            )
-            return _from_margins(base, ms, cs, tol)
-        if theorem_id == "mc3":
-            inc, m = verify_mc3(
-                f,
-                _need(p, "Ls", theorem_id),
-                _need(p, "gs", theorem_id),
-                _need(p, "hs", theorem_id),
-                c=float(_need(p, "c", theorem_id)),
-                interval=interval_from(_need(p, "interval", theorem_id)),
-                mode=mode,
-                tol=tol,
-                checks=cs,
-            )
-            return _from_margins(
-                base, [m], cs, tol, details={"inclusion": inc}, conclusion_ok=inc
-            )
-    except HypothesesUnmet as exc:
-        return _from_unmet(base, exc)
-    raise StructureError(f"unhandled theorem id {theorem_id!r}")
+    args = {key: _parse_field(key, _need(payload, key, theorem_id)) for key in entry.fields}
+    for key, default in entry.optional.items():
+        value = payload.get(key)
+        args[key] = default if value is None else _parse_field(key, value)
+    if len(entry.modes) > 1:
+        args[entry.mode_arg] = entry.mode_values.get(mode, mode)
+    if entry.fields == AFFINE_FIELDS:
+        args["s"] = Mt1Scenario(**{key: args.pop(key) for key in AFFINE_FIELDS})
+    rep = globals()[entry.verifier](f, tol=tol, **args)
+    return _report(theorem_id, mode, rep)
 
 
 def run_scenario(doc: Any, tol: float | None = None) -> dict:
@@ -460,9 +321,7 @@ def run_scenario(doc: Any, tol: float | None = None) -> dict:
     if sv != SCHEMA_VERSION:
         raise StructureError(f"unsupported schema_version {sv!r} (expected {SCHEMA_VERSION})")
     theorem_id = doc.get("theorem_id")
-    if theorem_id not in ALL_IDS:
-        raise StructureError(f"unknown theorem id {theorem_id!r}")
-    mode = doc.get("mode") or default_mode(theorem_id)
+    _, mode = lookup(theorem_id, doc.get("mode"))
     f = model_from_spec(doc.get("function") or {})
     eff_tol = tol
     if eff_tol is None:

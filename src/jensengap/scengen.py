@@ -27,7 +27,7 @@ from .domain import (
 from .funclib import FunctionModel
 from .functional import apply
 from .report import UNMET
-from .scenario import AFFINE_IDS, ALL_IDS, mt1_scenario_to, run_payload
+from .scenario import lookup, mt1_scenario_to, run_payload
 
 #: attempts per scenario before reporting infeasibility
 RETRY_CAP = 100
@@ -265,7 +265,22 @@ def _matched_pair(
     return [v_lo, v_hi], offset, mean
 
 
-def _gen_it2(spec: GenSpec, rng: random.Random) -> dict:
+def _gen_two_sided(spec: GenSpec, mode: str, rng: random.Random) -> dict:
+    """Spread-matched sides, as mt1 and every branch of mt3 need."""
+    return mt1_scenario_to(gen_two_sided_scenario(spec, rng))
+
+
+def _gen_mt2(spec: GenSpec, mode: str, rng: random.Random) -> dict:
+    """Branch a needs spread_left <= spread_right, branch b the reverse."""
+    ratio = 1.0
+    if mode == "a":
+        ratio = rng.uniform(0.4, 0.95)
+    elif mode == "b":
+        ratio = 1.0 / rng.uniform(0.4, 0.95)
+    return mt1_scenario_to(gen_two_sided_scenario(spec, rng, spread_ratio=ratio))
+
+
+def _gen_it2(spec: GenSpec, mode: str, rng: random.Random) -> dict:
     interval = spec.interval
     inner = _sub_interval(rng, interval.lo, interval.hi)
     n = max(2, spec.sizes[0])
@@ -282,7 +297,7 @@ def _gen_it2(spec: GenSpec, rng: random.Random) -> dict:
     }
 
 
-def _gen_ic1(spec: GenSpec, rng: random.Random) -> dict:
+def _gen_ic1(spec: GenSpec, mode: str, rng: random.Random) -> dict:
     inner = _sub_interval(rng, spec.interval.lo, spec.interval.hi)
     n = max(2, spec.sizes[0])
     return {
@@ -311,7 +326,7 @@ def _ladder(
     return functionals, values, inners
 
 
-def _gen_ic2(spec: GenSpec, rng: random.Random, levels: int = 3) -> dict:
+def _gen_ic2(spec: GenSpec, mode: str, rng: random.Random, levels: int = 3) -> dict:
     interval = spec.interval
     width = interval.width
     center = rng.uniform(interval.lo + 0.3 * width, interval.hi - 0.3 * width)
@@ -332,8 +347,8 @@ def _split_weights(weights: list[float]) -> list[list[float]]:
     return [first, second]
 
 
-def _gen_ic3(spec: GenSpec, rng: random.Random) -> dict:
-    base = _gen_ic1(spec, rng)
+def _gen_ic3(spec: GenSpec, mode: str, rng: random.Random) -> dict:
+    base = _gen_ic1(spec, mode, rng)
     return {
         "interval": [spec.interval.lo, spec.interval.hi],
         "Ls": _split_weights(base["L"]),
@@ -341,8 +356,8 @@ def _gen_ic3(spec: GenSpec, rng: random.Random) -> dict:
     }
 
 
-def _gen_it3(spec: GenSpec, rng: random.Random) -> dict:
-    base = _gen_it2(spec, rng)
+def _gen_it3(spec: GenSpec, mode: str, rng: random.Random) -> dict:
+    base = _gen_it2(spec, mode, rng)
     return {
         "interval": base["interval"],
         "inner": base["inner"],
@@ -489,12 +504,16 @@ def _gen_mc3(spec: GenSpec, mode: str, rng: random.Random) -> dict:
     }
 
 
-_FUNCTIONAL_GENS = {
-    "it2": lambda spec, mode, rng: _gen_it2(spec, rng),
-    "ic1": lambda spec, mode, rng: _gen_ic1(spec, rng),
-    "ic2": lambda spec, mode, rng: _gen_ic2(spec, rng),
-    "ic3": lambda spec, mode, rng: _gen_ic3(spec, rng),
-    "it3": lambda spec, mode, rng: _gen_it3(spec, rng),
+#: payload generator of every theorem id, in registry order
+GENERATORS = {
+    "mt1": _gen_two_sided,
+    "mt2": _gen_mt2,
+    "mt3": _gen_two_sided,
+    "it2": _gen_it2,
+    "it3": _gen_it3,
+    "ic1": _gen_ic1,
+    "ic2": _gen_ic2,
+    "ic3": _gen_ic3,
     "mt4": _gen_mt4,
     "mt5": _gen_mt5,
     "mc1": _gen_mc1,
@@ -503,16 +522,18 @@ _FUNCTIONAL_GENS = {
 }
 
 
-def gen_functional_scenario(
-    spec: GenSpec, theorem_id: str, mode: str = "region_restricted", rng: random.Random | None = None
+def gen_payload(
+    spec: GenSpec, theorem_id: str, mode: str, rng: random.Random | None = None
 ) -> dict:
-    """Payload satisfying the mean and second-moment constraints exactly by
-    construction; draws are rejected and retried when the two-point roots
-    would violate the range constraints."""
-    if theorem_id not in _FUNCTIONAL_GENS:
+    """Scenario payload for any theorem id, ready for dispatch or serialization.
+
+    Equality constraints hold by construction; draws are rejected and
+    retried when the two-point roots would violate the range constraints.
+    """
+    if theorem_id not in GENERATORS:
         raise StructureError(f"no generator for theorem id {theorem_id!r}")
     rng = rng if rng is not None else random.Random(spec.seed)
-    gen = _FUNCTIONAL_GENS[theorem_id]
+    gen = GENERATORS[theorem_id]
     for _ in range(RETRY_CAP):
         try:
             return gen(spec, mode, rng)
@@ -521,22 +542,6 @@ def gen_functional_scenario(
     raise InfeasibleError(
         f"{theorem_id}: no feasible scenario after {RETRY_CAP} attempts"
     )
-
-
-def _affine_ratio(theorem_id: str, mode: str, rng: random.Random) -> float:
-    if theorem_id == "mt2" and mode == "a":
-        return rng.uniform(0.4, 0.95)
-    if theorem_id == "mt2" and mode == "b":
-        return 1.0 / rng.uniform(0.4, 0.95)
-    return 1.0
-
-
-def gen_payload(spec: GenSpec, theorem_id: str, mode: str, rng: random.Random) -> dict:
-    """Scenario payload for any theorem id, ready for dispatch or serialization."""
-    if theorem_id in AFFINE_IDS:
-        ratio = _affine_ratio(theorem_id, mode, rng)
-        return mt1_scenario_to(gen_two_sided_scenario(spec, rng, spread_ratio=ratio))
-    return gen_functional_scenario(spec, theorem_id, mode, rng)
 
 
 def straddle_probe_mt4() -> dict:
@@ -576,8 +581,7 @@ def search_counterexamples(
     In literal mode for mt4 the documented straddle probe is evaluated first
     (seed_trace "probe") unless ``include_probes`` is false.
     """
-    if theorem_id not in ALL_IDS:
-        raise StructureError(f"unknown theorem id {theorem_id!r}")
+    _, mode = lookup(theorem_id, mode)
     if budget < 1:
         raise StructureError("search budget must be at least 1")
     base_spec = spec if spec is not None else GenSpec(seed=seed)

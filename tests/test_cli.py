@@ -86,6 +86,13 @@ class TestCheck:
         monkeypatch.setattr("sys.stdin", io.StringIO(dumps(MIRRORED_MT1)))
         assert run(["check", "-"]) == 0
 
+    def test_parameter_on_parameterless_function_exit_1(self, tmp_path, capsys):
+        doc = json.loads(dumps(MIRRORED_MT1))
+        doc["function"] = {"name": "cubic", "param": 3}
+        path = write(tmp_path, "cubic3.json", doc)
+        assert run(["check", path]) == 1
+        assert capsys.readouterr().out == ""
+
     def test_array_of_scenarios(self, tmp_path, capsys):
         docs = [MIRRORED_MT1, MIRRORED_MT1]
         path = write(tmp_path, "many.json", docs)
@@ -120,6 +127,11 @@ class TestAnalyze:
 
     def test_unknown_function_exit_1(self, capsys):
         assert run(["analyze", "--fn", "sigmoid", "--point", "0"]) == 1
+
+    @pytest.mark.parametrize("fn", ["cubic:3", "exp:7"])
+    def test_parameter_on_parameterless_function_exit_1(self, capsys, fn):
+        assert run(["analyze", "--fn", fn]) == 1
+        assert "takes no parameter" in capsys.readouterr().err
 
 
 class TestGen:
@@ -158,6 +170,11 @@ class TestGen:
 
     def test_unknown_mode_exit_1(self, capsys):
         assert run(["gen", "--theorem", "mt1", "--mode", "sideways", "--seed", "1"]) == 1
+
+    @pytest.mark.parametrize("fn", ["cubic:3", "exp:7"])
+    def test_parameter_on_parameterless_function_exit_1(self, capsys, fn):
+        assert run(["gen", "--theorem", "mt1", "--seed", "1", "--fn", fn]) == 1
+        assert capsys.readouterr().out == ""
 
     def test_count_emits_array(self, tmp_path, capsys):
         out = str(tmp_path / "many.json")

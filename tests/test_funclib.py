@@ -102,6 +102,11 @@ class TestCatalog:
         with pytest.raises(StructureError):
             parse_fn_spec("cubic:3")
 
+    @pytest.mark.parametrize("name", ["cubic", "signed_square", "exp"])
+    def test_catalog_rejects_stray_param(self, name):
+        with pytest.raises(StructureError, match="takes no parameter"):
+            catalog(name, 3.0)
+
     def test_declared_class_matches_curvature(self):
         # left of c the one-sided value stays at or below A, right of c at or above
         for f in (catalog("signed_square"), catalog("cubic"), catalog("exp"), catalog("quadratic", 2)):

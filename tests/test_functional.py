@@ -22,12 +22,18 @@ from jensengap.functional import (
     verify_mt4,
     verify_mt5,
 )
-from jensengap.report import HypothesesUnmet
+from jensengap.report import HOLDS, UNMET
 
 iv = IntervalR
 Q2 = catalog("quadratic", 2)  # x^2
 SS = catalog("signed_square")
 HALF = [0.5, 0.5]
+
+
+def assert_unmet(rep, check):
+    """Hypotheses-unmet with no margins, naming the failed check."""
+    assert rep.verdict == UNMET and rep.margins == ()
+    assert check in [name for name, _ in rep.hypotheses.violations]
 
 
 class TestTypesAndApply:
@@ -115,71 +121,75 @@ class TestIt2:
 
 class TestIc1:
     def test_worked_margin(self):
-        assert verify_ic1(Q2, HALF, [0.0, 2.0], inner=iv(0, 2)) == pytest.approx(1.0)
+        rep = verify_ic1(Q2, HALF, [0.0, 2.0], inner=iv(0, 2))
+        assert rep.verdict == HOLDS and rep.margins == pytest.approx([1.0])
 
     def test_constant_argument(self):
-        assert verify_ic1(Q2, HALF, [1.3, 1.3], inner=iv(0, 2)) == pytest.approx(0.0, abs=1e-12)
+        rep = verify_ic1(Q2, HALF, [1.3, 1.3], inner=iv(0, 2))
+        assert rep.margins == pytest.approx([0.0], abs=1e-12)
 
     def test_non_unital_raises(self):
-        with pytest.raises(HypothesesUnmet):
-            verify_ic1(Q2, [0.4, 0.4], [0.0, 2.0], inner=iv(0, 2))
+        assert_unmet(verify_ic1(Q2, [0.4, 0.4], [0.0, 2.0], inner=iv(0, 2)), "unital.L")
 
 
 class TestIc2:
     def test_three_level_margins(self):
-        ms = verify_ic2(
+        rep = verify_ic2(
             Q2,
             [HALF, HALF, HALF],
             [[0.0, 0.0], [-1.0, 1.0], [-3.0, 3.0]],
             inners=[iv(-0.5, 0.5), iv(-1, 1)],
             interval=iv(-3, 3),
         )
-        assert ms == pytest.approx([1.0, 8.0], abs=1e-12)
+        assert rep.verdict == HOLDS
+        assert rep.margins == pytest.approx([1.0, 8.0], abs=1e-12)
 
     def test_two_level_reduces_to_transfer(self):
-        ms = verify_ic2(
+        rep = verify_ic2(
             Q2, [HALF, HALF], [[-0.5, 0.5], [-1.0, 1.0]], inners=[iv(-1, 1)], interval=iv(-3, 3)
         )
-        assert ms == pytest.approx([0.75], abs=1e-12)
+        assert rep.margins == pytest.approx([0.75], abs=1e-12)
 
     def test_constant_ladder(self):
-        ms = verify_ic2(
+        rep = verify_ic2(
             Q2, [HALF, HALF], [[0.5, 0.5], [0.5, 0.5]], inners=[iv(0.5, 0.5)], interval=iv(-3, 3)
         )
-        assert ms == pytest.approx([0.0], abs=1e-12)
+        assert rep.margins == pytest.approx([0.0], abs=1e-12)
 
     def test_broken_nesting_raises(self):
-        with pytest.raises(HypothesesUnmet):
-            verify_ic2(
-                Q2,
-                [HALF, HALF],
-                [[0.0, 0.0], [-1.0, 1.0]],
-                inners=[iv(-2, 2)],  # level-2 values sit strictly inside
-                interval=iv(-3, 3),
-            )
+        rep = verify_ic2(
+            Q2,
+            [HALF, HALF],
+            [[0.0, 0.0], [-1.0, 1.0]],
+            inners=[iv(-2, 2)],  # level-2 values sit strictly inside
+            interval=iv(-3, 3),
+        )
+        assert_unmet(rep, "range.g2")
 
 
 class TestIc3:
     def test_worked_margin(self):
-        inc, m = verify_ic3(Q2, [[0.5], [0.5]], [[0.0], [2.0]], interval=iv(-3, 3))
-        assert inc and m == pytest.approx(1.0, abs=1e-12)
+        rep = verify_ic3(Q2, [[0.5], [0.5]], [[0.0], [2.0]], interval=iv(-3, 3))
+        assert rep.verdict == HOLDS and rep.details == {"inclusion": True}
+        assert rep.margins == pytest.approx([1.0], abs=1e-12)
 
     def test_single_unital_family_matches_plain_jensen(self):
-        inc, m = verify_ic3(Q2, [HALF], [[0.0, 2.0]], interval=iv(-3, 3))
-        assert inc and m == pytest.approx(verify_ic1(Q2, HALF, [0.0, 2.0], inner=iv(0, 2)), abs=1e-12)
+        rep = verify_ic3(Q2, [HALF], [[0.0, 2.0]], interval=iv(-3, 3))
+        plain = verify_ic1(Q2, HALF, [0.0, 2.0], inner=iv(0, 2))
+        assert rep.details["inclusion"] and rep.margins == pytest.approx(plain.margins, abs=1e-12)
 
     def test_constant_functions(self):
-        inc, m = verify_ic3(Q2, [[0.5], [0.5]], [[1.0], [1.0]], interval=iv(-3, 3))
-        assert inc and m == pytest.approx(0.0, abs=1e-12)
+        rep = verify_ic3(Q2, [[0.5], [0.5]], [[1.0], [1.0]], interval=iv(-3, 3))
+        assert rep.details["inclusion"] and rep.margins == pytest.approx([0.0], abs=1e-12)
 
     def test_bad_total_mass(self):
-        with pytest.raises(HypothesesUnmet):
-            verify_ic3(Q2, [[0.5], [0.4]], [[0.0], [2.0]], interval=iv(-3, 3))
+        rep = verify_ic3(Q2, [[0.5], [0.4]], [[0.0], [2.0]], interval=iv(-3, 3))
+        assert_unmet(rep, "totals")
 
 
 class TestIt3:
     def test_split_families_match_it2(self):
-        m = verify_it3(
+        rep = verify_it3(
             Q2,
             [[0.5, 0.0], [0.0, 0.5]],
             [[-0.5, 0.5], [-0.5, 0.5]],
@@ -188,22 +198,22 @@ class TestIt3:
             inner=iv(-1, 1),
             interval=iv(-3, 3),
         )
-        assert m == pytest.approx(0.75, abs=1e-12)
+        assert rep.verdict == HOLDS and rep.margins == pytest.approx([0.75], abs=1e-12)
 
     def test_affine_function(self):
         from jensengap.funclib import FunctionModel
 
         lin = FunctionModel("line", iv(-10, 10), lambda x: -x + 4)
-        m = verify_it3(
+        rep = verify_it3(
             lin, [HALF], [[-0.5, 0.5]], [HALF], [[-1.0, 1.0]], inner=iv(-1, 1), interval=iv(-3, 3)
         )
-        assert m == pytest.approx(0.0, abs=1e-12)
+        assert rep.margins == pytest.approx([0.0], abs=1e-12)
 
     def test_family_sum_mismatch(self):
-        with pytest.raises(HypothesesUnmet):
-            verify_it3(
-                Q2, [HALF], [[-0.5, 0.5]], [HALF], [[-1.0, 2.0]], inner=iv(-1, 1), interval=iv(-3, 3)
-            )
+        rep = verify_it3(
+            Q2, [HALF], [[-0.5, 0.5]], [HALF], [[-1.0, 2.0]], inner=iv(-1, 1), interval=iv(-3, 3)
+        )
+        assert_unmet(rep, "1.11")
 
 
 WORKED_MT4 = dict(
@@ -288,33 +298,33 @@ class TestMt4:
 
 class TestMc1:
     def test_worked_margin(self):
-        m = verify_mc1(SS, HALF, [-2, -1], [1, 2], c=0.0, inner=iv(-2, 2), interval=iv(-3, 3))
-        assert m == pytest.approx(0.5, abs=1e-12)
+        rep = verify_mc1(SS, HALF, [-2, -1], [1, 2], c=0.0, inner=iv(-2, 2), interval=iv(-3, 3))
+        assert rep.verdict == HOLDS and rep.margins == pytest.approx([0.5], abs=1e-12)
 
     def test_quadratic_identity_margin_zero(self):
-        m = verify_mc1(
+        rep = verify_mc1(
             catalog("quadratic", 3), HALF, [-2, -1], [1, 2], c=0.0, inner=iv(-2, 2), interval=iv(-3, 3)
         )
-        assert m == pytest.approx(0.0, abs=1e-12)
+        assert rep.margins == pytest.approx([0.0], abs=1e-12)
 
     def test_identical_arguments(self):
-        m = verify_mc1(
+        rep = verify_mc1(
             SS, HALF, [1.0, 2.0], [1.0, 2.0], c=0.0, inner=iv(-2, 2), interval=iv(-3, 3), mode="literal"
         )
-        assert m == pytest.approx(0.0, abs=1e-12)
+        assert rep.margins == pytest.approx([0.0], abs=1e-12)
 
     def test_variance_mismatch_raises(self):
-        with pytest.raises(HypothesesUnmet):
-            verify_mc1(SS, HALF, [-2, -1], [0.5, 2.0], c=0.0, inner=iv(-2, 2), interval=iv(-3, 3))
+        rep = verify_mc1(SS, HALF, [-2, -1], [0.5, 2.0], c=0.0, inner=iv(-2, 2), interval=iv(-3, 3))
+        assert_unmet(rep, "2.17")
 
     def test_region_placement_enforced(self):
-        with pytest.raises(HypothesesUnmet):
-            verify_mc1(SS, HALF, [-2, 0.5], [1, 2], c=0.0, inner=iv(-2, 2), interval=iv(-3, 3))
+        rep = verify_mc1(SS, HALF, [-2, 0.5], [1, 2], c=0.0, inner=iv(-2, 2), interval=iv(-3, 3))
+        assert_unmet(rep, "region.g1_left_of_c")
 
 
 class TestMc2:
     def test_two_level_from_mc1_data(self):
-        ms = verify_mc2(
+        rep = verify_mc2(
             SS,
             [HALF, HALF],
             [[-1.5, -1.5], [-2.0, -1.0]],
@@ -324,10 +334,10 @@ class TestMc2:
             g_inners=[iv(-1.5, -1.5)],
             h_inners=[iv(1.5, 1.5)],
         )
-        assert ms == pytest.approx([0.5], abs=1e-12)
+        assert rep.verdict == HOLDS and rep.margins == pytest.approx([0.5], abs=1e-12)
 
     def test_identical_families_zero(self):
-        ms = verify_mc2(
+        rep = verify_mc2(
             SS,
             [HALF, HALF],
             [[1.5, 1.5], [1.0, 2.0]],
@@ -337,10 +347,10 @@ class TestMc2:
             g_inners=[iv(1.5, 1.5)],
             mode="literal",
         )
-        assert ms == pytest.approx([0.0], abs=1e-12)
+        assert rep.margins == pytest.approx([0.0], abs=1e-12)
 
     def test_quadratic_margin_zero(self):
-        ms = verify_mc2(
+        rep = verify_mc2(
             catalog("quadratic", 2),
             [HALF, HALF],
             [[-1.5, -1.5], [-2.0, -1.0]],
@@ -350,25 +360,25 @@ class TestMc2:
             g_inners=[iv(-1.5, -1.5)],
             h_inners=[iv(1.5, 1.5)],
         )
-        assert ms == pytest.approx([0.0], abs=1e-12)
+        assert rep.margins == pytest.approx([0.0], abs=1e-12)
 
     def test_moment_increment_mismatch(self):
-        with pytest.raises(HypothesesUnmet):
-            verify_mc2(
-                SS,
-                [HALF, HALF],
-                [[-1.5, -1.5], [-2.0, -1.0]],
-                [[1.5, 1.5], [0.5, 2.5]],
-                c=0.0,
-                interval=iv(-3, 3),
-                g_inners=[iv(-1.5, -1.5)],
-                h_inners=[iv(1.5, 1.5)],
-            )
+        rep = verify_mc2(
+            SS,
+            [HALF, HALF],
+            [[-1.5, -1.5], [-2.0, -1.0]],
+            [[1.5, 1.5], [0.5, 2.5]],
+            c=0.0,
+            interval=iv(-3, 3),
+            g_inners=[iv(-1.5, -1.5)],
+            h_inners=[iv(1.5, 1.5)],
+        )
+        assert_unmet(rep, "2.20[1]")
 
 
 class TestMc3:
     def test_split_replicates_mc1(self):
-        inc, m = verify_mc3(
+        rep = verify_mc3(
             SS,
             [[0.5, 0.0], [0.0, 0.5]],
             [[-2.0, -1.0], [-2.0, -1.0]],
@@ -376,27 +386,26 @@ class TestMc3:
             c=0.0,
             interval=iv(-3, 3),
         )
-        assert inc and m == pytest.approx(0.5, abs=1e-12)
+        assert rep.verdict == HOLDS and rep.details == {"inclusion": True}
+        assert rep.margins == pytest.approx([0.5], abs=1e-12)
 
     def test_single_family_reduces_to_mc1(self):
-        inc, m = verify_mc3(
+        rep = verify_mc3(
             SS, [HALF], [[-2.0, -1.0]], [[1.0, 2.0]], c=0.0, interval=iv(-3, 3)
         )
-        assert inc
-        assert m == pytest.approx(
-            verify_mc1(SS, HALF, [-2, -1], [1, 2], c=0.0, inner=iv(-2, 2), interval=iv(-3, 3)),
-            abs=1e-12,
-        )
+        assert rep.details["inclusion"]
+        plain = verify_mc1(SS, HALF, [-2, -1], [1, 2], c=0.0, inner=iv(-2, 2), interval=iv(-3, 3))
+        assert rep.margins == pytest.approx(plain.margins, abs=1e-12)
 
     def test_quadratic_zero(self):
-        inc, m = verify_mc3(
+        rep = verify_mc3(
             catalog("quadratic", 2), [HALF], [[-2.0, -1.0]], [[1.0, 2.0]], c=0.0, interval=iv(-3, 3)
         )
-        assert inc and m == pytest.approx(0.0, abs=1e-12)
+        assert rep.details["inclusion"] and rep.margins == pytest.approx([0.0], abs=1e-12)
 
     def test_variance_mismatch(self):
-        with pytest.raises(HypothesesUnmet):
-            verify_mc3(SS, [HALF], [[-2.0, -1.0]], [[0.5, 2.0]], c=0.0, interval=iv(-3, 3))
+        rep = verify_mc3(SS, [HALF], [[-2.0, -1.0]], [[0.5, 2.0]], c=0.0, interval=iv(-3, 3))
+        assert_unmet(rep, "2.22")
 
 
 class TestMt5:

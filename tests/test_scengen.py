@@ -10,7 +10,7 @@ from jensengap.scengen import (
     GenSpec,
     InfeasibleError,
     gen_affine_config,
-    gen_functional_scenario,
+    gen_payload,
     gen_mt1_scenario,
     gen_two_sided_scenario,
     match_spread,
@@ -143,14 +143,14 @@ class TestFunctionalGeneration:
         mode = "region_restricted" if theorem_id.startswith("m") else "standard"
         for seed in range(15):
             rng = random.Random(1000 + seed)
-            payload = gen_functional_scenario(SPEC, theorem_id, mode, rng)
+            payload = gen_payload(SPEC, theorem_id, mode, rng)
             report = run_payload(theorem_id, mode, FUNCTIONS[theorem_id], payload)
             assert report["verdict"] == "holds", (theorem_id, seed, report["hypotheses"])
 
     def test_variance_matching_is_exact(self):
         for seed in range(20):
             rng = random.Random(seed)
-            payload = gen_functional_scenario(SPEC, "mc1", "region_restricted", rng)
+            payload = gen_payload(SPEC, "mc1", "region_restricted", rng)
             w = payload["L"]
             v1, v2 = payload["g1"], payload["g2"]
             m1 = sum(wi * x for wi, x in zip(w, v1))
@@ -160,13 +160,13 @@ class TestFunctionalGeneration:
             assert abs(var1 - var2) <= 1e-12
 
     def test_determinism(self):
-        a = gen_functional_scenario(SPEC, "mt4", "literal", random.Random(7))
-        b = gen_functional_scenario(SPEC, "mt4", "literal", random.Random(7))
+        a = gen_payload(SPEC, "mt4", "literal", random.Random(7))
+        b = gen_payload(SPEC, "mt4", "literal", random.Random(7))
         assert a == b
 
     def test_unknown_theorem(self):
         with pytest.raises(StructureError):
-            gen_functional_scenario(SPEC, "mt9", "literal")
+            gen_payload(SPEC, "mt9", "literal")
 
 
 class TestSearch:
