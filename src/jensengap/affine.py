@@ -28,13 +28,8 @@ from .domain import (
     spread,
     validate_affine_config,
 )
-from .funclib import DomainError, FunctionModel, d2_one_sided, eval_fn, negate
+from .funclib import DomainError, FunctionModel, d2_one_sided, eval_fn
 from .report import UNMET, ChainReport, chain_report
-
-#: grid used for witness-constant sandwiches when no declared class applies
-WITNESS_GRID = 512
-#: grid used for 3-convexity/3-concavity evidence in branch (c)
-THIRD_GRID = 257
 
 
 @dataclass(frozen=True)
@@ -126,7 +121,6 @@ def verify_mt1(
     s: Mt1Scenario,
     A: float | None = None,
     tol: float = EPS_EQ,
-    grid_n: int = WITNESS_GRID,
     weight_reading: str = "matched",
 ) -> ChainReport:
     """Four-term chain: gap_left <= (A/2) spread_left = (A/2) spread_right <= gap_right.
@@ -153,7 +147,7 @@ def verify_mt1(
     if not cs.ok:
         return ChainReport(UNMET, hypotheses=cs.report(), details=details)
     if A is None:
-        A = k1_witness(f, s.c, s.interval, grid_n, tol)
+        A = k1_witness(f, s.c, s.interval, tol=tol)
         cs.record("witness.K1c", 0.0 if A is None else A, A is not None)
         if A is None:
             return ChainReport(UNMET, hypotheses=cs.report(), details=details)
@@ -173,7 +167,6 @@ def _signed_witness(
     r_tt: float,
     sign: str,
     kinds: tuple[str, ...],
-    grid_n: int,
     tol: float,
 ) -> float | None:
     """Witness constant restricted to a sign regime ("nonneg" or "nonpos").
@@ -182,7 +175,6 @@ def _signed_witness(
     constant has the required sign; otherwise the dd2 sandwich over
     [lo, a_tt] and [r_tt, hi] is intersected with the regime.
     """
-    want_k1 = "K1c" in kinds
 
     def fits(value: float) -> bool:
         return value >= -tol if sign == "nonneg" else value <= tol
@@ -195,12 +187,11 @@ def _signed_witness(
         and fits(kc.A)
     ):
         return kc.A
-    target = f if want_k1 else negate(f)
     try:
-        sand = curvature_sandwich(target, s.interval, a_tt, r_tt, grid_n, tol)
+        k1, k2 = curvature_sandwich(f, s.interval, a_tt, r_tt, tol=tol)
     except (StructureError, DomainError):
         return None
-    lo, hi = (sand.lo, sand.hi) if want_k1 else (-sand.hi, -sand.lo)
+    lo, hi = (k1.lo, k1.hi) if "K1c" in kinds else (k2.lo, k2.hi)
     if sign == "nonneg":
         lo = max(lo, 0.0)
     else:
@@ -222,8 +213,6 @@ def verify_mt2(
     s: Mt1Scenario,
     branch: str = "auto",
     *,
-    grid_n: int = WITNESS_GRID,
-    third_grid: int = THIRD_GRID,
     tol: float = EPS_EQ,
 ) -> ChainReport:
     """Chain under the weakened hypotheses for f 3-convex at some point
@@ -257,7 +246,7 @@ def verify_mt2(
             d2m is not None
             and d2p is not None
             and d2m < 0.0 < d2p
-            and is_3convex(f, s.interval, third_grid, tol)
+            and is_3convex(f, s.interval, tol=tol)
         )
 
     candidates = ("a", "b", "c") if branch == "auto" else (branch,)
@@ -278,7 +267,7 @@ def verify_mt2(
         A = 0.0
     else:
         sign = "nonneg" if chosen == "a" else "nonpos"
-        A = _signed_witness(f, s, a_tt, r_tt, sign, ("K1c", "both"), grid_n, tol)
+        A = _signed_witness(f, s, a_tt, r_tt, sign, ("K1c", "both"), tol)
         cs.record("witness.K1c", 0.0 if A is None else A, A is not None)
         if A is None:
             return ChainReport(UNMET, hypotheses=cs.report(), details=details)
@@ -292,8 +281,6 @@ def verify_mt3(
     branch: str = "auto",
     *,
     c_convention: str = "mirrored",
-    grid_n: int = WITNESS_GRID,
-    third_grid: int = THIRD_GRID,
     tol: float = EPS_EQ,
 ) -> ChainReport:
     """Reversed chain for f 3-concave at some point between the side extremes:
@@ -337,7 +324,7 @@ def verify_mt3(
             straddle = d2m < 0.0 < d2p
         else:
             straddle = d2m > 0.0 > d2p
-        return straddle and is_3concave(f, s.interval, third_grid, tol)
+        return straddle and is_3concave(f, s.interval, tol=tol)
 
     candidates = ("a", "b", "c") if branch == "auto" else (branch,)
     gates = {b: gate(b) for b in candidates}
@@ -358,7 +345,7 @@ def verify_mt3(
         A = 0.0
     else:
         sign = "nonpos" if chosen == "a" else "nonneg"
-        A = _signed_witness(f, s, a_tt, r_tt, sign, ("K2c", "both"), grid_n, tol)
+        A = _signed_witness(f, s, a_tt, r_tt, sign, ("K2c", "both"), tol)
         cs.record("witness.K2c", 0.0 if A is None else A, A is not None)
         if A is None:
             return ChainReport(UNMET, hypotheses=cs.report(), details=details)

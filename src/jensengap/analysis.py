@@ -6,12 +6,15 @@ divided difference,
     dd2(x1, x2, x3) = 2 * ([x2,x3]f - [x1,x2]f) / (x3 - x1),
 
 so that on shrinking triples it converges to f''.  A function is 3-convex
-at a split point c exactly when some constant A satisfies
+at a split point c (K1c) exactly when some constant A satisfies
 
     sup { dd2 over triples left of c }  <=  A  <=  inf { dd2 over triples right of c },
 
 in which case F(x) = f(x) - (A/2) x^2 is concave left of c and convex right
-of c at grid resolution.  3-concavity at c is the same condition for -f.
+of c at grid resolution.  3-concavity at c (K2c) is the same condition for
+-f, whose brackets are the negated ones: A lies between the sup of dd2
+right of c and the inf left of c.  So one bracket scan per side decides
+both classes.
 """
 
 from __future__ import annotations
@@ -19,76 +22,81 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .domain import EPS_EQ, IntervalR, StructureError
-from .funclib import DomainError, FunctionModel, eval_fn, negate
+from .funclib import DomainError, FunctionModel, eval_fn
 
-#: grid points per side for classification scans
+#: grid points per side for classification scans (`analyze --grid` default)
 DEFAULT_GRID = 1000
+#: grid points per side for a verifier's witness constant
+WITNESS_GRID = 512
+#: grid points for whole-interval convexity and 3-convexity evidence
+SHAPE_GRID = 257
 #: relative width below which a side imposes no constraint
 _DEGENERATE = 1e-12
 
 
-def _require_distinct(xs: tuple[float, ...]) -> None:
-    for i, a in enumerate(xs):
-        for b in xs[i + 1 :]:
-            if a == b:
-                raise StructureError(f"coincident nodes at {a!r}")
+def _divided_differences(xs, ys, order: int, scale: float = 1.0) -> list[float]:
+    """Divided differences of the given order over consecutive nodes, by the
+    recursion [x_i..x_i+k]f = ([x_i+1..x_i+k]f - [x_i..x_i+k-1]f) / (x_i+k - x_i).
+
+    The last level's numerators are multiplied by ``scale`` before dividing.
+    Coincident nodes raise StructureError.
+    """
+    try:
+        for k in range(1, order + 1):
+            s = scale if k == order else 1.0
+            ys = [s * (b - a) / (xr - xl) for a, b, xl, xr in zip(ys, ys[1:], xs, xs[k:])]
+        return ys
+    except ZeroDivisionError:
+        raise StructureError("coincident nodes") from None
 
 
 def dd2(f: FunctionModel, x1: float, x2: float, x3: float) -> float:
     """Doubled second divided difference; symmetric in the three nodes."""
-    _require_distinct((x1, x2, x3))
-    f1, f2, f3 = eval_fn(f, x1), eval_fn(f, x2), eval_fn(f, x3)
-    return 2.0 * ((f3 - f2) / (x3 - x2) - (f2 - f1) / (x2 - x1)) / (x3 - x1)
+    xs = (x1, x2, x3)
+    return _divided_differences(xs, [eval_fn(f, x) for x in xs], 2, 2.0)[0]
 
 
 def dd3(f: FunctionModel, x1: float, x2: float, x3: float, x4: float) -> float:
     """Classical third divided difference via the recursive definition."""
-    _require_distinct((x1, x2, x3, x4))
     xs = (x1, x2, x3, x4)
-    vals = [eval_fn(f, x) for x in xs]
-    for order in range(1, 4):
-        vals = [
-            (vals[i + 1] - vals[i]) / (xs[i + order] - xs[i])
-            for i in range(len(vals) - 1)
-        ]
-    return vals[0]
+    return _divided_differences(xs, [eval_fn(f, x) for x in xs], 3)[0]
 
 
-def _grid_values(f: FunctionModel, lo: float, hi: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    xs = np.linspace(lo, hi, n)
-    ys = np.array([eval_fn(f, float(x)) for x in xs])
-    return xs, ys
+def _grid_values(f: FunctionModel, lo: float, hi: float, n: int) -> tuple[list, list]:
+    """n uniform nodes i*step + lo on [lo, hi], the last one set to hi, and f there."""
+    step = (hi - lo) / (n - 1)
+    xs = [i * step + lo for i in range(n - 1)]
+    xs.append(hi)
+    return xs, [eval_fn(f, x) for x in xs]
 
 
-def bracket_windows(f: FunctionModel, lo: float, hi: float, n: int) -> np.ndarray:
+def bracket_windows(f: FunctionModel, lo: float, hi: float, n: int) -> list[float]:
     """dd2 over all consecutive grid triples of an n-point uniform grid."""
     if n < 3:
         raise StructureError("grid needs at least 3 points per side")
-    xs, ys = _grid_values(f, lo, hi, n)
-    slopes = np.diff(ys) / np.diff(xs)
-    return 2.0 * (slopes[1:] - slopes[:-1]) / (xs[2:] - xs[:-2])
+    return _divided_differences(*_grid_values(f, lo, hi, n), 2, 2.0)
 
 
-def third_windows(f: FunctionModel, lo: float, hi: float, n: int) -> np.ndarray:
+def third_windows(f: FunctionModel, lo: float, hi: float, n: int) -> list[float]:
     """Classical third divided differences over consecutive grid quadruples."""
     if n < 4:
         raise StructureError("grid needs at least 4 points")
-    xs, ys = _grid_values(f, lo, hi, n)
-    d1 = np.diff(ys) / np.diff(xs)
-    d2c = (d1[1:] - d1[:-1]) / (xs[2:] - xs[:-2])
-    return (d2c[1:] - d2c[:-1]) / (xs[3:] - xs[:-3])
+    return _divided_differences(*_grid_values(f, lo, hi, n), 3)
 
 
-def is_3convex(f: FunctionModel, interval: IntervalR, grid_n: int = 257, tol: float = EPS_EQ) -> bool:
-    """Grid evidence that third divided differences are nonnegative."""
-    return float(third_windows(f, interval.lo, interval.hi, grid_n).min()) >= -tol
+def is_3convex(
+    f: FunctionModel, interval: IntervalR, grid_n: int = SHAPE_GRID, tol: float = EPS_EQ
+) -> bool:
+    """Grid evidence that third divided differences are nonnegative; none on
+    a zero-width interval."""
+    return interval.width > 0.0 and min(third_windows(f, interval.lo, interval.hi, grid_n)) >= -tol
 
 
-def is_3concave(f: FunctionModel, interval: IntervalR, grid_n: int = 257, tol: float = EPS_EQ) -> bool:
-    return float(third_windows(f, interval.lo, interval.hi, grid_n).max()) <= tol
+def is_3concave(
+    f: FunctionModel, interval: IntervalR, grid_n: int = SHAPE_GRID, tol: float = EPS_EQ
+) -> bool:
+    return interval.width > 0.0 and max(third_windows(f, interval.lo, interval.hi, grid_n)) <= tol
 
 
 @dataclass(frozen=True)
@@ -120,22 +128,26 @@ def curvature_sandwich(
     interval: IntervalR,
     left_hi: float,
     right_lo: float,
-    grid_n: int = DEFAULT_GRID,
+    grid_n: int = WITNESS_GRID,
     tol: float = EPS_EQ,
-) -> AInterval:
-    """Bracket bounds over [interval.lo, left_hi] and [right_lo, interval.hi].
+) -> tuple[AInterval, AInterval]:
+    """K1 and K2 bracket bounds over [interval.lo, left_hi] and [right_lo, interval.hi].
 
-    lo is the supremum of dd2 over consecutive triples on the left piece, hi
-    the infimum on the right piece.  A degenerate (zero-width) piece imposes
-    no constraint and contributes an infinite bound.
+    K1 runs from the supremum of dd2 on the left piece to the infimum on the
+    right piece.  K2 is the negated K1 interval of -f, whose brackets are
+    0.0 - w: the negation of each bracket w, with +0.0 for a zero one.  A
+    degenerate (zero-width) piece imposes no constraint and contributes an
+    infinite bound.
     """
-    lo = -math.inf
-    hi = math.inf
+    lo = neg_lo = -math.inf
+    hi = neg_hi = math.inf
     if left_hi - interval.lo > _DEGENERATE * max(1.0, abs(left_hi)):
-        lo = float(bracket_windows(f, interval.lo, left_hi, grid_n).max())
+        w = bracket_windows(f, interval.lo, left_hi, grid_n)
+        lo, neg_lo = max(w), 0.0 - min(w)
     if interval.hi - right_lo > _DEGENERATE * max(1.0, abs(right_lo)):
-        hi = float(bracket_windows(f, right_lo, interval.hi, grid_n).min())
-    return AInterval(lo, hi, lo <= hi + tol)
+        w = bracket_windows(f, right_lo, interval.hi, grid_n)
+        hi, neg_hi = min(w), 0.0 - max(w)
+    return AInterval(lo, hi, lo <= hi + tol), AInterval(-neg_hi, -neg_lo, neg_lo <= neg_hi + tol)
 
 
 def feasible_A_interval(
@@ -146,9 +158,7 @@ def feasible_A_interval(
     tol: float = EPS_EQ,
 ) -> AInterval:
     """Feasible constants at an interior split point c, at grid resolution."""
-    if not (interval.lo < c < interval.hi):
-        raise StructureError("split point must be interior to the interval")
-    return curvature_sandwich(f, interval, c, c, grid_n, tol)
+    return classify_at_point(f, c, interval, grid_n, tol).k1_interval
 
 
 @dataclass(frozen=True)
@@ -170,9 +180,9 @@ def classify_at_point(
     tol: float = EPS_EQ,
 ) -> ConvexityClass:
     """Classify f at c; the witness constant is the feasible-interval midpoint."""
-    k1 = feasible_A_interval(f, c, interval, grid_n, tol)
-    k2_neg = feasible_A_interval(negate(f), c, interval, grid_n, tol)
-    k2 = AInterval(-k2_neg.hi, -k2_neg.lo, k2_neg.feasible)
+    if not (interval.lo < c < interval.hi):
+        raise StructureError("split point must be interior to the interval")
+    k1, k2 = curvature_sandwich(f, interval, c, c, grid_n, tol)
     if k1.feasible and k2.feasible:
         kind = "both"
         inter = AInterval(max(k1.lo, k2.lo), min(k1.hi, k2.hi), True)
@@ -186,21 +196,21 @@ def classify_at_point(
     return ConvexityClass(kind, witness, c, k1, k2)
 
 
-def convexity_margin(f: FunctionModel, interval: IntervalR, grid_n: int = 257) -> float:
+def convexity_margin(f: FunctionModel, interval: IntervalR, grid_n: int = SHAPE_GRID) -> float:
     """Minimum dd2 over a grid; >= 0 (up to tolerance) exactly for convex f.
 
     A degenerate interval imposes no constraint and yields 0.
     """
     if interval.width <= _DEGENERATE * max(1.0, abs(interval.lo)):
         return 0.0
-    return float(bracket_windows(f, interval.lo, interval.hi, grid_n).min())
+    return min(bracket_windows(f, interval.lo, interval.hi, grid_n))
 
 
 def k1_witness(
     f: FunctionModel,
     c: float,
     interval: IntervalR,
-    grid_n: int = DEFAULT_GRID,
+    grid_n: int = WITNESS_GRID,
     tol: float = EPS_EQ,
 ) -> float | None:
     """Constant making f 3-convex at c: declared metadata when it matches,
@@ -212,6 +222,4 @@ def k1_witness(
         cls = classify_at_point(f, c, interval, grid_n, tol)
     except (StructureError, DomainError):
         return None
-    if cls.k1_interval.feasible:
-        return cls.k1_interval.midpoint()
-    return None
+    return cls.k1_interval.midpoint() if cls.k1_interval.feasible else None

@@ -14,9 +14,9 @@ import sys
 from pathlib import Path
 
 from . import scengen
-from .analysis import classify_at_point
+from .analysis import DEFAULT_GRID, classify_at_point
 from .domain import IntervalR, StructureError
-from .funclib import DomainError
+from .funclib import DomainError, require_in_domain
 from .report import FAILS, HOLDS, UNMET
 from .scenario import (
     ALL_IDS,
@@ -91,6 +91,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     fn_spec = fn_spec_from_string(args.fn, point=args.point)
     f = model_from_spec(fn_spec)
     interval = _parse_interval(args.interval)
+    require_in_domain(f, interval)
     cls = classify_at_point(f, args.point, interval, args.grid)
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -120,7 +121,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         count=args.count,
     )
     fn_spec = fn_spec_from_string(args.fn or entry.default_fn[mode], point=args.point)
-    model_from_spec(fn_spec)  # reject bad function specs before emitting
+    require_in_domain(model_from_spec(fn_spec), spec.interval)  # reject bad input before emitting
     docs = []
     for i in range(spec.count):
         rng = random.Random(args.seed + i)
@@ -143,6 +144,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
         c=args.point,
         sizes=_parse_sizes(args.sizes),
     )
+    require_in_domain(f, spec.interval)
     results = scengen.search_counterexamples(
         f,
         theorem_id,
@@ -195,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--fn", required=True, metavar="NAME[:PARAM]")
     analyze.add_argument("--point", type=float, default=0.0, metavar="C")
     analyze.add_argument("--interval", default="-1,1", metavar="LO,HI")
-    analyze.add_argument("--grid", type=int, default=1000, metavar="N")
+    analyze.add_argument("--grid", type=int, default=DEFAULT_GRID, metavar="N")
     analyze.add_argument("--out", default=None, metavar="FILE")
     analyze.set_defaults(handler=_cmd_analyze)
 

@@ -60,6 +60,14 @@ def eval_fn(f: FunctionModel, x: float) -> float:
     return value
 
 
+def require_in_domain(f: FunctionModel, interval: IntervalR) -> None:
+    """Reject an interval that leaves f's domain, with eval_fn's slack, before
+    any evaluation; the error names the interval."""
+    lo, hi, dom = interval.lo, interval.hi, f.domain
+    if not all(dom.contains(x, DOMAIN_SLACK * max(1.0, abs(x))) for x in (lo, hi)):
+        raise DomainError(f"{f.name}: interval [{lo}, {hi}] outside domain [{dom.lo}, {dom.hi}]")
+
+
 def d2_one_sided(f: FunctionModel, x: float, side: str, h: float | None = None) -> float:
     """One-sided second derivative at x.
 
@@ -158,10 +166,24 @@ def catalog(
     raise StructureError(f"unknown catalog function {name!r}")
 
 
-def parse_fn_spec(spec: str, point: float = 0.0) -> FunctionModel:
-    """Parse "name" or "name:param" (e.g. "quadratic:2", "tabulated-spline:f.txt")."""
+def fn_spec_from_string(spec: str, point: float = 0.0) -> dict:
+    """Parse "name" or "name:param" (e.g. "quadratic:2", "tabulated-spline:f.txt")
+    into a function-spec object."""
     name, _, arg = spec.partition(":")
-    return catalog(name.strip(), arg.strip() or None, point)
+    d: dict = {"name": name.strip(), "point": float(point)}
+    arg = arg.strip()
+    if arg:
+        if d["name"] == "tabulated-spline":
+            d["path"] = arg
+        else:
+            d["param"] = float(arg)
+    return d
+
+
+def parse_fn_spec(spec: str, point: float = 0.0) -> FunctionModel:
+    """The catalog model of a "name" or "name:param" spec."""
+    d = fn_spec_from_string(spec, point)
+    return catalog(d["name"], d.get("param", d.get("path")), point)
 
 
 def negate(f: FunctionModel) -> FunctionModel:

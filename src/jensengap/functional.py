@@ -37,11 +37,6 @@ from .domain import (
 from .funclib import FunctionModel, eval_fn
 from .report import UNMET, ChainReport, chain_report, judge
 
-#: grid for convexity evidence of the section-1 style verifiers
-CONVEXITY_GRID = 257
-#: grid for witness-constant classification
-WITNESS_GRID = 512
-
 
 @dataclass(frozen=True)
 class SampleDomain:
@@ -176,14 +171,14 @@ def _labelled(prefix: str, vs) -> dict:
 
 
 def _convex_gate(cs: CheckSet, f: FunctionModel, interval: IntervalR) -> bool:
-    return cs.at_least("f.convex", convexity_margin(f, interval, CONVEXITY_GRID))
+    return cs.at_least("f.convex", convexity_margin(f, interval))
 
 
 def _k1_gate(
-    cs: CheckSet, f: FunctionModel, c: float, interval: IntervalR, A: float | None, grid_n: int
+    cs: CheckSet, f: FunctionModel, c: float, interval: IntervalR, A: float | None
 ) -> float | None:
     if A is None:
-        A = k1_witness(f, c, interval, grid_n, cs.tol)
+        A = k1_witness(f, c, interval, tol=cs.tol)
     cs.record("witness.K1c", 0.0 if A is None else A, A is not None)
     return A
 
@@ -366,7 +361,6 @@ def verify_mt4(
     inner2: IntervalR | None = None,
     mode: str = "region_restricted",
     A: float | None = None,
-    grid_n: int = WITNESS_GRID,
     tol: float = EPS_EQ,
 ) -> ChainReport:
     """Split-point transfer comparison for f 3-convex at c.
@@ -407,7 +401,7 @@ def verify_mt4(
     moment1 = apply(w_h, _sq(v_h1)) - apply(w_l, _sq(v_g1))
     moment2 = apply(w_h, _sq(v_h2)) - apply(w_l, _sq(v_g2))
     cs.equality("2.12.moment", moment1 - moment2, scale=max(abs(moment1), abs(moment2)))
-    A = _k1_gate(cs, f, c, interval, A, grid_n)
+    A = _k1_gate(cs, f, c, interval, A)
     details = {"mode": mode, "c": c}
     if not cs.ok:
         return ChainReport(UNMET, hypotheses=cs.report(), details=details)
@@ -426,7 +420,6 @@ def verify_mc1(
     inner: IntervalR,
     interval: IntervalR | None = None,
     mode: str = "region_restricted",
-    grid_n: int = WITNESS_GRID,
     tol: float = EPS_EQ,
 ) -> ChainReport:
     """Jensen-gap comparison under matched variances (tag "2.17"): the margin
@@ -451,7 +444,7 @@ def verify_mc1(
     var1 = apply(w, _sq(v1)) - m1 * m1
     var2 = apply(w, _sq(v2)) - m2 * m2
     cs.equality("2.17", var1 - var2, scale=max(abs(var1), abs(var2)))
-    _k1_gate(cs, f, c, cls_interval, None, grid_n)
+    _k1_gate(cs, f, c, cls_interval, None)
     if not cs.ok:
         return ChainReport(UNMET, hypotheses=cs.report())
     gap1 = apply_fn(w, f, v1) - eval_fn(f, m1)
@@ -470,7 +463,6 @@ def verify_mc2(
     g_inners: Sequence[IntervalR],
     h_inners: Sequence[IntervalR] | None = None,
     mode: str = "region_restricted",
-    grid_n: int = WITNESS_GRID,
     tol: float = EPS_EQ,
 ) -> ChainReport:
     """Per-link comparison of two nested ladders with matched means (tag
@@ -521,7 +513,7 @@ def verify_mc2(
         dg = g_sqs[i + 1] - g_sqs[i]
         dh = h_sqs[i + 1] - h_sqs[i]
         cs.equality(f"2.20[{i + 1}]", dg - dh, scale=max(abs(dg), abs(dh)))
-    _k1_gate(cs, f, c, interval, None, grid_n)
+    _k1_gate(cs, f, c, interval, None)
     if not cs.ok:
         return ChainReport(UNMET, hypotheses=cs.report())
     g_lift = [apply_fn(w, f, v) for w, v in zip(ws, vgs)]
@@ -539,7 +531,6 @@ def verify_mc3(
     c: float,
     interval: IntervalR,
     mode: str = "region_restricted",
-    grid_n: int = WITNESS_GRID,
     tol: float = EPS_EQ,
 ) -> ChainReport:
     """Subunital-family comparison under matched aggregate variances (tag
@@ -570,7 +561,7 @@ def verify_mc3(
     g_var = math.fsum(apply(w, _sq(v)) for w, v in zip(ws, vgs)) - g_mean * g_mean
     h_var = math.fsum(apply(w, _sq(v)) for w, v in zip(ws, vhs)) - h_mean * h_mean
     cs.equality("2.22", g_var - h_var, scale=max(abs(g_var), abs(h_var)))
-    _k1_gate(cs, f, c, interval, None, grid_n)
+    _k1_gate(cs, f, c, interval, None)
     if not cs.ok:
         return ChainReport(UNMET, hypotheses=cs.report())
     inclusion = interval.contains(g_mean, tol) and interval.contains(h_mean, tol)
@@ -596,7 +587,6 @@ def verify_mt5(
     inner2: IntervalR | None = None,
     mode: str = "region_restricted",
     A: float | None = None,
-    grid_n: int = WITNESS_GRID,
     tol: float = EPS_EQ,
 ) -> ChainReport:
     """Family version of the split-point transfer comparison (tags "2.25",
@@ -662,7 +652,7 @@ def verify_mt5(
         "L*", "g*", [_sq(v) for v in vals["g*"]]
     )
     cs.equality("2.26", moment1 - moment2, scale=max(abs(moment1), abs(moment2)))
-    A = _k1_gate(cs, f, c, interval, A, grid_n)
+    A = _k1_gate(cs, f, c, interval, A)
     details = {"mode": mode, "c": c}
     if not cs.ok:
         return ChainReport(UNMET, hypotheses=cs.report(), details=details)

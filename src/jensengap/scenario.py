@@ -23,7 +23,7 @@ from typing import Any
 
 from .affine import Mt1Scenario, verify_mt1, verify_mt2, verify_mt3  # noqa: F401
 from .domain import EPS_EQ, AffineConfig, IntervalR, StructureError, ValidityReport, WeightedGroup
-from .funclib import FunctionModel, catalog
+from .funclib import FunctionModel, catalog, fn_spec_from_string  # noqa: F401  (re-exported)
 from .functional import (  # noqa: F401  (verifiers are looked up by name)
     verify_ic1,
     verify_ic2,
@@ -193,19 +193,6 @@ def mt1_scenario_to(s: Mt1Scenario) -> dict:
         "left": config_to(s.left),
         "right": config_to(s.right),
     }
-
-
-def fn_spec_from_string(spec: str, point: float = 0.0) -> dict:
-    """Parse "name" or "name:param" into a function-spec object."""
-    name, _, arg = spec.partition(":")
-    d: dict[str, Any] = {"name": name.strip(), "point": float(point)}
-    arg = arg.strip()
-    if arg:
-        if d["name"] == "tabulated-spline":
-            d["path"] = arg
-        else:
-            d["param"] = float(arg)
-    return d
 
 
 def model_from_spec(d: dict) -> FunctionModel:

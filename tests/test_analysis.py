@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 
@@ -10,7 +11,7 @@ from jensengap.analysis import (
     third_windows,
 )
 from jensengap.domain import IntervalR, StructureError
-from jensengap.funclib import FunctionModel, TabulatedFunction, catalog, tabulated_model
+from jensengap.funclib import FunctionModel, TabulatedFunction, catalog, negate, tabulated_model
 
 I11 = IntervalR(-1.0, 1.0)
 
@@ -50,7 +51,7 @@ class TestDd3:
 
     def test_third_windows_sign(self):
         for name in ("cubic", "signed_square", "exp"):
-            assert float(third_windows(catalog(name), -1.0, 1.0, 101).min()) >= -1e-9
+            assert min(third_windows(catalog(name), -1.0, 1.0, 101)) >= -1e-9
 
 
 class TestFeasibleInterval:
@@ -116,3 +117,37 @@ class TestClassify:
             kc = f.known_class
             assert cls.k1_interval.contains(kc.A, tol=1e-6)
             assert cls.kind in ("K1c", "both")
+
+
+def _table(fn):
+    nodes = tuple(-1.0 + i / 100 for i in range(201))
+    return tabulated_model(TabulatedFunction(nodes, tuple(fn(x) for x in nodes)))
+
+
+K2_MODELS = {
+    "quadratic:2": lambda: catalog("quadratic", 2),
+    "quadratic:-3": lambda: catalog("quadratic", -3),
+    "quadratic:0": lambda: catalog("quadratic", 0),
+    "cubic": lambda: catalog("cubic"),
+    "signed_square": lambda: catalog("signed_square"),
+    "exp": lambda: catalog("exp"),
+    "linear table": lambda: _table(lambda x: 2.0 * x + 1.0),
+    "x|x| table": lambda: _table(lambda x: x * abs(x)),
+}
+
+
+class TestK2FromTheSameScan:
+    """The K2 bounds read off f's brackets equal those of the K1 scan of -f,
+    bit for bit, including the sign of a zero bound."""
+
+    @pytest.mark.parametrize("grid_n", [3, 17, 512])
+    @pytest.mark.parametrize("name", sorted(K2_MODELS))
+    @pytest.mark.parametrize("c", [0.0, 0.3])
+    def test_k2_is_negated_k1_of_negation(self, name, grid_n, c):
+        f = K2_MODELS[name]()
+        k2 = classify_at_point(f, c, I11, grid_n).k2_interval
+        neg = feasible_A_interval(negate(f), c, I11, grid_n)
+        assert k2.feasible == neg.feasible
+        for got, want in ((k2.lo, -neg.hi), (k2.hi, -neg.lo)):
+            assert got == want
+            assert math.copysign(1.0, got) == math.copysign(1.0, want)

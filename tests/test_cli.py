@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import jensengap
 from jensengap.cli import main
 from jensengap.scenario import dumps, make_scenario
 from jensengap.scengen import straddle_probe_mt4
@@ -248,3 +253,36 @@ class TestSearch:
 
     def test_help_exit_0(self, capsys):
         assert run(["--help"]) == 0
+
+
+class TestIntervalOutsideDomain:
+    """An interval that leaves the function's domain is an input error
+    before any work starts, and the error names the interval."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["gen", "--theorem", "mt1", "--fn", "exp", "--interval=-20,20"],
+            ["search", "--theorem", "mt2", "--fn", "quadratic:2", "--interval=-3e6,3e6"],
+            ["analyze", "--fn", "exp", "--interval=-20,1"],
+        ],
+    )
+    def test_exit_1_naming_the_interval(self, tmp_path, capsys, args):
+        out = tmp_path / "out.json"
+        assert run(args + ["--out", str(out)]) == 1
+        assert not out.exists()
+        assert "interval [" in capsys.readouterr().err
+
+    def test_domain_edge_is_accepted(self, capsys):
+        assert run(["analyze", "--fn", "exp", "--interval=-10,10"]) == 0
+
+
+def test_import_leaves_numpy_out():
+    """The package has no runtime dependencies: a fresh interpreter that
+    imports the CLI does not load numpy."""
+    src = Path(jensengap.__file__).resolve().parent.parent
+    code = "import sys, jensengap.cli; sys.exit('numpy' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)}, timeout=60
+    )
+    assert done.returncode == 0
