@@ -42,14 +42,19 @@ class Mt1Scenario:
     interval: IntervalR
 
 
-def jensen_affine_gap(f: FunctionModel, cfg: AffineConfig, tol: float = EPS_EQ) -> float:
+def jensen_affine_gap(
+    f: FunctionModel, cfg: AffineConfig, tol: float = EPS_EQ, validate: bool = True
+) -> float:
     """sum(w * f(p)) over the signed groups, minus f at the combination value.
 
     Nonnegative (up to tolerance) for convex f on any valid configuration.
+    ``validate=False`` skips the configuration check for a caller that has
+    already made it.
     """
-    vr = validate_affine_config(cfg, tol)
-    if not vr.valid:
-        raise StructureError(f"invalid affine configuration: {vr.violations[0][0]}")
+    if validate:
+        vr = validate_affine_config(cfg, tol)
+        if not vr.valid:
+            raise StructureError(f"invalid affine configuration: {vr.violations[0][0]}")
     value = combination_value(cfg, tol, validate=False)
     terms = []
     for _, grp, sign in cfg.all_groups():
@@ -151,11 +156,11 @@ def verify_mt1(
         cs.record("witness.K1c", 0.0 if A is None else A, A is not None)
         if A is None:
             return ChainReport(UNMET, hypotheses=cs.report(), details=details)
-    gap_l = jensen_affine_gap(f, s.left, tol)
+    gap_l = jensen_affine_gap(f, s.left, tol, validate=False)
     if weight_reading == "literal_alpha":
         gap_r = cross_weighted_gap(f, s.left, s.right)
     else:
-        gap_r = jensen_affine_gap(f, s.right, tol)
+        gap_r = jensen_affine_gap(f, s.right, tol, validate=False)
     spreads = (vals["spread_left"], vals["spread_right"])
     return chain_report(cs, A, (gap_l, gap_r), spreads, details)
 
@@ -271,7 +276,10 @@ def verify_mt2(
         cs.record("witness.K1c", 0.0 if A is None else A, A is not None)
         if A is None:
             return ChainReport(UNMET, hypotheses=cs.report(), details=details)
-    gaps = (jensen_affine_gap(f, s.left, tol), jensen_affine_gap(f, s.right, tol))
+    gaps = (
+        jensen_affine_gap(f, s.left, tol, validate=False),
+        jensen_affine_gap(f, s.right, tol, validate=False),
+    )
     return chain_report(cs, A, gaps, (sl, sr), details)
 
 
@@ -352,5 +360,8 @@ def verify_mt3(
     if d2m is not None and d2p is not None:
         details["sandwich_descending_ok"] = d2m + tol >= A >= d2p - tol
         details["sandwich_ascending_ok"] = d2m - tol <= A <= d2p + tol
-    gaps = (jensen_affine_gap(f, s.left, tol), jensen_affine_gap(f, s.right, tol))
+    gaps = (
+        jensen_affine_gap(f, s.left, tol, validate=False),
+        jensen_affine_gap(f, s.right, tol, validate=False),
+    )
     return chain_report(cs, A, gaps, (sl, sr), details, order="descending")

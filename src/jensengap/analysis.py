@@ -15,12 +15,19 @@ of c at grid resolution.  3-concavity at c (K2c) is the same condition for
 -f, whose brackets are the negated ones: A lies between the sup of dd2
 right of c and the inf left of c.  So one bracket scan per side decides
 both classes.
+
+Whether f is convex or 3-convex on an interval, and its brackets on either
+side of c, depend on f, the interval and the grid alone, not on the
+scenario being verified.  Every scan is therefore read through one small
+per-process memo of its extremes (``_scan_extremes``), so the scenarios of
+a search that share a function and an interval scan it once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .domain import EPS_EQ, IntervalR, StructureError
 from .funclib import DomainError, FunctionModel, eval_fn
@@ -33,6 +40,8 @@ WITNESS_GRID = 512
 SHAPE_GRID = 257
 #: relative width below which a side imposes no constraint
 _DEGENERATE = 1e-12
+#: scans whose extremes the memo keeps, least recently used dropped first
+SCAN_CACHE_SIZE = 16
 
 
 def _divided_differences(xs, ys, order: int, scale: float = 1.0) -> list[float]:
@@ -85,18 +94,48 @@ def third_windows(f: FunctionModel, lo: float, hi: float, n: int) -> list[float]
     return _divided_differences(*_grid_values(f, lo, hi, n), 3)
 
 
+@lru_cache(maxsize=SCAN_CACHE_SIZE)
+def _cached_extremes(
+    f: FunctionModel, lo: float, hi: float, n: int, order: int, signs: tuple[float, float]
+) -> tuple[float, float]:
+    # ``signs`` only keys the entry
+    windows = bracket_windows(f, lo, hi, n) if order == 2 else third_windows(f, lo, hi, n)
+    return min(windows), max(windows)
+
+
+def _scan_extremes(
+    f: FunctionModel, lo: float, hi: float, n: int, order: int
+) -> tuple[float, float]:
+    """(min, max) of bracket_windows (order 2) or third_windows (order 3).
+
+    Memoized for the life of the process in a cache of SCAN_CACHE_SIZE
+    entries.  The key holds the model itself, whose hash and equality go
+    through its callables' identity: models share an entry only when they
+    evaluate through the same function objects, so no entry goes stale.
+    The signs of lo and hi join the key because equal float keys do not
+    tell -0.0 from 0.0, while f(-0.0) may differ from f(0.0) in the sign of
+    a zero.  Errors are raised again on every call; they are never cached.
+    """
+    signs = (math.copysign(1.0, lo), math.copysign(1.0, hi))
+    return _cached_extremes(f, lo, hi, n, order, signs)
+
+
 def is_3convex(
     f: FunctionModel, interval: IntervalR, grid_n: int = SHAPE_GRID, tol: float = EPS_EQ
 ) -> bool:
     """Grid evidence that third divided differences are nonnegative; none on
     a zero-width interval."""
-    return interval.width > 0.0 and min(third_windows(f, interval.lo, interval.hi, grid_n)) >= -tol
+    if interval.width <= 0.0:
+        return False
+    return _scan_extremes(f, interval.lo, interval.hi, grid_n, 3)[0] >= -tol
 
 
 def is_3concave(
     f: FunctionModel, interval: IntervalR, grid_n: int = SHAPE_GRID, tol: float = EPS_EQ
 ) -> bool:
-    return interval.width > 0.0 and max(third_windows(f, interval.lo, interval.hi, grid_n)) <= tol
+    if interval.width <= 0.0:
+        return False
+    return _scan_extremes(f, interval.lo, interval.hi, grid_n, 3)[1] <= tol
 
 
 @dataclass(frozen=True)
@@ -142,11 +181,11 @@ def curvature_sandwich(
     lo = neg_lo = -math.inf
     hi = neg_hi = math.inf
     if left_hi - interval.lo > _DEGENERATE * max(1.0, abs(left_hi)):
-        w = bracket_windows(f, interval.lo, left_hi, grid_n)
-        lo, neg_lo = max(w), 0.0 - min(w)
+        w_min, w_max = _scan_extremes(f, interval.lo, left_hi, grid_n, 2)
+        lo, neg_lo = w_max, 0.0 - w_min
     if interval.hi - right_lo > _DEGENERATE * max(1.0, abs(right_lo)):
-        w = bracket_windows(f, right_lo, interval.hi, grid_n)
-        hi, neg_hi = min(w), 0.0 - max(w)
+        w_min, w_max = _scan_extremes(f, right_lo, interval.hi, grid_n, 2)
+        hi, neg_hi = w_min, 0.0 - w_max
     return AInterval(lo, hi, lo <= hi + tol), AInterval(-neg_hi, -neg_lo, neg_lo <= neg_hi + tol)
 
 
@@ -203,7 +242,7 @@ def convexity_margin(f: FunctionModel, interval: IntervalR, grid_n: int = SHAPE_
     """
     if interval.width <= _DEGENERATE * max(1.0, abs(interval.lo)):
         return 0.0
-    return min(bracket_windows(f, interval.lo, interval.hi, grid_n))
+    return _scan_extremes(f, interval.lo, interval.hi, grid_n, 2)[0]
 
 
 def k1_witness(

@@ -3,6 +3,7 @@ import math
 import pytest
 
 import oracles
+from jensengap import affine
 from jensengap.affine import (
     Mt1Scenario,
     check_mt1_hypotheses,
@@ -53,6 +54,28 @@ class TestJensenAffineGap:
         bad = cfg((0,), (0.6,), (2,), (0.6,), (5,), (0.2,))
         with pytest.raises(StructureError):
             jensen_affine_gap(catalog("quadratic", 2), bad)
+
+
+class TestValidateOnce:
+    """mt1-mt3 validate each side once, in the hypothesis checks; the gaps
+    reuse that result."""
+
+    @pytest.mark.parametrize(
+        "verify, f",
+        [
+            (verify_mt1, catalog("signed_square")),
+            (verify_mt2, catalog("signed_square")),
+            (verify_mt3, negate(catalog("signed_square"))),
+        ],
+    )
+    def test_two_validations_per_scenario(self, monkeypatch, verify, f):
+        calls = []
+        real = affine.validate_affine_config
+        monkeypatch.setattr(
+            affine, "validate_affine_config", lambda *a: calls.append(a) or real(*a)
+        )
+        assert verify(f, MIRRORED).verdict == "holds"
+        assert len(calls) == 2
 
 
 class TestMt1Hypotheses:

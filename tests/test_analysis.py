@@ -4,14 +4,27 @@ import math
 import pytest
 
 from jensengap.analysis import (
+    SCAN_CACHE_SIZE,
+    _cached_extremes,
+    _scan_extremes,
+    bracket_windows,
     classify_at_point,
+    convexity_margin,
     dd2,
     dd3,
     feasible_A_interval,
+    is_3convex,
     third_windows,
 )
 from jensengap.domain import IntervalR, StructureError
-from jensengap.funclib import FunctionModel, TabulatedFunction, catalog, negate, tabulated_model
+from jensengap.funclib import (
+    DomainError,
+    FunctionModel,
+    TabulatedFunction,
+    catalog,
+    negate,
+    tabulated_model,
+)
 
 I11 = IntervalR(-1.0, 1.0)
 
@@ -151,3 +164,91 @@ class TestK2FromTheSameScan:
         for got, want in ((k2.lo, -neg.hi), (k2.hi, -neg.lo)):
             assert got == want
             assert math.copysign(1.0, got) == math.copysign(1.0, want)
+
+
+def _same_bits(got, want):
+    """Equal floats with the same sign, so -0.0 and 0.0 count as different."""
+    return got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+
+
+def _fresh_extremes(f, lo, hi, n, order):
+    windows = (bracket_windows if order == 2 else third_windows)(f, lo, hi, n)
+    return min(windows), max(windows)
+
+
+SCAN_MODELS = {
+    **K2_MODELS,
+    # f(-0.0) = -0.0 beside f = +0.0 on the left: the sign of a zero
+    # endpoint reaches the brackets of a 3-point grid
+    "relu": lambda: FunctionModel("relu", I11, fn=lambda x: max(x, 0.0)),
+}
+
+#: each signed zero is looked up while the other is cached
+ZERO_ENDS = [
+    (-1.0, 1.0), (-1.0, -0.0), (-1.0, 0.0), (-1.0, -0.0), (-0.0, 1.0), (0.0, 1.0), (-0.0, 1.0),
+]
+
+
+class TestScanMemo:
+    """_scan_extremes serves a scan's (min, max) from a bounded per-process
+    cache; what it serves must be what a fresh scan gives."""
+
+    @pytest.mark.parametrize("grid_n", [3, 17, 512])
+    @pytest.mark.parametrize("name", sorted(SCAN_MODELS))
+    def test_cached_extremes_equal_a_fresh_scan(self, name, grid_n):
+        f = SCAN_MODELS[name]()
+        for order in (2, 3):
+            for lo, hi in ZERO_ENDS:
+                if order == 3 and grid_n < 4:
+                    with pytest.raises(StructureError):
+                        _scan_extremes(f, lo, hi, grid_n, order)
+                    continue
+                want = _fresh_extremes(f, lo, hi, grid_n, order)
+                for _ in range(2):  # a miss, then a hit
+                    got = _scan_extremes(f, lo, hi, grid_n, order)
+                    assert all(map(_same_bits, got, want)), (order, lo, hi, got, want)
+
+    @pytest.mark.parametrize("grid_n", [3, 17, 512])
+    @pytest.mark.parametrize("name", sorted(SCAN_MODELS))
+    def test_split_points_at_signed_zero(self, name, grid_n):
+        f = SCAN_MODELS[name]()
+        for c in (0.0, -0.0, 0.0, -0.0):
+            k1 = classify_at_point(f, c, I11, grid_n).k1_interval
+            assert _same_bits(k1.lo, max(bracket_windows(f, -1.0, c, grid_n)))
+            assert _same_bits(k1.hi, min(bracket_windows(f, c, 1.0, grid_n)))
+
+    def test_tables_with_different_data_do_not_share_entries(self):
+        square, signed = _table(lambda x: x * x), _table(lambda x: x * abs(x))
+        interval = IntervalR(-0.5, 0.5)
+        assert convexity_margin(square, interval) > 1.0
+        assert convexity_margin(signed, interval) < -1.0
+        assert _scan_extremes(square, -0.5, 0.5, 17, 3) != _scan_extremes(signed, -0.5, 0.5, 17, 3)
+
+    def test_two_loads_of_one_table_are_two_entries(self):
+        first, second = _table(lambda x: x * x), _table(lambda x: x * x)
+        convexity_margin(first, I11)
+        before = _cached_extremes.cache_info()
+        convexity_margin(second, I11)
+        after = _cached_extremes.cache_info()
+        assert (after.misses, after.hits) == (before.misses + 1, before.hits)
+
+    @pytest.mark.parametrize(
+        "call, error",
+        [
+            (lambda: _scan_extremes(catalog("cubic"), -1.0, 1.0, 3, 3), StructureError),
+            (lambda: is_3convex(catalog("cubic"), I11, grid_n=3), StructureError),
+            (lambda: _scan_extremes(catalog("exp"), -20.0, 20.0, 17, 2), DomainError),
+            (lambda: convexity_margin(catalog("exp"), IntervalR(-20.0, 20.0)), DomainError),
+        ],
+    )
+    def test_errors_are_raised_on_every_call(self, call, error):
+        for _ in range(3):
+            with pytest.raises(error):
+                call()
+
+    def test_cache_stays_bounded(self):
+        f = catalog("quadratic", 2)
+        for k in range(1000):
+            _scan_extremes(f, -1.0, 1.0 + k / 1000, 3, 2)
+            assert _cached_extremes.cache_info().currsize <= SCAN_CACHE_SIZE
+        assert _cached_extremes.cache_info().maxsize == SCAN_CACHE_SIZE

@@ -1,7 +1,9 @@
+import math
 import random
 
 import pytest
 
+from jensengap import analysis
 from jensengap.affine import check_mt1_hypotheses
 from jensengap.domain import IntervalR, StructureError, spread, validate_affine_config
 from jensengap.funclib import catalog
@@ -236,3 +238,34 @@ class TestSearch:
         a = search_counterexamples(catalog("signed_square"), "mt4", "literal", **kwargs)
         b = search_counterexamples(catalog("signed_square"), "mt4", "literal", **kwargs)
         assert [(r.margin, r.seed_trace) for r in a] == [(r.margin, r.seed_trace) for r in b]
+
+
+class TestGridScansPerSearch:
+    """The scenarios of one search share (function, interval, grid), so
+    analysis scans them once; ic1 checks convexity on each scenario's own
+    inner interval and so scans once per scenario."""
+
+    @pytest.mark.parametrize(
+        "theorem, mode, fn, scans",
+        [
+            ("mt2", "auto", ("signed_square",), 1),
+            ("it2", "standard", ("quadratic", 2), 1),
+            ("it3", "standard", ("quadratic", 2), 1),
+            ("ic1", "standard", ("quadratic", 2), 100),
+            ("ic2", "standard", ("quadratic", 2), 1),
+            ("ic3", "standard", ("quadratic", 2), 1),
+        ],
+    )
+    def test_scans_per_search(self, monkeypatch, theorem, mode, fn, scans):
+        counted = []
+        for name in ("bracket_windows", "third_windows"):
+            real = getattr(analysis, name)
+            monkeypatch.setattr(
+                analysis, name, lambda *a, name=name, real=real: counted.append(name) or real(*a)
+            )
+        # a fresh model, so no entry left by an earlier search applies
+        results = search_counterexamples(
+            catalog(*fn), theorem, mode, budget=100, seed=5, report_threshold=-math.inf
+        )
+        assert len(results) == 100  # none came back hypotheses-unmet
+        assert len(counted) == scans
