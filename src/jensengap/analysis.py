@@ -20,7 +20,10 @@ Whether f is convex or 3-convex on an interval, and its brackets on either
 side of c, depend on f, the interval and the grid alone, not on the
 scenario being verified.  Every scan is therefore read through one small
 per-process memo of its extremes (``_scan_extremes``), so the scenarios of
-a search that share a function and an interval scan it once.
+a search that share a function and an interval scan it once.  The memo is
+keyed by the model object, and a table file whose content has not changed
+loads as the same model (``funclib.catalog``), so documents on one table
+file share its scans too.
 """
 
 from __future__ import annotations

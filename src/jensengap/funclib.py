@@ -11,6 +11,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import Callable
 
@@ -27,6 +28,9 @@ WIDE = 1e6
 FD_STEP = 1e-5
 #: relative slack when testing domain membership
 DOMAIN_SLACK = 1e-12
+#: table files whose parsed table and model are kept, least recently used
+#: dropped first
+TABLE_CACHE_SIZE = 8
 
 
 @dataclass(frozen=True)
@@ -112,6 +116,12 @@ def catalog(
     path).  A parameter given to a function that takes none is rejected.
     ``point`` anchors the declared class metadata where it depends on the
     anchor (cubic, exp, quadratic).
+
+    A table file maps to one model per content: ``load_table`` returns the
+    same table while the file is unchanged, and that table keeps its model
+    while among the TABLE_CACHE_SIZE most recent, so the grid-scan memo in
+    ``analysis`` serves every later load.  A table passed in memory gets a
+    new model on every call.
     """
     if param is not None and name in ("cubic", "signed_square", "exp"):
         raise StructureError(f"catalog function {name!r} takes no parameter")
@@ -162,6 +172,7 @@ def catalog(
             if param is None:
                 raise StructureError("tabulated-spline needs a table or a file path")
             table = load_table(param)
+            return _file_model(id(table), table)
         return tabulated_model(table)
     raise StructureError(f"unknown catalog function {name!r}")
 
@@ -222,10 +233,22 @@ class TabulatedFunction:
 
 
 def load_table(path: str | Path) -> TabulatedFunction:
-    """Read a two-column (node, value) text file; '#' starts a comment."""
+    """Read a two-column (node, value) text file; '#' starts a comment.
+
+    The file is read on every call, so a rewritten file is never served
+    stale; its text is parsed once per (path, text) and the same table
+    object is returned while that pair stays among the TABLE_CACHE_SIZE
+    most recently loaded.  A malformed file raises StructureError, naming
+    ``path:lineno``, on every call.
+    """
+    return _parse_table(str(path), Path(path).read_text())
+
+
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
+def _parse_table(path: str, text: str) -> TabulatedFunction:
     nodes: list[float] = []
     values: list[float] = []
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -270,3 +293,11 @@ def tabulated_model(tab: TabulatedFunction, name: str = "tabulated-spline") -> F
         domain=IntervalR(tab.nodes[0], tab.nodes[-1]),
         fn=lambda x, tab=tab: _interp_quadratic(tab, x),
     )
+
+
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
+def _file_model(table_id: int, table: TabulatedFunction) -> FunctionModel:
+    # ``table_id`` keys the entry by identity: the entry holds ``table``, so
+    # no other live table has its id.  Tables equal as values may still
+    # differ in the sign of a zero, which equality does not see.
+    return tabulated_model(table)

@@ -133,6 +133,7 @@ def match_spread(
     anchor: float,
     within: IntervalR | None = None,
     tol: float = EPS_EQ,
+    validate: bool = True,
 ) -> AffineConfig:
     """Rescale all points about the anchor so the spread equals target.
 
@@ -140,10 +141,11 @@ def match_spread(
     scales the spread by exactly k^2 and preserves hull membership.  With
     the anchor at a side endpoint, k <= 1 keeps points in their side
     interval; for k > 1 the optional ``within`` bound rejects escapes.
+    ``validate=False`` skips validating cfg, for callers that built it valid.
     """
     if target < 0.0:
         raise StructureError("target spread must be nonnegative")
-    current = spread(cfg, tol)
+    current = spread(cfg, tol, validate)
     if current <= 0.0:
         raise StructureError("cannot rescale a zero-spread configuration")
     out = _rescale(cfg, anchor, math.sqrt(target / current))
@@ -161,22 +163,24 @@ def gen_two_sided_scenario(
 
     spread_ratio 1 matches the sides exactly; r < 1 shrinks the left side to
     spread r^2 * s, r > 1 shrinks the right side.  Shrinking is always toward
-    the split point, so points never leave their half-interval.
+    the split point, so points never leave their half-interval.  Both
+    sides are valid by construction (``draw_config``, then rescaling), so
+    none is validated here; the verifiers validate what they judge.
     """
     rng = rng if rng is not None else random.Random(spec.seed)
     left = draw_config(rng, spec.interval.lo, spec.c, spec.sizes)
     right = draw_config(rng, spec.c, spec.interval.hi, spec.sizes)
-    sl, sr = spread(left), spread(right)
+    sl, sr = spread(left, validate=False), spread(right, validate=False)
     m = min(sl, sr)
     if sl > m:
-        left = match_spread(m, left, spec.c)
+        left = match_spread(m, left, spec.c, validate=False)
     elif sr > m:
-        right = match_spread(m, right, spec.c)
+        right = match_spread(m, right, spec.c, validate=False)
     if m > 0.0 and spread_ratio != 1.0:
         if spread_ratio < 1.0:
-            left = match_spread(m * spread_ratio**2, left, spec.c)
+            left = match_spread(m * spread_ratio**2, left, spec.c, validate=False)
         else:
-            right = match_spread(m / spread_ratio**2, right, spec.c)
+            right = match_spread(m / spread_ratio**2, right, spec.c, validate=False)
     return Mt1Scenario(left, right, spec.c, spec.interval)
 
 

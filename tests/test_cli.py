@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import jensengap
+from jensengap import analysis
 from jensengap.cli import main
 from jensengap.scenario import dumps, make_scenario
 from jensengap.scengen import straddle_probe_mt4
@@ -86,8 +88,6 @@ class TestCheck:
         assert run(["check", path, "--tol", "1.0"]) == 0
 
     def test_stdin_dash(self, tmp_path, capsys, monkeypatch):
-        import io
-
         monkeypatch.setattr("sys.stdin", io.StringIO(dumps(MIRRORED_MT1)))
         assert run(["check", "-"]) == 0
 
@@ -104,6 +104,35 @@ class TestCheck:
         assert run(["check", path]) == 0
         reports = json.loads(capsys.readouterr().out)
         assert len(reports) == 2
+
+
+class TestCheckTableDocuments:
+    """Documents on one unchanged table file share its model, so `check` on
+    a list classifies the table once per side of c."""
+
+    @pytest.mark.parametrize("theorem", ["mt1", "mt4", "mc1"])
+    def test_list_scans_once_and_matches_single_checks(
+        self, tmp_path, capsys, monkeypatch, theorem
+    ):
+        table = tmp_path / "sq.txt"
+        nodes = [-1.0 + i / 100 for i in range(201)]
+        table.write_text("".join(f"{x!r} {x * x!r}\n" for x in nodes))
+        gen = ["gen", "--theorem", theorem, "--fn", f"tabulated-spline:{table}"]
+        assert run(gen + ["--seed", "3", "--count", "5"]) == 0
+        docs = capsys.readouterr().out
+        scans = []
+        real = analysis.bracket_windows
+        monkeypatch.setattr(
+            analysis, "bracket_windows", lambda *a: scans.append(a) or real(*a)
+        )
+        monkeypatch.setattr("sys.stdin", io.StringIO(docs))
+        assert run(["check", "-"]) == 0
+        reports = json.loads(capsys.readouterr().out)
+        assert len(scans) == 2
+        assert [r["verdict"] for r in reports] == ["holds"] * 5
+        for doc, report in zip(json.loads(docs), reports):
+            assert run(["check", write(tmp_path, "one.json", doc)]) == 0
+            assert capsys.readouterr().out == dumps(report)
 
 
 class TestAnalyze:

@@ -2,11 +2,15 @@ import math
 
 import pytest
 
+from jensengap.analysis import _cached_extremes, k1_witness
 from jensengap.domain import IntervalR, StructureError
 from jensengap.funclib import (
+    TABLE_CACHE_SIZE,
     DomainError,
     FunctionModel,
     TabulatedFunction,
+    _file_model,
+    _parse_table,
     catalog,
     d2_one_sided,
     eval_fn,
@@ -168,3 +172,65 @@ class TestTabulated:
     def test_two_node_table_is_linear(self):
         f = tabulated_model(TabulatedFunction((0.0, 2.0), (1.0, 5.0)))
         assert eval_fn(f, 1.0) == pytest.approx(3.0)
+
+
+def write_table(path, fn, n=201):
+    """An n-node table of fn over [-1, 1]."""
+    nodes = [-1.0 + 2.0 * i / (n - 1) for i in range(n)]
+    path.write_text("".join(f"{x!r} {fn(x)!r}\n" for x in nodes))
+    return path
+
+
+class TestTableFileCache:
+    """A table file is read on every load but parsed and modelled once per
+    content, so the grid-scan memo serves every later load."""
+
+    I11 = IntervalR(-1.0, 1.0)
+
+    def test_unchanged_file_shares_model_and_scans(self, tmp_path):
+        path = write_table(tmp_path / "sq.txt", lambda x: x * x)
+        f = catalog("tabulated-spline", str(path))
+        first = k1_witness(f, 0.0, self.I11)
+        before = _cached_extremes.cache_info()
+        g = catalog("tabulated-spline", str(path))
+        assert g is f
+        assert k1_witness(g, 0.0, self.I11) == first
+        after = _cached_extremes.cache_info()
+        assert after.hits > before.hits
+        assert after.misses == before.misses
+
+    def test_rewritten_file_gets_a_new_model(self, tmp_path):
+        path = write_table(tmp_path / "sq.txt", lambda x: x * x)
+        f = catalog("tabulated-spline", str(path))
+        assert k1_witness(f, 0.0, self.I11) == pytest.approx(2.0, rel=1e-3)
+        write_table(path, lambda x: 3.0 * x * x)
+        g = catalog("tabulated-spline", str(path))
+        assert g is not f
+        assert k1_witness(g, 0.0, self.I11) == pytest.approx(6.0, rel=1e-3)
+
+    def test_malformed_file_raises_on_every_call(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("0 0\n1 1\n2 x\n")
+        for _ in range(3):
+            with pytest.raises(StructureError, match=f"{path}:3: "):
+                catalog("tabulated-spline", str(path))
+
+    def test_tables_differing_in_the_sign_of_a_zero_keep_their_own_models(self, tmp_path):
+        # equal as values, but f(0) = -0.0 + 0.0 * (-1 - -0.0) is -0.0 only
+        # for the first table
+        neg, pos = tmp_path / "neg.txt", tmp_path / "pos.txt"
+        neg.write_text("0 -0.0\n1 -1\n")
+        pos.write_text("0 0.0\n1 -1\n")
+        f = catalog("tabulated-spline", str(neg))
+        g = catalog("tabulated-spline", str(pos))
+        assert math.copysign(1.0, eval_fn(f, 0.0)) == -1.0
+        assert math.copysign(1.0, eval_fn(g, 0.0)) == 1.0
+
+    def test_caches_stay_bounded(self, tmp_path):
+        models = []
+        for k in range(4 * TABLE_CACHE_SIZE):
+            path = write_table(tmp_path / f"t{k}.txt", lambda x, k=k: (k + 1) * x * x, n=5)
+            models.append(catalog("tabulated-spline", str(path)))
+            assert _parse_table.cache_info().currsize <= TABLE_CACHE_SIZE
+            assert _file_model.cache_info().currsize <= TABLE_CACHE_SIZE
+        assert len({id(f) for f in models}) == len(models)

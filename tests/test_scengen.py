@@ -2,12 +2,14 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from jensengap import analysis
+from jensengap import analysis, domain
 from jensengap.affine import check_mt1_hypotheses
 from jensengap.domain import IntervalR, StructureError, spread, validate_affine_config
 from jensengap.funclib import catalog
-from jensengap.scenario import run_payload
+from jensengap.scenario import config_from, run_payload
 from jensengap.scengen import (
     GenSpec,
     InfeasibleError,
@@ -269,3 +271,38 @@ class TestGridScansPerSearch:
         )
         assert len(results) == 100  # none came back hypotheses-unmet
         assert len(counted) == scans
+
+
+#: mt1-mt3 generator modes, with mt2's two spread ratios
+TWO_SIDED = [("mt1", "proper"), ("mt2", "a"), ("mt2", "b"), ("mt2", "auto"), ("mt3", "auto")]
+
+
+class TestTwoSidedSidesValidByConstruction:
+    """Generation builds each side valid (draw_config, then rescaling) and
+    does not validate it; the verifiers validate what they judge."""
+
+    @pytest.mark.parametrize("theorem, mode", TWO_SIDED)
+    def test_generation_validates_nothing(self, monkeypatch, theorem, mode):
+        calls = []
+        real = domain.validate_affine_config
+        monkeypatch.setattr(
+            domain, "validate_affine_config", lambda *a: calls.append(a) or real(*a)
+        )
+        gen_payload(GenSpec(seed=7), theorem, mode)
+        assert calls == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        lo=st.floats(min_value=-1e3, max_value=999.0),
+        width=st.floats(min_value=1e-2, max_value=2e3),
+        frac=st.floats(min_value=0.05, max_value=0.95),
+        case=st.sampled_from(TWO_SIDED),
+    )
+    def test_every_generated_side_is_valid(self, seed, lo, width, frac, case):
+        hi = min(lo + width, 1e3)
+        spec = GenSpec(seed=seed, interval=IntervalR(lo, hi), c=lo + frac * (hi - lo))
+        payload = gen_payload(spec, *case)
+        for side in ("left", "right"):
+            report = validate_affine_config(config_from(payload[side]))
+            assert report.valid, (side, report.violations)
