@@ -23,7 +23,6 @@ from .domain import (
     CheckSet,
     IntervalR,
     StructureError,
-    ValidityReport,
     combination_value,
     spread,
     validate_affine_config,
@@ -107,20 +106,6 @@ def _base_checkset(s: Mt1Scenario, tol: float) -> tuple[CheckSet, dict]:
     return cs, vals
 
 
-def _mt1_checkset(s: Mt1Scenario, tol: float) -> tuple[CheckSet, dict]:
-    cs, vals = _base_checkset(s, tol)
-    if vals:
-        cs.at_least("2.2", min(s.c - vals["max_left"], vals["min_right"] - s.c))
-        sl, sr = vals["spread_left"], vals["spread_right"]
-        cs.equality("2.1", sl - sr, scale=max(abs(sl), abs(sr)))
-    return cs, vals
-
-
-def check_mt1_hypotheses(s: Mt1Scenario, tol: float = EPS_EQ) -> ValidityReport:
-    """Config validity, separation at c ("2.2"), spread equality ("2.1")."""
-    return _mt1_checkset(s, tol)[0].report()
-
-
 def verify_mt1(
     f: FunctionModel,
     s: Mt1Scenario,
@@ -142,7 +127,11 @@ def verify_mt1(
     if weight_reading not in ("matched", "literal_alpha"):
         raise StructureError(f"unknown weight reading {weight_reading!r}")
     details: dict = {"c": s.c, "weight_reading": weight_reading}
-    cs, vals = _mt1_checkset(s, tol)
+    cs, vals = _base_checkset(s, tol)
+    if vals:
+        cs.at_least("2.2", min(s.c - vals["max_left"], vals["min_right"] - s.c))
+        sl, sr = vals["spread_left"], vals["spread_right"]
+        cs.equality("2.1", sl - sr, scale=max(abs(sl), abs(sr)))
     if weight_reading == "literal_alpha":
         sizes_ok = all(
             len(wg) == len(pg)
@@ -161,8 +150,7 @@ def verify_mt1(
         gap_r = cross_weighted_gap(f, s.left, s.right)
     else:
         gap_r = jensen_affine_gap(f, s.right, tol, validate=False)
-    spreads = (vals["spread_left"], vals["spread_right"])
-    return chain_report(cs, A, (gap_l, gap_r), spreads, details)
+    return chain_report(cs, A, (gap_l, gap_r), (sl, sr), details)
 
 
 def _signed_witness(

@@ -24,29 +24,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import count, repeat
 from typing import Sequence
 
 from .analysis import convexity_margin, k1_witness
-from .domain import (
-    EPS_EQ,
-    CheckSet,
-    IntervalR,
-    StructureError,
-    ValidityReport,
-)
+from .domain import EPS_EQ, CheckSet, IntervalR, StructureError
 from .funclib import FunctionModel, eval_fn
 from .report import UNMET, ChainReport, chain_report, judge
-
-
-@dataclass(frozen=True)
-class SampleDomain:
-    """Finite sample domain {1..size}."""
-
-    size: int
-
-    def __post_init__(self):
-        if self.size < 1:
-            raise StructureError("sample domain must have at least one point")
 
 
 @dataclass(frozen=True)
@@ -82,29 +66,20 @@ class DiscreteFunctional:
         return abs(self.total - 1.0) <= tol
 
 
-@dataclass(frozen=True)
-class RangeConstraint:
-    inner: IntervalR
-    outer: IntervalR
-    mode: str  # "inside" | "outside"
+def _functional(L) -> DiscreteFunctional:
+    return L if isinstance(L, DiscreteFunctional) else DiscreteFunctional(tuple(L))
 
-    def __post_init__(self):
-        if self.mode not in ("inside", "outside"):
-            raise StructureError(f"unknown range mode {self.mode!r}")
-        if not self.outer.contains_interval(self.inner):
-            raise StructureError("inner interval must lie within the outer one")
+
+def _function(u) -> FunctionOnOmega:
+    return u if isinstance(u, FunctionOnOmega) else FunctionOnOmega(tuple(u))
 
 
 def _weights(L) -> tuple[float, ...]:
-    if isinstance(L, DiscreteFunctional):
-        return L.weights
-    return DiscreteFunctional(tuple(L)).weights
+    return _functional(L).weights
 
 
 def _values(u) -> tuple[float, ...]:
-    if isinstance(u, FunctionOnOmega):
-        return u.values
-    return FunctionOnOmega(tuple(u)).values
+    return _function(u).values
 
 
 def _sq(values: Sequence[float]) -> tuple[float, ...]:
@@ -125,19 +100,6 @@ def apply_fn(L, f: FunctionModel, u) -> float:
     if len(w) != len(v):
         raise StructureError(f"length mismatch: {len(w)} weights vs {len(v)} values")
     return math.fsum(wi * eval_fn(f, vi) for wi, vi in zip(w, v) if wi != 0.0)
-
-
-def check_range(u, rc: RangeConstraint, tol: float = EPS_EQ) -> ValidityReport:
-    """Inside mode: every value in the inner interval.  Outside mode: every
-    value in the outer interval and none strictly inside the open inner one."""
-    v = _values(u)
-    cs = CheckSet(tol)
-    if rc.mode == "inside":
-        _inside(cs, "range.inside", v, rc.inner, tol)
-    else:
-        _inside(cs, "range.in_outer", v, rc.outer, tol)
-        _outside_open(cs, "range.outside_inner", v, rc.inner, tol)
-    return cs.report()
 
 
 def _unital(cs: CheckSet, name: str, w: Sequence[float]) -> bool:
@@ -166,8 +128,9 @@ def _pair_range_checks(
         _outside_open(cs, f"range.{label}", v, inner, tol)
 
 
-def _labelled(prefix: str, vs) -> dict:
-    return {f"{prefix}{i}": v for i, v in enumerate(vs, start=1)}
+def _labelled(template: str, vs) -> dict:
+    """Values keyed by check label; "{}" in the template takes the 1-based index."""
+    return dict(zip(map(template.format, count(1)), vs))
 
 
 def _convex_gate(cs: CheckSet, f: FunctionModel, interval: IntervalR) -> bool:
@@ -335,7 +298,7 @@ def verify_it3(
     cs.record("inner_in_interval", 0.0, interval.contains_interval(inner, tol))
     cs.equality("totals.L", math.fsum(math.fsum(w) for w in ws_l) - 1.0)
     cs.equality("totals.H", math.fsum(math.fsum(w) for w in ws_h) - 1.0)
-    _pair_range_checks(cs, _labelled("g", vs_g), _labelled("h", vs_h), inner, interval, tol)
+    _pair_range_checks(cs, _labelled("g{}", vs_g), _labelled("h{}", vs_h), inner, interval, tol)
     sum_lg = math.fsum(apply(w, v) for w, v in zip(ws_l, vs_g))
     sum_hh = math.fsum(apply(w, v) for w, v in zip(ws_h, vs_h))
     cs.equality("1.11", sum_lg - sum_hh, scale=max(abs(sum_lg), abs(sum_hh)))
@@ -344,6 +307,77 @@ def verify_it3(
     left = math.fsum(apply_fn(w, f, v) for w, v in zip(ws_l, vs_g))
     right = math.fsum(apply_fn(w, f, v) for w, v in zip(ws_h, vs_h))
     return judge(cs, (right - left,))
+
+
+def _split_transfer(
+    f: FunctionModel,
+    fams,
+    funcs,
+    totals: Sequence[str],
+    labels: Sequence[str],
+    tags: Sequence[str],
+    *,
+    c: float,
+    interval: IntervalR,
+    inner: IntervalR,
+    inner2: IntervalR | None,
+    mode: str,
+    A: float | None,
+    tol: float,
+) -> ChainReport:
+    """Split-point transfer comparison of families (L, H, L*, H*) against
+    functions (g, h, g*, h*), each a list of members; (L, H) alone serve both
+    sides.  Checks are named by ``totals`` (one per family passed),
+    ``labels`` (a range-label template per function; "{}" takes the member's
+    1-based index) and ``tags`` (the two mean constraints, then the moment).
+
+    The verdict is on diff1 <= diff2, where diff1 = sum H(f.h) - sum L(f.g)
+    and diff2 is the same over the starred families.  The refinement values
+    diff1 <= (A/2) M1 = (A/2) M2 <= diff2, with M_i the second-moment
+    differences, are reported in the chain and ``details`` only.
+    """
+    if mode not in ("literal", "region_restricted"):
+        raise StructureError(f"unknown mode {mode!r}")
+    if not interval.contains(c):
+        raise StructureError("split point must lie in the interval")
+    ls = [list(map(_functional, fam)) for fam in fams]
+    if len(ls) == 2:
+        ls *= 2
+    us = [list(map(_function, fun)) for fun in funcs]
+    if list(map(len, ls)) != list(map(len, us)):
+        raise StructureError("family sizes must match")
+    cs = CheckSet(tol)
+    for name, fam in zip(totals, ls):
+        cs.equality(name, math.fsum(L.total for L in fam) - 1.0)
+    if mode == "literal":
+        cs.record("inner_in_interval", 0.0, interval.contains_interval(inner, tol))
+        inner2 = inner
+        outer1 = outer2 = interval
+    else:
+        if inner2 is None:
+            raise StructureError("region_restricted mode needs a second inner interval")
+        outer1 = IntervalR(interval.lo, c)
+        outer2 = IntervalR(c, interval.hi)
+        cs.record("region.inner1", 0.0, outer1.contains_interval(inner, tol))
+        cs.record("region.inner2", 0.0, outer2.contains_interval(inner2, tol))
+    vs = [[u.values for u in fun] for fun in us]
+    g, h, g2, h2 = map(_labelled, labels, vs)
+    _pair_range_checks(cs, g, h, inner, outer1, tol)
+    _pair_range_checks(cs, g2, h2, inner2, outer2, tol)
+    sum_lg, sum_hh, sum_lg2, sum_hh2 = [math.fsum(map(apply, l, u)) for l, u in zip(ls, us)]
+    cs.equality(tags[0], sum_hh - sum_lg, scale=max(abs(sum_hh), abs(sum_lg)))
+    cs.equality(tags[1], sum_hh2 - sum_lg2, scale=max(abs(sum_hh2), abs(sum_lg2)))
+    sq = [math.fsum(map(apply, l, map(_sq, v))) for l, v in zip(ls, vs)]
+    moment1, moment2 = sq[1] - sq[0], sq[3] - sq[2]
+    cs.equality(tags[2], moment1 - moment2, scale=max(abs(moment1), abs(moment2)))
+    A = _k1_gate(cs, f, c, interval, A)
+    details = {"mode": mode, "c": c}
+    if not cs.ok:
+        return ChainReport(UNMET, hypotheses=cs.report(), details=details)
+    # each side lifts H before L, which fixes the value a DomainError names
+    lifted = [math.fsum(map(apply_fn, ls[k], repeat(f), us[k])) for k in (1, 0, 3, 2)]
+    diffs = (lifted[0] - lifted[1], lifted[2] - lifted[3])
+    return chain_report(cs, A, diffs, (moment1, moment2), details, order="transfer")
 
 
 def verify_mt4(
@@ -363,51 +397,15 @@ def verify_mt4(
     A: float | None = None,
     tol: float = EPS_EQ,
 ) -> ChainReport:
-    """Split-point transfer comparison for f 3-convex at c.
-
-    Verdict is on diff1 <= diff2 where diff_i = H(f.h_i) - L(f.g_i) (tag
-    "2.12" covers the mean and second-moment constraints).  The refinement
-    values diff1 <= (A/2) M1 = (A/2) M2 <= diff2, with M_i the second-moment
-    differences, are reported in the chain and ``details`` but only gate the
-    verdict through diff2 - diff1.
-    """
-    if mode not in ("literal", "region_restricted"):
-        raise StructureError(f"unknown mode {mode!r}")
-    if not interval.contains(c):
-        raise StructureError("split point must lie in the interval")
-    w_l, w_h = _weights(L), _weights(H)
-    v_g1, v_h1, v_g2, v_h2 = _values(g1), _values(h1), _values(g2), _values(h2)
-    cs = CheckSet(tol)
-    _unital(cs, "unital.L", w_l)
-    _unital(cs, "unital.H", w_h)
-    if mode == "literal":
-        cs.record("inner_in_interval", 0.0, interval.contains_interval(inner, tol))
-        inner1_eff, outer1 = inner, interval
-        inner2_eff, outer2 = inner, interval
-    else:
-        if inner2 is None:
-            raise StructureError("region_restricted mode needs a second inner interval")
-        outer1 = IntervalR(interval.lo, c)
-        outer2 = IntervalR(c, interval.hi)
-        cs.record("region.inner1", 0.0, outer1.contains_interval(inner, tol))
-        cs.record("region.inner2", 0.0, outer2.contains_interval(inner2, tol))
-        inner1_eff, inner2_eff = inner, inner2
-    _pair_range_checks(cs, {"g1": v_g1}, {"h1": v_h1}, inner1_eff, outer1, tol)
-    _pair_range_checks(cs, {"g2": v_g2}, {"h2": v_h2}, inner2_eff, outer2, tol)
-    m_g1, m_h1 = apply(w_l, v_g1), apply(w_h, v_h1)
-    m_g2, m_h2 = apply(w_l, v_g2), apply(w_h, v_h2)
-    cs.equality("2.12.mean1", m_g1 - m_h1, scale=max(abs(m_g1), abs(m_h1)))
-    cs.equality("2.12.mean2", m_g2 - m_h2, scale=max(abs(m_g2), abs(m_h2)))
-    moment1 = apply(w_h, _sq(v_h1)) - apply(w_l, _sq(v_g1))
-    moment2 = apply(w_h, _sq(v_h2)) - apply(w_l, _sq(v_g2))
-    cs.equality("2.12.moment", moment1 - moment2, scale=max(abs(moment1), abs(moment2)))
-    A = _k1_gate(cs, f, c, interval, A)
-    details = {"mode": mode, "c": c}
-    if not cs.ok:
-        return ChainReport(UNMET, hypotheses=cs.report(), details=details)
-    diff1 = apply_fn(w_h, f, v_h1) - apply_fn(w_l, f, v_g1)
-    diff2 = apply_fn(w_h, f, v_h2) - apply_fn(w_l, f, v_g2)
-    return chain_report(cs, A, (diff1, diff2), (moment1, moment2), details, order="transfer")
+    """Split-point transfer comparison for f 3-convex at c (tag "2.12"):
+    diff_i = H(f.h_i) - L(f.g_i) with diff1 <= diff2.  It is verify_mt5 with
+    the singleton families L, H shared by both sides."""
+    return _split_transfer(
+        f, ([L], [H]), ([g1], [h1], [g2], [h2]),
+        ("unital.L", "unital.H"), ("g1", "h1", "g2", "h2"),
+        ("2.12.mean1", "2.12.mean2", "2.12.moment"),
+        c=c, interval=interval, inner=inner, inner2=inner2, mode=mode, A=A, tol=tol,
+    )
 
 
 def verify_mc1(
@@ -591,75 +589,11 @@ def verify_mt5(
 ) -> ChainReport:
     """Family version of the split-point transfer comparison (tags "2.25",
     "2.26").  The unstarred families play the left role and the starred
-    families the right role; with singleton families this coincides with
-    verify_mt4 on the same data.
+    families the right role; verify_mt4 is its singleton case.
     """
-    if mode not in ("literal", "region_restricted"):
-        raise StructureError(f"unknown mode {mode!r}")
-    if not interval.contains(c):
-        raise StructureError("split point must lie in the interval")
-    fams = {
-        "L": [_weights(x) for x in Ls],
-        "H": [_weights(x) for x in Hs],
-        "L*": [_weights(x) for x in Ls_star],
-        "H*": [_weights(x) for x in Hs_star],
-    }
-    vals = {
-        "g": [_values(x) for x in gs],
-        "h": [_values(x) for x in hs],
-        "g*": [_values(x) for x in gs_star],
-        "h*": [_values(x) for x in hs_star],
-    }
-    if len(fams["L"]) != len(vals["g"]) or len(fams["H"]) != len(vals["h"]):
-        raise StructureError("family sizes must match")
-    if len(fams["L*"]) != len(vals["g*"]) or len(fams["H*"]) != len(vals["h*"]):
-        raise StructureError("family sizes must match")
-    cs = CheckSet(tol)
-    for name, fam in fams.items():
-        cs.equality(f"totals.{name}", math.fsum(math.fsum(w) for w in fam) - 1.0)
-    if mode == "literal":
-        cs.record("inner_in_interval", 0.0, interval.contains_interval(inner, tol))
-        inner1_eff = inner2_eff = inner
-        outer1 = outer2 = interval
-    else:
-        if inner2 is None:
-            raise StructureError("region_restricted mode needs a second inner interval")
-        outer1 = IntervalR(interval.lo, c)
-        outer2 = IntervalR(c, interval.hi)
-        cs.record("region.inner1", 0.0, outer1.contains_interval(inner, tol))
-        cs.record("region.inner2", 0.0, outer2.contains_interval(inner2, tol))
-        inner1_eff, inner2_eff = inner, inner2
-    for star, inner_eff, outer in (("", inner1_eff, outer1), ("*", inner2_eff, outer2)):
-        g, h = f"g{star}", f"h{star}"
-        _pair_range_checks(cs, _labelled(g, vals[g]), _labelled(h, vals[h]), inner_eff, outer, tol)
-
-    def fam_sum(fam_key: str, val_key: str, values=None) -> float:
-        fam, vv = fams[fam_key], vals[val_key]
-        if values is not None:
-            vv = values
-        return math.fsum(apply(w, v) for w, v in zip(fam, vv))
-
-    sum_lg = fam_sum("L", "g")
-    sum_hh = fam_sum("H", "h")
-    sum_lg2 = fam_sum("L*", "g*")
-    sum_hh2 = fam_sum("H*", "h*")
-    cs.equality("2.25.1", sum_hh - sum_lg, scale=max(abs(sum_hh), abs(sum_lg)))
-    cs.equality("2.25.2", sum_hh2 - sum_lg2, scale=max(abs(sum_hh2), abs(sum_lg2)))
-    moment1 = fam_sum("H", "h", [_sq(v) for v in vals["h"]]) - fam_sum(
-        "L", "g", [_sq(v) for v in vals["g"]]
+    return _split_transfer(
+        f, (Ls, Hs, Ls_star, Hs_star), (gs, hs, gs_star, hs_star),
+        ("totals.L", "totals.H", "totals.L*", "totals.H*"), ("g{}", "h{}", "g*{}", "h*{}"),
+        ("2.25.1", "2.25.2", "2.26"),
+        c=c, interval=interval, inner=inner, inner2=inner2, mode=mode, A=A, tol=tol,
     )
-    moment2 = fam_sum("H*", "h*", [_sq(v) for v in vals["h*"]]) - fam_sum(
-        "L*", "g*", [_sq(v) for v in vals["g*"]]
-    )
-    cs.equality("2.26", moment1 - moment2, scale=max(abs(moment1), abs(moment2)))
-    A = _k1_gate(cs, f, c, interval, A)
-    details = {"mode": mode, "c": c}
-    if not cs.ok:
-        return ChainReport(UNMET, hypotheses=cs.report(), details=details)
-
-    def fam_fsum(fam_key: str, val_key: str) -> float:
-        return math.fsum(apply_fn(w, f, v) for w, v in zip(fams[fam_key], vals[val_key]))
-
-    diff1 = fam_fsum("H", "h") - fam_fsum("L", "g")
-    diff2 = fam_fsum("H*", "h*") - fam_fsum("L*", "g*")
-    return chain_report(cs, A, (diff1, diff2), (moment1, moment2), details, order="transfer")

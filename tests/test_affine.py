@@ -6,7 +6,6 @@ import oracles
 from jensengap import affine
 from jensengap.affine import (
     Mt1Scenario,
-    check_mt1_hypotheses,
     jensen_affine_gap,
     verify_mt1,
     verify_mt2,
@@ -78,23 +77,29 @@ class TestValidateOnce:
         assert len(calls) == 2
 
 
+def mt1_hypotheses(s):
+    """verify_mt1's hypothesis checks; with A supplied they are exactly the
+    side validity, separation ("2.2") and spread-equality ("2.1") checks."""
+    return verify_mt1(catalog("signed_square"), s, A=0.0).hypotheses
+
+
 class TestMt1Hypotheses:
     def test_mirrored_scenario_passes(self):
-        report = check_mt1_hypotheses(MIRRORED)
+        report = mt1_hypotheses(MIRRORED)
         assert report.valid
         sl = spread(MIRRORED.left)
         assert sl == pytest.approx(0.25) and sl == pytest.approx(spread(MIRRORED.right))
 
     def test_spread_mismatch_recorded(self):
         s = Mt1Scenario(two_point_side(-1.0, 0.0), two_point_side(0.0, 0.4), 0.0, I11)
-        report = check_mt1_hypotheses(s)
+        report = mt1_hypotheses(s)
         bad = dict(report.violations)
         assert "2.1" in bad
         assert bad["2.1"] == pytest.approx(0.25 - 0.04)
 
     def test_separation_violation(self):
         s = Mt1Scenario(two_point_side(-1.0, 0.0), two_point_side(-0.2, 1.0), 0.0, I11)
-        report = check_mt1_hypotheses(s)
+        report = mt1_hypotheses(s)
         assert any(name == "2.2" for name, _ in report.violations)
 
 

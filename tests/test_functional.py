@@ -1,16 +1,16 @@
+import copy
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jensengap.domain import IntervalR, StructureError
-from jensengap.funclib import catalog
+from jensengap.funclib import catalog, parse_fn_spec
 from jensengap.functional import (
     DiscreteFunctional,
     FunctionOnOmega,
-    RangeConstraint,
-    SampleDomain,
     apply,
-    check_range,
     verify_ic1,
     verify_ic2,
     verify_ic3,
@@ -23,6 +23,8 @@ from jensengap.functional import (
     verify_mt5,
 )
 from jensengap.report import HOLDS, UNMET
+from jensengap.scenario import run_payload
+from jensengap.scengen import GenSpec, gen_payload
 
 iv = IntervalR
 Q2 = catalog("quadratic", 2)  # x^2
@@ -58,34 +60,41 @@ class TestTypesAndApply:
         assert DiscreteFunctional((0.25, 0.75)).is_unital()
         assert not DiscreteFunctional((0.25, 0.5)).is_unital()
 
-    def test_sample_domain_positive(self):
-        assert SampleDomain(3).size == 3
-        with pytest.raises(StructureError):
-            SampleDomain(0)
-
     def test_unital_apply_stays_in_range(self):
         u = FunctionOnOmega((-3.0, 1.0, 2.5))
         value = apply([0.2, 0.5, 0.3], u)
         assert min(u.values) <= value <= max(u.values)
 
 
-class TestCheckRange:
-    def test_outside_with_closed_endpoint(self):
-        rc = RangeConstraint(iv(-1, 1), iv(-3, 3), "outside")
-        assert check_range([-1.0, 2.0], rc).valid
+def it2_checks(g, h, inner=iv(-1, 1)):
+    """Name -> ok of every hypothesis check of an it2 scenario with HALF weights."""
+    rep = verify_it2(Q2, HALF, g, HALF, h, inner=inner, interval=iv(-3, 3))
+    return {c.name: c.ok for c in rep.hypotheses.checks}
 
-    def test_strictly_inside_violates_outside_mode(self):
-        rc = RangeConstraint(iv(-1, 1), iv(-3, 3), "outside")
-        assert not check_range([0.5, 2.0], rc).valid
 
-    def test_inside_mode(self):
-        rc = RangeConstraint(iv(-1, 1), iv(-3, 3), "inside")
-        assert check_range([0.2, 0.8], rc).valid
-        assert not check_range([0.2, 1.5], rc).valid
+class TestIt2Ranges:
+    """h lies in the outer interval but outside the open inner one; g lies in
+    the closed inner interval."""
 
-    def test_inner_must_sit_in_outer(self):
-        with pytest.raises(StructureError):
-            RangeConstraint(iv(-5, 5), iv(-1, 1), "inside")
+    def test_h_on_closed_inner_endpoint_passes(self):
+        checks = it2_checks([0.5, 0.5], [-1.0, 2.0])
+        assert checks["range.h"] and checks["range.h_outer"] and all(checks.values())
+
+    def test_h_strictly_inside_inner_fails(self):
+        checks = it2_checks([0.5, 0.5], [0.5, 2.0])
+        assert not checks["range.h"] and checks["range.h_outer"]
+
+    def test_h_beyond_outer_fails(self):
+        checks = it2_checks([0.5, 0.5], [-3.5, 4.5])
+        assert not checks["range.h_outer"] and checks["range.h"]
+
+    def test_g_inside_inner(self):
+        assert it2_checks([0.2, 0.8], [-1.0, 2.0])["range.g"]
+        assert not it2_checks([0.2, 1.5], [-1.0, 2.7])["range.g"]
+
+    def test_inner_must_sit_in_interval(self):
+        checks = it2_checks([0.5, 0.5], [-1.0, 2.0], inner=iv(-5, 5))
+        assert not checks["inner_in_interval"]
 
 
 class TestIt2:
@@ -476,3 +485,101 @@ class TestMt5:
             **WORKED_MT4,
         )
         assert rep.verdict == "hypotheses-unmet"
+
+
+#: mt4's check names, in report order, for each mode
+MT4_CHECKS = {
+    mode: ["unital.L", "unital.H", *middle, "range.g1", "range.h1_outer", "range.h1", "range.g2",
+           "range.h2_outer", "range.h2", "2.12.mean1", "2.12.mean2", "2.12.moment", "witness.K1c"]
+    for mode, middle in (
+        ("literal", ["inner_in_interval"]),
+        ("region_restricted", ["region.inner1", "region.inner2"]),
+    )
+}
+#: mt4 check name -> name of the same check in the report of the singleton mt5 lift
+MT4_TO_MT5 = {
+    "unital.L": "totals.L",
+    "unital.H": "totals.H",
+    "range.g2": "range.g*1",
+    "range.h2_outer": "range.h*1_outer",
+    "range.h2": "range.h*1",
+    "2.12.mean1": "2.25.1",
+    "2.12.mean2": "2.25.2",
+    "2.12.moment": "2.26",
+}
+MT4_MUTATIONS = ("unital.H", "range.h2", "2.12.mean2", "2.12.moment")
+
+
+def mutate_mt4(payload: dict, check: str) -> dict:
+    """A copy of an mt4 payload edited so that ``check`` fails."""
+    p = copy.deepcopy(payload)
+    if check == "unital.H":
+        p["H"][0] *= 1.1
+    elif check == "range.h2":
+        p["h2"] = list(p["g2"])  # inside the open inner interval
+    elif check == "2.12.mean2":
+        p["h2"] = [x + 1e-3 for x in p["h2"]]
+    elif check == "2.12.moment":  # shrink g2 about its mean: same mean, smaller moment
+        m = apply(p["L"], p["g2"])
+        p["g2"] = [m + 0.5 * (x - m) for x in p["g2"]]
+    elif check == "length":
+        p["g1"].pop()
+    return p
+
+
+def lift_mt4(payload: dict) -> dict:
+    """The mt5 payload with singleton families that share mt4's L and H."""
+    lifted = {k: payload[k] for k in ("interval", "c", "inner", "inner2", "A") if k in payload}
+    L, H = payload["L"], payload["H"]
+    lifted.update(Ls=[L], Hs=[H], Ls_star=[L], Hs_star=[H])
+    for key, field in (("gs", "g1"), ("hs", "h1"), ("gs_star", "g2"), ("hs_star", "h2")):
+        lifted[key] = [payload[field]]
+    return lifted
+
+
+class TestMt4SharesMt5:
+    """mt4 runs through the mt5 code with singleton families, and reports
+    under its own check names."""
+
+    @pytest.mark.parametrize("check", MT4_MUTATIONS)
+    @pytest.mark.parametrize("mode", ["region_restricted", "literal"])
+    def test_unmet_report_lists_mt4_names(self, mode, check):
+        payload = mutate_mt4(gen_payload(GenSpec(seed=5), "mt4", mode), check)
+        report = run_payload("mt4", mode, SS, payload)
+        assert report["verdict"] == UNMET
+        names = [c["name"] for c in report["hypotheses"]]
+        assert names == MT4_CHECKS[mode]
+        assert not any(n.startswith("totals.") or "*" in n for n in names)
+        assert check in [c["name"] for c in report["hypotheses"] if not c["ok"]]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        mode=st.sampled_from(["region_restricted", "literal"]),
+        fn=st.sampled_from(["signed_square", "quadratic:2", "cubic", "exp"]),
+        interval=st.sampled_from([(-1.0, 1.0, 0.0), (-3.0, 5.0, 0.5), (-1e3, 1e3, 10.0)]),
+        mutation=st.sampled_from([None, "A", "length", *MT4_MUTATIONS]),
+    )
+    def test_singleton_lift_reports_the_same(self, seed, mode, fn, interval, mutation):
+        lo, hi, c = interval
+        payload = gen_payload(GenSpec(seed=seed, interval=iv(lo, hi), c=c), "mt4", mode)
+        if mutation == "A":
+            payload["A"] = 0.0
+        elif mutation:
+            payload = mutate_mt4(payload, mutation)
+        f = parse_fn_spec(fn)
+        try:
+            mt4 = run_payload("mt4", mode, f, payload)
+        except ValueError as err:  # StructureError, or DomainError outside exp's domain
+            with pytest.raises(type(err)) as lifted_err:
+                run_payload("mt5", mode, f, lift_mt4(payload))
+            assert str(lifted_err.value) == str(err)
+            return
+        mt5 = run_payload("mt5", mode, f, lift_mt4(payload))
+        for key in ("verdict", "margins", "margin", "chain", "values", "details"):
+            assert mt5[key] == mt4[key], key
+        renamed = [{**c, "name": MT4_TO_MT5.get(c["name"], c["name"])} for c in mt4["hypotheses"]]
+        checks = {c["name"]: c for c in mt5["hypotheses"]}
+        for star in ("L", "H"):
+            assert checks[f"totals.{star}*"]["residual"] == checks[f"totals.{star}"]["residual"]
+        assert [c for c in mt5["hypotheses"] if c["name"] not in ("totals.L*", "totals.H*")] == renamed

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jensengap import analysis, domain
-from jensengap.affine import check_mt1_hypotheses
+from jensengap.affine import verify_mt1
 from jensengap.domain import IntervalR, StructureError, spread, validate_affine_config
 from jensengap.funclib import catalog
 from jensengap.scenario import config_from, run_payload
@@ -115,7 +115,7 @@ class TestTwoSidedGeneration:
     @pytest.mark.parametrize("seed", range(10))
     def test_hypotheses_pass(self, seed):
         s = gen_mt1_scenario(GenSpec(seed=seed))
-        assert check_mt1_hypotheses(s).valid
+        assert verify_mt1(catalog("signed_square"), s, A=0.0).hypotheses.valid
 
     def test_spread_ratio_below_one(self):
         s = gen_two_sided_scenario(GenSpec(seed=5), spread_ratio=0.5)
