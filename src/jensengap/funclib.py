@@ -112,10 +112,10 @@ def catalog(
     """Build a catalog model.
 
     Names: quadratic (needs a curvature parameter q, f = q x^2 / 2), cubic,
-    signed_square (x|x|), exp, tabulated-spline (needs a table or a file
-    path).  A parameter given to a function that takes none is rejected.
-    ``point`` anchors the declared class metadata where it depends on the
-    anchor (cubic, exp, quadratic).
+    signed_square (x|x|), neg_signed_square (-x|x|), exp, tabulated-spline
+    (needs a table or a file path).  A parameter given to a function that
+    takes none is rejected.  ``point`` anchors the declared class metadata
+    where it depends on the anchor (cubic, exp, quadratic).
 
     A table file maps to one model per content: ``load_table`` returns the
     same table while the file is unchanged, and that table keeps its model
@@ -123,7 +123,7 @@ def catalog(
     ``analysis`` serves every later load.  A table passed in memory gets a
     new model on every call.
     """
-    if param is not None and name in ("cubic", "signed_square", "exp"):
+    if param is not None and name in ("cubic", "signed_square", "neg_signed_square", "exp"):
         raise StructureError(f"catalog function {name!r} takes no parameter")
     wide = IntervalR(-WIDE, WIDE)
     if name == "quadratic":
@@ -158,6 +158,8 @@ def catalog(
             d2_plus=_signed_square_d2_plus,
             known_class=KnownClass(0.0, 0.0, "K1c"),
         )
+    if name == "neg_signed_square":
+        return negate(catalog("signed_square"))
     if name == "exp":
         return FunctionModel(
             name="exp",

@@ -90,7 +90,7 @@ THEOREMS = {
     ),
     "mt3": Theorem(
         "verify_mt3",
-        {"auto": "quadratic:2", "a": "quadratic:-3", "b": "quadratic:2", "c": "quadratic:2"},
+        {"auto": "quadratic:2", "a": "quadratic:-3", "b": "quadratic:2", "c": "neg_signed_square"},
         AFFINE_FIELDS,
         {"c_convention": "mirrored"},
         mode_arg="branch",

@@ -135,6 +135,21 @@ class TestCheckTableDocuments:
             assert capsys.readouterr().out == dumps(report)
 
 
+class TestMt3BranchCDefault:
+    """`gen --theorem mt3 --mode c` uses a function that satisfies branch (c),
+    f'' straddling 0 downward with f 3-concave, so `check -` holds."""
+
+    @pytest.mark.parametrize("interval", [[], ["--interval=-1e3,1e3"]])
+    @pytest.mark.parametrize("seed", range(1, 6))
+    def test_gen_check_holds(self, capsys, monkeypatch, seed, interval):
+        gen = ["gen", "--theorem", "mt3", "--mode", "c", "--seed", str(seed), *interval]
+        assert run(gen) == 0
+        monkeypatch.setattr("sys.stdin", io.StringIO(capsys.readouterr().out))
+        assert run(["check", "-"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["verdict"] == "holds" and report["details"]["branch"] == "c"
+
+
 class TestAnalyze:
     def test_signed_square(self, capsys):
         assert run(["analyze", "--fn", "signed_square", "--point", "0", "--interval=-1,1"]) == 0

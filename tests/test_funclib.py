@@ -98,7 +98,16 @@ class TestCatalog:
         with pytest.raises(StructureError):
             catalog("quadratic")
 
-    @pytest.mark.parametrize("name", ["quadratic:2", "cubic", "signed_square", "exp"])
+    def test_neg_signed_square(self):
+        f = catalog("neg_signed_square")
+        assert eval_fn(f, -3.0) == 9.0 and eval_fn(f, 2.0) == -4.0
+        assert (d2_one_sided(f, 0.0, "minus"), d2_one_sided(f, 0.0, "plus")) == (2.0, -2.0)
+        kc = f.known_class
+        assert (kc.c, kc.A, kc.kind) == (0.0, 0.0, "K2c")
+
+    @pytest.mark.parametrize(
+        "name", ["quadratic:2", "cubic", "signed_square", "neg_signed_square", "exp"]
+    )
     def test_parse_fn_spec(self, name):
         assert parse_fn_spec(name).name
 
@@ -106,7 +115,7 @@ class TestCatalog:
         with pytest.raises(StructureError):
             parse_fn_spec("cubic:3")
 
-    @pytest.mark.parametrize("name", ["cubic", "signed_square", "exp"])
+    @pytest.mark.parametrize("name", ["cubic", "signed_square", "neg_signed_square", "exp"])
     def test_catalog_rejects_stray_param(self, name):
         with pytest.raises(StructureError, match="takes no parameter"):
             catalog(name, 3.0)
