@@ -1,9 +1,12 @@
 """Positive linear functionals as finite nonnegative weight vectors, and the
 verifiers for the functional-form inequalities.
 
-A functional is a nonnegative weight vector over a finite sample domain;
-it is unital when its weights sum to 1.  Functions on the domain are plain
-value vectors of matching length.
+A functional is a nonnegative weight vector over the indices 1..n; it is
+unital when its weights sum to 1.  Functions are plain value vectors of
+matching length.
+
+mt4 runs as mt5 with singleton families that share one (L, H) pair, under
+its own check names; it2 stays a verifier of its own (see the README).
 
 Two range regimes exist for the split-point verifiers (mt4, mt5, mc1, mc2,
 mc3).  "literal" applies the range constraints exactly as stated: one shared
@@ -24,11 +27,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import count, repeat
+from itertools import repeat
 from typing import Sequence
 
 from .analysis import convexity_margin, k1_witness
-from .domain import EPS_EQ, CheckSet, IntervalR, StructureError
+from .domain import (
+    EPS_EQ,
+    CheckSet,
+    IntervalR,
+    StructureError,
+)
 from .funclib import FunctionModel, eval_fn
 from .report import UNMET, ChainReport, chain_report, judge
 
@@ -117,20 +125,16 @@ def _outside_open(cs: CheckSet, name: str, values, inner: IntervalR, tol: float)
 
 
 def _pair_range_checks(
-    cs: CheckSet, gs: dict, hs: dict, inner: IntervalR, outer: IntervalR, tol: float
+    cs: CheckSet, g: str, gs, h: str, hs, inner: IntervalR, outer: IntervalR, tol: float
 ) -> None:
     """Transfer ranges: every g inside the inner interval, every h inside the
-    outer interval but outside the open inner one.  Keys label the checks."""
-    for label, v in gs.items():
-        _inside(cs, f"range.{label}", v, inner, tol)
-    for label, v in hs.items():
-        _inside(cs, f"range.{label}_outer", v, outer, tol)
-        _outside_open(cs, f"range.{label}", v, inner, tol)
-
-
-def _labelled(template: str, vs) -> dict:
-    """Values keyed by check label; "{}" in the template takes the 1-based index."""
-    return dict(zip(map(template.format, count(1)), vs))
+    outer interval but outside the open inner one.  The checks are labelled
+    by the templates g and h, whose "{}" takes the member's 1-based index."""
+    for i, v in enumerate(gs, start=1):
+        _inside(cs, f"range.{g.format(i)}", v, inner, tol)
+    for i, v in enumerate(hs, start=1):
+        _inside(cs, f"range.{h.format(i)}_outer", v, outer, tol)
+        _outside_open(cs, f"range.{h.format(i)}", v, inner, tol)
 
 
 def _convex_gate(cs: CheckSet, f: FunctionModel, interval: IntervalR) -> bool:
@@ -158,7 +162,7 @@ def verify_it2(
     _unital(cs, "unital.H", w_h)
     cs.record("inner_in_interval", 0.0, interval.contains_interval(inner, tol))
     _convex_gate(cs, f, interval)
-    _pair_range_checks(cs, {"g": v_g}, {"h": v_h}, inner, interval, tol)
+    _pair_range_checks(cs, "g", [v_g], "h", [v_h], inner, interval, tol)
     lg, hh = apply(w_l, v_g), apply(w_h, v_h)
     cs.equality("1.4", lg - hh, scale=max(abs(lg), abs(hh)))
     if not cs.ok:
@@ -298,7 +302,7 @@ def verify_it3(
     cs.record("inner_in_interval", 0.0, interval.contains_interval(inner, tol))
     cs.equality("totals.L", math.fsum(math.fsum(w) for w in ws_l) - 1.0)
     cs.equality("totals.H", math.fsum(math.fsum(w) for w in ws_h) - 1.0)
-    _pair_range_checks(cs, _labelled("g{}", vs_g), _labelled("h{}", vs_h), inner, interval, tol)
+    _pair_range_checks(cs, "g{}", vs_g, "h{}", vs_h, inner, interval, tol)
     sum_lg = math.fsum(apply(w, v) for w, v in zip(ws_l, vs_g))
     sum_hh = math.fsum(apply(w, v) for w, v in zip(ws_h, vs_h))
     cs.equality("1.11", sum_lg - sum_hh, scale=max(abs(sum_lg), abs(sum_hh)))
@@ -361,13 +365,12 @@ def _split_transfer(
         cs.record("region.inner1", 0.0, outer1.contains_interval(inner, tol))
         cs.record("region.inner2", 0.0, outer2.contains_interval(inner2, tol))
     vs = [[u.values for u in fun] for fun in us]
-    g, h, g2, h2 = map(_labelled, labels, vs)
-    _pair_range_checks(cs, g, h, inner, outer1, tol)
-    _pair_range_checks(cs, g2, h2, inner2, outer2, tol)
-    sum_lg, sum_hh, sum_lg2, sum_hh2 = [math.fsum(map(apply, l, u)) for l, u in zip(ls, us)]
+    _pair_range_checks(cs, labels[0], vs[0], labels[1], vs[1], inner, outer1, tol)
+    _pair_range_checks(cs, labels[2], vs[2], labels[3], vs[3], inner2, outer2, tol)
+    sum_lg, sum_hh, sum_lg2, sum_hh2 = [math.fsum(map(apply, *pair)) for pair in zip(ls, us)]
     cs.equality(tags[0], sum_hh - sum_lg, scale=max(abs(sum_hh), abs(sum_lg)))
     cs.equality(tags[1], sum_hh2 - sum_lg2, scale=max(abs(sum_hh2), abs(sum_lg2)))
-    sq = [math.fsum(map(apply, l, map(_sq, v))) for l, v in zip(ls, vs)]
+    sq = [math.fsum(map(apply, fam, map(_sq, v))) for fam, v in zip(ls, vs)]
     moment1, moment2 = sq[1] - sq[0], sq[3] - sq[2]
     cs.equality(tags[2], moment1 - moment2, scale=max(abs(moment1), abs(moment2)))
     A = _k1_gate(cs, f, c, interval, A)
@@ -399,7 +402,8 @@ def verify_mt4(
 ) -> ChainReport:
     """Split-point transfer comparison for f 3-convex at c (tag "2.12"):
     diff_i = H(f.h_i) - L(f.g_i) with diff1 <= diff2.  It is verify_mt5 with
-    the singleton families L, H shared by both sides."""
+    the singleton families L, H shared by both sides.
+    """
     return _split_transfer(
         f, ([L], [H]), ([g1], [h1], [g2], [h2]),
         ("unital.L", "unital.H"), ("g1", "h1", "g2", "h2"),
