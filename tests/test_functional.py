@@ -582,4 +582,5 @@ class TestMt4SharesMt5:
         checks = {c["name"]: c for c in mt5["hypotheses"]}
         for star in ("L", "H"):
             assert checks[f"totals.{star}*"]["residual"] == checks[f"totals.{star}"]["residual"]
-        assert [c for c in mt5["hypotheses"] if c["name"] not in ("totals.L*", "totals.H*")] == renamed
+        unstarred = [c for c in mt5["hypotheses"] if c["name"] not in ("totals.L*", "totals.H*")]
+        assert unstarred == renamed
