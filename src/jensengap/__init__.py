@@ -1,138 +1,43 @@
 """Numerical verification of Jensen-type inequalities on affine combinations
-and positive linear functionals, for functions 3-convex at a point."""
+and positive linear functionals, for functions 3-convex at a point.
 
-from .analysis import (
-    AInterval,
-    ConvexityClass,
-    classify_at_point,
-    dd2,
-    dd3,
-    feasible_A_interval,
-)
-from .affine import (
-    Mt1Scenario,
-    cross_weighted_gap,
-    jensen_affine_gap,
-    verify_mt1,
-    verify_mt2,
-    verify_mt3,
-)
-from .domain import (
-    EPS_EQ,
-    AffineConfig,
-    IntervalR,
-    StructureError,
-    ValidityReport,
-    WeightedGroup,
-    barycenter,
-    combination_value,
-    hull_membership,
-    spread,
-    validate_affine_config,
-)
-from .funclib import (
-    DomainError,
-    FunctionModel,
-    KnownClass,
-    TabulatedFunction,
-    catalog,
-    d2_one_sided,
-    eval_fn,
-    load_table,
-    negate,
-    parse_fn_spec,
-    tabulated_model,
-)
-from .functional import (
-    DiscreteFunctional,
-    FunctionOnOmega,
-    apply,
-    verify_ic1,
-    verify_ic2,
-    verify_ic3,
-    verify_it2,
-    verify_it3,
-    verify_mc1,
-    verify_mc2,
-    verify_mc3,
-    verify_mt4,
-    verify_mt5,
-)
-from .report import FAILS, HOLDS, UNMET, ChainReport
-from .scengen import (
-    GenSpec,
-    InfeasibleError,
-    SearchResult,
-    gen_affine_config,
-    gen_mt1_scenario,
-    gen_two_sided_scenario,
-    match_spread,
-    search_counterexamples,
-    straddle_probe_mt4,
-    two_point_from_moments,
-)
-from .scenario import VERSION as __version__
+The package namespace is lazy (PEP 562): ``import jensengap`` imports no
+submodule, and each public name is imported from its defining module on
+first use.
+"""
 
-__all__ = [
-    "AInterval",
-    "AffineConfig",
-    "ChainReport",
-    "ConvexityClass",
-    "DiscreteFunctional",
-    "DomainError",
-    "EPS_EQ",
-    "FAILS",
-    "FunctionModel",
-    "FunctionOnOmega",
-    "GenSpec",
-    "HOLDS",
-    "InfeasibleError",
-    "IntervalR",
-    "KnownClass",
-    "Mt1Scenario",
-    "SearchResult",
-    "StructureError",
-    "TabulatedFunction",
-    "UNMET",
-    "ValidityReport",
-    "WeightedGroup",
-    "apply",
-    "barycenter",
-    "catalog",
-    "classify_at_point",
-    "combination_value",
-    "cross_weighted_gap",
-    "d2_one_sided",
-    "dd2",
-    "dd3",
-    "eval_fn",
-    "feasible_A_interval",
-    "gen_affine_config",
-    "gen_mt1_scenario",
-    "gen_two_sided_scenario",
-    "hull_membership",
-    "jensen_affine_gap",
-    "load_table",
-    "match_spread",
-    "negate",
-    "parse_fn_spec",
-    "search_counterexamples",
-    "spread",
-    "straddle_probe_mt4",
-    "tabulated_model",
-    "two_point_from_moments",
-    "validate_affine_config",
-    "verify_ic1",
-    "verify_ic2",
-    "verify_ic3",
-    "verify_it2",
-    "verify_it3",
-    "verify_mc1",
-    "verify_mc2",
-    "verify_mc3",
-    "verify_mt1",
-    "verify_mt2",
-    "verify_mt3",
-    "verify_mt4",
-    "verify_mt5",
-]
+import importlib
+
+#: defining module -> the public names it provides
+_EXPORTS = {
+    "analysis": "AInterval ConvexityClass classify_at_point dd2 dd3 feasible_A_interval",
+    "affine": "cross_weighted_gap jensen_affine_gap verify_mt1 verify_mt2 verify_mt3",
+    "domain": "EPS_EQ AffineConfig DiscreteFunctional FunctionOnOmega InfeasibleError IntervalR"
+    " Mt1Scenario StructureError ValidityReport WeightedGroup apply barycenter"
+    " combination_value hull_membership spread validate_affine_config",
+    "funclib": "DomainError FunctionModel KnownClass TabulatedFunction catalog d2_one_sided"
+    " eval_fn load_table negate parse_fn_spec tabulated_model",
+    "functional": "verify_ic1 verify_ic2 verify_ic3 verify_it2 verify_it3 verify_mc1 verify_mc2"
+    " verify_mc3 verify_mt4 verify_mt5",
+    "report": "FAILS HOLDS UNMET ChainReport",
+    "scengen": "GenSpec SearchResult gen_affine_config gen_mt1_scenario gen_two_sided_scenario"
+    " match_spread search_counterexamples straddle_probe_mt4 two_point_from_moments",
+}
+#: public name -> (defining module, its name there)
+_SOURCES = {name: (module, name) for module, names in _EXPORTS.items() for name in names.split()}
+_SOURCES["__version__"] = ("scenario", "VERSION")
+
+__all__ = sorted(name for name in _SOURCES if name != "__version__")
+
+
+def __getattr__(name: str):
+    if name not in _SOURCES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module, attr = _SOURCES[name]
+    value = getattr(importlib.import_module(f".{module}", __name__), attr)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_SOURCES))

@@ -14,14 +14,13 @@ equality, "2.2" separation at c, "2.8"/"2.10" ordering of the side extremes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .analysis import AInterval, curvature_sandwich, is_3concave, is_3convex, k1_witness
 from .domain import (
     EPS_EQ,
     AffineConfig,
     CheckSet,
-    IntervalR,
+    Mt1Scenario,
     StructureError,
     combination_value,
     spread,
@@ -29,16 +28,6 @@ from .domain import (
 )
 from .funclib import DomainError, FunctionModel, d2_one_sided, eval_fn
 from .report import UNMET, ChainReport, chain_report
-
-
-@dataclass(frozen=True)
-class Mt1Scenario:
-    """Left/right configurations around a split point inside an interval."""
-
-    left: AffineConfig
-    right: AffineConfig
-    c: float
-    interval: IntervalR
 
 
 def jensen_affine_gap(

@@ -29,7 +29,6 @@ file share its scans too.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .domain import EPS_EQ, IntervalR, StructureError
@@ -112,9 +111,10 @@ def _scan_extremes(
     """(min, max) of bracket_windows (order 2) or third_windows (order 3).
 
     Memoized for the life of the process in a cache of SCAN_CACHE_SIZE
-    entries.  The key holds the model itself, whose hash and equality go
-    through its callables' identity: models share an entry only when they
-    evaluate through the same function objects, so no entry goes stale.
+    entries.  The key holds the model itself, which hashes and compares by
+    identity: an entry serves only the model object that made it, so no
+    entry goes stale, and a search that builds its model once scans each
+    (interval, grid) once.
     The signs of lo and hi join the key because equal float keys do not
     tell -0.0 from 0.0, while f(-0.0) may differ from f(0.0) in the sign of
     a zero.  Errors are raised again on every call; they are never cached.
@@ -141,13 +141,15 @@ def is_3concave(
     return _scan_extremes(f, interval.lo, interval.hi, grid_n, 3)[1] <= tol
 
 
-@dataclass(frozen=True)
 class AInterval:
     """Feasible range for the curvature constant; endpoints may be infinite."""
 
-    lo: float
-    hi: float
-    feasible: bool
+    __slots__ = ("lo", "hi", "feasible")
+
+    def __init__(self, lo: float, hi: float, feasible: bool):
+        self.lo = lo
+        self.hi = hi
+        self.feasible = feasible
 
     def contains(self, x: float, tol: float = EPS_EQ) -> bool:
         return self.lo - tol <= x <= self.hi + tol
@@ -203,15 +205,24 @@ def feasible_A_interval(
     return classify_at_point(f, c, interval, grid_n, tol).k1_interval
 
 
-@dataclass(frozen=True)
 class ConvexityClass:
     """Classification at a point: kind is "K1c", "K2c", "both" or "neither"."""
 
-    kind: str
-    witness_A: float | None
-    point: float
-    k1_interval: AInterval
-    k2_interval: AInterval
+    __slots__ = ("kind", "witness_A", "point", "k1_interval", "k2_interval")
+
+    def __init__(
+        self,
+        kind: str,
+        witness_A: float | None,
+        point: float,
+        k1_interval: AInterval,
+        k2_interval: AInterval,
+    ):
+        self.kind = kind
+        self.witness_A = witness_A
+        self.point = point
+        self.k1_interval = k1_interval
+        self.k2_interval = k2_interval
 
 
 def classify_at_point(

@@ -1,6 +1,10 @@
 """Command-line front end: check scenario files, analyze functions, generate
 scenarios, and search for counterexamples.
 
+Each subcommand imports what it uses: ``gen`` and ``search`` import
+``scengen`` when they run, and ``check`` imports only the verifier module
+of the theorem it checks (``scenario.__getattr__``).
+
 Exit codes are a stable contract: 0 holds, 1 input error, 2 fails,
 3 hypotheses-unmet.
 """
@@ -13,9 +17,8 @@ import random
 import sys
 from pathlib import Path
 
-from . import scengen
 from .analysis import DEFAULT_GRID, classify_at_point
-from .domain import IntervalR, StructureError
+from .domain import InfeasibleError, IntervalR, StructureError
 from .funclib import DomainError, require_in_domain
 from .report import FAILS, HOLDS, UNMET
 from .scenario import (
@@ -111,6 +114,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
+    from . import scengen
+
     theorem_id = args.theorem
     entry, mode = lookup(theorem_id, args.mode)
     spec = scengen.GenSpec(
@@ -132,6 +137,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
+    from . import scengen
+
     theorem_id = args.theorem
     entry, mode = lookup(theorem_id, args.mode)
     if args.budget < 1:
@@ -240,7 +247,7 @@ def main(argv: list[str] | None = None) -> int:
     except (
         StructureError,
         DomainError,
-        scengen.InfeasibleError,
+        InfeasibleError,
         OSError,
         json.JSONDecodeError,
         KeyError,

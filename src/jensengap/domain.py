@@ -1,15 +1,23 @@
-"""Value types for weighted affine combinations on real intervals.
+"""Value types for weighted affine combinations on real intervals, and the
+weight and value vectors of discrete positive linear functionals.
 
 An affine configuration carries two nonnegative "plus" groups and one
 nonnegative "minus" group.  The group masses alpha, beta, gamma must satisfy
 alpha + beta - gamma = 1 with alpha, beta in (0, 1], and every minus point
 must lie in the convex hull of the two plus-group barycenters.
+
+A functional is a nonnegative weight vector over the indices 1..n; it is
+unital when its weights sum to 1.  Functions are plain value vectors of
+matching length, and ``apply`` is their weighted sum.
+
+The value types are plain classes with ``__slots__``, each validating its
+fields once, in ``__init__``.  They compare by identity, except that
+weighted groups and configurations compare by value.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 #: absolute tolerance for equality constraints on normalized quantities
 EPS_EQ = 1e-9
@@ -19,18 +27,20 @@ class StructureError(ValueError):
     """Malformed input: length mismatch, empty group, bad payload shape."""
 
 
-@dataclass(frozen=True)
-class IntervalR:
-    lo: float
-    hi: float
+class InfeasibleError(RuntimeError):
+    """Generation could not satisfy the requested constraints."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "lo", float(self.lo))
-        object.__setattr__(self, "hi", float(self.hi))
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+
+class IntervalR:
+    __slots__ = ("lo", "hi")
+
+    def __init__(self, lo: float, hi: float):
+        self.lo = lo = float(lo)
+        self.hi = hi = float(hi)
+        if not (math.isfinite(lo) and math.isfinite(hi)):
             raise StructureError("interval endpoints must be finite")
-        if self.lo > self.hi:
-            raise StructureError(f"empty interval [{self.lo}, {self.hi}]")
+        if lo > hi:
+            raise StructureError(f"empty interval [{lo}, {hi}]")
 
     @property
     def width(self) -> float:
@@ -43,18 +53,21 @@ class IntervalR:
         return self.lo - tol <= other.lo and other.hi <= self.hi + tol
 
 
-@dataclass(frozen=True)
 class WeightedGroup:
     """Points with nonnegative weights.  May be empty (used for minus groups)."""
 
-    points: tuple[float, ...]
-    weights: tuple[float, ...]
+    __slots__ = ("points", "weights")
 
-    def __post_init__(self):
-        object.__setattr__(self, "points", tuple(float(p) for p in self.points))
-        object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
+    def __init__(self, points, weights):
+        self.points = tuple(float(p) for p in points)
+        self.weights = tuple(float(w) for w in weights)
         if len(self.points) != len(self.weights):
             raise StructureError("points and weights must have equal length")
+
+    def __eq__(self, other):
+        if other.__class__ is not WeightedGroup:
+            return NotImplemented
+        return self.points == other.points and self.weights == other.weights
 
     def __len__(self) -> int:
         return len(self.points)
@@ -74,11 +87,20 @@ class WeightedGroup:
 _EMPTY = WeightedGroup((), ())
 
 
-@dataclass(frozen=True)
 class AffineConfig:
-    plus_a: WeightedGroup
-    plus_b: WeightedGroup
-    minus_c: WeightedGroup = _EMPTY
+    __slots__ = ("plus_a", "plus_b", "minus_c")
+
+    def __init__(
+        self, plus_a: WeightedGroup, plus_b: WeightedGroup, minus_c: WeightedGroup = _EMPTY
+    ):
+        self.plus_a = plus_a
+        self.plus_b = plus_b
+        self.minus_c = minus_c
+
+    def __eq__(self, other):
+        if other.__class__ is not AffineConfig:
+            return NotImplemented
+        return self.all_groups() == other.all_groups()
 
     def all_groups(self) -> tuple[tuple[str, WeightedGroup, int], ...]:
         """(label, group, sign) triples in canonical order."""
@@ -96,18 +118,36 @@ class AffineConfig:
         )
 
 
-@dataclass(frozen=True)
+class Mt1Scenario:
+    """Left/right configurations around a split point inside an interval."""
+
+    __slots__ = ("left", "right", "c", "interval")
+
+    def __init__(self, left: AffineConfig, right: AffineConfig, c: float, interval: IntervalR):
+        self.left = left
+        self.right = right
+        self.c = c
+        self.interval = interval
+
+
 class Check:
-    name: str
-    residual: float
-    ok: bool
+    __slots__ = ("name", "residual", "ok")
+
+    def __init__(self, name: str, residual: float, ok: bool):
+        self.name = name
+        self.residual = residual
+        self.ok = ok
 
 
-@dataclass(frozen=True)
 class ValidityReport:
-    valid: bool
-    violations: tuple[tuple[str, float], ...]
-    checks: tuple[Check, ...] = ()
+    __slots__ = ("valid", "violations", "checks")
+
+    def __init__(
+        self, valid: bool, violations: tuple[tuple[str, float], ...], checks: tuple[Check, ...] = ()
+    ):
+        self.valid = valid
+        self.violations = violations
+        self.checks = checks
 
 
 class CheckSet:
@@ -250,3 +290,52 @@ def spread(cfg: AffineConfig, tol: float = EPS_EQ, validate: bool = True) -> flo
             )
     m1 = _signed_moment(cfg, 1)
     return _signed_moment(cfg, 2) - m1 * m1
+
+
+class FunctionOnOmega:
+    __slots__ = ("values",)
+
+    def __init__(self, values):
+        self.values = values = tuple(float(v) for v in values)
+        if not values:
+            raise StructureError("a function needs at least one value")
+        if not all(math.isfinite(v) for v in values):
+            raise StructureError("function values must be finite")
+
+
+class DiscreteFunctional:
+    """Nonnegative weight vector; unital when the weights sum to 1."""
+
+    __slots__ = ("weights",)
+
+    def __init__(self, weights):
+        self.weights = weights = tuple(float(w) for w in weights)
+        if not weights:
+            raise StructureError("a functional needs at least one weight")
+        if any(w < 0.0 for w in weights):
+            raise StructureError("functional weights must be nonnegative")
+
+    @property
+    def total(self) -> float:
+        return math.fsum(self.weights)
+
+    def is_unital(self, tol: float = EPS_EQ) -> bool:
+        return abs(self.total - 1.0) <= tol
+
+
+def as_functional(L) -> DiscreteFunctional:
+    """L itself when it is a DiscreteFunctional, else one built from its weights."""
+    return L if isinstance(L, DiscreteFunctional) else DiscreteFunctional(L)
+
+
+def as_function(u) -> FunctionOnOmega:
+    """u itself when it is a FunctionOnOmega, else one built from its values."""
+    return u if isinstance(u, FunctionOnOmega) else FunctionOnOmega(u)
+
+
+def apply(L, u) -> float:
+    """Weighted sum; for a unital functional the value lies in [min u, max u]."""
+    w, v = as_functional(L).weights, as_function(u).values
+    if len(w) != len(v):
+        raise StructureError(f"length mismatch: {len(w)} weights vs {len(v)} values")
+    return math.fsum(wi * vi for wi, vi in zip(w, v))

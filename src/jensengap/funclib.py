@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 from typing import Callable
@@ -33,23 +32,38 @@ DOMAIN_SLACK = 1e-12
 TABLE_CACHE_SIZE = 8
 
 
-@dataclass(frozen=True)
 class KnownClass:
     """Declared pointwise structure: kind is "K1c", "K2c" or "both"."""
 
-    c: float
-    A: float
-    kind: str
+    __slots__ = ("c", "A", "kind")
+
+    def __init__(self, c: float, A: float, kind: str):
+        self.c = c
+        self.A = A
+        self.kind = kind
 
 
-@dataclass(frozen=True)
 class FunctionModel:
-    name: str
-    domain: IntervalR
-    fn: Callable[[float], float]
-    d2_minus: Callable[[float], float] | None = None
-    d2_plus: Callable[[float], float] | None = None
-    known_class: KnownClass | None = None
+    """A function on its domain, with optional analytic one-sided second
+    derivatives and declared class.  Models hash and compare by identity."""
+
+    __slots__ = ("name", "domain", "fn", "d2_minus", "d2_plus", "known_class")
+
+    def __init__(
+        self,
+        name: str,
+        domain: IntervalR,
+        fn: Callable[[float], float],
+        d2_minus: Callable[[float], float] | None = None,
+        d2_plus: Callable[[float], float] | None = None,
+        known_class: KnownClass | None = None,
+    ):
+        self.name = name
+        self.domain = domain
+        self.fn = fn
+        self.d2_minus = d2_minus
+        self.d2_plus = d2_plus
+        self.known_class = known_class
 
 
 def eval_fn(f: FunctionModel, x: float) -> float:
@@ -173,8 +187,7 @@ def catalog(
         if table is None:
             if param is None:
                 raise StructureError("tabulated-spline needs a table or a file path")
-            table = load_table(param)
-            return _file_model(id(table), table)
+            return _file_model(load_table(param))
         return tabulated_model(table)
     raise StructureError(f"unknown catalog function {name!r}")
 
@@ -215,21 +228,20 @@ def negate(f: FunctionModel) -> FunctionModel:
     )
 
 
-@dataclass(frozen=True)
 class TabulatedFunction:
-    """Sampled function on strictly increasing nodes."""
+    """Sampled function on strictly increasing nodes.  Tables hash and
+    compare by identity."""
 
-    nodes: tuple[float, ...]
-    values: tuple[float, ...]
+    __slots__ = ("nodes", "values")
 
-    def __post_init__(self):
-        object.__setattr__(self, "nodes", tuple(float(x) for x in self.nodes))
-        object.__setattr__(self, "values", tuple(float(y) for y in self.values))
-        if len(self.nodes) != len(self.values):
+    def __init__(self, nodes, values):
+        self.nodes = nodes = tuple(float(x) for x in nodes)
+        self.values = tuple(float(y) for y in values)
+        if len(nodes) != len(self.values):
             raise StructureError("nodes and values must have equal length")
-        if len(self.nodes) < 2:
+        if len(nodes) < 2:
             raise StructureError("a table needs at least 2 nodes")
-        for a, b in zip(self.nodes, self.nodes[1:]):
+        for a, b in zip(nodes, nodes[1:]):
             if not a < b:
                 raise StructureError("table nodes must be strictly increasing")
 
@@ -298,8 +310,9 @@ def tabulated_model(tab: TabulatedFunction, name: str = "tabulated-spline") -> F
 
 
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
-def _file_model(table_id: int, table: TabulatedFunction) -> FunctionModel:
-    # ``table_id`` keys the entry by identity: the entry holds ``table``, so
-    # no other live table has its id.  Tables equal as values may still
-    # differ in the sign of a zero, which equality does not see.
+def _file_model(table: TabulatedFunction) -> FunctionModel:
+    # Tables hash and compare by identity, so the entry is keyed by the
+    # table object itself, which it keeps alive: two tables with equal
+    # values never share a model, and they may differ in the sign of a
+    # zero (a 2-node table of (0, -0.0), (1, -1) gives -0.0 at 0).
     return tabulated_model(table)

@@ -1,9 +1,10 @@
-"""Positive linear functionals as finite nonnegative weight vectors, and the
-verifiers for the functional-form inequalities.
+"""Verifiers for the functional-form inequalities.
 
-A functional is a nonnegative weight vector over the indices 1..n; it is
-unital when its weights sum to 1.  Functions are plain value vectors of
-matching length.
+A functional is a nonnegative weight vector over the indices 1..n and a
+function a value vector of matching length (``domain.DiscreteFunctional``,
+``domain.FunctionOnOmega``, re-exported here).  Each verifier converts its
+weight and value lists once and passes the converted objects to ``apply``
+and ``apply_fn``, so no weighted sum rebuilds or re-validates them.
 
 mt4 runs as mt5 with singleton families that share one (L, H) pair, under
 its own check names; it2 stays a verifier of its own (see the README).
@@ -26,92 +27,39 @@ split-point forms, "2.23" for the aggregate inclusions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import repeat
 from typing import Sequence
 
 from .analysis import convexity_margin, k1_witness
-from .domain import (
+from .domain import (  # noqa: F401  (the functional types are re-exported)
     EPS_EQ,
     CheckSet,
+    DiscreteFunctional,
+    FunctionOnOmega,
     IntervalR,
     StructureError,
+    apply,
+    as_function,
+    as_functional,
 )
 from .funclib import FunctionModel, eval_fn
 from .report import UNMET, ChainReport, chain_report, judge
-
-
-@dataclass(frozen=True)
-class FunctionOnOmega:
-    values: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-        if not self.values:
-            raise StructureError("a function needs at least one value")
-        if not all(math.isfinite(v) for v in self.values):
-            raise StructureError("function values must be finite")
-
-
-@dataclass(frozen=True)
-class DiscreteFunctional:
-    """Nonnegative weight vector; unital when the weights sum to 1."""
-
-    weights: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
-        if not self.weights:
-            raise StructureError("a functional needs at least one weight")
-        if any(w < 0.0 for w in self.weights):
-            raise StructureError("functional weights must be nonnegative")
-
-    @property
-    def total(self) -> float:
-        return math.fsum(self.weights)
-
-    def is_unital(self, tol: float = EPS_EQ) -> bool:
-        return abs(self.total - 1.0) <= tol
-
-
-def _functional(L) -> DiscreteFunctional:
-    return L if isinstance(L, DiscreteFunctional) else DiscreteFunctional(tuple(L))
-
-
-def _function(u) -> FunctionOnOmega:
-    return u if isinstance(u, FunctionOnOmega) else FunctionOnOmega(tuple(u))
-
-
-def _weights(L) -> tuple[float, ...]:
-    return _functional(L).weights
-
-
-def _values(u) -> tuple[float, ...]:
-    return _function(u).values
 
 
 def _sq(values: Sequence[float]) -> tuple[float, ...]:
     return tuple(v * v for v in values)
 
 
-def apply(L, u) -> float:
-    """Weighted sum; for a unital functional the value lies in [min u, max u]."""
-    w, v = _weights(L), _values(u)
-    if len(w) != len(v):
-        raise StructureError(f"length mismatch: {len(w)} weights vs {len(v)} values")
-    return math.fsum(wi * vi for wi, vi in zip(w, v))
-
-
 def apply_fn(L, f: FunctionModel, u) -> float:
     """Weighted sum of f over the values; zero-weight coordinates are skipped."""
-    w, v = _weights(L), _values(u)
+    w, v = as_functional(L).weights, as_function(u).values
     if len(w) != len(v):
         raise StructureError(f"length mismatch: {len(w)} weights vs {len(v)} values")
     return math.fsum(wi * eval_fn(f, vi) for wi, vi in zip(w, v) if wi != 0.0)
 
 
-def _unital(cs: CheckSet, name: str, w: Sequence[float]) -> bool:
-    return cs.equality(name, math.fsum(w) - 1.0)
+def _unital(cs: CheckSet, name: str, L: DiscreteFunctional) -> bool:
+    return cs.equality(name, L.total - 1.0)
 
 
 def _inside(cs: CheckSet, name: str, values, interval: IntervalR, tol: float) -> bool:
@@ -155,20 +103,20 @@ def verify_it2(
 ) -> ChainReport:
     """Transfer inequality: with L, H unital, g valued in the inner interval,
     h valued outside it, and L(g) = H(h), convex f gives L(f.g) <= H(f.h)."""
-    w_l, w_h = _weights(L), _weights(H)
-    v_g, v_h = _values(g), _values(h)
+    L, H = as_functional(L), as_functional(H)
+    g, h = as_function(g), as_function(h)
     cs = CheckSet(tol)
-    _unital(cs, "unital.L", w_l)
-    _unital(cs, "unital.H", w_h)
+    _unital(cs, "unital.L", L)
+    _unital(cs, "unital.H", H)
     cs.record("inner_in_interval", 0.0, interval.contains_interval(inner, tol))
     _convex_gate(cs, f, interval)
-    _pair_range_checks(cs, "g", [v_g], "h", [v_h], inner, interval, tol)
-    lg, hh = apply(w_l, v_g), apply(w_h, v_h)
+    _pair_range_checks(cs, "g", [g.values], "h", [h.values], inner, interval, tol)
+    lg, hh = apply(L, g), apply(H, h)
     cs.equality("1.4", lg - hh, scale=max(abs(lg), abs(hh)))
     if not cs.ok:
         return ChainReport(UNMET, hypotheses=cs.report())
-    left = apply_fn(w_l, f, v_g)
-    right = apply_fn(w_h, f, v_h)
+    left = apply_fn(L, f, g)
+    right = apply_fn(H, f, h)
     details = {"lhs": left, "rhs": right}
     return judge(cs, (right - left,), gap_left=left, gap_right=right, details=details)
 
@@ -182,14 +130,14 @@ def verify_ic1(
     tol: float = EPS_EQ,
 ) -> ChainReport:
     """Jensen margin L(f.g) - f(L(g)) >= 0 for unital L and convex f."""
-    w, v = _weights(L), _values(g)
+    L, g = as_functional(L), as_function(g)
     cs = CheckSet(tol)
-    _unital(cs, "unital.L", w)
+    _unital(cs, "unital.L", L)
     _convex_gate(cs, f, inner)
-    _inside(cs, "range.g", v, inner, tol)
+    _inside(cs, "range.g", g.values, inner, tol)
     if not cs.ok:
         return ChainReport(UNMET, hypotheses=cs.report())
-    return judge(cs, (apply_fn(w, f, v) - eval_fn(f, apply(w, v)),))
+    return judge(cs, (apply_fn(L, f, g) - eval_fn(f, apply(L, g)),))
 
 
 def _ladder_checks(
@@ -230,14 +178,14 @@ def verify_ic2(
         raise StructureError("need at least two functionals with matching functions")
     if len(inners) != n - 1:
         raise StructureError("need exactly n-1 nested inner intervals")
-    ws = [_weights(L) for L in Ls]
-    vs = [_values(g) for g in gs]
+    Ls = [as_functional(L) for L in Ls]
+    gs = [as_function(g) for g in gs]
     cs = CheckSet(tol)
     _convex_gate(cs, f, interval)
-    for i, w in enumerate(ws, start=1):
-        _unital(cs, f"unital.L{i}", w)
-    _ladder_checks(cs, "g", vs, inners, interval, tol)
-    means = [apply(w, v) for w, v in zip(ws, vs)]
+    for i, L in enumerate(Ls, start=1):
+        _unital(cs, f"unital.L{i}", L)
+    _ladder_checks(cs, "g", [g.values for g in gs], inners, interval, tol)
+    means = list(map(apply, Ls, gs))
     for i in range(n - 1):
         cs.equality(
             f"1.7[{i + 1}]",
@@ -246,7 +194,7 @@ def verify_ic2(
         )
     if not cs.ok:
         return ChainReport(UNMET, hypotheses=cs.report())
-    lifted = [apply_fn(w, f, v) for w, v in zip(ws, vs)]
+    lifted = list(map(apply_fn, Ls, repeat(f), gs))
     return judge(cs, [lifted[i + 1] - lifted[i] for i in range(n - 1)])
 
 
@@ -261,20 +209,20 @@ def verify_ic3(
     """Subunital family: Jensen margin of the aggregate, with the verdict
     also requiring the aggregate value inside the interval (tag "1.9",
     reported as ``details["inclusion"]``)."""
-    ws = [_weights(L) for L in Ls]
-    vs = [_values(g) for g in gs]
-    if len(ws) != len(vs) or not ws:
+    Ls = [as_functional(L) for L in Ls]
+    gs = [as_function(g) for g in gs]
+    if len(Ls) != len(gs) or not Ls:
         raise StructureError("need matching nonempty functional and function families")
     cs = CheckSet(tol)
     _convex_gate(cs, f, interval)
-    cs.equality("totals", math.fsum(math.fsum(w) for w in ws) - 1.0)
-    for i, v in enumerate(vs, start=1):
-        _inside(cs, f"range.g{i}", v, interval, tol)
+    cs.equality("totals", math.fsum(L.total for L in Ls) - 1.0)
+    for i, g in enumerate(gs, start=1):
+        _inside(cs, f"range.g{i}", g.values, interval, tol)
     if not cs.ok:
         return ChainReport(UNMET, hypotheses=cs.report())
-    value = math.fsum(apply(w, v) for w, v in zip(ws, vs))
+    value = math.fsum(map(apply, Ls, gs))
     inclusion = interval.contains(value, tol)
-    margin = math.fsum(apply_fn(w, f, v) for w, v in zip(ws, vs)) - eval_fn(f, value)
+    margin = math.fsum(map(apply_fn, Ls, repeat(f), gs)) - eval_fn(f, value)
     return judge(cs, (margin,), conclusion=inclusion, details={"inclusion": inclusion})
 
 
@@ -291,25 +239,26 @@ def verify_it3(
 ) -> ChainReport:
     """Family transfer margin: sum H_j(f.h_j) - sum L_i(f.g_i) >= 0 under the
     matched family means (tag "1.11")."""
-    ws_l = [_weights(L) for L in Ls]
-    vs_g = [_values(g) for g in gs]
-    ws_h = [_weights(H) for H in Hs]
-    vs_h = [_values(h) for h in hs]
-    if len(ws_l) != len(vs_g) or len(ws_h) != len(vs_h) or not ws_l or not ws_h:
+    Ls = [as_functional(L) for L in Ls]
+    gs = [as_function(g) for g in gs]
+    Hs = [as_functional(H) for H in Hs]
+    hs = [as_function(h) for h in hs]
+    if len(Ls) != len(gs) or len(Hs) != len(hs) or not Ls or not Hs:
         raise StructureError("family sizes must match and be nonempty")
     cs = CheckSet(tol)
     _convex_gate(cs, f, interval)
     cs.record("inner_in_interval", 0.0, interval.contains_interval(inner, tol))
-    cs.equality("totals.L", math.fsum(math.fsum(w) for w in ws_l) - 1.0)
-    cs.equality("totals.H", math.fsum(math.fsum(w) for w in ws_h) - 1.0)
+    cs.equality("totals.L", math.fsum(L.total for L in Ls) - 1.0)
+    cs.equality("totals.H", math.fsum(H.total for H in Hs) - 1.0)
+    vs_g, vs_h = [g.values for g in gs], [h.values for h in hs]
     _pair_range_checks(cs, "g{}", vs_g, "h{}", vs_h, inner, interval, tol)
-    sum_lg = math.fsum(apply(w, v) for w, v in zip(ws_l, vs_g))
-    sum_hh = math.fsum(apply(w, v) for w, v in zip(ws_h, vs_h))
+    sum_lg = math.fsum(map(apply, Ls, gs))
+    sum_hh = math.fsum(map(apply, Hs, hs))
     cs.equality("1.11", sum_lg - sum_hh, scale=max(abs(sum_lg), abs(sum_hh)))
     if not cs.ok:
         return ChainReport(UNMET, hypotheses=cs.report())
-    left = math.fsum(apply_fn(w, f, v) for w, v in zip(ws_l, vs_g))
-    right = math.fsum(apply_fn(w, f, v) for w, v in zip(ws_h, vs_h))
+    left = math.fsum(map(apply_fn, Ls, repeat(f), gs))
+    right = math.fsum(map(apply_fn, Hs, repeat(f), hs))
     return judge(cs, (right - left,))
 
 
@@ -344,10 +293,10 @@ def _split_transfer(
         raise StructureError(f"unknown mode {mode!r}")
     if not interval.contains(c):
         raise StructureError("split point must lie in the interval")
-    ls = [list(map(_functional, fam)) for fam in fams]
+    ls = [list(map(as_functional, fam)) for fam in fams]
     if len(ls) == 2:
         ls *= 2
-    us = [list(map(_function, fun)) for fun in funcs]
+    us = [list(map(as_function, fun)) for fun in funcs]
     if list(map(len, ls)) != list(map(len, us)):
         raise StructureError("family sizes must match")
     cs = CheckSet(tol)
@@ -432,25 +381,26 @@ def verify_mc1(
     """
     if mode not in ("literal", "region_restricted"):
         raise StructureError(f"unknown mode {mode!r}")
-    w = _weights(L)
-    v1, v2 = _values(g1), _values(g2)
+    L = as_functional(L)
+    g1, g2 = as_function(g1), as_function(g2)
+    v1, v2 = g1.values, g2.values
     cls_interval = interval if interval is not None else inner
     cs = CheckSet(tol)
-    _unital(cs, "unital.L", w)
+    _unital(cs, "unital.L", L)
     _inside(cs, "range.g1", v1, inner, tol)
     _inside(cs, "range.g2", v2, inner, tol)
     if mode == "region_restricted":
         cs.at_least("region.g1_left_of_c", c - max(v1), scale=abs(c))
         cs.at_least("region.g2_right_of_c", min(v2) - c, scale=abs(c))
-    m1, m2 = apply(w, v1), apply(w, v2)
-    var1 = apply(w, _sq(v1)) - m1 * m1
-    var2 = apply(w, _sq(v2)) - m2 * m2
+    m1, m2 = apply(L, g1), apply(L, g2)
+    var1 = apply(L, _sq(v1)) - m1 * m1
+    var2 = apply(L, _sq(v2)) - m2 * m2
     cs.equality("2.17", var1 - var2, scale=max(abs(var1), abs(var2)))
     _k1_gate(cs, f, c, cls_interval, None)
     if not cs.ok:
         return ChainReport(UNMET, hypotheses=cs.report())
-    gap1 = apply_fn(w, f, v1) - eval_fn(f, m1)
-    gap2 = apply_fn(w, f, v2) - eval_fn(f, m2)
+    gap1 = apply_fn(L, f, g1) - eval_fn(f, m1)
+    gap2 = apply_fn(L, f, g2) - eval_fn(f, m2)
     return judge(cs, (gap2 - gap1,))
 
 
@@ -484,12 +434,13 @@ def verify_mc2(
         h_inners = g_inners
     if len(g_inners) != n - 1 or len(h_inners) != n - 1:
         raise StructureError("each ladder needs exactly n-1 inner intervals")
-    ws = [_weights(L) for L in Ls]
-    vgs = [_values(g) for g in gs]
-    vhs = [_values(h) for h in hs]
+    Ls = [as_functional(L) for L in Ls]
+    gs = [as_function(g) for g in gs]
+    hs = [as_function(h) for h in hs]
+    vgs, vhs = [g.values for g in gs], [h.values for h in hs]
     cs = CheckSet(tol)
-    for i, w in enumerate(ws, start=1):
-        _unital(cs, f"unital.L{i}", w)
+    for i, L in enumerate(Ls, start=1):
+        _unital(cs, f"unital.L{i}", L)
     if mode == "region_restricted":
         g_outer = IntervalR(interval.lo, c)
         h_outer = IntervalR(c, interval.hi)
@@ -497,10 +448,10 @@ def verify_mc2(
         g_outer = h_outer = interval
     _ladder_checks(cs, "g", vgs, g_inners, g_outer, tol)
     _ladder_checks(cs, "h", vhs, h_inners, h_outer, tol)
-    g_means = [apply(w, v) for w, v in zip(ws, vgs)]
-    h_means = [apply(w, v) for w, v in zip(ws, vhs)]
-    g_sqs = [apply(w, _sq(v)) for w, v in zip(ws, vgs)]
-    h_sqs = [apply(w, _sq(v)) for w, v in zip(ws, vhs)]
+    g_means = list(map(apply, Ls, gs))
+    h_means = list(map(apply, Ls, hs))
+    g_sqs = list(map(apply, Ls, map(_sq, vgs)))
+    h_sqs = list(map(apply, Ls, map(_sq, vhs)))
     for i in range(n - 1):
         cs.equality(
             f"2.19.g[{i + 1}]",
@@ -518,8 +469,8 @@ def verify_mc2(
     _k1_gate(cs, f, c, interval, None)
     if not cs.ok:
         return ChainReport(UNMET, hypotheses=cs.report())
-    g_lift = [apply_fn(w, f, v) for w, v in zip(ws, vgs)]
-    h_lift = [apply_fn(w, f, v) for w, v in zip(ws, vhs)]
+    g_lift = list(map(apply_fn, Ls, repeat(f), gs))
+    h_lift = list(map(apply_fn, Ls, repeat(f), hs))
     links = range(n - 1)
     return judge(cs, [(h_lift[i + 1] - h_lift[i]) - (g_lift[i + 1] - g_lift[i]) for i in links])
 
@@ -545,30 +496,31 @@ def verify_mc3(
     """
     if mode not in ("literal", "region_restricted"):
         raise StructureError(f"unknown mode {mode!r}")
-    ws = [_weights(L) for L in Ls]
-    vgs = [_values(g) for g in gs]
-    vhs = [_values(h) for h in hs]
-    if not ws or len(ws) != len(vgs) or len(ws) != len(vhs):
+    Ls = [as_functional(L) for L in Ls]
+    gs = [as_function(g) for g in gs]
+    hs = [as_function(h) for h in hs]
+    if not Ls or len(Ls) != len(gs) or len(Ls) != len(hs):
         raise StructureError("family sizes must match and be nonempty")
+    vgs, vhs = [g.values for g in gs], [h.values for h in hs]
     cs = CheckSet(tol)
-    cs.equality("totals", math.fsum(math.fsum(w) for w in ws) - 1.0)
+    cs.equality("totals", math.fsum(L.total for L in Ls) - 1.0)
     for i, (vg, vh) in enumerate(zip(vgs, vhs), start=1):
         _inside(cs, f"range.g{i}", vg, interval, tol)
         _inside(cs, f"range.h{i}", vh, interval, tol)
         if mode == "region_restricted":
             cs.at_least(f"region.g{i}_left_of_c", c - max(vg), scale=abs(c))
             cs.at_least(f"region.h{i}_right_of_c", min(vh) - c, scale=abs(c))
-    g_mean = math.fsum(apply(w, v) for w, v in zip(ws, vgs))
-    h_mean = math.fsum(apply(w, v) for w, v in zip(ws, vhs))
-    g_var = math.fsum(apply(w, _sq(v)) for w, v in zip(ws, vgs)) - g_mean * g_mean
-    h_var = math.fsum(apply(w, _sq(v)) for w, v in zip(ws, vhs)) - h_mean * h_mean
+    g_mean = math.fsum(map(apply, Ls, gs))
+    h_mean = math.fsum(map(apply, Ls, hs))
+    g_var = math.fsum(map(apply, Ls, map(_sq, vgs))) - g_mean * g_mean
+    h_var = math.fsum(map(apply, Ls, map(_sq, vhs))) - h_mean * h_mean
     cs.equality("2.22", g_var - h_var, scale=max(abs(g_var), abs(h_var)))
     _k1_gate(cs, f, c, interval, None)
     if not cs.ok:
         return ChainReport(UNMET, hypotheses=cs.report())
     inclusion = interval.contains(g_mean, tol) and interval.contains(h_mean, tol)
-    g_gap = math.fsum(apply_fn(w, f, v) for w, v in zip(ws, vgs)) - eval_fn(f, g_mean)
-    h_gap = math.fsum(apply_fn(w, f, v) for w, v in zip(ws, vhs)) - eval_fn(f, h_mean)
+    g_gap = math.fsum(map(apply_fn, Ls, repeat(f), gs)) - eval_fn(f, g_mean)
+    h_gap = math.fsum(map(apply_fn, Ls, repeat(f), hs)) - eval_fn(f, h_mean)
     return judge(cs, (h_gap - g_gap,), conclusion=inclusion, details={"inclusion": inclusion})
 
 

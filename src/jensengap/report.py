@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Sequence
 
 from .domain import CheckSet, ValidityReport
@@ -13,7 +12,6 @@ FAILS = "fails"
 UNMET = "hypotheses-unmet"
 
 
-@dataclass(frozen=True)
 class ChainReport:
     """Outcome of a verification.
 
@@ -22,16 +20,34 @@ class ChainReport:
     Fields that do not apply to a particular verifier are NaN.
     """
 
-    verdict: str
-    gap_left: float = math.nan
-    gap_right: float = math.nan
-    spread_left: float = math.nan
-    spread_right: float = math.nan
-    mid_left: float = math.nan
-    mid_right: float = math.nan
-    margins: tuple[float, ...] = ()
-    hypotheses: ValidityReport | None = None
-    details: dict = field(default_factory=dict)
+    __slots__ = (
+        "verdict", "gap_left", "gap_right", "spread_left", "spread_right",
+        "mid_left", "mid_right", "margins", "hypotheses", "details",
+    )
+
+    def __init__(
+        self,
+        verdict: str,
+        gap_left: float = math.nan,
+        gap_right: float = math.nan,
+        spread_left: float = math.nan,
+        spread_right: float = math.nan,
+        mid_left: float = math.nan,
+        mid_right: float = math.nan,
+        margins: tuple[float, ...] = (),
+        hypotheses: ValidityReport | None = None,
+        details: dict | None = None,
+    ):
+        self.verdict = verdict
+        self.gap_left = gap_left
+        self.gap_right = gap_right
+        self.spread_left = spread_left
+        self.spread_right = spread_right
+        self.mid_left = mid_left
+        self.mid_right = mid_right
+        self.margins = margins
+        self.hypotheses = hypotheses
+        self.details = {} if details is None else details
 
     @property
     def chain(self) -> tuple[float, ...]:

@@ -16,26 +16,22 @@ identical inputs produce byte-identical documents.
 
 from __future__ import annotations
 
+import importlib
 import json
 import math
-from dataclasses import dataclass, field
+import sys
 from typing import Any
 
-from .affine import Mt1Scenario, verify_mt1, verify_mt2, verify_mt3  # noqa: F401
-from .domain import EPS_EQ, AffineConfig, IntervalR, StructureError, ValidityReport, WeightedGroup
-from .funclib import FunctionModel, catalog, fn_spec_from_string  # noqa: F401  (re-exported)
-from .functional import (  # noqa: F401  (verifiers are looked up by name)
-    verify_ic1,
-    verify_ic2,
-    verify_ic3,
-    verify_it2,
-    verify_it3,
-    verify_mc1,
-    verify_mc2,
-    verify_mc3,
-    verify_mt4,
-    verify_mt5,
+from .domain import (
+    EPS_EQ,
+    AffineConfig,
+    IntervalR,
+    Mt1Scenario,
+    StructureError,
+    ValidityReport,
+    WeightedGroup,
 )
+from .funclib import FunctionModel, catalog, fn_spec_from_string  # noqa: F401  (re-exported)
 from .report import ChainReport
 
 TOOL = "jensengap"
@@ -43,23 +39,34 @@ VERSION = "0.1.0"
 SCHEMA_VERSION = 1
 
 
-@dataclass(frozen=True)
 class Theorem:
     """Registry entry: everything the engine knows about one theorem id."""
 
-    #: name of the verifier in this module, looked up at call time so that a
-    #: wrapper installed on the module attribute sees every call
-    verifier: str
-    #: mode -> default function of the CLI; the first mode is the default
-    default_fn: dict[str, str]
-    #: required payload fields, in the verifier's argument order
-    fields: tuple[str, ...]
-    #: optional payload fields -> value used when a field is absent or null
-    optional: dict[str, Any] = field(default_factory=dict)
-    #: verifier keyword that receives the mode; single-mode ids pass none
-    mode_arg: str = "mode"
-    #: the verifier's value of each mode whose name differs from it
-    mode_values: dict[str, str] = field(default_factory=dict)
+    __slots__ = ("verifier", "default_fn", "fields", "optional", "mode_arg", "mode_values")
+
+    def __init__(
+        self,
+        verifier: str,
+        default_fn: dict[str, str],
+        fields: tuple[str, ...],
+        optional: dict[str, Any] | None = None,
+        mode_arg: str = "mode",
+        mode_values: dict[str, str] | None = None,
+    ):
+        #: name of the verifier in this module, resolved on first use
+        #: (``__getattr__``) and looked up at call time, so that a wrapper
+        #: installed on the module attribute sees every call
+        self.verifier = verifier
+        #: mode -> default function of the CLI; the first mode is the default
+        self.default_fn = default_fn
+        #: required payload fields, in the verifier's argument order
+        self.fields = fields
+        #: optional payload fields -> value used when a field is absent or null
+        self.optional = {} if optional is None else optional
+        #: verifier keyword that receives the mode; single-mode ids pass none
+        self.mode_arg = mode_arg
+        #: the verifier's value of each mode whose name differs from it
+        self.mode_values = {} if mode_values is None else mode_values
 
     @property
     def modes(self) -> tuple[str, ...]:
@@ -122,6 +129,23 @@ THEOREMS = {
     "mc3": Theorem("verify_mc3", SPLIT, ("Ls", "gs", "hs", "c", "interval")),
 }
 ALL_IDS = tuple(THEOREMS)
+#: verifier name -> defining module, imported on the first lookup
+_VERIFIER_MODULES = {
+    entry.verifier: "affine" if entry.fields == AFFINE_FIELDS else "functional"
+    for entry in THEOREMS.values()
+}
+_this = sys.modules[__name__]
+
+
+def __getattr__(name: str) -> Any:
+    """Resolve a ``verify_*`` name from its defining module on first use and
+    bind it here, so only the verifiers a process runs are imported."""
+    module = _VERIFIER_MODULES.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __package__), name)
+    globals()[name] = value
+    return value
 
 
 def lookup(theorem_id: Any, mode: Any = None) -> tuple[Theorem, str]:
@@ -296,7 +320,7 @@ def run_payload(
         args[entry.mode_arg] = entry.mode_values.get(mode, mode)
     if entry.fields == AFFINE_FIELDS:
         args["s"] = Mt1Scenario(**{key: args.pop(key) for key in AFFINE_FIELDS})
-    rep = globals()[entry.verifier](f, tol=tol, **args)
+    rep = getattr(_this, entry.verifier)(f, tol=tol, **args)
     return _report(theorem_id, mode, rep)
 
 

@@ -12,20 +12,20 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 
-from .affine import Mt1Scenario
 from .domain import (
     EPS_EQ,
     AffineConfig,
+    InfeasibleError,
     IntervalR,
+    Mt1Scenario,
     StructureError,
     WeightedGroup,
+    apply,
     barycenter,
     spread,
 )
 from .funclib import FunctionModel
-from .functional import apply
 from .report import UNMET
 from .scenario import lookup, mt1_scenario_to, run_payload
 
@@ -33,42 +33,55 @@ from .scenario import lookup, mt1_scenario_to, run_payload
 RETRY_CAP = 100
 
 
-class InfeasibleError(RuntimeError):
-    """Generation could not satisfy the requested constraints."""
-
-
 class _Retry(Exception):
     """Internal: reject the current draw and try again."""
 
 
-@dataclass(frozen=True)
 class GenSpec:
     """Seeded generation request: interval, interior split point, group sizes."""
 
-    seed: int
-    interval: IntervalR = IntervalR(-1.0, 1.0)
-    c: float = 0.0
-    sizes: tuple[int, int, int] = (2, 2, 1)
-    count: int = 1
+    __slots__ = ("seed", "interval", "c", "sizes", "count")
 
-    def __post_init__(self):
-        if not (self.interval.lo < self.c < self.interval.hi):
+    def __init__(
+        self,
+        seed: int,
+        interval: IntervalR = IntervalR(-1.0, 1.0),
+        c: float = 0.0,
+        sizes: tuple[int, int, int] = (2, 2, 1),
+        count: int = 1,
+    ):
+        self.seed = seed
+        self.interval = interval
+        self.c = c
+        self.sizes = sizes
+        self.count = count
+        if not (interval.lo < c < interval.hi):
             raise StructureError("split point must be interior to the interval")
-        n, m, l = self.sizes
+        n, m, l = sizes
         if n < 1 or m < 1 or l < 0:
             raise StructureError("group sizes must satisfy n >= 1, m >= 1, l >= 0")
-        if self.count < 1:
+        if count < 1:
             raise StructureError("count must be at least 1")
 
 
-@dataclass(frozen=True)
 class SearchResult:
-    payload: dict
-    margin: float
-    theorem_id: str
-    mode: str
-    seed_trace: tuple = ()
-    details: dict = field(default_factory=dict)
+    __slots__ = ("payload", "margin", "theorem_id", "mode", "seed_trace", "details")
+
+    def __init__(
+        self,
+        payload: dict,
+        margin: float,
+        theorem_id: str,
+        mode: str,
+        seed_trace: tuple = (),
+        details: dict | None = None,
+    ):
+        self.payload = payload
+        self.margin = margin
+        self.theorem_id = theorem_id
+        self.mode = mode
+        self.seed_trace = seed_trace
+        self.details = {} if details is None else details
 
 
 def _split_total(rng: random.Random, total: float, k: int) -> tuple[float, ...]:
