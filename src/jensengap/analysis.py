@@ -13,17 +13,25 @@ at a split point c (K1c) exactly when some constant A satisfies
 in which case F(x) = f(x) - (A/2) x^2 is concave left of c and convex right
 of c at grid resolution.  3-concavity at c (K2c) is the same condition for
 -f, whose brackets are the negated ones: A lies between the sup of dd2
-right of c and the inf left of c.  So one bracket scan per side decides
-both classes.
+right of c and the inf left of c.  So the extremes of the brackets on
+each side decide both classes.
 
-Whether f is convex or 3-convex on an interval, and its brackets on either
-side of c, depend on f, the interval and the grid alone, not on the
-scenario being verified.  Every scan is therefore read through one small
-per-process memo of its extremes (``_scan_extremes``), so the scenarios of
-a search that share a function and an interval scan it once.  The memo is
-keyed by the model object, and a table file whose content has not changed
-loads as the same model (``funclib.catalog``), so documents on one table
-file share its scans too.
+A model certified ``d2_monotone`` (every closed-form catalog entry and
+its negation) has those extremes in closed form: on [lo, hi] the brackets
+range between d2_plus(lo) and d2_minus(hi), so convexity, the K1c/K2c
+intervals and 3-convexity (d2_plus(lo) <= d2_minus(hi)) are exact and
+take O(1), with no grid (Popoviciu's n-convexity).  The grid size is still
+checked, and endpoints outside the domain still raise DomainError.
+
+Tables and other uncertified models are scanned on a grid.  Whether f is
+convex or 3-convex on an interval, and its brackets on either side of c,
+depend on f, the interval and the grid alone, not on the scenario being
+verified.  Every scan is therefore read through one small per-process memo
+of its extremes (``_scan_extremes``), so the scenarios of a search that
+share a function and an interval scan it once.  The memo is keyed by the
+model object, and a table file whose content has not changed loads as the
+same model (``funclib.catalog``), so documents on one table file share its
+scans too.
 """
 
 from __future__ import annotations
@@ -32,7 +40,7 @@ import math
 from functools import lru_cache
 
 from .domain import EPS_EQ, IntervalR, StructureError
-from .funclib import DomainError, FunctionModel, eval_fn
+from .funclib import DomainError, FunctionModel, eval_fn, require_in_domain
 
 #: grid points per side for classification scans (`analyze --grid` default)
 DEFAULT_GRID = 1000
@@ -123,13 +131,39 @@ def _scan_extremes(
     return _cached_extremes(f, lo, hi, n, order, signs)
 
 
+def _certified_d2(
+    f: FunctionModel, lo: float, hi: float, n: int, min_n: int
+) -> tuple[float, float]:
+    """d2_plus(lo) and d2_minus(hi) of a certified model, after the grid-size
+    and domain checks a scan would make.  A zero comes back as +0.0, the
+    sign every bracket of equal values has, so that -f's values are exactly
+    0.0 minus f's."""
+    if n < min_n:
+        raise StructureError(f"grid needs at least {min_n} points")
+    require_in_domain(f, IntervalR(lo, hi))
+    return f.d2_plus(lo) + 0.0, f.d2_minus(hi) + 0.0
+
+
+def _bracket_extremes(f: FunctionModel, lo: float, hi: float, n: int) -> tuple[float, float]:
+    """(min, max) of the dd2 brackets on [lo, hi]: exact for a certified model,
+    from an n-point grid scan otherwise."""
+    if f.d2_monotone:
+        a, b = _certified_d2(f, lo, hi, n, 3)
+        return (a, b) if a <= b else (b, a)
+    return _scan_extremes(f, lo, hi, n, 2)
+
+
 def is_3convex(
     f: FunctionModel, interval: IntervalR, grid_n: int = SHAPE_GRID, tol: float = EPS_EQ
 ) -> bool:
-    """Grid evidence that third divided differences are nonnegative; none on
-    a zero-width interval."""
+    """Whether f'' is nondecreasing on the interval: exact for a certified
+    model, otherwise grid evidence that third divided differences are
+    nonnegative; false on a zero-width interval."""
     if interval.width <= 0.0:
         return False
+    if f.d2_monotone:
+        d2_lo, d2_hi = _certified_d2(f, interval.lo, interval.hi, grid_n, 4)
+        return d2_lo <= d2_hi
     return _scan_extremes(f, interval.lo, interval.hi, grid_n, 3)[0] >= -tol
 
 
@@ -138,6 +172,9 @@ def is_3concave(
 ) -> bool:
     if interval.width <= 0.0:
         return False
+    if f.d2_monotone:
+        d2_lo, d2_hi = _certified_d2(f, interval.lo, interval.hi, grid_n, 4)
+        return d2_lo >= d2_hi
     return _scan_extremes(f, interval.lo, interval.hi, grid_n, 3)[1] <= tol
 
 
@@ -175,7 +212,8 @@ def curvature_sandwich(
     grid_n: int = WITNESS_GRID,
     tol: float = EPS_EQ,
 ) -> tuple[AInterval, AInterval]:
-    """K1 and K2 bracket bounds over [interval.lo, left_hi] and [right_lo, interval.hi].
+    """K1 and K2 bracket bounds over [interval.lo, left_hi] and [right_lo, interval.hi],
+    exact for a certified model and at grid resolution otherwise.
 
     K1 runs from the supremum of dd2 on the left piece to the infimum on the
     right piece.  K2 is the negated K1 interval of -f, whose brackets are
@@ -186,10 +224,10 @@ def curvature_sandwich(
     lo = neg_lo = -math.inf
     hi = neg_hi = math.inf
     if left_hi - interval.lo > _DEGENERATE * max(1.0, abs(left_hi)):
-        w_min, w_max = _scan_extremes(f, interval.lo, left_hi, grid_n, 2)
+        w_min, w_max = _bracket_extremes(f, interval.lo, left_hi, grid_n)
         lo, neg_lo = w_max, 0.0 - w_min
     if interval.hi - right_lo > _DEGENERATE * max(1.0, abs(right_lo)):
-        w_min, w_max = _scan_extremes(f, right_lo, interval.hi, grid_n, 2)
+        w_min, w_max = _bracket_extremes(f, right_lo, interval.hi, grid_n)
         hi, neg_hi = w_min, 0.0 - w_max
     return AInterval(lo, hi, lo <= hi + tol), AInterval(-neg_hi, -neg_lo, neg_lo <= neg_hi + tol)
 
@@ -201,7 +239,8 @@ def feasible_A_interval(
     grid_n: int = DEFAULT_GRID,
     tol: float = EPS_EQ,
 ) -> AInterval:
-    """Feasible constants at an interior split point c, at grid resolution."""
+    """Feasible constants at an interior split point c (exact for a certified
+    model, at grid resolution otherwise)."""
     return classify_at_point(f, c, interval, grid_n, tol).k1_interval
 
 
@@ -250,13 +289,14 @@ def classify_at_point(
 
 
 def convexity_margin(f: FunctionModel, interval: IntervalR, grid_n: int = SHAPE_GRID) -> float:
-    """Minimum dd2 over a grid; >= 0 (up to tolerance) exactly for convex f.
+    """Minimum dd2 on the interval (exact for a certified model, over a grid
+    otherwise); >= 0 (up to tolerance) exactly for convex f.
 
     A degenerate interval imposes no constraint and yields 0.
     """
     if interval.width <= _DEGENERATE * max(1.0, abs(interval.lo)):
         return 0.0
-    return _scan_extremes(f, interval.lo, interval.hi, grid_n, 2)[0]
+    return _bracket_extremes(f, interval.lo, interval.hi, grid_n)[0]
 
 
 def k1_witness(

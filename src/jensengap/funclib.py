@@ -1,6 +1,7 @@
 """Function models: evaluation, one-sided curvature, and a small catalog.
 
-Catalog entries carry analytic one-sided second derivatives and, where the
+Catalog entries carry analytic one-sided second derivatives, a certificate
+that f'' is monotone on the whole domain (``d2_monotone``), and, where the
 structure is known in closed form, the point c and constant A for which
 f(x) - (A/2) x^2 switches concavity at c ("K1c": 3-convex at c, "K2c":
 3-concave at c, "both" for quadratics).
@@ -45,9 +46,15 @@ class KnownClass:
 
 class FunctionModel:
     """A function on its domain, with optional analytic one-sided second
-    derivatives and declared class.  Models hash and compare by identity."""
+    derivatives and declared class.  Models hash and compare by identity.
 
-    __slots__ = ("name", "domain", "fn", "d2_minus", "d2_plus", "known_class")
+    ``d2_monotone`` certifies that f'' is monotone (in either direction) on
+    the whole domain, with ``d2_minus``/``d2_plus`` its exact one-sided
+    values; ``analysis`` then answers shape queries from those values
+    instead of a grid.  It needs both analytic maps.
+    """
+
+    __slots__ = ("name", "domain", "fn", "d2_minus", "d2_plus", "known_class", "d2_monotone")
 
     def __init__(
         self,
@@ -57,13 +64,17 @@ class FunctionModel:
         d2_minus: Callable[[float], float] | None = None,
         d2_plus: Callable[[float], float] | None = None,
         known_class: KnownClass | None = None,
+        d2_monotone: bool = False,
     ):
+        if d2_monotone and (d2_minus is None or d2_plus is None):
+            raise StructureError(f"{name}: a monotone-f'' certificate needs both analytic d2 maps")
         self.name = name
         self.domain = domain
         self.fn = fn
         self.d2_minus = d2_minus
         self.d2_plus = d2_plus
         self.known_class = known_class
+        self.d2_monotone = d2_monotone
 
 
 def eval_fn(f: FunctionModel, x: float) -> float:
@@ -151,6 +162,7 @@ def catalog(
             d2_minus=lambda x, q=q: q,
             d2_plus=lambda x, q=q: q,
             known_class=KnownClass(point, q, "both"),
+            d2_monotone=True,
         )
     if name == "cubic":
         return FunctionModel(
@@ -160,6 +172,7 @@ def catalog(
             d2_minus=lambda x: 6.0 * x,
             d2_plus=lambda x: 6.0 * x,
             known_class=KnownClass(point, 6.0 * point, "K1c"),
+            d2_monotone=True,
         )
     if name == "signed_square":
         # f'' = 2 sign(x); at 0 the one-sided values differ.  Any constant in
@@ -171,6 +184,7 @@ def catalog(
             d2_minus=_signed_square_d2_minus,
             d2_plus=_signed_square_d2_plus,
             known_class=KnownClass(0.0, 0.0, "K1c"),
+            d2_monotone=True,
         )
     if name == "neg_signed_square":
         return negate(catalog("signed_square"))
@@ -182,6 +196,7 @@ def catalog(
             d2_minus=math.exp,
             d2_plus=math.exp,
             known_class=KnownClass(point, math.exp(point), "K1c"),
+            d2_monotone=True,
         )
     if name == "tabulated-spline":
         if table is None:
@@ -213,7 +228,8 @@ def parse_fn_spec(spec: str, point: float = 0.0) -> FunctionModel:
 
 
 def negate(f: FunctionModel) -> FunctionModel:
-    """Pointwise negation; swaps the declared K1c/K2c kinds and flips A."""
+    """Pointwise negation; swaps the declared K1c/K2c kinds, flips A and keeps
+    the monotone-f'' certificate (-f'' is monotone the other way)."""
     kc = None
     if f.known_class is not None:
         kind = {"K1c": "K2c", "K2c": "K1c", "both": "both"}[f.known_class.kind]
@@ -225,6 +241,7 @@ def negate(f: FunctionModel) -> FunctionModel:
         d2_minus=None if f.d2_minus is None else (lambda x, g=f.d2_minus: -g(x)),
         d2_plus=None if f.d2_plus is None else (lambda x, g=f.d2_plus: -g(x)),
         known_class=kc,
+        d2_monotone=f.d2_monotone,
     )
 
 

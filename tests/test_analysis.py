@@ -2,6 +2,8 @@ import itertools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jensengap.analysis import (
     SCAN_CACHE_SIZE,
@@ -10,13 +12,15 @@ from jensengap.analysis import (
     bracket_windows,
     classify_at_point,
     convexity_margin,
+    curvature_sandwich,
     dd2,
     dd3,
     feasible_A_interval,
+    is_3concave,
     is_3convex,
     third_windows,
 )
-from jensengap.domain import IntervalR, StructureError
+from jensengap.domain import EPS_EQ, IntervalR, StructureError
 from jensengap.funclib import (
     DomainError,
     FunctionModel,
@@ -27,6 +31,12 @@ from jensengap.funclib import (
 )
 
 I11 = IntervalR(-1.0, 1.0)
+
+
+def _uncertified(f):
+    """The same function without the monotone-f'' certificate, so that
+    analysis scans it on a grid."""
+    return FunctionModel(f.name, f.domain, f.fn, f.d2_minus, f.d2_plus, f.known_class)
 
 
 class TestDd2:
@@ -71,7 +81,7 @@ class TestFeasibleInterval:
     def test_cubic_centered(self):
         n = 1000
         h = 1.0 / (n - 1)
-        iv = feasible_A_interval(catalog("cubic"), 0.0, I11, n)
+        iv = feasible_A_interval(_uncertified(catalog("cubic")), 0.0, I11, n)
         assert iv.feasible and iv.contains(0.0)
         assert iv.hi - iv.lo <= 12 * h + 1e-9
 
@@ -91,7 +101,7 @@ class TestFeasibleInterval:
 
     def test_monotone_refinement(self):
         for name, c in (("exp", 0.0), ("cubic", 0.2)):
-            f = catalog(name, point=c)
+            f = _uncertified(catalog(name, point=c))
             coarse = feasible_A_interval(f, c, I11, 250)
             fine = feasible_A_interval(f, c, I11, 500)
             assert fine.lo >= coarse.lo - 1e-9
@@ -137,16 +147,32 @@ def _table(fn):
     return tabulated_model(TabulatedFunction(nodes, tuple(fn(x) for x in nodes)))
 
 
-K2_MODELS = {
+#: certified catalog models (f'' monotone)
+CATALOG_MODELS = {
     "quadratic:2": lambda: catalog("quadratic", 2),
     "quadratic:-3": lambda: catalog("quadratic", -3),
     "quadratic:0": lambda: catalog("quadratic", 0),
     "cubic": lambda: catalog("cubic"),
     "signed_square": lambda: catalog("signed_square"),
     "exp": lambda: catalog("exp"),
+}
+
+#: models that are scanned on a grid: the catalog ones without their
+#: certificate, and tables
+K2_MODELS = {
+    **{name: lambda make=make: _uncertified(make()) for name, make in CATALOG_MODELS.items()},
     "linear table": lambda: _table(lambda x: 2.0 * x + 1.0),
     "x|x| table": lambda: _table(lambda x: x * abs(x)),
 }
+
+
+def _assert_k2_is_negated_k1_of_negation(f, c, grid_n):
+    k2 = classify_at_point(f, c, I11, grid_n).k2_interval
+    neg = feasible_A_interval(negate(f), c, I11, grid_n)
+    assert k2.feasible == neg.feasible
+    for got, want in ((k2.lo, -neg.hi), (k2.hi, -neg.lo)):
+        assert got == want
+        assert math.copysign(1.0, got) == math.copysign(1.0, want)
 
 
 class TestK2FromTheSameScan:
@@ -157,13 +183,15 @@ class TestK2FromTheSameScan:
     @pytest.mark.parametrize("name", sorted(K2_MODELS))
     @pytest.mark.parametrize("c", [0.0, 0.3])
     def test_k2_is_negated_k1_of_negation(self, name, grid_n, c):
-        f = K2_MODELS[name]()
-        k2 = classify_at_point(f, c, I11, grid_n).k2_interval
-        neg = feasible_A_interval(negate(f), c, I11, grid_n)
-        assert k2.feasible == neg.feasible
-        for got, want in ((k2.lo, -neg.hi), (k2.hi, -neg.lo)):
-            assert got == want
-            assert math.copysign(1.0, got) == math.copysign(1.0, want)
+        _assert_k2_is_negated_k1_of_negation(K2_MODELS[name](), c, grid_n)
+
+    @pytest.mark.parametrize("grid_n", [3, 512])
+    @pytest.mark.parametrize("name", sorted(CATALOG_MODELS))
+    @pytest.mark.parametrize("c", [0.0, -0.0, 0.3])
+    def test_certified_k2_is_negated_k1_of_negation(self, name, grid_n, c):
+        # quadratic:0 has d2 = 0.0 and its negation -0.0: the bounds must
+        # still match in the sign of zero
+        _assert_k2_is_negated_k1_of_negation(CATALOG_MODELS[name](), c, grid_n)
 
 
 def _same_bits(got, want):
@@ -235,10 +263,13 @@ class TestScanMemo:
     @pytest.mark.parametrize(
         "call, error",
         [
-            (lambda: _scan_extremes(catalog("cubic"), -1.0, 1.0, 3, 3), StructureError),
-            (lambda: is_3convex(catalog("cubic"), I11, grid_n=3), StructureError),
-            (lambda: _scan_extremes(catalog("exp"), -20.0, 20.0, 17, 2), DomainError),
-            (lambda: convexity_margin(catalog("exp"), IntervalR(-20.0, 20.0)), DomainError),
+            (lambda: _scan_extremes(_uncertified(catalog("cubic")), -1.0, 1.0, 3, 3),
+             StructureError),
+            (lambda: is_3convex(_uncertified(catalog("cubic")), I11, grid_n=3), StructureError),
+            (lambda: _scan_extremes(_uncertified(catalog("exp")), -20.0, 20.0, 17, 2),
+             DomainError),
+            (lambda: convexity_margin(_uncertified(catalog("exp")), IntervalR(-20.0, 20.0)),
+             DomainError),
         ],
     )
     def test_errors_are_raised_on_every_call(self, call, error):
@@ -247,8 +278,141 @@ class TestScanMemo:
                 call()
 
     def test_cache_stays_bounded(self):
-        f = catalog("quadratic", 2)
+        f = _uncertified(catalog("quadratic", 2))
         for k in range(1000):
             _scan_extremes(f, -1.0, 1.0 + k / 1000, 3, 2)
             assert _cached_extremes.cache_info().currsize <= SCAN_CACHE_SIZE
         assert _cached_extremes.cache_info().maxsize == SCAN_CACHE_SIZE
+
+
+#: every catalog function with a monotone f'', and the negation of each
+CERTIFIED = {
+    **CATALOG_MODELS,
+    "neg_signed_square": lambda: catalog("neg_signed_square"),
+    **{f"neg {name}": lambda make=make: negate(make()) for name, make in CATALOG_MODELS.items()},
+}
+#: grid of the uncertified scans the certificate is compared with
+PROBE_GRID = 17
+EPS = 2.0**-52
+
+
+@st.composite
+def _split_interval(draw, domain):
+    """An in-domain interval of width at most 200 and an interior split point,
+    which is a signed zero about a third of the time."""
+    span = min(-domain.lo, domain.hi, 100.0)
+    c = draw(st.one_of(
+        st.sampled_from([0.0, -0.0]),
+        st.floats(-0.9 * span, 0.9 * span, allow_nan=False),
+    ))
+    width = st.floats(1e-3, span, allow_nan=False)
+    lo, hi = max(-span, c - draw(width)), min(span, c + draw(width))
+    return IntervalR(lo, hi), c
+
+
+def _rounding(f, lo, hi, order):
+    """Generous bound on the rounding error of order-2 or order-3 divided
+    differences of f on a PROBE_GRID grid over [lo, hi]."""
+    h = (hi - lo) / (PROBE_GRID - 1)
+    size = max(abs(f.fn(lo)), abs(f.fn(hi)), 1.0)
+    return 64.0 * EPS * size / h**order
+
+
+def _window_spread(f, lo, hi):
+    """How far the grid's extreme end window can sit from the exact
+    extreme: the variation of the monotone f'' over three grid steps at
+    either end."""
+    w = 3.0 * (hi - lo) / (PROBE_GRID - 1)
+    return max(
+        abs(f.d2_minus(min(lo + w, hi)) - f.d2_plus(lo)),
+        abs(f.d2_minus(hi) - f.d2_plus(max(hi - w, lo))),
+    )
+
+
+class TestCertificate:
+    """A certified model answers every shape query exactly, from d2_plus(lo)
+    and d2_minus(hi), where its uncertified copy scans a grid."""
+
+    @pytest.mark.parametrize("name", sorted(CERTIFIED))
+    def test_catalog_models_are_certified(self, name):
+        f = CERTIFIED[name]()
+        assert f.d2_monotone and not _uncertified(f).d2_monotone
+
+    def test_tables_and_user_models_are_not(self):
+        assert not _table(lambda x: x * x).d2_monotone
+        assert not FunctionModel("id", I11, fn=float).d2_monotone
+
+    def test_certificate_needs_both_maps(self):
+        with pytest.raises(StructureError):
+            FunctionModel("half", I11, fn=float, d2_minus=float, d2_monotone=True)
+
+    @settings(max_examples=40, deadline=None)
+    @pytest.mark.parametrize("name", sorted(CERTIFIED))
+    @given(data=st.data())
+    def test_certificate_against_grid(self, name, data):
+        f = CERTIFIED[name]()
+        g = _uncertified(f)
+        interval, c = data.draw(_split_interval(f.domain))
+        lo, hi = interval.lo, interval.hi
+        left, right = _rounding(f, lo, c, 2), _rounding(f, c, hi, 2)
+        k1, k2 = curvature_sandwich(f, interval, c, c)
+        g1, g2 = curvature_sandwich(g, interval, c, c, grid_n=PROBE_GRID)
+        # the grid samples the brackets, the certificate has their exact range
+        assert k1.lo >= g1.lo - left and k1.hi <= g1.hi + right
+        assert k2.lo >= g2.lo - right and k2.hi <= g2.hi + left
+        cls = classify_at_point(f, c, interval)
+        assert (cls.k1_interval.lo, cls.k1_interval.hi) == (k1.lo, k1.hi)
+        assert (cls.k2_interval.lo, cls.k2_interval.hi) == (k2.lo, k2.hi)
+
+        exact = convexity_margin(f, interval)
+        assert exact == min(f.d2_plus(lo), f.d2_minus(hi))
+        scanned = convexity_margin(g, interval, PROBE_GRID)
+        noise = _rounding(f, lo, hi, 2)
+        assert exact - noise <= scanned <= exact + _window_spread(f, lo, hi) + noise
+
+        windows = third_windows(g, lo, hi, PROBE_GRID)
+        decisive = _rounding(f, lo, hi, 3) + EPS_EQ
+        if min(windows) > decisive or min(windows) < -decisive:
+            assert is_3convex(f, interval) == is_3convex(g, interval, PROBE_GRID)
+        if max(windows) > decisive or max(windows) < -decisive:
+            assert is_3concave(f, interval) == is_3concave(g, interval, PROBE_GRID)
+
+    @pytest.mark.parametrize("q", [2.0, -3.0, 0.0, -0.0])
+    def test_constant_curvature_is_3convex_and_3concave(self, q):
+        for f in (catalog("quadratic", q), negate(catalog("quadratic", q))):
+            interval = IntervalR(-1e3, 1e3)
+            assert is_3convex(f, interval) and is_3concave(f, interval)
+            assert convexity_margin(f, interval) == -convexity_margin(negate(f), interval)
+
+    @pytest.mark.parametrize(
+        "query",
+        [
+            lambda f, iv, n: convexity_margin(f, iv, n),
+            lambda f, iv, n: curvature_sandwich(f, iv, 0.0, 0.0, n),
+            lambda f, iv, n: classify_at_point(f, 0.0, iv, n),
+            lambda f, iv, n: is_3convex(f, iv, n),
+            lambda f, iv, n: is_3concave(f, iv, n),
+        ],
+        ids=["convexity_margin", "curvature_sandwich", "classify_at_point", "is_3convex",
+             "is_3concave"],
+    )
+    @pytest.mark.parametrize(
+        "interval, grid_n, error",
+        [
+            ((-20.0, 20.0), 17, DomainError),
+            ((-1.0, 20.0), 512, DomainError),
+            ((-1.0, 1.0), 2, StructureError),
+            ((-20.0, 20.0), 2, StructureError),
+        ],
+    )
+    def test_errors_are_raised_on_every_call(self, query, interval, grid_n, error):
+        f = catalog("exp")
+        for model in (f, _uncertified(f), f):
+            for _ in range(2):
+                with pytest.raises(error):
+                    query(model, IntervalR(*interval), grid_n)
+
+    def test_grid_of_3_is_too_small_for_third_order(self):
+        for query in (is_3convex, is_3concave):
+            with pytest.raises(StructureError):
+                query(catalog("cubic"), I11, 3)

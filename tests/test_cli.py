@@ -135,6 +135,56 @@ class TestCheckTableDocuments:
             assert capsys.readouterr().out == dumps(report)
 
 
+class TestCheckCatalogDocuments:
+    """A catalog function's shape queries are exact, so the documents of a
+    `check` list scan no grid at all, model per document or not."""
+
+    def test_ic2_exp_list_scans_nothing(self, tmp_path, capsys, monkeypatch):
+        assert run(["gen", "--theorem", "ic2", "--fn", "exp", "--seed", "1", "--count", "3"]) == 0
+        docs = capsys.readouterr().out
+        scans = []
+        for name in ("bracket_windows", "third_windows"):
+            real = getattr(analysis, name)
+            monkeypatch.setattr(analysis, name, lambda *a, real=real: scans.append(a) or real(*a))
+        monkeypatch.setattr("sys.stdin", io.StringIO(docs))
+        assert run(["check", "-"]) == 0
+        reports = json.loads(capsys.readouterr().out)
+        assert scans == []
+        assert [r["verdict"] for r in reports] == ["holds"] * 3
+
+
+class TestFarFromZero:
+    """x|x| at c = 1e5: the exact K1c interval [-2, 2] is feasible, where a
+    grid's rounding made it empty for 45 of these 200 scenarios."""
+
+    def test_signed_square_witness_is_never_unmet(self, capsys, monkeypatch):
+        gen = [
+            "gen", "--theorem", "mt1", "--fn", "signed_square", "--interval=99999,100001",
+            "--point", "100000", "--count", "200", "--seed", "1",
+        ]
+        assert run(gen) == 0
+        monkeypatch.setattr("sys.stdin", io.StringIO(capsys.readouterr().out))
+        run(["check", "-"])
+        reports = json.loads(capsys.readouterr().out)
+        assert len(reports) == 200
+        witness = [c for r in reports for c in r["hypotheses"] if c["name"] == "witness.K1c"]
+        assert witness and all(c["ok"] for c in witness)
+
+    @pytest.mark.parametrize("fn", ["signed_square", "neg_signed_square"])
+    @pytest.mark.parametrize("interval, point", [("2,5", "3"), ("-1e3,-10", "-500")])
+    def test_off_zero_split_point_holds(self, capsys, monkeypatch, fn, interval, point):
+        # f = +-x^2 on either side of c: the grid's K1c interval was empty
+        # (unmet) or off the exact constant (fails) here
+        gen = [
+            "gen", "--theorem", "mt1", "--fn", fn, f"--interval={interval}", "--point", point,
+            "--count", "20", "--seed", "1",
+        ]
+        assert run(gen) == 0
+        monkeypatch.setattr("sys.stdin", io.StringIO(capsys.readouterr().out))
+        assert run(["check", "-"]) == 0
+        assert {r["verdict"] for r in json.loads(capsys.readouterr().out)} == {"holds"}
+
+
 class TestMt3BranchCDefault:
     """`gen --theorem mt3 --mode c` uses a function that satisfies branch (c),
     f'' straddling 0 downward with f 3-concave, so `check -` holds."""
@@ -173,6 +223,21 @@ class TestAnalyze:
         assert report["k1_interval"]["lo"] == pytest.approx(3.0, abs=6 * h + 1e-9)
         assert report["k1_interval"]["hi"] == pytest.approx(3.0, abs=6 * h + 1e-9)
         assert report["k1_interval"]["lo"] <= 3.0 <= report["k1_interval"]["hi"]
+
+    @pytest.mark.parametrize(
+        "fn, point, k1",
+        [
+            ("cubic", "0.5", [3.0, 3.0]),
+            ("signed_square", "0", [-2.0, 2.0]),
+            ("exp", "0", [1.0, 1.0]),
+        ],
+    )
+    def test_catalog_interval_is_exact(self, capsys, fn, point, k1):
+        args = ["analyze", "--fn", fn, "--point", point, "--interval=-1,1", "--grid", "3"]
+        assert run(args) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert [report["k1_interval"]["lo"], report["k1_interval"]["hi"]] == k1
+        assert report["grid_n"] == 3
 
     def test_unknown_function_exit_1(self, capsys):
         assert run(["analyze", "--fn", "sigmoid", "--point", "0"]) == 1

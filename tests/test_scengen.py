@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from jensengap import analysis, domain
 from jensengap.affine import verify_mt1
 from jensengap.domain import IntervalR, StructureError, spread, validate_affine_config
-from jensengap.funclib import catalog
+from jensengap.funclib import FunctionModel, catalog
 from jensengap.scenario import config_from, run_payload
 from jensengap.scengen import (
     GenSpec,
@@ -242,35 +242,63 @@ class TestSearch:
         assert [(r.margin, r.seed_trace) for r in a] == [(r.margin, r.seed_trace) for r in b]
 
 
-class TestGridScansPerSearch:
-    """The scenarios of one search share (function, interval, grid), so
-    analysis scans them once; ic1 checks convexity on each scenario's own
-    inner interval and so scans once per scenario."""
+def _uncertified(f):
+    """The same function without the monotone-f'' certificate, so that
+    analysis scans it on a grid."""
+    return FunctionModel(f.name, f.domain, f.fn, f.d2_minus, f.d2_plus, f.known_class)
 
-    @pytest.mark.parametrize(
-        "theorem, mode, fn, scans",
-        [
-            ("mt2", "auto", ("signed_square",), 1),
-            ("it2", "standard", ("quadratic", 2), 1),
-            ("it3", "standard", ("quadratic", 2), 1),
-            ("ic1", "standard", ("quadratic", 2), 100),
-            ("ic2", "standard", ("quadratic", 2), 1),
-            ("ic3", "standard", ("quadratic", 2), 1),
-        ],
-    )
-    def test_scans_per_search(self, monkeypatch, theorem, mode, fn, scans):
-        counted = []
-        for name in ("bracket_windows", "third_windows"):
-            real = getattr(analysis, name)
-            monkeypatch.setattr(
-                analysis, name, lambda *a, name=name, real=real: counted.append(name) or real(*a)
-            )
-        # a fresh model, so no entry left by an earlier search applies
+
+def _count_scans(monkeypatch) -> list:
+    counted = []
+    for name in ("bracket_windows", "third_windows"):
+        real = getattr(analysis, name)
+        monkeypatch.setattr(
+            analysis, name, lambda *a, name=name, real=real: counted.append(name) or real(*a)
+        )
+    return counted
+
+
+#: the search-grid benchmark classes, with the scans of an uncertified model
+SEARCH_GRID = [
+    ("mt2", "auto", ("signed_square",), 1),
+    ("it2", "standard", ("quadratic", 2), 1),
+    ("it3", "standard", ("quadratic", 2), 1),
+    ("ic1", "standard", ("quadratic", 2), 100),
+    ("ic2", "standard", ("quadratic", 2), 1),
+    ("ic3", "standard", ("quadratic", 2), 1),
+]
+
+
+class TestGridScansPerSearch:
+    """A catalog function's certificate answers every shape query without a
+    grid.  Without it, the scenarios of one search share (function,
+    interval, grid), so analysis scans them once; ic1 checks convexity on
+    each scenario's own inner interval and so scans once per scenario."""
+
+    @staticmethod
+    def _search(model, theorem, mode):
         results = search_counterexamples(
-            catalog(*fn), theorem, mode, budget=100, seed=5, report_threshold=-math.inf
+            model, theorem, mode, budget=100, seed=5, report_threshold=-math.inf
         )
         assert len(results) == 100  # none came back hypotheses-unmet
+        return results
+
+    @pytest.mark.parametrize("theorem, mode, fn, scans", SEARCH_GRID)
+    def test_scans_per_search(self, monkeypatch, theorem, mode, fn, scans):
+        counted = _count_scans(monkeypatch)
+        # a fresh model, so no entry left by an earlier search applies
+        self._search(_uncertified(catalog(*fn)), theorem, mode)
         assert len(counted) == scans
+
+    @pytest.mark.parametrize("theorem, mode, fn", [case[:3] for case in SEARCH_GRID])
+    def test_catalog_search_scans_nothing(self, monkeypatch, theorem, mode, fn):
+        counted = _count_scans(monkeypatch)
+        certified = self._search(catalog(*fn), theorem, mode)
+        assert counted == []
+        # the same verdicts as the grid path
+        scanned = self._search(_uncertified(catalog(*fn)), theorem, mode)
+        verdicts = [{r.seed_trace: r.details["verdict"] for r in rs} for rs in (certified, scanned)]
+        assert verdicts[0] == verdicts[1]
 
 
 #: mt1-mt3 generator modes, with mt2's two spread ratios
