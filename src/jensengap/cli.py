@@ -45,12 +45,12 @@ _VERDICT_EXIT = {HOLDS: EXIT_OK, FAILS: EXIT_FAILS, UNMET: EXIT_UNMET}
 def _read_text(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
-    return Path(path).read_text()
+    return Path(path).read_text(encoding="utf-8")
 
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text)
+        Path(out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
 

@@ -272,7 +272,7 @@ def load_table(path: str | Path) -> TabulatedFunction:
     most recently loaded.  A malformed file raises StructureError, naming
     ``path:lineno``, on every call.
     """
-    return _parse_table(str(path), Path(path).read_text())
+    return _parse_table(str(path), Path(path).read_text(encoding="utf-8"))
 
 
 @lru_cache(maxsize=TABLE_CACHE_SIZE)

@@ -17,9 +17,9 @@ identical inputs produce byte-identical documents.
 from __future__ import annotations
 
 import importlib
-import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 from .domain import (
@@ -161,8 +161,62 @@ def lookup(theorem_id: Any, mode: Any = None) -> tuple[Theorem, str]:
 
 
 def dumps(obj: Any) -> str:
-    """Canonical document text: sorted keys, two-space indent, trailing newline."""
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """Canonical document text: sorted keys, two-space indent, trailing newline.
+
+    The text is ``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``,
+    written directly: json uses its C encoder only without an indent.
+    Values are dicts with str keys, lists, tuples, str, int, float, bool
+    and None; anything else raises TypeError.
+    """
+    return _write(obj, "\n") + "\n"
+
+
+#: json's tokens for the floats whose repr is not JSON
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+#: a subclass of a JSON type (an IntEnum, an OrderedDict) is written as the
+#: value of its base that json writes
+_BASES = (
+    (int, int.__index__),
+    (float, float.__float__),
+    (str, str.__str__),
+    (dict, dict),
+    (list, list),
+    (tuple, list),
+)
+
+
+def _write(v: Any, nl: str) -> str:
+    """JSON text of `v`; `nl` is a line break and the indent of `v`'s line."""
+    t = type(v)
+    if t is float:
+        r = float.__repr__(v)
+        return _NONFINITE.get(r, r)
+    if t is str:
+        return encode_basestring_ascii(v)
+    if t is dict:
+        if not v:
+            return "{}"
+        inner = nl + "  "
+        items = [f"{encode_basestring_ascii(k)}: {_write(x, inner)}" for k, x in sorted(v.items())]
+        return f"{{{inner}" + f",{inner}".join(items) + f"{nl}}}"
+    if t is list or t is tuple:
+        if not v:
+            return "[]"
+        inner = nl + "  "
+        return f"[{inner}" + f",{inner}".join([_write(x, inner) for x in v]) + f"{nl}]"
+    if v is None:
+        return "null"
+    if v is True:
+        return "true"
+    if v is False:
+        return "false"
+    if t is int:
+        return int.__repr__(v)
+    for base, value in _BASES:
+        if isinstance(v, base):
+            return _write(value(v), nl)
+    raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+
 
 
 def _need(payload: dict, key: str, theorem_id: str) -> Any:

@@ -395,3 +395,25 @@ def test_import_leaves_numpy_out():
         [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)}, timeout=60
     )
     assert done.returncode == 0
+
+
+def test_files_are_read_and_written_as_utf8(tmp_path):
+    """JSON text is UTF-8 (RFC 8259 8.1), so no command that reads or writes
+    a file uses the locale's encoding: with default-encoding warnings made
+    errors, a fresh interpreter runs each of them to exit 0."""
+    src = Path(jensengap.__file__).resolve().parent.parent
+    table = tmp_path / "sq.txt"
+    nodes = [-1.0 + i / 100 for i in range(201)]
+    table.write_text("# x² on [-1, 1]\n" + "".join(f"{x!r} {x * x!r}\n" for x in nodes), "utf-8")
+    doc = tmp_path / "mt1.json"
+    for args in (
+        ["gen", "--theorem", "mt1", "--seed", "1", "--out", str(doc)],
+        ["check", str(doc)],
+        ["analyze", "--fn", f"tabulated-spline:{table}"],
+    ):
+        done = subprocess.run(
+            [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+             "-m", "jensengap.cli", *args],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=60,
+        )
+        assert done.returncode == 0, (args[0], done.stderr)
