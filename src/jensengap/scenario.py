@@ -166,7 +166,7 @@ def dumps(obj: Any) -> str:
     The text is ``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``,
     written directly: json uses its C encoder only without an indent.
     Values are dicts with str keys, lists, tuples, str, int, float, bool
-    and None; anything else raises TypeError.
+    and None, or subclasses of these; anything else raises TypeError.
     """
     return _write(obj, "\n") + "\n"
 
@@ -216,7 +216,6 @@ def _write(v: Any, nl: str) -> str:
         if isinstance(v, base):
             return _write(value(v), nl)
     raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
-
 
 
 def _need(payload: dict, key: str, theorem_id: str) -> Any:
