@@ -378,19 +378,26 @@ def run_payload(
 
 
 def run_scenario(doc: Any, tol: float | None = None) -> dict:
-    """Verify a parsed scenario document and return its report."""
+    """Verify a parsed scenario document and return its report.
+
+    ``tol``, else the document's ``tolerances.eq``, else EPS_EQ, must be
+    finite and >= 0; any other tolerance is rejected before any work."""
     if not isinstance(doc, dict):
         raise StructureError("scenario document must be a JSON object")
     sv = doc.get("schema_version")
     if sv != SCHEMA_VERSION:
         raise StructureError(f"unsupported schema_version {sv!r} (expected {SCHEMA_VERSION})")
+    if tol is None:
+        tolerances = doc.get("tolerances") or {}
+        if not isinstance(tolerances, dict):
+            raise StructureError(f"tolerances must be an object, got {tolerances!r}")
+        tol = float(tolerances.get("eq", EPS_EQ))
+    if not 0.0 <= tol < math.inf:
+        raise StructureError(f"tolerance must be finite and >= 0, got {tol!r}")
     theorem_id = doc.get("theorem_id")
     _, mode = lookup(theorem_id, doc.get("mode"))
     f = model_from_spec(doc.get("function") or {})
-    eff_tol = tol
-    if eff_tol is None:
-        eff_tol = float((doc.get("tolerances") or {}).get("eq", EPS_EQ))
-    report = run_payload(theorem_id, mode, f, _need(doc, "payload", theorem_id), eff_tol)
+    report = run_payload(theorem_id, mode, f, _need(doc, "payload", theorem_id), tol)
     if "seed" in doc:
         report["provenance"]["seed"] = doc["seed"]
     return report

@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,7 +11,8 @@ import pytest
 import jensengap
 from jensengap import analysis
 from jensengap.cli import main
-from jensengap.scenario import dumps, make_scenario
+from jensengap.domain import StructureError
+from jensengap.scenario import dumps, make_scenario, run_scenario
 from jensengap.scengen import straddle_probe_mt4
 
 MIRRORED_MT1 = make_scenario(
@@ -86,6 +88,32 @@ class TestCheck:
         doc = make_scenario("mt4", "literal", {"name": "signed_square"}, straddle_probe_mt4())
         path = write(tmp_path, "mt4.json", doc)
         assert run(["check", path, "--tol", "1.0"]) == 0
+
+    @pytest.mark.parametrize(
+        "tolerances", [[1], "x", {"eq": -1e-9}, {"eq": math.nan}, {"eq": math.inf}]
+    )
+    def test_bad_tolerances_in_the_document_exit_1(self, tmp_path, capsys, tolerances):
+        path = write(tmp_path, "tol.json", {**MIRRORED_MT1, "tolerances": tolerances})
+        assert run(["check", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "tolerance" in captured.err
+
+    @pytest.mark.parametrize(
+        "doc_tol, tol",
+        [([1], None), ("x", None), ({"eq": -1.0}, None), ({"eq": math.nan}, None),
+         ({"eq": math.inf}, None), (None, -1e-9), (None, math.nan), (None, math.inf)],
+    )
+    def test_run_scenario_rejects_bad_tolerances(self, doc_tol, tol):
+        doc = {**MIRRORED_MT1, "tolerances": doc_tol}
+        with pytest.raises(StructureError, match="^tolerance"):
+            run_scenario(doc, tol=tol)
+
+    @pytest.mark.parametrize("tol", ["-1e-9", "nan", "inf", "-inf"])
+    def test_bad_tol_option_exit_1(self, tmp_path, capsys, tol):
+        path = write(tmp_path, "mt1.json", MIRRORED_MT1)
+        assert run(["check", path, f"--tol={tol}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "tolerance must be finite and >= 0" in captured.err
 
     def test_stdin_dash(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO(dumps(MIRRORED_MT1)))
