@@ -23,6 +23,7 @@ from .domain import (
     Mt1Scenario,
     StructureError,
     combination_value,
+    record_affine_config,
     spread,
     validate_affine_config,
 )
@@ -71,27 +72,22 @@ def cross_weighted_gap(
     return math.fsum(terms) - eval_fn(f, math.fsum(value_terms))
 
 
-def _side_extreme(cfg: AffineConfig, which: str) -> float:
-    pts = cfg.active_points()
-    return max(pts) if which == "max" else min(pts)
-
-
 def _base_checkset(s: Mt1Scenario, tol: float) -> tuple[CheckSet, dict]:
     """Config validity and interval containment; returns spreads when computable."""
     cs = CheckSet(tol)
-    ok_l = cs.merge("left", validate_affine_config(s.left, tol))
-    ok_r = cs.merge("right", validate_affine_config(s.right, tol))
+    ok_l = record_affine_config(cs, "left.", s.left)
+    ok_r = record_affine_config(cs, "right.", s.right)
     vals: dict[str, float] = {}
     for label, cfg in (("left", s.left), ("right", s.right)):
         pts = cfg.active_points()
         if pts:  # a config with no active points already failed validation
-            slack = min(min(pts) - s.interval.lo, s.interval.hi - max(pts))
+            lo, hi = vals[f"min_{label}"], vals[f"max_{label}"] = min(pts), max(pts)
+            slack = min(lo - s.interval.lo, s.interval.hi - hi)
             cs.at_least(f"{label}.in_interval", slack, scale=max(map(abs, pts)))
-    if ok_l and ok_r:
-        vals["spread_left"] = spread(s.left, tol, validate=False)
-        vals["spread_right"] = spread(s.right, tol, validate=False)
-        vals["max_left"] = _side_extreme(s.left, "max")
-        vals["min_right"] = _side_extreme(s.right, "min")
+    if not (ok_l and ok_r):
+        return cs, {}
+    vals["spread_left"] = spread(s.left, tol, validate=False)
+    vals["spread_right"] = spread(s.right, tol, validate=False)
     return cs, vals
 
 

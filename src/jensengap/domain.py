@@ -11,13 +11,20 @@ unital when its weights sum to 1.  Functions are plain value vectors of
 matching length, and ``apply`` is their weighted sum.
 
 The value types are plain classes with ``__slots__``, each validating its
-fields once, in ``__init__``.  They compare by identity, except that
-weighted groups and configurations compare by value.
+fields once, in ``__init__``.  A group's or functional's total weight is
+summed once there too.  They compare by identity, except that weighted
+groups and configurations compare by value.
+
+Every weighted sum goes through ``math.fsum``, which returns the correctly
+rounded sum of its terms: a sum is the same float however its terms are
+produced, and one computed once may stand for any recomputation.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import compress
+from operator import mul
 
 #: absolute tolerance for equality constraints on normalized quantities
 EPS_EQ = 1e-9
@@ -56,13 +63,14 @@ class IntervalR:
 class WeightedGroup:
     """Points with nonnegative weights.  May be empty (used for minus groups)."""
 
-    __slots__ = ("points", "weights")
+    __slots__ = ("points", "weights", "total")
 
     def __init__(self, points, weights):
-        self.points = tuple(float(p) for p in points)
-        self.weights = tuple(float(w) for w in weights)
-        if len(self.points) != len(self.weights):
+        self.points = tuple(map(float, points))
+        self.weights = weights = tuple(map(float, weights))
+        if len(self.points) != len(weights):
             raise StructureError("points and weights must have equal length")
+        self.total = math.fsum(weights)
 
     def __eq__(self, other):
         if other.__class__ is not WeightedGroup:
@@ -72,16 +80,13 @@ class WeightedGroup:
     def __len__(self) -> int:
         return len(self.points)
 
-    @property
-    def total(self) -> float:
-        return math.fsum(self.weights)
-
     def active_points(self) -> tuple[float, ...]:
         """Points carrying strictly positive weight."""
-        return tuple(p for p, w in zip(self.points, self.weights) if w > 0.0)
+        return tuple(compress(self.points, map((0.0).__lt__, self.weights)))
 
     def moment(self, k: int) -> float:
-        return math.fsum(w * p**k for p, w in zip(self.points, self.weights))
+        # float(k).__rpow__(p) is p ** k
+        return math.fsum(map(mul, self.weights, map(float(k).__rpow__, self.points)))
 
 
 _EMPTY = WeightedGroup((), ())
@@ -151,36 +156,38 @@ class ValidityReport:
 
 
 class CheckSet:
-    """Accumulates named residual checks and renders them as a ValidityReport."""
+    """Accumulates named residual checks and renders them as a ValidityReport.
+    ``ok`` is true while every check recorded so far holds."""
+
+    __slots__ = ("tol", "ok", "_checks")
 
     def __init__(self, tol: float = EPS_EQ):
         self.tol = tol
+        self.ok = True
         self._checks: list[Check] = []
 
     def record(self, name: str, residual: float, ok: bool) -> bool:
-        self._checks.append(Check(name, float(residual), bool(ok)))
+        ok = bool(ok)
+        self._checks.append(Check(name, float(residual), ok))
+        self.ok = self.ok and ok
         return ok
 
     def equality(self, name: str, residual: float, scale: float = 1.0) -> bool:
         """|residual| must not exceed tol * max(1, |scale|)."""
-        return self.record(
-            name, abs(residual), abs(residual) <= self.tol * max(1.0, abs(scale))
-        )
+        residual = float(abs(residual))
+        scale = abs(scale)
+        ok = residual <= self.tol * (scale if scale > 1.0 else 1.0)
+        self._checks.append(Check(name, residual, ok))
+        self.ok = self.ok and ok
+        return ok
 
     def at_least(self, name: str, margin: float, scale: float = 1.0) -> bool:
         """margin must be >= -tol * max(1, |scale|)."""
-        return self.record(
-            name, margin, margin >= -self.tol * max(1.0, abs(scale))
-        )
-
-    def merge(self, prefix: str, report: ValidityReport) -> bool:
-        for c in report.checks:
-            self.record(f"{prefix}.{c.name}", c.residual, c.ok)
-        return report.valid
-
-    @property
-    def ok(self) -> bool:
-        return all(c.ok for c in self._checks)
+        scale = abs(scale)
+        ok = margin >= -self.tol * (scale if scale > 1.0 else 1.0)
+        self._checks.append(Check(name, float(margin), ok))
+        self.ok = self.ok and ok
+        return ok
 
     def report(self) -> ValidityReport:
         checks = tuple(self._checks)
@@ -193,7 +200,7 @@ def barycenter(g: WeightedGroup) -> float:
     total = g.total
     if total <= 0.0:
         raise StructureError("barycenter needs positive total weight")
-    return math.fsum(w * p for p, w in zip(g.points, g.weights)) / total
+    return math.fsum(map(mul, g.weights, g.points)) / total
 
 
 def hull_membership(x: float, a: float, b: float, tol: float = EPS_EQ) -> bool:
@@ -217,18 +224,29 @@ def validate_affine_config(
     "barycenter" uses conv of the two group barycenters, "pointset" uses the
     (wider) conv of all positively weighted plus points.
     """
-    _require_structure(cfg)
     cs = CheckSet(tol)
+    record_affine_config(cs, "", cfg, hull)
+    return cs.report()
+
+
+def record_affine_config(
+    cs: CheckSet, prefix: str, cfg: AffineConfig, hull: str = "barycenter"
+) -> bool:
+    """Record the checks of ``validate_affine_config`` in cs, each name
+    prefixed with ``prefix``; true when all of them hold."""
+    _require_structure(cfg)
+    tol = cs.tol
+    ok = True
     for name, grp, _ in cfg.all_groups():
         wmin = min(grp.weights) if grp.weights else 0.0
-        cs.at_least(f"{name}.weights_nonneg", wmin)
+        ok &= cs.at_least(f"{prefix}{name}.weights_nonneg", wmin)
     alpha = cfg.plus_a.total
     beta = cfg.plus_b.total
     gamma = cfg.minus_c.total
-    cs.record("alpha_range", alpha, 0.0 < alpha <= 1.0 + tol)
-    cs.record("beta_range", beta, 0.0 < beta <= 1.0 + tol)
-    cs.at_least("gamma_nonneg", gamma)
-    cs.equality("mass_balance", alpha + beta - gamma - 1.0)
+    ok &= cs.record(f"{prefix}alpha_range", alpha, 0.0 < alpha <= 1.0 + tol)
+    ok &= cs.record(f"{prefix}beta_range", beta, 0.0 < beta <= 1.0 + tol)
+    ok &= cs.at_least(f"{prefix}gamma_nonneg", gamma)
+    ok &= cs.equality(f"{prefix}mass_balance", alpha + beta - gamma - 1.0)
     if alpha > 0.0 and beta > 0.0:
         if hull == "barycenter":
             h_lo, h_hi = sorted((barycenter(cfg.plus_a), barycenter(cfg.plus_b)))
@@ -243,10 +261,10 @@ def validate_affine_config(
                 continue  # inert points are not hull-checked
             dist = max(h_lo - p, p - h_hi, 0.0)
             if dist > tol:
-                cs.record(f"hull[{k}]", dist, False)
+                ok &= cs.record(f"{prefix}hull[{k}]", dist, False)
             worst = max(worst, dist)
-        cs.record("hull", worst, worst <= tol)
-    return cs.report()
+        ok &= cs.record(f"{prefix}hull", worst, worst <= tol)
+    return ok
 
 
 def _signed_moment(cfg: AffineConfig, k: int) -> float:
@@ -296,28 +314,27 @@ class FunctionOnOmega:
     __slots__ = ("values",)
 
     def __init__(self, values):
-        self.values = values = tuple(float(v) for v in values)
+        self.values = values = tuple(map(float, values))
         if not values:
             raise StructureError("a function needs at least one value")
-        if not all(math.isfinite(v) for v in values):
+        if not all(map(math.isfinite, values)):
             raise StructureError("function values must be finite")
 
 
 class DiscreteFunctional:
     """Nonnegative weight vector; unital when the weights sum to 1."""
 
-    __slots__ = ("weights",)
+    __slots__ = ("weights", "total")
 
     def __init__(self, weights):
-        self.weights = weights = tuple(float(w) for w in weights)
+        self.weights = weights = tuple(map(float, weights))
         if not weights:
             raise StructureError("a functional needs at least one weight")
-        if any(w < 0.0 for w in weights):
+        # w < 0.0 for each weight: a NaN weight passes and, unlike in
+        # min(weights) < 0.0, cannot hide a negative one
+        if any(map((0.0).__gt__, weights)):
             raise StructureError("functional weights must be nonnegative")
-
-    @property
-    def total(self) -> float:
-        return math.fsum(self.weights)
+        self.total = math.fsum(weights)
 
     def is_unital(self, tol: float = EPS_EQ) -> bool:
         return abs(self.total - 1.0) <= tol
@@ -335,7 +352,8 @@ def as_function(u) -> FunctionOnOmega:
 
 def apply(L, u) -> float:
     """Weighted sum; for a unital functional the value lies in [min u, max u]."""
-    w, v = as_functional(L).weights, as_function(u).values
+    w = (L if isinstance(L, DiscreteFunctional) else DiscreteFunctional(L)).weights
+    v = (u if isinstance(u, FunctionOnOmega) else FunctionOnOmega(u)).values
     if len(w) != len(v):
         raise StructureError(f"length mismatch: {len(w)} weights vs {len(v)} values")
-    return math.fsum(wi * vi for wi, vi in zip(w, v))
+    return math.fsum(map(mul, w, v))

@@ -78,11 +78,11 @@ class FunctionModel:
 
 
 def eval_fn(f: FunctionModel, x: float) -> float:
-    slack = DOMAIN_SLACK * max(1.0, abs(x))
-    if not f.domain.contains(x, slack):
-        raise DomainError(
-            f"{f.name}: x={x!r} outside domain [{f.domain.lo}, {f.domain.hi}]"
-        )
+    slack = abs(x)
+    slack = DOMAIN_SLACK * (slack if slack > 1.0 else 1.0)
+    dom = f.domain
+    if not dom.lo - slack <= x <= dom.hi + slack:
+        raise DomainError(f"{f.name}: x={x!r} outside domain [{dom.lo}, {dom.hi}]")
     value = float(f.fn(x))
     if not math.isfinite(value):
         raise DomainError(f"{f.name}: non-finite value at x={x!r}")

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from itertools import repeat
+from operator import mul
 from typing import Sequence
 
 from .analysis import convexity_margin, k1_witness
@@ -46,13 +47,15 @@ from .funclib import FunctionModel, eval_fn
 from .report import UNMET, ChainReport, chain_report, judge
 
 
-def _sq(values: Sequence[float]) -> tuple[float, ...]:
-    return tuple(v * v for v in values)
+def _sq(values: Sequence[float]) -> FunctionOnOmega:
+    """The squared values, as the function whose second moment they give."""
+    return FunctionOnOmega(map(mul, values, values))
 
 
 def apply_fn(L, f: FunctionModel, u) -> float:
     """Weighted sum of f over the values; zero-weight coordinates are skipped."""
-    w, v = as_functional(L).weights, as_function(u).values
+    w = (L if isinstance(L, DiscreteFunctional) else DiscreteFunctional(L)).weights
+    v = (u if isinstance(u, FunctionOnOmega) else FunctionOnOmega(u)).values
     if len(w) != len(v):
         raise StructureError(f"length mismatch: {len(w)} weights vs {len(v)} values")
     return math.fsum(wi * eval_fn(f, vi) for wi, vi in zip(w, v) if wi != 0.0)

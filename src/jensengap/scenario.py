@@ -42,7 +42,9 @@ SCHEMA_VERSION = 1
 class Theorem:
     """Registry entry: everything the engine knows about one theorem id."""
 
-    __slots__ = ("verifier", "default_fn", "fields", "optional", "mode_arg", "mode_values")
+    __slots__ = (
+        "verifier", "default_fn", "modes", "fields", "optional", "mode_arg", "mode_values"
+    )
 
     def __init__(
         self,
@@ -59,6 +61,7 @@ class Theorem:
         self.verifier = verifier
         #: mode -> default function of the CLI; the first mode is the default
         self.default_fn = default_fn
+        self.modes = tuple(default_fn)
         #: required payload fields, in the verifier's argument order
         self.fields = fields
         #: optional payload fields -> value used when a field is absent or null
@@ -67,10 +70,6 @@ class Theorem:
         self.mode_arg = mode_arg
         #: the verifier's value of each mode whose name differs from it
         self.mode_values = {} if mode_values is None else mode_values
-
-    @property
-    def modes(self) -> tuple[str, ...]:
-        return tuple(self.default_fn)
 
 
 #: the payload fields of a two-sided scenario, passed on as one Mt1Scenario
@@ -227,7 +226,7 @@ def _need(payload: dict, key: str, theorem_id: str) -> Any:
 def interval_from(v: Any) -> IntervalR:
     if not (isinstance(v, (list, tuple)) and len(v) == 2):
         raise StructureError(f"interval must be a [lo, hi] pair, got {v!r}")
-    return IntervalR(float(v[0]), float(v[1]))
+    return IntervalR(v[0], v[1])
 
 
 def interval_to(iv: IntervalR) -> list[float]:
@@ -237,7 +236,7 @@ def interval_to(iv: IntervalR) -> list[float]:
 def group_from(d: Any) -> WeightedGroup:
     if not isinstance(d, dict):
         raise StructureError(f"weighted group must be an object, got {d!r}")
-    return WeightedGroup(tuple(d.get("points", ())), tuple(d.get("weights", ())))
+    return WeightedGroup(d.get("points", ()), d.get("weights", ()))
 
 
 def group_to(g: WeightedGroup) -> dict:
@@ -311,7 +310,11 @@ def _num(x: Any) -> Any:
 def _checks_json(vr: ValidityReport | None) -> list[dict]:
     if vr is None:
         return []
-    return [{"name": c.name, "residual": _num(c.residual), "ok": c.ok} for c in vr.checks]
+    # a residual is a float, and NaN is the one float unequal to itself
+    return [
+        {"name": c.name, "residual": c.residual if c.residual == c.residual else None, "ok": c.ok}
+        for c in vr.checks
+    ]
 
 
 _VALUE_KEYS = ("gap_left", "gap_right", "spread_left", "spread_right", "mid_left", "mid_right")

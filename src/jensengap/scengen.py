@@ -16,6 +16,7 @@ import random
 from .domain import (
     EPS_EQ,
     AffineConfig,
+    DiscreteFunctional,
     InfeasibleError,
     IntervalR,
     Mt1Scenario,
@@ -84,12 +85,12 @@ class SearchResult:
         self.details = {} if details is None else details
 
 
-def _split_total(rng: random.Random, total: float, k: int) -> tuple[float, ...]:
+def _split_total(rng: random.Random, total: float, k: int) -> list[float]:
     if k == 0:
-        return ()
+        return []
     parts = [rng.uniform(0.1, 1.0) for _ in range(k)]
     s = math.fsum(parts)
-    return tuple(total * p / s for p in parts)
+    return [total * p / s for p in parts]
 
 
 def draw_config(
@@ -106,16 +107,12 @@ def draw_config(
         alpha = rng.uniform(0.4, 1.0)
         beta = rng.uniform(max(0.4, 1.0 - alpha + 0.05), 1.0)
         gamma = alpha + beta - 1.0
-    group_a = WeightedGroup(
-        tuple(rng.uniform(lo, hi) for _ in range(n)), _split_total(rng, alpha, n)
-    )
-    group_b = WeightedGroup(
-        tuple(rng.uniform(lo, hi) for _ in range(m)), _split_total(rng, beta, m)
-    )
+    group_a = WeightedGroup([rng.uniform(lo, hi) for _ in range(n)], _split_total(rng, alpha, n))
+    group_b = WeightedGroup([rng.uniform(lo, hi) for _ in range(m)], _split_total(rng, beta, m))
     if l:
         h_lo, h_hi = sorted((barycenter(group_a), barycenter(group_b)))
         minus = WeightedGroup(
-            tuple(rng.uniform(h_lo, h_hi) for _ in range(l)), _split_total(rng, gamma, l)
+            [rng.uniform(h_lo, h_hi) for _ in range(l)], _split_total(rng, gamma, l)
         )
     else:
         minus = WeightedGroup((), ())
@@ -135,7 +132,7 @@ def gen_affine_config(spec: GenSpec, side: str, rng: random.Random | None = None
 
 def _rescale(cfg: AffineConfig, anchor: float, k: float) -> AffineConfig:
     def scale(g: WeightedGroup) -> WeightedGroup:
-        return WeightedGroup(tuple(anchor + k * (p - anchor) for p in g.points), g.weights)
+        return WeightedGroup([anchor + k * (p - anchor) for p in g.points], g.weights)
 
     return AffineConfig(scale(cfg.plus_a), scale(cfg.plus_b), scale(cfg.minus_c))
 
@@ -264,13 +261,14 @@ def _matched_pair(
 
     Returns (partner values, moment offset used, partner mean).
     """
-    mean = apply(weights, values)
-    second = apply(weights, [v * v for v in values])
-    var = second - mean * mean
+    L = DiscreteFunctional(weights)
+    mean = apply(L, values)
     d_min = max(inner.hi - mean, mean - inner.lo)
     d_max = min(outer.hi - mean, mean - outer.lo)
     if d_max <= d_min:
         raise _Retry
+    second = apply(L, [v * v for v in values])
+    var = second - mean * mean
     if offset is None:
         lo = d_min * d_min - var
         hi = d_max * d_max - var
@@ -610,16 +608,8 @@ def search_counterexamples(
             return
         margin = report["margin"]
         if margin is not None and margin < -report_threshold:
-            results.append(
-                SearchResult(
-                    payload=payload,
-                    margin=margin,
-                    theorem_id=theorem_id,
-                    mode=mode,
-                    seed_trace=trace,
-                    details={"verdict": report["verdict"]},
-                )
-            )
+            details = {"verdict": report["verdict"]}
+            results.append(SearchResult(payload, margin, theorem_id, mode, trace, details))
 
     if include_probes and theorem_id == "mt4" and mode == "literal":
         consider(straddle_probe_mt4(), ("probe",))

@@ -17,6 +17,7 @@ from jensengap.domain import (
     StructureError,
     WeightedGroup,
     spread,
+    validate_affine_config,
 )
 from jensengap.funclib import FunctionModel, KnownClass, catalog, negate
 from jensengap.scenario import config_to
@@ -56,8 +57,8 @@ class TestJensenAffineGap:
 
 
 class TestValidateOnce:
-    """mt1-mt3 validate each side once, in the hypothesis checks; the gaps
-    reuse that result."""
+    """mt1-mt3 record each side's invariants once, straight into the
+    verifier's checks; the gaps reuse that result."""
 
     @pytest.mark.parametrize(
         "verify, f",
@@ -67,14 +68,24 @@ class TestValidateOnce:
             (verify_mt3, negate(catalog("signed_square"))),
         ],
     )
-    def test_two_validations_per_scenario(self, monkeypatch, verify, f):
-        calls = []
-        real = affine.validate_affine_config
+    def test_each_side_recorded_once(self, monkeypatch, verify, f):
+        prefixes = []
+        real = affine.record_affine_config
         monkeypatch.setattr(
-            affine, "validate_affine_config", lambda *a: calls.append(a) or real(*a)
+            affine, "record_affine_config",
+            lambda cs, prefix, cfg: prefixes.append(prefix) or real(cs, prefix, cfg),
         )
-        assert verify(f, MIRRORED).verdict == "holds"
-        assert len(calls) == 2
+        monkeypatch.setattr(affine, "validate_affine_config", None)
+        report = verify(f, MIRRORED)
+        assert report.verdict == "holds"
+        assert prefixes == ["left.", "right."]
+        names = [c.name for c in report.hypotheses.checks]
+        assert len(names) == len(set(names))
+        for prefix, side in zip(prefixes, (MIRRORED.left, MIRRORED.right)):
+            side_names = [prefix + c.name for c in validate_affine_config(side).checks]
+            assert [n for n in names if n.startswith(prefix) and "in_interval" not in n] == (
+                side_names
+            )
 
 
 def mt1_hypotheses(s):

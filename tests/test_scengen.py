@@ -307,14 +307,16 @@ TWO_SIDED = [("mt1", "proper"), ("mt2", "a"), ("mt2", "b"), ("mt2", "auto"), ("m
 
 class TestTwoSidedSidesValidByConstruction:
     """Generation builds each side valid (draw_config, then rescaling) and
-    does not validate it; the verifiers validate what they judge."""
+    does not validate it; the verifiers validate what they judge.  Every
+    configuration check, validate_affine_config's too, is recorded by
+    record_affine_config."""
 
     @pytest.mark.parametrize("theorem, mode", TWO_SIDED)
     def test_generation_validates_nothing(self, monkeypatch, theorem, mode):
         calls = []
-        real = domain.validate_affine_config
+        real = domain.record_affine_config
         monkeypatch.setattr(
-            domain, "validate_affine_config", lambda *a: calls.append(a) or real(*a)
+            domain, "record_affine_config", lambda *a: calls.append(a) or real(*a)
         )
         gen_payload(GenSpec(seed=7), theorem, mode)
         assert calls == []
