@@ -26,6 +26,7 @@ from .scenario import (
     SCHEMA_VERSION,
     TOOL,
     VERSION,
+    check_tolerance,
     dumps,
     fn_spec_from_string,
     lookup,
@@ -71,6 +72,8 @@ def _parse_sizes(text: str) -> tuple[int, int, int]:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
+    if args.tol is not None:
+        check_tolerance(args.tol)
     doc = json.loads(_read_text(args.path))
     if isinstance(doc, list):
         reports = [run_scenario(d, tol=args.tol) for d in doc]

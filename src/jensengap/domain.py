@@ -11,13 +11,11 @@ unital when its weights sum to 1.  Functions are plain value vectors of
 matching length, and ``apply`` is their weighted sum.
 
 The value types are plain classes with ``__slots__``, each validating its
-fields once, in ``__init__``.  A group's or functional's total weight is
-summed once there too.  They compare by identity, except that weighted
-groups and configurations compare by value.
-
-Every weighted sum goes through ``math.fsum``, which returns the correctly
-rounded sum of its terms: a sum is the same float however its terms are
-produced, and one computed once may stand for any recomputation.
+fields once, in ``__init__``, where groups and functionals also sum their
+total weight.  They compare by identity, except that weighted groups and
+configurations compare by value.  Every weighted sum is a ``math.fsum``,
+the correctly rounded sum of its terms, so a sum computed once may stand
+for any recomputation.
 """
 
 from __future__ import annotations
@@ -330,8 +328,7 @@ class DiscreteFunctional:
         self.weights = weights = tuple(map(float, weights))
         if not weights:
             raise StructureError("a functional needs at least one weight")
-        # w < 0.0 for each weight: a NaN weight passes and, unlike in
-        # min(weights) < 0.0, cannot hide a negative one
+        # w < 0.0 weight by weight: NaN passes and, unlike with min(), hides nothing
         if any(map((0.0).__gt__, weights)):
             raise StructureError("functional weights must be nonnegative")
         self.total = math.fsum(weights)
@@ -352,8 +349,7 @@ def as_function(u) -> FunctionOnOmega:
 
 def apply(L, u) -> float:
     """Weighted sum; for a unital functional the value lies in [min u, max u]."""
-    w = (L if isinstance(L, DiscreteFunctional) else DiscreteFunctional(L)).weights
-    v = (u if isinstance(u, FunctionOnOmega) else FunctionOnOmega(u)).values
+    w, v = as_functional(L).weights, as_function(u).values
     if len(w) != len(v):
         raise StructureError(f"length mismatch: {len(w)} weights vs {len(v)} values")
     return math.fsum(map(mul, w, v))

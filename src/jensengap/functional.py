@@ -54,8 +54,7 @@ def _sq(values: Sequence[float]) -> FunctionOnOmega:
 
 def apply_fn(L, f: FunctionModel, u) -> float:
     """Weighted sum of f over the values; zero-weight coordinates are skipped."""
-    w = (L if isinstance(L, DiscreteFunctional) else DiscreteFunctional(L)).weights
-    v = (u if isinstance(u, FunctionOnOmega) else FunctionOnOmega(u)).values
+    w, v = as_functional(L).weights, as_function(u).values
     if len(w) != len(v):
         raise StructureError(f"length mismatch: {len(w)} weights vs {len(v)} values")
     return math.fsum(wi * eval_fn(f, vi) for wi, vi in zip(w, v) if wi != 0.0)

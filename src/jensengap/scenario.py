@@ -42,9 +42,7 @@ SCHEMA_VERSION = 1
 class Theorem:
     """Registry entry: everything the engine knows about one theorem id."""
 
-    __slots__ = (
-        "verifier", "default_fn", "modes", "fields", "optional", "mode_arg", "mode_values"
-    )
+    __slots__ = ("verifier", "default_fn", "modes", "fields", "optional", "mode_arg", "mode_values")
 
     def __init__(
         self,
@@ -380,11 +378,16 @@ def run_payload(
     return _report(theorem_id, mode, rep)
 
 
-def run_scenario(doc: Any, tol: float | None = None) -> dict:
-    """Verify a parsed scenario document and return its report.
+def check_tolerance(tol: float) -> float:
+    """tol itself when it is finite and >= 0; a StructureError otherwise."""
+    if not 0.0 <= tol < math.inf:
+        raise StructureError(f"tolerance must be finite and >= 0, got {tol!r}")
+    return tol
 
-    ``tol``, else the document's ``tolerances.eq``, else EPS_EQ, must be
-    finite and >= 0; any other tolerance is rejected before any work."""
+
+def run_scenario(doc: Any, tol: float | None = None) -> dict:
+    """Verify a parsed scenario document and return its report; ``tol``
+    overrides the document's ``tolerances.eq``, and either is checked first."""
     if not isinstance(doc, dict):
         raise StructureError("scenario document must be a JSON object")
     sv = doc.get("schema_version")
@@ -395,8 +398,7 @@ def run_scenario(doc: Any, tol: float | None = None) -> dict:
         if not isinstance(tolerances, dict):
             raise StructureError(f"tolerances must be an object, got {tolerances!r}")
         tol = float(tolerances.get("eq", EPS_EQ))
-    if not 0.0 <= tol < math.inf:
-        raise StructureError(f"tolerance must be finite and >= 0, got {tol!r}")
+    check_tolerance(tol)
     theorem_id = doc.get("theorem_id")
     _, mode = lookup(theorem_id, doc.get("mode"))
     f = model_from_spec(doc.get("function") or {})

@@ -109,8 +109,9 @@ class TestCheck:
             run_scenario(doc, tol=tol)
 
     @pytest.mark.parametrize("tol", ["-1e-9", "nan", "inf", "-inf"])
-    def test_bad_tol_option_exit_1(self, tmp_path, capsys, tol):
-        path = write(tmp_path, "mt1.json", MIRRORED_MT1)
+    @pytest.mark.parametrize("doc", [MIRRORED_MT1, []], ids=["document", "empty-list"])
+    def test_bad_tol_option_exit_1(self, tmp_path, capsys, tol, doc):
+        path = write(tmp_path, "mt1.json", doc)
         assert run(["check", path, f"--tol={tol}"]) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and "tolerance must be finite and >= 0" in captured.err
