@@ -378,11 +378,10 @@ def run_payload(
     return _report(theorem_id, mode, rep)
 
 
-def check_tolerance(tol: float) -> float:
-    """tol itself when it is finite and >= 0; a StructureError otherwise."""
+def check_tolerance(tol: float) -> None:
+    """Raise a StructureError unless tol is finite and >= 0."""
     if not 0.0 <= tol < math.inf:
         raise StructureError(f"tolerance must be finite and >= 0, got {tol!r}")
-    return tol
 
 
 def run_scenario(doc: Any, tol: float | None = None) -> dict:
@@ -394,7 +393,8 @@ def run_scenario(doc: Any, tol: float | None = None) -> dict:
     if sv != SCHEMA_VERSION:
         raise StructureError(f"unsupported schema_version {sv!r} (expected {SCHEMA_VERSION})")
     if tol is None:
-        tolerances = doc.get("tolerances") or {}
+        tolerances = doc.get("tolerances")
+        tolerances = {} if tolerances is None else tolerances
         if not isinstance(tolerances, dict):
             raise StructureError(f"tolerances must be an object, got {tolerances!r}")
         tol = float(tolerances.get("eq", EPS_EQ))

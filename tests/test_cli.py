@@ -90,7 +90,7 @@ class TestCheck:
         assert run(["check", path, "--tol", "1.0"]) == 0
 
     @pytest.mark.parametrize(
-        "tolerances", [[1], "x", {"eq": -1e-9}, {"eq": math.nan}, {"eq": math.inf}]
+        "tolerances", [[1], [], "x", {"eq": -1e-9}, {"eq": math.nan}, {"eq": math.inf}]
     )
     def test_bad_tolerances_in_the_document_exit_1(self, tmp_path, capsys, tolerances):
         path = write(tmp_path, "tol.json", {**MIRRORED_MT1, "tolerances": tolerances})
