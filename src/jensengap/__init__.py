@@ -15,7 +15,7 @@ _EXPORTS = {
     "domain": "EPS_EQ AffineConfig DiscreteFunctional FunctionOnOmega InfeasibleError IntervalR"
     " Mt1Scenario StructureError ValidityReport WeightedGroup apply barycenter"
     " combination_value hull_membership spread validate_affine_config",
-    "funclib": "DomainError FunctionModel KnownClass TabulatedFunction catalog d2_one_sided"
+    "funclib": "DomainError FunctionModel TabulatedFunction catalog d2_one_sided"
     " eval_fn load_table negate parse_fn_spec tabulated_model",
     "functional": "verify_ic1 verify_ic2 verify_ic3 verify_it2 verify_it3 verify_mc1 verify_mc2"
     " verify_mc3 verify_mt4 verify_mt5",

@@ -27,7 +27,7 @@ from .domain import (
     spread,
     validate_affine_config,
 )
-from .funclib import DomainError, FunctionModel, d2_one_sided, eval_fn
+from .funclib import DomainError, FunctionModel, d2_one_sided, eval_fn, require_in_domain
 from .report import UNMET, ChainReport, chain_report
 
 
@@ -72,8 +72,16 @@ def cross_weighted_gap(
     return math.fsum(terms) - eval_fn(f, math.fsum(value_terms))
 
 
-def _base_checkset(s: Mt1Scenario, tol: float) -> tuple[CheckSet, dict]:
-    """Config validity and interval containment; returns spreads when computable."""
+def _base_checkset(f: FunctionModel, s: Mt1Scenario, tol: float) -> tuple[CheckSet, dict]:
+    """Config validity and interval containment; returns spreads when computable.
+
+    A point outside f's domain is an input error, raised before any work:
+    its powers in the spread may overflow.
+    """
+    for what, cfg in (("left points", s.left), ("right points", s.right)):
+        pts = cfg.plus_a.points + cfg.plus_b.points + cfg.minus_c.points
+        if pts:
+            require_in_domain(f, min(pts), max(pts), what)
     cs = CheckSet(tol)
     ok_l = record_affine_config(cs, "left.", s.left)
     ok_r = record_affine_config(cs, "right.", s.right)
@@ -101,7 +109,7 @@ def verify_mt1(
     """Four-term chain: gap_left <= (A/2) spread_left = (A/2) spread_right <= gap_right.
 
     Requires matched spreads and separation at c; f must be 3-convex at c
-    with constant A (supplied, declared, or classified).
+    with constant A (supplied, or from ``k1_witness``).
 
     ``weight_reading`` selects how the right gap is evaluated: "matched"
     (default) uses the right configuration's own weights, which is what the
@@ -112,7 +120,7 @@ def verify_mt1(
     if weight_reading not in ("matched", "literal_alpha"):
         raise StructureError(f"unknown weight reading {weight_reading!r}")
     details: dict = {"c": s.c, "weight_reading": weight_reading}
-    cs, vals = _base_checkset(s, tol)
+    cs, vals = _base_checkset(f, s, tol)
     if vals:
         cs.at_least("2.2", min(s.c - vals["max_left"], vals["min_right"] - s.c))
         sl, sr = vals["spread_left"], vals["spread_right"]
@@ -149,22 +157,23 @@ def _signed_witness(
 ) -> float | None:
     """Witness constant restricted to a sign regime ("nonneg" or "nonpos").
 
-    Declared metadata is used when its anchor lies in [a_tt, r_tt] and its
-    constant has the required sign; otherwise the dd2 sandwich over
-    [lo, a_tt] and [r_tt, hi] is intersected with the regime.
+    For a certified model with c in [a_tt, r_tt] that is 3-convex on the
+    interval (3-concave for the K2c kinds), the constant is
+    (f''(c-) + f''(c+)) / 2 when it has the required sign; otherwise the
+    dd2 sandwich over [lo, a_tt] and [r_tt, hi] is intersected with the
+    regime.
     """
-
-    def fits(value: float) -> bool:
-        return value >= -tol if sign == "nonneg" else value <= tol
-
-    kc = f.known_class
-    if (
-        kc is not None
-        and kc.kind in kinds
-        and a_tt - tol <= kc.c <= r_tt + tol
-        and fits(kc.A)
-    ):
-        return kc.A
+    c = s.c
+    if f.d2_monotone and a_tt - tol <= c <= r_tt + tol:
+        shaped = is_3convex if "K1c" in kinds else is_3concave
+        try:
+            certified = shaped(f, s.interval, tol=tol)
+        except DomainError:
+            certified = False
+        if certified:
+            A = 0.5 * (f.d2_minus(c) + f.d2_plus(c))
+            if A >= -tol if sign == "nonneg" else A <= tol:
+                return A
     try:
         k1, k2 = curvature_sandwich(f, s.interval, a_tt, r_tt, tol=tol)
     except (StructureError, DomainError):
@@ -204,7 +213,7 @@ def verify_mt2(
     """
     if branch not in ("auto", "a", "b", "c"):
         raise StructureError(f"unknown branch {branch!r}")
-    cs, vals = _base_checkset(s, tol)
+    cs, vals = _base_checkset(f, s, tol)
     if not cs.ok:
         return ChainReport(UNMET, hypotheses=cs.report(), details={"branch": branch})
     a_tt, r_tt = vals["max_left"], vals["min_right"]
@@ -283,7 +292,7 @@ def verify_mt3(
         raise StructureError(f"unknown branch {branch!r}")
     if c_convention not in ("mirrored", "printed"):
         raise StructureError(f"unknown c_convention {c_convention!r}")
-    cs, vals = _base_checkset(s, tol)
+    cs, vals = _base_checkset(f, s, tol)
     if not cs.ok:
         return ChainReport(UNMET, hypotheses=cs.report(), details={"branch": branch})
     a_tt, r_tt = vals["max_left"], vals["min_right"]

@@ -140,7 +140,7 @@ def _certified_d2(
     0.0 minus f's."""
     if n < min_n:
         raise StructureError(f"grid needs at least {min_n} points")
-    require_in_domain(f, IntervalR(lo, hi))
+    require_in_domain(f, lo, hi)
     return f.d2_plus(lo) + 0.0, f.d2_minus(hi) + 0.0
 
 
@@ -306,13 +306,14 @@ def k1_witness(
     grid_n: int = WITNESS_GRID,
     tol: float = EPS_EQ,
 ) -> float | None:
-    """Constant making f 3-convex at c: declared metadata when it matches,
-    otherwise the feasible-interval midpoint; None when infeasible."""
-    kc = f.known_class
-    if kc is not None and kc.kind in ("K1c", "both") and abs(kc.c - c) <= tol:
-        return kc.A
+    """Constant making f 3-convex at c: the midpoint of the K1 interval of
+    ``curvature_sandwich`` split at c, which for a certified model is
+    (f''(c-) + f''(c+)) / 2; None when c is not interior or the interval is
+    infeasible."""
+    if not interval.lo < c < interval.hi:
+        return None
     try:
-        cls = classify_at_point(f, c, interval, grid_n, tol)
+        k1 = curvature_sandwich(f, interval, c, c, grid_n, tol)[0]
     except (StructureError, DomainError):
         return None
-    return cls.k1_interval.midpoint() if cls.k1_interval.feasible else None
+    return k1.midpoint() if k1.feasible else None

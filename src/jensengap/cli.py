@@ -97,7 +97,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     fn_spec = fn_spec_from_string(args.fn, point=args.point)
     f = model_from_spec(fn_spec)
     interval = _parse_interval(args.interval)
-    require_in_domain(f, interval)
+    require_in_domain(f, interval.lo, interval.hi)
     cls = classify_at_point(f, args.point, interval, args.grid)
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -129,7 +129,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         count=args.count,
     )
     fn_spec = fn_spec_from_string(args.fn or entry.default_fn[mode], point=args.point)
-    require_in_domain(model_from_spec(fn_spec), spec.interval)  # reject bad input before emitting
+    # reject bad input before emitting
+    require_in_domain(model_from_spec(fn_spec), spec.interval.lo, spec.interval.hi)
     docs = []
     for i in range(spec.count):
         rng = random.Random(args.seed + i)
@@ -154,7 +155,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
         c=args.point,
         sizes=_parse_sizes(args.sizes),
     )
-    require_in_domain(f, spec.interval)
+    require_in_domain(f, spec.interval.lo, spec.interval.hi)
     results = scengen.search_counterexamples(
         f,
         theorem_id,

@@ -36,6 +36,15 @@ class InfeasibleError(RuntimeError):
     """Generation could not satisfy the requested constraints."""
 
 
+def sum_weights(weights, what: str) -> float:
+    """math.fsum of the weights; a sum past the float range is malformed
+    input, a StructureError that names ``what``."""
+    try:
+        return math.fsum(weights)
+    except OverflowError:
+        raise StructureError(f"{what} sum past the float range") from None
+
+
 class IntervalR:
     __slots__ = ("lo", "hi")
 
@@ -68,7 +77,7 @@ class WeightedGroup:
         self.weights = weights = tuple(map(float, weights))
         if len(self.points) != len(weights):
             raise StructureError("points and weights must have equal length")
-        self.total = math.fsum(weights)
+        self.total = sum_weights(weights, "group weights")
 
     def __eq__(self, other):
         if other.__class__ is not WeightedGroup:
@@ -213,23 +222,15 @@ def _require_structure(cfg: AffineConfig) -> None:
         raise StructureError("plus_b group is empty")
 
 
-def validate_affine_config(
-    cfg: AffineConfig, tol: float = EPS_EQ, hull: str = "barycenter"
-) -> ValidityReport:
+def validate_affine_config(cfg: AffineConfig, tol: float = EPS_EQ) -> ValidityReport:
     """Check every configuration invariant and report each numeric residual.
-
-    ``hull`` selects which hull the minus points are tested against:
-    "barycenter" uses conv of the two group barycenters, "pointset" uses the
-    (wider) conv of all positively weighted plus points.
-    """
+    Minus points are tested against the hull of the two group barycenters."""
     cs = CheckSet(tol)
-    record_affine_config(cs, "", cfg, hull)
+    record_affine_config(cs, "", cfg)
     return cs.report()
 
 
-def record_affine_config(
-    cs: CheckSet, prefix: str, cfg: AffineConfig, hull: str = "barycenter"
-) -> bool:
+def record_affine_config(cs: CheckSet, prefix: str, cfg: AffineConfig) -> bool:
     """Record the checks of ``validate_affine_config`` in cs, each name
     prefixed with ``prefix``; true when all of them hold."""
     _require_structure(cfg)
@@ -246,13 +247,7 @@ def record_affine_config(
     ok &= cs.at_least(f"{prefix}gamma_nonneg", gamma)
     ok &= cs.equality(f"{prefix}mass_balance", alpha + beta - gamma - 1.0)
     if alpha > 0.0 and beta > 0.0:
-        if hull == "barycenter":
-            h_lo, h_hi = sorted((barycenter(cfg.plus_a), barycenter(cfg.plus_b)))
-        elif hull == "pointset":
-            pts = cfg.plus_a.active_points() + cfg.plus_b.active_points()
-            h_lo, h_hi = min(pts), max(pts)
-        else:
-            raise StructureError(f"unknown hull mode {hull!r}")
+        h_lo, h_hi = sorted((barycenter(cfg.plus_a), barycenter(cfg.plus_b)))
         worst = 0.0
         for k, (p, w) in enumerate(zip(cfg.minus_c.points, cfg.minus_c.weights)):
             if w <= 0.0:
@@ -331,7 +326,7 @@ class DiscreteFunctional:
         # w < 0.0 weight by weight: NaN passes and, unlike with min(), hides nothing
         if any(map((0.0).__gt__, weights)):
             raise StructureError("functional weights must be nonnegative")
-        self.total = math.fsum(weights)
+        self.total = sum_weights(weights, "functional weights")
 
     def is_unital(self, tol: float = EPS_EQ) -> bool:
         return abs(self.total - 1.0) <= tol

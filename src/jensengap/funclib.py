@@ -1,10 +1,10 @@
 """Function models: evaluation, one-sided curvature, and a small catalog.
 
-Catalog entries carry analytic one-sided second derivatives, a certificate
-that f'' is monotone on the whole domain (``d2_monotone``), and, where the
-structure is known in closed form, the point c and constant A for which
-f(x) - (A/2) x^2 switches concavity at c ("K1c": 3-convex at c, "K2c":
-3-concave at c, "both" for quadratics).
+Catalog entries carry analytic one-sided second derivatives and a
+certificate that f'' is monotone on the whole domain (``d2_monotone``).
+That certificate is the one source of the paper's constant A: at any c,
+the A for which f(x) - (A/2) x^2 is concave left of c and convex right of
+it are exactly [f''(c-), f''(c+)] when f'' is nondecreasing (``analysis``).
 """
 
 from __future__ import annotations
@@ -33,20 +33,9 @@ DOMAIN_SLACK = 1e-12
 TABLE_CACHE_SIZE = 8
 
 
-class KnownClass:
-    """Declared pointwise structure: kind is "K1c", "K2c" or "both"."""
-
-    __slots__ = ("c", "A", "kind")
-
-    def __init__(self, c: float, A: float, kind: str):
-        self.c = c
-        self.A = A
-        self.kind = kind
-
-
 class FunctionModel:
     """A function on its domain, with optional analytic one-sided second
-    derivatives and declared class.  Models hash and compare by identity.
+    derivatives.  Models hash and compare by identity.
 
     ``d2_monotone`` certifies that f'' is monotone (in either direction) on
     the whole domain, with ``d2_minus``/``d2_plus`` its exact one-sided
@@ -54,7 +43,7 @@ class FunctionModel:
     instead of a grid.  It needs both analytic maps.
     """
 
-    __slots__ = ("name", "domain", "fn", "d2_minus", "d2_plus", "known_class", "d2_monotone")
+    __slots__ = ("name", "domain", "fn", "d2_minus", "d2_plus", "d2_monotone")
 
     def __init__(
         self,
@@ -63,7 +52,6 @@ class FunctionModel:
         fn: Callable[[float], float],
         d2_minus: Callable[[float], float] | None = None,
         d2_plus: Callable[[float], float] | None = None,
-        known_class: KnownClass | None = None,
         d2_monotone: bool = False,
     ):
         if d2_monotone and (d2_minus is None or d2_plus is None):
@@ -73,7 +61,6 @@ class FunctionModel:
         self.fn = fn
         self.d2_minus = d2_minus
         self.d2_plus = d2_plus
-        self.known_class = known_class
         self.d2_monotone = d2_monotone
 
 
@@ -89,12 +76,15 @@ def eval_fn(f: FunctionModel, x: float) -> float:
     return value
 
 
-def require_in_domain(f: FunctionModel, interval: IntervalR) -> None:
-    """Reject an interval that leaves f's domain, with eval_fn's slack, before
-    any evaluation; the error names the interval."""
-    lo, hi, dom = interval.lo, interval.hi, f.domain
-    if not all(dom.contains(x, DOMAIN_SLACK * max(1.0, abs(x))) for x in (lo, hi)):
-        raise DomainError(f"{f.name}: interval [{lo}, {hi}] outside domain [{dom.lo}, {dom.hi}]")
+def require_in_domain(f: FunctionModel, lo: float, hi: float, what: str = "interval") -> None:
+    """Reject [lo, hi] unless both ends lie in f's domain, with eval_fn's
+    slack, before any evaluation; the error names ``what``."""
+    dom = f.domain
+    for x in (lo, hi):
+        slack = abs(x)
+        slack = DOMAIN_SLACK * (slack if slack > 1.0 else 1.0)
+        if not dom.lo - slack <= x <= dom.hi + slack:
+            raise DomainError(f"{f.name}: {what} [{lo}, {hi}] outside domain [{dom.lo}, {dom.hi}]")
 
 
 def d2_one_sided(f: FunctionModel, x: float, side: str, h: float | None = None) -> float:
@@ -131,7 +121,6 @@ def _signed_square_d2_plus(x: float) -> float:
 def catalog(
     name: str,
     param: float | str | None = None,
-    point: float = 0.0,
     table: "TabulatedFunction | None" = None,
 ) -> FunctionModel:
     """Build a catalog model.
@@ -139,8 +128,8 @@ def catalog(
     Names: quadratic (needs a curvature parameter q, f = q x^2 / 2), cubic,
     signed_square (x|x|), neg_signed_square (-x|x|), exp, tabulated-spline
     (needs a table or a file path).  A parameter given to a function that
-    takes none is rejected.  ``point`` anchors the declared class metadata
-    where it depends on the anchor (cubic, exp, quadratic).
+    takes none is rejected.  Every entry but the table is certified
+    ``d2_monotone``, so its constant A at any c comes from its d2 maps.
 
     A table file maps to one model per content: ``load_table`` returns the
     same table while the file is unchanged, and that table keeps its model
@@ -161,7 +150,6 @@ def catalog(
             fn=lambda x, q=q: 0.5 * q * x * x,
             d2_minus=lambda x, q=q: q,
             d2_plus=lambda x, q=q: q,
-            known_class=KnownClass(point, q, "both"),
             d2_monotone=True,
         )
     if name == "cubic":
@@ -171,19 +159,17 @@ def catalog(
             fn=lambda x: x * x * x,
             d2_minus=lambda x: 6.0 * x,
             d2_plus=lambda x: 6.0 * x,
-            known_class=KnownClass(point, 6.0 * point, "K1c"),
             d2_monotone=True,
         )
     if name == "signed_square":
         # f'' = 2 sign(x); at 0 the one-sided values differ.  Any constant in
-        # [-2, 2] works at c = 0; the canonical choice is 0.
+        # [-2, 2] works at c = 0; the certified midpoint is 0.
         return FunctionModel(
             name="signed_square",
             domain=wide,
             fn=lambda x: x * abs(x),
             d2_minus=_signed_square_d2_minus,
             d2_plus=_signed_square_d2_plus,
-            known_class=KnownClass(0.0, 0.0, "K1c"),
             d2_monotone=True,
         )
     if name == "neg_signed_square":
@@ -195,7 +181,6 @@ def catalog(
             fn=math.exp,
             d2_minus=math.exp,
             d2_plus=math.exp,
-            known_class=KnownClass(point, math.exp(point), "K1c"),
             d2_monotone=True,
         )
     if name == "tabulated-spline":
@@ -209,7 +194,8 @@ def catalog(
 
 def fn_spec_from_string(spec: str, point: float = 0.0) -> dict:
     """Parse "name" or "name:param" (e.g. "quadratic:2", "tabulated-spline:f.txt")
-    into a function-spec object."""
+    into a function-spec object.  ``point`` is recorded in the spec, where
+    it does not change the model."""
     name, _, arg = spec.partition(":")
     d: dict = {"name": name.strip(), "point": float(point)}
     arg = arg.strip()
@@ -221,26 +207,21 @@ def fn_spec_from_string(spec: str, point: float = 0.0) -> dict:
     return d
 
 
-def parse_fn_spec(spec: str, point: float = 0.0) -> FunctionModel:
+def parse_fn_spec(spec: str) -> FunctionModel:
     """The catalog model of a "name" or "name:param" spec."""
-    d = fn_spec_from_string(spec, point)
-    return catalog(d["name"], d.get("param", d.get("path")), point)
+    d = fn_spec_from_string(spec)
+    return catalog(d["name"], d.get("param", d.get("path")))
 
 
 def negate(f: FunctionModel) -> FunctionModel:
-    """Pointwise negation; swaps the declared K1c/K2c kinds, flips A and keeps
-    the monotone-f'' certificate (-f'' is monotone the other way)."""
-    kc = None
-    if f.known_class is not None:
-        kind = {"K1c": "K2c", "K2c": "K1c", "both": "both"}[f.known_class.kind]
-        kc = KnownClass(f.known_class.c, -f.known_class.A, kind)
+    """Pointwise negation; keeps the monotone-f'' certificate (-f'' is
+    monotone the other way), so a K1c point of f is a K2c point of -f."""
     return FunctionModel(
         name=f"neg({f.name})",
         domain=f.domain,
         fn=lambda x, g=f.fn: -g(x),
         d2_minus=None if f.d2_minus is None else (lambda x, g=f.d2_minus: -g(x)),
         d2_plus=None if f.d2_plus is None else (lambda x, g=f.d2_plus: -g(x)),
-        known_class=kc,
         d2_monotone=f.d2_monotone,
     )
 

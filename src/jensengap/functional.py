@@ -42,6 +42,7 @@ from .domain import (  # noqa: F401  (the functional types are re-exported)
     apply,
     as_function,
     as_functional,
+    sum_weights,
 )
 from .funclib import FunctionModel, eval_fn
 from .report import UNMET, ChainReport, chain_report, judge
@@ -217,7 +218,7 @@ def verify_ic3(
         raise StructureError("need matching nonempty functional and function families")
     cs = CheckSet(tol)
     _convex_gate(cs, f, interval)
-    cs.equality("totals", math.fsum(L.total for L in Ls) - 1.0)
+    cs.equality("totals", sum_weights((L.total for L in Ls), "Ls totals") - 1.0)
     for i, g in enumerate(gs, start=1):
         _inside(cs, f"range.g{i}", g.values, interval, tol)
     if not cs.ok:
@@ -250,8 +251,8 @@ def verify_it3(
     cs = CheckSet(tol)
     _convex_gate(cs, f, interval)
     cs.record("inner_in_interval", 0.0, interval.contains_interval(inner, tol))
-    cs.equality("totals.L", math.fsum(L.total for L in Ls) - 1.0)
-    cs.equality("totals.H", math.fsum(H.total for H in Hs) - 1.0)
+    cs.equality("totals.L", sum_weights((L.total for L in Ls), "Ls totals") - 1.0)
+    cs.equality("totals.H", sum_weights((H.total for H in Hs), "Hs totals") - 1.0)
     vs_g, vs_h = [g.values for g in gs], [h.values for h in hs]
     _pair_range_checks(cs, "g{}", vs_g, "h{}", vs_h, inner, interval, tol)
     sum_lg = math.fsum(map(apply, Ls, gs))
@@ -303,7 +304,7 @@ def _split_transfer(
         raise StructureError("family sizes must match")
     cs = CheckSet(tol)
     for name, fam in zip(totals, ls):
-        cs.equality(name, math.fsum(L.total for L in fam) - 1.0)
+        cs.equality(name, sum_weights((L.total for L in fam), name) - 1.0)
     if mode == "literal":
         cs.record("inner_in_interval", 0.0, interval.contains_interval(inner, tol))
         inner2 = inner
@@ -505,7 +506,7 @@ def verify_mc3(
         raise StructureError("family sizes must match and be nonempty")
     vgs, vhs = [g.values for g in gs], [h.values for h in hs]
     cs = CheckSet(tol)
-    cs.equality("totals", math.fsum(L.total for L in Ls) - 1.0)
+    cs.equality("totals", sum_weights((L.total for L in Ls), "Ls totals") - 1.0)
     for i, (vg, vh) in enumerate(zip(vgs, vhs), start=1):
         _inside(cs, f"range.g{i}", vg, interval, tol)
         _inside(cs, f"range.h{i}", vh, interval, tol)

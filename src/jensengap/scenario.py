@@ -270,13 +270,13 @@ def mt1_scenario_to(s: Mt1Scenario) -> dict:
 
 
 def model_from_spec(d: dict) -> FunctionModel:
+    """The catalog model of a function spec.  A ``point`` must be a number,
+    as ``gen`` writes it, but it does not change the model."""
     if not isinstance(d, dict) or "name" not in d:
         raise StructureError(f"function spec must be an object with a name, got {d!r}")
-    point = float(d.get("point", 0.0))
+    float(d.get("point", 0.0))
     name = d["name"]
-    if name == "tabulated-spline":
-        return catalog(name, d.get("path"), point)
-    return catalog(name, d.get("param"), point)
+    return catalog(name, d.get("path" if name == "tabulated-spline" else "param"))
 
 
 def make_scenario(

@@ -32,6 +32,8 @@ from .scenario import lookup, mt1_scenario_to, run_payload
 
 #: attempts per scenario before reporting infeasibility
 RETRY_CAP = 100
+#: rungs of the ic2 and mc2 ladders, the constant center included
+LEVELS = 3
 
 
 class _Retry(Exception):
@@ -141,7 +143,6 @@ def match_spread(
     target: float,
     cfg: AffineConfig,
     anchor: float,
-    within: IntervalR | None = None,
     tol: float = EPS_EQ,
     validate: bool = True,
 ) -> AffineConfig:
@@ -150,7 +151,7 @@ def match_spread(
     The map x -> anchor + k (x - anchor) with k = sqrt(target / spread)
     scales the spread by exactly k^2 and preserves hull membership.  With
     the anchor at a side endpoint, k <= 1 keeps points in their side
-    interval; for k > 1 the optional ``within`` bound rejects escapes.
+    interval.
     ``validate=False`` skips validating cfg, for callers that built it valid.
     """
     if target < 0.0:
@@ -158,12 +159,7 @@ def match_spread(
     current = spread(cfg, tol, validate)
     if current <= 0.0:
         raise StructureError("cannot rescale a zero-spread configuration")
-    out = _rescale(cfg, anchor, math.sqrt(target / current))
-    if within is not None:
-        for p in out.active_points():
-            if not within.contains(p, tol * max(1.0, abs(p))):
-                raise InfeasibleError("rescaled configuration leaves the target interval")
-    return out
+    return _rescale(cfg, anchor, math.sqrt(target / current))
 
 
 def gen_two_sided_scenario(
@@ -323,12 +319,12 @@ def _gen_ic1(spec: GenSpec, mode: str, rng: random.Random) -> dict:
 
 
 def _ladder(
-    rng: random.Random, center: float, d_max: float, levels: int
+    rng: random.Random, center: float, d_max: float
 ) -> tuple[list[list[float]], list[list[float]], list[list[float]]]:
-    """Concentric two-point ladder: level 1 is the constant center, later
-    levels sit at center +- d_k with strictly growing d_k <= d_max.
-    Returns (functionals, value vectors, inner intervals)."""
-    fracs = sorted(rng.uniform(0.15, 0.9) for _ in range(levels - 1))
+    """Concentric two-point ladder of LEVELS levels: level 1 is the constant
+    center, later levels sit at center +- d_k with strictly growing
+    d_k <= d_max.  Returns (functionals, value vectors, inner intervals)."""
+    fracs = sorted(rng.uniform(0.15, 0.9) for _ in range(LEVELS - 1))
     ds = [f * d_max for f in fracs]
     functionals = [_unital_weights(rng, 2)]
     values = [[center, center]]
@@ -341,12 +337,12 @@ def _ladder(
     return functionals, values, inners
 
 
-def _gen_ic2(spec: GenSpec, mode: str, rng: random.Random, levels: int = 3) -> dict:
+def _gen_ic2(spec: GenSpec, mode: str, rng: random.Random) -> dict:
     interval = spec.interval
     width = interval.width
     center = rng.uniform(interval.lo + 0.3 * width, interval.hi - 0.3 * width)
     d_max = min(interval.hi - center, center - interval.lo)
-    functionals, values, inners = _ladder(rng, center, d_max, levels)
+    functionals, values, inners = _ladder(rng, center, d_max)
     return {
         "interval": [interval.lo, interval.hi],
         "inners": inners,
@@ -458,7 +454,7 @@ def _gen_mc1(spec: GenSpec, mode: str, rng: random.Random) -> dict:
     }
 
 
-def _gen_mc2(spec: GenSpec, mode: str, rng: random.Random, levels: int = 3) -> dict:
+def _gen_mc2(spec: GenSpec, mode: str, rng: random.Random) -> dict:
     interval, c = spec.interval, spec.c
     if mode == "region_restricted":
         g_lo, g_hi = interval.lo, c
@@ -466,7 +462,7 @@ def _gen_mc2(spec: GenSpec, mode: str, rng: random.Random, levels: int = 3) -> d
         g_center = rng.uniform(g_lo + 0.35 * (g_hi - g_lo), g_hi - 0.35 * (g_hi - g_lo))
         h_center = rng.uniform(h_lo + 0.35 * (h_hi - h_lo), h_hi - 0.35 * (h_hi - h_lo))
         d_max = min(g_hi - g_center, g_center - g_lo, h_hi - h_center, h_center - h_lo)
-        fracs = sorted(rng.uniform(0.15, 0.9) for _ in range(levels - 1))
+        fracs = sorted(rng.uniform(0.15, 0.9) for _ in range(LEVELS - 1))
         ds = [f * d_max for f in fracs]
         g_inners = [[g_center, g_center]] + [
             [g_center - d, g_center + d] for d in ds[:-1]
@@ -482,17 +478,17 @@ def _gen_mc2(spec: GenSpec, mode: str, rng: random.Random, levels: int = 3) -> d
         )
         h_center = g_center + delta
         room = min(g_center - interval.lo, interval.hi - h_center)
-        step0 = delta + rng.uniform(0.2, 0.4) * (room - (levels - 1) * delta) / (levels - 1)
+        step0 = delta + rng.uniform(0.2, 0.4) * (room - (LEVELS - 1) * delta) / (LEVELS - 1)
         if step0 <= delta:
             raise _Retry
-        ds = [step0 * (k + 1) for k in range(levels - 1)]
+        ds = [step0 * (k + 1) for k in range(LEVELS - 1)]
         if ds[-1] > room:
             raise _Retry
         g_inners = [[g_center, h_center]] + [
             [g_center - d, h_center + d] for d in ds[:-1]
         ]
         h_inners = g_inners
-    functionals = [_unital_weights(rng, 2)] + [[0.5, 0.5] for _ in range(levels - 1)]
+    functionals = [_unital_weights(rng, 2)] + [[0.5, 0.5] for _ in range(LEVELS - 1)]
     gs = [[g_center, g_center]] + [[g_center - d, g_center + d] for d in ds]
     hs = [[h_center, h_center]] + [[h_center - d, h_center + d] for d in ds]
     payload = {

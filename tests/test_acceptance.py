@@ -200,7 +200,7 @@ def test_criterion_8_literal_mode_probe(tmp_path, capsys):
     with criterion(8, "literal-mode straddle scenario fails with margin -0.06029 +- 1e-4"):
         doc = make_scenario("mt4", "literal", {"name": "signed_square"}, straddle_probe_mt4())
         path = tmp_path / "straddle.json"
-        path.write_text(dumps(doc))
+        path.write_text(dumps(doc), encoding="utf-8")
         code = main(["check", str(path)])
         report = json.loads(capsys.readouterr().out)
         assert code == 2

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -12,6 +13,7 @@ from jensengap.affine import (
     verify_mt3,
 )
 from jensengap.domain import (
+    EPS_EQ,
     AffineConfig,
     IntervalR,
     StructureError,
@@ -19,8 +21,9 @@ from jensengap.domain import (
     spread,
     validate_affine_config,
 )
-from jensengap.funclib import FunctionModel, KnownClass, catalog, negate
+from jensengap.funclib import FunctionModel, catalog, negate
 from jensengap.scenario import config_to
+from jensengap.scengen import GenSpec, gen_two_sided_scenario
 
 I11 = IntervalR(-1.0, 1.0)
 
@@ -131,7 +134,7 @@ class TestVerifyMt1:
         assert rep.gap_left == pytest.approx(-0.375)
         assert rep.gap_right == pytest.approx(0.375)
 
-    def test_declared_constant_used_when_omitted(self):
+    def test_certified_constant_used_when_omitted(self):
         rep = verify_mt1(catalog("signed_square"), MIRRORED)
         assert rep.verdict == "holds" and rep.details["A"] == 0.0
 
@@ -176,6 +179,62 @@ def scenario_with_spreads(left_pts, right_pts):
     return Mt1Scenario(two_point_side(*left_pts), two_point_side(*right_pts), 0.0, I11)
 
 
+#: certified catalog models, each also negated below
+CERTIFIED = ("quadratic:2", "quadratic:-3", "cubic", "signed_square", "exp")
+
+
+def _certified_model(name, negated):
+    f = catalog(*name.split(":"))
+    return negate(f) if negated else f
+
+
+def _witness_cases(f, c):
+    """(theorem, details, A, whether the certified rule applies) for branches
+    a and b of mt2 and mt3 on generated scenarios split at c."""
+    A = 0.5 * (f.d2_minus(c) + f.d2_plus(c))
+    d2_lo, d2_hi = f.d2_plus(I11.lo), f.d2_minus(I11.hi)
+    for theorem, verify in (("mt2", verify_mt2), ("mt3", verify_mt3)):
+        shaped = d2_lo <= d2_hi if theorem == "mt2" else d2_lo >= d2_hi
+        for ratio in (0.5, 2.0):
+            for seed in range(4):
+                s = gen_two_sided_scenario(GenSpec(seed=seed, c=c), random.Random(seed), ratio)
+                for branch in ("a", "b"):
+                    d = verify(f, s, branch=branch).details
+                    nonneg = (branch == "a") == (theorem == "mt2")
+                    applies = (
+                        d.get("branch") == branch
+                        and d["max_left"] - EPS_EQ <= c <= d["min_right"] + EPS_EQ
+                        and shaped
+                        and (A >= -EPS_EQ if nonneg else A <= EPS_EQ)
+                    )
+                    yield theorem, d, A, applies
+
+
+class TestCertifiedWitness:
+    """Branches a and b of mt2 and mt3 take A from the monotone-f'' certificate
+    at c whenever its rule applies: c between the side extremes, f 3-convex
+    (mt2) or 3-concave (mt3) on the interval, and A of the branch's sign."""
+
+    @pytest.mark.parametrize("negated", [False, True])
+    @pytest.mark.parametrize("name", CERTIFIED)
+    @pytest.mark.parametrize("c", [0.0, 0.3, -0.5])
+    def test_A_is_the_certified_midpoint(self, name, negated, c):
+        for theorem, d, A, applies in _witness_cases(_certified_model(name, negated), c):
+            if applies:
+                assert d["A"] == A, (theorem, d)
+
+    def test_the_rule_applies_on_both_theorems(self):
+        applied = {
+            theorem
+            for name in CERTIFIED
+            for negated in (False, True)
+            for c in (0.0, 0.3, -0.5)
+            for theorem, _, _, applies in _witness_cases(_certified_model(name, negated), c)
+            if applies
+        }
+        assert applied == {"mt2", "mt3"}
+
+
 class TestVerifyMt2:
     def test_exp_branch_a(self):
         # left extreme -0.2, right extreme 0.2; spreads 0.01 <= 0.04
@@ -201,7 +260,7 @@ class TestVerifyMt2:
             lambda x: -math.exp(-x),
             d2_minus=lambda x: -math.exp(-x),
             d2_plus=lambda x: -math.exp(-x),
-            known_class=KnownClass(0.0, -1.0, "K1c"),
+            d2_monotone=True,
         )
         s = scenario_with_spreads((-0.6, -0.2), (0.2, 0.4))  # spreads 0.04 >= 0.01
         rep = verify_mt2(f, s, branch="b")

@@ -18,6 +18,7 @@ from jensengap.analysis import (
     feasible_A_interval,
     is_3concave,
     is_3convex,
+    k1_witness,
     third_windows,
 )
 from jensengap.domain import EPS_EQ, IntervalR, StructureError
@@ -36,7 +37,7 @@ I11 = IntervalR(-1.0, 1.0)
 def _uncertified(f):
     """The same function without the monotone-f'' certificate, so that
     analysis scans it on a grid."""
-    return FunctionModel(f.name, f.domain, f.fn, f.d2_minus, f.d2_plus, f.known_class)
+    return FunctionModel(f.name, f.domain, f.fn, f.d2_minus, f.d2_plus)
 
 
 class TestDd2:
@@ -101,7 +102,7 @@ class TestFeasibleInterval:
 
     def test_monotone_refinement(self):
         for name, c in (("exp", 0.0), ("cubic", 0.2)):
-            f = _uncertified(catalog(name, point=c))
+            f = _uncertified(catalog(name))
             coarse = feasible_A_interval(f, c, I11, 250)
             fine = feasible_A_interval(f, c, I11, 500)
             assert fine.lo >= coarse.lo - 1e-9
@@ -133,12 +134,12 @@ class TestClassify:
         assert cls.kind == "K2c"
         assert cls.witness_A == pytest.approx(0.0, abs=1e-6)
 
-    def test_declared_constant_lies_in_interval(self):
+    def test_certified_constant_lies_in_interval(self):
         for name, point in (("signed_square", 0.0), ("cubic", 0.0), ("exp", 0.0), ("cubic", 0.3)):
-            f = catalog(name, point=point)
+            f = catalog(name)
             cls = classify_at_point(f, point, I11, 1000)
-            kc = f.known_class
-            assert cls.k1_interval.contains(kc.A, tol=1e-6)
+            A = 0.5 * (f.d2_minus(point) + f.d2_plus(point))
+            assert cls.k1_interval.contains(A, tol=1e-6)
             assert cls.kind in ("K1c", "both")
 
 
@@ -192,6 +193,36 @@ class TestK2FromTheSameScan:
         # quadratic:0 has d2 = 0.0 and its negation -0.0: the bounds must
         # still match in the sign of zero
         _assert_k2_is_negated_k1_of_negation(CATALOG_MODELS[name](), c, grid_n)
+
+
+class TestK1Witness:
+    """k1_witness reads its constant off curvature_sandwich's K1 interval; for
+    a certified model that is the certificate's (f''(c-) + f''(c+)) / 2."""
+
+    @pytest.mark.parametrize("negated", [False, True])
+    @pytest.mark.parametrize("name", sorted(K2_MODELS))
+    @pytest.mark.parametrize("c", [0.0, 0.3, -0.5])
+    def test_midpoint_of_the_k1_interval(self, name, negated, c):
+        f = K2_MODELS[name]()
+        f = negate(f) if negated else f
+        k1 = curvature_sandwich(f, I11, c, c)[0]
+        assert k1_witness(f, c, I11) == (k1.midpoint() if k1.feasible else None)
+
+    @pytest.mark.parametrize("negated", [False, True])
+    @pytest.mark.parametrize("name", sorted(CATALOG_MODELS))
+    @pytest.mark.parametrize("c", [0.0, 0.3, -0.5])
+    def test_certified_constant(self, name, negated, c):
+        f = CATALOG_MODELS[name]()
+        f = negate(f) if negated else f
+        k1 = curvature_sandwich(f, I11, c, c)[0]
+        A = k1_witness(f, c, I11)
+        assert A == (k1.midpoint() if k1.feasible else None)
+        if k1.feasible:
+            assert A == 0.5 * (f.d2_minus(c) + f.d2_plus(c))
+
+    @pytest.mark.parametrize("c", [-1.0, 1.0, 2.0])
+    def test_split_point_not_interior(self, c):
+        assert k1_witness(catalog("cubic"), c, I11) is None
 
 
 def _same_bits(got, want):

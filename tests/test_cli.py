@@ -1,19 +1,25 @@
+import contextlib
+import copy
 import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import jensengap
 from jensengap import analysis
 from jensengap.cli import main
 from jensengap.domain import StructureError
-from jensengap.scenario import dumps, make_scenario, run_scenario
-from jensengap.scengen import straddle_probe_mt4
+from jensengap.scenario import THEOREMS, dumps, fn_spec_from_string, make_scenario, run_scenario
+from jensengap.scengen import GenSpec, gen_payload, straddle_probe_mt4
 
 MIRRORED_MT1 = make_scenario(
     "mt1",
@@ -39,7 +45,7 @@ MIRRORED_MT1 = make_scenario(
 
 def write(tmp_path, name, doc):
     path = tmp_path / name
-    path.write_text(dumps(doc) if not isinstance(doc, str) else doc)
+    path.write_text(dumps(doc) if not isinstance(doc, str) else doc, encoding="utf-8")
     return str(path)
 
 
@@ -145,7 +151,7 @@ class TestCheckTableDocuments:
     ):
         table = tmp_path / "sq.txt"
         nodes = [-1.0 + i / 100 for i in range(201)]
-        table.write_text("".join(f"{x!r} {x * x!r}\n" for x in nodes))
+        table.write_text("".join(f"{x!r} {x * x!r}\n" for x in nodes), encoding="utf-8")
         gen = ["gen", "--theorem", theorem, "--fn", f"tabulated-spline:{table}"]
         assert run(gen + ["--seed", "3", "--count", "5"]) == 0
         docs = capsys.readouterr().out
@@ -306,7 +312,7 @@ class TestGen:
         if mode:
             args += ["--mode", mode]
         assert run(args) == 0
-        assert run(["check", out]) == 0, json.loads((tmp_path / "scenario.json").read_text())
+        assert run(["check", out]) == 0, (tmp_path / "scenario.json").read_text(encoding="utf-8")
 
     def test_point_outside_interval_exit_1(self, capsys):
         assert run(["gen", "--theorem", "mt1", "--seed", "1", "--point", "5"]) == 1
@@ -322,7 +328,7 @@ class TestGen:
     def test_count_emits_array(self, tmp_path, capsys):
         out = str(tmp_path / "many.json")
         assert run(["gen", "--theorem", "mt1", "--seed", "3", "--count", "3", "--out", out]) == 0
-        docs = json.loads((tmp_path / "many.json").read_text())
+        docs = json.loads((tmp_path / "many.json").read_text(encoding="utf-8"))
         assert isinstance(docs, list) and len(docs) == 3
         assert run(["check", out]) == 0
 
@@ -355,7 +361,7 @@ class TestSearch:
             )
             == 0
         )
-        report = json.loads((tmp_path / "s.json").read_text())
+        report = json.loads((tmp_path / "s.json").read_text(encoding="utf-8"))
         assert report["found"] == 0
 
     def test_literal_straddle_exit_2(self, tmp_path):
@@ -379,7 +385,7 @@ class TestSearch:
             ]
         )
         assert code == 2
-        report = json.loads((tmp_path / "s.json").read_text())
+        report = json.loads((tmp_path / "s.json").read_text(encoding="utf-8"))
         assert report["found"] >= 1
         assert ["probe"] in [r["seed_trace"] for r in report["results"]]
 
@@ -415,6 +421,118 @@ class TestIntervalOutsideDomain:
         assert run(["analyze", "--fn", "exp", "--interval=-10,10"]) == 0
 
 
+def _mt1_doc() -> dict:
+    """The mt1 document of `gen --theorem mt1 --seed 1`."""
+    payload = gen_payload(GenSpec(seed=1), "mt1", "proper", random.Random(1))
+    doc = make_scenario("mt1", "proper", fn_spec_from_string("signed_square"), payload, seed=1)
+    return json.loads(dumps(doc))
+
+
+class TestNoTraceback:
+    """Input whose sums or powers would leave the float range is an input
+    error: exit 1 with a one-line message naming what is wrong, no
+    traceback.  A function spec's point never reaches the model."""
+
+    def _check(self, tmp_path, capsys, doc) -> tuple[int, str]:
+        rc = run(["check", write(tmp_path, "doc.json", doc)])
+        return rc, capsys.readouterr().err
+
+    def test_group_weights_summing_past_float_range(self, tmp_path, capsys):
+        doc = _mt1_doc()
+        doc["payload"]["left"]["plus_a"]["weights"] = [1e308, 1e308]
+        rc, err = self._check(tmp_path, capsys, doc)
+        assert rc == 1 and err.startswith("jensengap: error: group weights sum past")
+
+    def test_functional_weights_summing_past_float_range(self, tmp_path, capsys):
+        payload = gen_payload(GenSpec(seed=1), "ic1", "standard", random.Random(1))
+        payload["L"] = [1e308, 1e308]
+        doc = make_scenario("ic1", None, fn_spec_from_string("quadratic:2"), payload)
+        rc, err = self._check(tmp_path, capsys, doc)
+        assert rc == 1 and err.startswith("jensengap: error: functional weights sum past")
+
+    def test_family_totals_summing_past_float_range(self, tmp_path, capsys):
+        payload = gen_payload(GenSpec(seed=1), "ic3", "standard", random.Random(1))
+        for L in payload["Ls"]:
+            L[-1] = 1e308
+        doc = make_scenario("ic3", None, fn_spec_from_string("quadratic:2"), payload)
+        rc, err = self._check(tmp_path, capsys, doc)
+        assert rc == 1 and err.startswith("jensengap: error: Ls totals sum past")
+
+    def test_points_outside_the_domain(self, tmp_path, capsys):
+        doc = _mt1_doc()
+        for group in doc["payload"]["left"].values():
+            group["points"] = [1e200] * len(group["points"])
+        rc, err = self._check(tmp_path, capsys, doc)
+        assert rc == 1 and "left points [1e+200, 1e+200] outside domain" in err
+
+    def test_exp_point_does_not_reach_the_model(self, tmp_path, capsys):
+        payload = gen_payload(GenSpec(seed=1), "mt2", "a", random.Random(1))
+        rcs = []
+        for point in (0.0, 1e308):
+            spec = fn_spec_from_string("exp", point=point)
+            rcs.append(self._check(tmp_path, capsys, make_scenario("mt2", "a", spec, payload)))
+        assert rcs[0] == rcs[1] == (0, "")
+
+    def test_point_that_is_not_a_number(self, tmp_path, capsys):
+        doc = _mt1_doc()
+        doc["function"]["point"] = "x"
+        rc, err = self._check(tmp_path, capsys, doc)
+        assert rc == 1 and err.startswith("jensengap: error:")
+
+
+#: every theorem id with each of its modes
+ID_MODES = [(t, m) for t, entry in THEOREMS.items() for m in entry.modes]
+#: replacement leaves for the mutation property
+POOL = [None, "x", [], 1e308, math.nan, [1e308, 1e308]]
+
+
+@lru_cache(maxsize=None)
+def _generated(theorem: str, mode: str, seed: int) -> str:
+    entry = THEOREMS[theorem]
+    payload = gen_payload(GenSpec(seed=seed), theorem, mode, random.Random(seed))
+    fn_spec = fn_spec_from_string(entry.default_fn[mode])
+    return dumps(make_scenario(theorem, mode, fn_spec, payload, seed=seed))
+
+
+def _leaf_paths(obj, path=()):
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _leaf_paths(value, path + (key,))
+    elif isinstance(obj, list) and obj:
+        for i, value in enumerate(obj):
+            yield from _leaf_paths(value, path + (i,))
+    else:
+        yield path
+
+
+@given(
+    case=st.sampled_from(ID_MODES),
+    seed=st.integers(0, 3),
+    data=st.data(),
+)
+@settings(max_examples=300, deadline=None)
+def test_mutated_documents_never_raise(tmp_path_factory, case, seed, data):
+    """One or two leaves of a generated document, replaced from POOL: check
+    returns an exit code of 0 to 3, and anything on stderr is one error line."""
+    doc = json.loads(_generated(*case, seed))
+    paths = list(_leaf_paths(doc))
+    for _ in range(data.draw(st.integers(1, 2))):
+        *parents, last = data.draw(st.sampled_from(paths))
+        node = doc
+        for key in parents:  # only leaves are replaced, so no path passes through one
+            node = node[key]
+        node[last] = copy.deepcopy(data.draw(st.sampled_from(POOL)))
+    path = tmp_path_factory.getbasetemp() / "mutated.json"
+    path.write_text(dumps(doc), encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        rc = main(["check", str(path)])
+    assert 0 <= rc <= 3
+    assert err.getvalue() == "" or (
+        err.getvalue().startswith("jensengap: error:") and err.getvalue().count("\n") == 1
+    )
+
+
 def test_import_leaves_numpy_out():
     """The package has no runtime dependencies: a fresh interpreter that
     imports the CLI does not load numpy."""
@@ -443,6 +561,7 @@ def test_files_are_read_and_written_as_utf8(tmp_path):
         done = subprocess.run(
             [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
              "-m", "jensengap.cli", *args],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=60,
+            capture_output=True, text=True, encoding="utf-8",
+            env={**os.environ, "PYTHONPATH": str(src)}, timeout=60,
         )
         assert done.returncode == 0, (args[0], done.stderr)

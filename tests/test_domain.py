@@ -81,12 +81,6 @@ class TestValidate:
         report = validate_affine_config(cfg((0,), (0.5,), (2,), (0.5,), (99.0,), (0.0,)))
         assert report.valid
 
-    def test_pointset_hull_is_wider(self):
-        # minus point inside conv of the raw points but outside the barycenter hull
-        c = cfg((0.0, 2.0), (0.25, 0.25), (3.0,), (0.6,), (0.5,), (0.1,))
-        assert not validate_affine_config(c, hull="barycenter").valid
-        assert validate_affine_config(c, hull="pointset").valid
-
     def test_structural_errors(self):
         with pytest.raises(StructureError):
             WeightedGroup((1, 2), (0.5,))

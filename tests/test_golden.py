@@ -92,14 +92,14 @@ def golden_outputs(modes: dict, workdir: Path) -> dict[str, bytes]:
                 gen = ["gen", "--theorem", theorem_id, "--mode", mode, "--seed", str(seed)]
                 assert main([*gen, "--out", str(doc_path)]) == 0, name
                 outputs[name] = run("check", str(doc_path))
-                doc = json.loads(doc_path.read_text())
+                doc = json.loads(doc_path.read_text(encoding="utf-8"))
                 _first_weights(doc["payload"])[0] *= 1.1
-                doc_path.write_text(dumps(doc))
+                doc_path.write_text(dumps(doc), encoding="utf-8")
                 outputs[f"{name}.unmet"] = report = run("check", str(doc_path))
                 assert json.loads(report)["verdict"] == "hypotheses-unmet", name
     outputs["search.criterion10"] = run(*SEARCH_ARGS)
     probe = make_scenario("mt4", "literal", {"name": "signed_square"}, straddle_probe_mt4())
-    doc_path.write_text(dumps(probe))
+    doc_path.write_text(dumps(probe), encoding="utf-8")
     outputs["check.straddle_probe"] = run("check", str(doc_path))
     outputs.update(search_outputs())
     return outputs
@@ -131,7 +131,7 @@ def _digest(data: bytes) -> str:
 
 
 def test_reports_are_byte_identical(tmp_path):
-    recorded = json.loads(DIGESTS.read_text())
+    recorded = json.loads(DIGESTS.read_text(encoding="utf-8"))
     outputs = golden_outputs(_registry_modes(), tmp_path)
     assert sorted(outputs) == sorted(recorded)
     changed = [name for name, data in outputs.items() if _digest(data) != recorded[name]]
@@ -151,5 +151,5 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         outputs = golden_outputs(_registry_modes(), Path(tmp))
     text = json.dumps({k: _digest(v) for k, v in outputs.items()}, indent=2, sort_keys=True)
-    DIGESTS.write_text(text + "\n")
+    DIGESTS.write_text(text + "\n", encoding="utf-8")
     print(f"wrote {len(outputs)} digests to {DIGESTS}", file=sys.stderr)

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import jensengap
-from jensengap import affine, functional, scenario
+from jensengap import affine, funclib, functional, scenario
 from jensengap.scenario import THEOREMS, dumps, make_scenario
 from jensengap.scengen import GenSpec, gen_payload
 
@@ -33,7 +33,8 @@ print(json.dumps({"rc": rc, "modules": sorted(sys.modules)}))
 def _fresh(*args: str) -> tuple[int | None, set[str]]:
     done = subprocess.run(
         [sys.executable, "-c", _PROBE, *args],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=60,
+        capture_output=True, text=True, encoding="utf-8",
+        env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=60,
     )
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout.splitlines()[-1])
@@ -45,7 +46,7 @@ def _scenario_file(tmp_path, theorem_id: str) -> str:
     payload = gen_payload(GenSpec(seed=1), theorem_id, mode)
     fn = scenario.fn_spec_from_string(entry.default_fn[mode])
     path = tmp_path / f"{theorem_id}.json"
-    path.write_text(dumps(make_scenario(theorem_id, mode, fn, payload, seed=1)))
+    path.write_text(dumps(make_scenario(theorem_id, mode, fn, payload, seed=1)), encoding="utf-8")
     return str(path)
 
 
@@ -127,6 +128,13 @@ class TestLazyNamespace:
         assert not hasattr(jensengap, "apply_fn")
         assert not hasattr(scenario, "verify_nothing")
         assert not hasattr(scenario, "k1_witness")
+
+    def test_declared_class_is_gone(self):
+        # every catalog constant A comes from the monotone-f'' certificate
+        assert "KnownClass" not in jensengap.__all__
+        with pytest.raises(AttributeError, match="KnownClass"):
+            jensengap.KnownClass  # noqa: B018
+        assert not hasattr(funclib, "KnownClass")
 
     def test_version(self):
         assert jensengap.__version__ == scenario.VERSION

@@ -18,13 +18,13 @@ from jensengap.domain import (
     ValidityReport,
     WeightedGroup,
 )
-from jensengap.funclib import FunctionModel, KnownClass, TabulatedFunction
+from jensengap.funclib import FunctionModel, TabulatedFunction
 from jensengap.report import HOLDS, ChainReport
 from jensengap.scenario import Theorem
 from jensengap.scengen import GenSpec, SearchResult
 
 VALUE_TYPES = [
-    IntervalR, WeightedGroup, AffineConfig, Check, ValidityReport, KnownClass, FunctionModel,
+    IntervalR, WeightedGroup, AffineConfig, Check, ValidityReport, FunctionModel,
     TabulatedFunction, AInterval, ConvexityClass, Mt1Scenario, FunctionOnOmega,
     DiscreteFunctional, ChainReport, Theorem, GenSpec, SearchResult,
 ]
@@ -84,7 +84,7 @@ def test_keyword_construction_and_defaults():
     assert math.isnan(rep.gap_left) and rep.hypotheses is None and rep.margin == 0.5
     assert ValidityReport(True, ()).checks == ()
     model = FunctionModel("id", IntervalR(0, 1), fn=float)
-    assert model.d2_minus is model.d2_plus is model.known_class is None
+    assert model.d2_minus is model.d2_plus is None and model.d2_monotone is False
 
 
 def test_mutable_defaults_are_not_shared():
