@@ -5,6 +5,7 @@ import pytest
 
 import oracles
 from jensengap import affine
+from jensengap.cli import main
 from jensengap.affine import (
     Mt1Scenario,
     jensen_affine_gap,
@@ -22,8 +23,8 @@ from jensengap.domain import (
     validate_affine_config,
 )
 from jensengap.funclib import FunctionModel, catalog, negate
-from jensengap.scenario import config_to
-from jensengap.scengen import GenSpec, gen_two_sided_scenario
+from jensengap.scenario import config_to, dumps, fn_spec_from_string, make_scenario
+from jensengap.scengen import GenSpec, gen_payload, gen_two_sided_scenario
 
 I11 = IntervalR(-1.0, 1.0)
 
@@ -322,6 +323,90 @@ class TestVerifyMt3:
         rep = verify_mt3(negate(catalog("exp")), MIRRORED, branch="a")
         assert "sandwich_descending_ok" in rep.details
         assert "sandwich_ascending_ok" in rep.details
+
+    def test_branch_b_with_positive_decreasing_curvature(self):
+        # f'' = exp(-x) > 0 and decreasing: 3-concave with A = exp(-c) = 1
+        f = FunctionModel(
+            "exp-reflection",
+            IntervalR(-5, 5),
+            lambda x: math.exp(-x),
+            d2_minus=lambda x: math.exp(-x),
+            d2_plus=lambda x: math.exp(-x),
+            d2_monotone=True,
+        )
+        rep = verify_mt3(f, MIRRORED, branch="b")  # spreads 0.25 <= 0.25
+        assert rep.verdict == "holds"
+        assert rep.details["branch"] == "b"
+        assert rep.details["A"] == 1.0
+        checks = {c.name: c.ok for c in rep.hypotheses.checks}
+        assert checks["branch.b"] and checks["witness.K2c"]
+        assert "branch.a" not in checks and "witness.K1c" not in checks
+        assert rep.margins[0] > 0.0 and rep.margins[2] > 0.0
+
+    def test_printed_c_convention_accepts_upward_straddle(self):
+        # f'' jumps from -2e-12 up to 2e-12 at 0: an upward straddle, and
+        # 3-concave within tolerance on the grid
+        f = FunctionModel(
+            "tiny-signed-square",
+            IntervalR(-5, 5),
+            lambda x: 1e-12 * x * abs(x),
+            d2_minus=lambda x: -2e-12 if x <= 0.0 else 2e-12,
+            d2_plus=lambda x: -2e-12 if x < 0.0 else 2e-12,
+        )
+        printed = verify_mt3(f, MIRRORED, branch="c", c_convention="printed")
+        assert printed.verdict == "holds"
+        assert printed.details["branch"] == "c"
+        assert printed.details["c_convention"] == "printed"
+        assert printed.details["A"] == 0.0
+        mirrored = verify_mt3(f, MIRRORED, branch="c")
+        assert mirrored.verdict == "hypotheses-unmet"
+        assert mirrored.details["c_convention"] == "mirrored"
+
+
+def _affine_doc(theorem, mode, **payload_fields):
+    """A generated document of an affine theorem id, with its mode and
+    payload fields overridden after generation."""
+    payload = gen_payload(GenSpec(seed=1), theorem, "auto", random.Random(1))
+    payload.update(payload_fields)
+    doc = make_scenario(theorem, "auto", fn_spec_from_string("quadratic:2"), payload, seed=1)
+    doc["mode"] = mode
+    return doc
+
+
+class TestUnknownOptions:
+    """An unknown branch or c_convention is a StructureError; the branch is
+    checked first.  `check` reports either as one error line and exit 1."""
+
+    @pytest.mark.parametrize("verify", [verify_mt2, verify_mt3])
+    def test_unknown_branch(self, verify):
+        with pytest.raises(StructureError, match="unknown branch 'd'"):
+            verify(catalog("quadratic", 2), MIRRORED, branch="d")
+
+    def test_unknown_c_convention(self):
+        with pytest.raises(StructureError, match="unknown c_convention 'upward'"):
+            verify_mt3(catalog("quadratic", 2), MIRRORED, c_convention="upward")
+
+    def test_branch_is_checked_before_c_convention(self):
+        with pytest.raises(StructureError, match="unknown branch"):
+            verify_mt3(catalog("quadratic", 2), MIRRORED, branch="d", c_convention="upward")
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            _affine_doc("mt2", "d"),
+            _affine_doc("mt3", "d"),
+            _affine_doc("mt3", "auto", c_convention="upward"),
+        ],
+        ids=["mt2-branch", "mt3-branch", "mt3-c_convention"],
+    )
+    def test_check_exits_1_with_one_error_line(self, tmp_path, capsys, doc):
+        path = tmp_path / "doc.json"
+        path.write_text(dumps(doc), encoding="utf-8")
+        assert main(["check", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("jensengap: error:")
+        assert captured.err.count("\n") == 1
 
 
 class TestTranslationInvariance:
