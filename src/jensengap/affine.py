@@ -7,6 +7,10 @@ midpoint terms (A/2) * spread, where A is a curvature constant for which
 f(x) - (A/2) x^2 is concave left of the split and convex right of it
 (reversed for the 3-concave variant).
 
+mt2 and its mirror image mt3 (f 3-concave, the signs of f'' reversed and
+the chain read downwards) run through one branch-gated core, oriented by a
+single flag; each keeps its own check names.
+
 Hypothesis residuals are tagged with stable identifiers: "2.1" spread
 equality, "2.2" separation at c, "2.8"/"2.10" ordering of the side extremes.
 """
@@ -151,35 +155,36 @@ def _signed_witness(
     s: Mt1Scenario,
     a_tt: float,
     r_tt: float,
-    sign: str,
-    kinds: tuple[str, ...],
+    concave: bool,
+    nonneg: bool,
     tol: float,
 ) -> float | None:
-    """Witness constant restricted to a sign regime ("nonneg" or "nonpos").
+    """Witness constant restricted to a sign regime: A >= 0 when ``nonneg``,
+    A <= 0 otherwise.
 
     For a certified model with c in [a_tt, r_tt] that is 3-convex on the
-    interval (3-concave for the K2c kinds), the constant is
+    interval (3-concave when ``concave``), the constant is
     (f''(c-) + f''(c+)) / 2 when it has the required sign; otherwise the
-    dd2 sandwich over [lo, a_tt] and [r_tt, hi] is intersected with the
-    regime.
+    dd2 sandwich over [lo, a_tt] and [r_tt, hi] (K1, or K2 when ``concave``)
+    is intersected with the regime.
     """
     c = s.c
     if f.d2_monotone and a_tt - tol <= c <= r_tt + tol:
-        shaped = is_3convex if "K1c" in kinds else is_3concave
+        shaped = is_3concave if concave else is_3convex
         try:
             certified = shaped(f, s.interval, tol=tol)
         except DomainError:
             certified = False
         if certified:
             A = 0.5 * (f.d2_minus(c) + f.d2_plus(c))
-            if A >= -tol if sign == "nonneg" else A <= tol:
+            if A >= -tol if nonneg else A <= tol:
                 return A
     try:
         k1, k2 = curvature_sandwich(f, s.interval, a_tt, r_tt, tol=tol)
     except (StructureError, DomainError):
         return None
-    lo, hi = (k1.lo, k1.hi) if "K1c" in kinds else (k2.lo, k2.hi)
-    if sign == "nonneg":
+    lo, hi = (k2.lo, k2.hi) if concave else (k1.lo, k1.hi)
+    if nonneg:
         lo = max(lo, 0.0)
     else:
         hi = min(hi, 0.0)
@@ -195,45 +200,54 @@ def _one_sided_or_none(f: FunctionModel, x: float, side: str) -> float | None:
         return None
 
 
-def verify_mt2(
+_BRANCHES = ("auto", "a", "b", "c")
+
+
+def _branch_chain(
     f: FunctionModel,
     s: Mt1Scenario,
-    branch: str = "auto",
-    *,
-    tol: float = EPS_EQ,
+    branch: str,
+    tol: float,
+    concave: bool,
+    c_upward: bool,
 ) -> ChainReport:
-    """Chain under the weakened hypotheses for f 3-convex at some point
-    between the side extremes.
+    """The branch-gated chain of mt2 (``concave`` false) and mt3 (true).
 
-    Branch gates (auto tries a, b, c in order):
-      a: left second derivative at the left maximum >= 0 and spread_left <= spread_right
-      b: right second derivative at the right minimum <= 0 and spread_left >= spread_right
-      c: the two one-sided values straddle 0 strictly and f is 3-convex on
-         the interval (witness constant 0).
+    The orientation alone decides the ordering check ("2.8" or "2.10"), the
+    sign sigma = +1 or -1 of f'' that branches a and b need, their spread
+    orders, the shape test (3-convex or 3-concave), the witness check
+    ("witness.K1c" or "witness.K2c") and the chain order (ascending or
+    descending).  ``c_upward`` is the direction of branch c's straddle:
+    f''(max_left-) < 0 < f''(min_right+) when true, the reverse when false.
     """
-    if branch not in ("auto", "a", "b", "c"):
-        raise StructureError(f"unknown branch {branch!r}")
+    if concave:
+        tag, shaped, kind, order, sigma = "2.10", is_3concave, "K2c", "descending", -1.0
+    else:
+        tag, shaped, kind, order, sigma = "2.8", is_3convex, "K1c", "ascending", 1.0
     cs, vals = _base_checkset(f, s, tol)
     if not cs.ok:
         return ChainReport(UNMET, hypotheses=cs.report(), details={"branch": branch})
     a_tt, r_tt = vals["max_left"], vals["min_right"]
     sl, sr = vals["spread_left"], vals["spread_right"]
-    if not cs.at_least("2.8", r_tt - a_tt, scale=max(abs(a_tt), abs(r_tt))):
+    if not cs.at_least(tag, r_tt - a_tt, scale=max(abs(a_tt), abs(r_tt))):
         return ChainReport(UNMET, hypotheses=cs.report(), details={"branch": branch})
     d2m = _one_sided_or_none(f, a_tt, "minus")
     d2p = _one_sided_or_none(f, r_tt, "plus")
-    spread_scale = max(abs(sl), abs(sr))
+    t = tol * max(1.0, abs(sl), abs(sr))
+    # branch a needs s_a <= s_b, branch b the reverse
+    s_a, s_b = (sr, sl) if concave else (sl, sr)
+    c_sign = 1.0 if c_upward else -1.0
 
     def gate(b: str) -> bool:
         if b == "a":
-            return d2m is not None and d2m >= -tol and sl <= sr + tol * max(1.0, spread_scale)
+            return d2m is not None and sigma * d2m >= -tol and s_a <= s_b + t
         if b == "b":
-            return d2p is not None and d2p <= tol and sr <= sl + tol * max(1.0, spread_scale)
+            return d2p is not None and sigma * d2p <= tol and s_b <= s_a + t
         return (
             d2m is not None
             and d2p is not None
-            and d2m < 0.0 < d2p
-            and is_3convex(f, s.interval, tol=tol)
+            and c_sign * d2m < 0.0 < c_sign * d2p
+            and shaped(f, s.interval, tol=tol)
         )
 
     candidates = ("a", "b", "c") if branch == "auto" else (branch,)
@@ -253,16 +267,36 @@ def verify_mt2(
     if chosen == "c":
         A = 0.0
     else:
-        sign = "nonneg" if chosen == "a" else "nonpos"
-        A = _signed_witness(f, s, a_tt, r_tt, sign, ("K1c", "both"), tol)
-        cs.record("witness.K1c", 0.0 if A is None else A, A is not None)
+        A = _signed_witness(f, s, a_tt, r_tt, concave, (chosen == "a") != concave, tol)
+        cs.record(f"witness.{kind}", 0.0 if A is None else A, A is not None)
         if A is None:
             return ChainReport(UNMET, hypotheses=cs.report(), details=details)
     gaps = (
         jensen_affine_gap(f, s.left, tol, validate=False),
         jensen_affine_gap(f, s.right, tol, validate=False),
     )
-    return chain_report(cs, A, gaps, (sl, sr), details)
+    return chain_report(cs, A, gaps, (sl, sr), details, order=order)
+
+
+def verify_mt2(
+    f: FunctionModel,
+    s: Mt1Scenario,
+    branch: str = "auto",
+    *,
+    tol: float = EPS_EQ,
+) -> ChainReport:
+    """Chain under the weakened hypotheses for f 3-convex at some point
+    between the side extremes.
+
+    Branch gates (auto tries a, b, c in order):
+      a: left second derivative at the left maximum >= 0 and spread_left <= spread_right
+      b: right second derivative at the right minimum <= 0 and spread_left >= spread_right
+      c: the two one-sided values straddle 0 upward strictly and f is
+         3-convex on the interval (witness constant 0).
+    """
+    if branch not in _BRANCHES:
+        raise StructureError(f"unknown branch {branch!r}")
+    return _branch_chain(f, s, branch, tol, concave=False, c_upward=True)
 
 
 def verify_mt3(
@@ -276,74 +310,29 @@ def verify_mt3(
     """Reversed chain for f 3-concave at some point between the side extremes:
     gap_left >= (A/2) spread_left >= (A/2) spread_right >= gap_right.
 
-    Branch gates follow the stated hypotheses verbatim (a: left second
-    derivative <= 0 with spread_left >= spread_right; b: right second
-    derivative >= 0 with spread_left <= spread_right); for constants of
-    nonzero sign these gates can admit scenarios whose middle ordering
-    genuinely fails, and the verifier reports exactly that.
+    mt2's gates with the signs of f'' reversed and the spread orders swapped,
+    as stated (a: left second derivative <= 0 with spread_left >=
+    spread_right; b: right second derivative >= 0 with spread_left <=
+    spread_right); for constants of nonzero sign these gates can admit
+    scenarios whose middle ordering genuinely fails, and the verifier
+    reports exactly that.
 
     Branch (c) has two sign conventions: "printed" requires the one-sided
     values to straddle 0 upward (d2m < 0 < d2p) as stated, "mirrored" (the
     default) requires the downward straddle natural for 3-concave functions.
-    The report records which was used, and the computed constant is recorded
-    against both sandwich orientations in ``details``.
+    The report records which was used, and the constant is checked against
+    both sandwich orientations in ``details``.
     """
-    if branch not in ("auto", "a", "b", "c"):
+    if branch not in _BRANCHES:
         raise StructureError(f"unknown branch {branch!r}")
     if c_convention not in ("mirrored", "printed"):
         raise StructureError(f"unknown c_convention {c_convention!r}")
-    cs, vals = _base_checkset(f, s, tol)
-    if not cs.ok:
-        return ChainReport(UNMET, hypotheses=cs.report(), details={"branch": branch})
-    a_tt, r_tt = vals["max_left"], vals["min_right"]
-    sl, sr = vals["spread_left"], vals["spread_right"]
-    if not cs.at_least("2.10", r_tt - a_tt, scale=max(abs(a_tt), abs(r_tt))):
-        return ChainReport(UNMET, hypotheses=cs.report(), details={"branch": branch})
-    d2m = _one_sided_or_none(f, a_tt, "minus")
-    d2p = _one_sided_or_none(f, r_tt, "plus")
-    spread_scale = max(1.0, abs(sl), abs(sr))
-
-    def gate(b: str) -> bool:
-        if b == "a":
-            return d2m is not None and d2m <= tol and sl >= sr - tol * spread_scale
-        if b == "b":
-            return d2p is not None and d2p >= -tol and sl <= sr + tol * spread_scale
-        if d2m is None or d2p is None:
-            return False
-        if c_convention == "printed":
-            straddle = d2m < 0.0 < d2p
-        else:
-            straddle = d2m > 0.0 > d2p
-        return straddle and is_3concave(f, s.interval, tol=tol)
-
-    candidates = ("a", "b", "c") if branch == "auto" else (branch,)
-    gates = {b: gate(b) for b in candidates}
-    chosen = next((b for b in candidates if gates[b]), None)
-    details: dict = {
-        "branch": chosen,
-        "c_convention": c_convention,
-        "max_left": a_tt,
-        "min_right": r_tt,
-        "d2_minus_at_max_left": d2m,
-        "d2_plus_at_min_right": d2p,
-    }
-    for b in candidates:
-        cs.record(f"branch.{b}", 0.0, gates[b])
-    if chosen is None:
-        return ChainReport(UNMET, hypotheses=cs.report(), details=details)
-    if chosen == "c":
-        A = 0.0
-    else:
-        sign = "nonpos" if chosen == "a" else "nonneg"
-        A = _signed_witness(f, s, a_tt, r_tt, sign, ("K2c", "both"), tol)
-        cs.record("witness.K2c", 0.0 if A is None else A, A is not None)
-        if A is None:
-            return ChainReport(UNMET, hypotheses=cs.report(), details=details)
-    if d2m is not None and d2p is not None:
-        details["sandwich_descending_ok"] = d2m + tol >= A >= d2p - tol
-        details["sandwich_ascending_ok"] = d2m - tol <= A <= d2p + tol
-    gaps = (
-        jensen_affine_gap(f, s.left, tol, validate=False),
-        jensen_affine_gap(f, s.right, tol, validate=False),
-    )
-    return chain_report(cs, A, gaps, (sl, sr), details, order="descending")
+    rep = _branch_chain(f, s, branch, tol, concave=True, c_upward=c_convention == "printed")
+    d = rep.details
+    if "max_left" in d:  # the side extremes passed the ordering check
+        d["c_convention"] = c_convention
+    d2m, d2p, A = d.get("d2_minus_at_max_left"), d.get("d2_plus_at_min_right"), d.get("A")
+    if A is not None and d2m is not None and d2p is not None:
+        d["sandwich_descending_ok"] = d2m + tol >= A >= d2p - tol
+        d["sandwich_ascending_ok"] = d2m - tol <= A <= d2p + tol
+    return rep
