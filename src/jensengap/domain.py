@@ -92,8 +92,12 @@ class WeightedGroup:
         return tuple(compress(self.points, map((0.0).__lt__, self.weights)))
 
     def moment(self, k: int) -> float:
+        """sum(w * p**k); past the float range it is malformed input."""
         # float(k).__rpow__(p) is p ** k
-        return math.fsum(map(mul, self.weights, map(float(k).__rpow__, self.points)))
+        try:
+            return math.fsum(map(mul, self.weights, map(float(k).__rpow__, self.points)))
+        except OverflowError:
+            raise StructureError(f"group moment sum(w * p**{k}) past the float range") from None
 
 
 _EMPTY = WeightedGroup((), ())
@@ -343,8 +347,12 @@ def as_function(u) -> FunctionOnOmega:
 
 
 def apply(L, u) -> float:
-    """Weighted sum; for a unital functional the value lies in [min u, max u]."""
+    """Weighted sum; for a unital functional the value lies in [min u, max u].
+    A sum past the float range is malformed input."""
     w, v = as_functional(L).weights, as_function(u).values
     if len(w) != len(v):
         raise StructureError(f"length mismatch: {len(w)} weights vs {len(v)} values")
-    return math.fsum(map(mul, w, v))
+    try:
+        return math.fsum(map(mul, w, v))
+    except OverflowError:
+        raise StructureError("weighted sum L(u) past the float range") from None

@@ -54,11 +54,15 @@ def _sq(values: Sequence[float]) -> FunctionOnOmega:
 
 
 def apply_fn(L, f: FunctionModel, u) -> float:
-    """Weighted sum of f over the values; zero-weight coordinates are skipped."""
+    """Weighted sum of f over the values; zero-weight coordinates are skipped.
+    A sum past the float range is malformed input."""
     w, v = as_functional(L).weights, as_function(u).values
     if len(w) != len(v):
         raise StructureError(f"length mismatch: {len(w)} weights vs {len(v)} values")
-    return math.fsum(wi * eval_fn(f, vi) for wi, vi in zip(w, v) if wi != 0.0)
+    try:
+        return math.fsum(wi * eval_fn(f, vi) for wi, vi in zip(w, v) if wi != 0.0)
+    except OverflowError:
+        raise StructureError("weighted sum L(f(u)) past the float range") from None
 
 
 def _unital(cs: CheckSet, name: str, L: DiscreteFunctional) -> bool:

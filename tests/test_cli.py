@@ -458,6 +458,24 @@ class TestNoTraceback:
         rc, err = self._check(tmp_path, capsys, doc)
         assert rc == 1 and err.startswith("jensengap: error: Ls totals sum past")
 
+    def test_weighted_sum_past_float_range(self, tmp_path, capsys):
+        payload = gen_payload(GenSpec(seed=1), "it2", "standard", random.Random(1))
+        payload["L"], payload["g"] = [1, 1], [1e308, 1e308]
+        doc = make_scenario("it2", None, fn_spec_from_string("quadratic:2"), payload, seed=1)
+        rc, err = self._check(tmp_path, capsys, doc)
+        assert rc == 1 and err == "jensengap: error: weighted sum L(u) past the float range\n"
+
+    def test_huge_points_inside_a_table_domain(self, tmp_path, capsys):
+        table = tmp_path / "wide.txt"
+        table.write_text("-1e200 1.0\n0 0\n1e200 1.0\n", encoding="utf-8")
+        doc = _mt1_doc()
+        doc["function"] = {"name": "tabulated-spline", "path": str(table)}
+        for group in doc["payload"]["left"].values():
+            group["points"] = [1e200] * len(group["points"])
+        rc, err = self._check(tmp_path, capsys, doc)
+        assert rc == 1
+        assert err == "jensengap: error: group moment sum(w * p**2) past the float range\n"
+
     def test_points_outside_the_domain(self, tmp_path, capsys):
         doc = _mt1_doc()
         for group in doc["payload"]["left"].values():

@@ -118,6 +118,13 @@ class TestSpread:
     def test_nonnegative_for_valid(self):
         assert spread(cfg((0,), (0.6,), (2,), (0.6,), (1.7,), (0.2,))) >= -1e-9
 
+    def test_moment_past_float_range_is_an_input_error(self):
+        # the power overflows, and so does the sum of finite products
+        for points, weights in (((1e200,), (1.0,)), ((1e154, 1e154), (1.0, 1.0))):
+            with pytest.raises(StructureError, match=r"sum\(w \* p\*\*2\) past the float"):
+                WeightedGroup(points, weights).moment(2)
+        assert WeightedGroup((1e200,), (1.0,)).moment(1) == 1e200
+
 
 class TestInterval:
     def test_reversed_raises(self):

@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jensengap.domain import IntervalR, StructureError
-from jensengap.funclib import catalog, parse_fn_spec
+from jensengap.funclib import TabulatedFunction, catalog, parse_fn_spec, tabulated_model
 from jensengap.functional import (
     DiscreteFunctional,
     FunctionOnOmega,
     apply,
+    apply_fn,
     verify_ic1,
     verify_ic2,
     verify_ic3,
@@ -51,6 +52,14 @@ class TestTypesAndApply:
     def test_length_mismatch(self):
         with pytest.raises(StructureError):
             apply(HALF, [1.0])
+
+    def test_sums_past_float_range_are_input_errors(self):
+        with pytest.raises(StructureError, match=r"weighted sum L\(u\) past the float range"):
+            apply([1.0, 1.0], [1e308, 1.7e308])
+        near_max = tabulated_model(TabulatedFunction((0.0, 1.0), (1e308, 1.7e308)))
+        with pytest.raises(StructureError, match=r"L\(f\(u\)\) past the float range"):
+            apply_fn([1.0, 1.0], near_max, [0.0, 1.0])
+        assert apply_fn([0.5, 0.5], near_max, [0.0, 1.0]) == pytest.approx(1.35e308)
 
     def test_negative_weight_rejected(self):
         with pytest.raises(StructureError):
