@@ -10,17 +10,17 @@ import importlib
 
 #: defining module -> the public names it provides
 _EXPORTS = {
-    "analysis": "AInterval ConvexityClass classify_at_point dd2 dd3 feasible_A_interval",
+    "analysis": "AInterval ConvexityClass classify_at_point dd2 dd3",
     "affine": "cross_weighted_gap jensen_affine_gap verify_mt1 verify_mt2 verify_mt3",
     "domain": "EPS_EQ AffineConfig DiscreteFunctional FunctionOnOmega InfeasibleError IntervalR"
     " Mt1Scenario StructureError ValidityReport WeightedGroup apply barycenter"
     " combination_value hull_membership spread validate_affine_config",
     "funclib": "DomainError FunctionModel TabulatedFunction catalog d2_one_sided"
-    " eval_fn load_table negate parse_fn_spec tabulated_model",
+    " eval_fn load_table negate tabulated_model",
     "functional": "verify_ic1 verify_ic2 verify_ic3 verify_it2 verify_it3 verify_mc1 verify_mc2"
     " verify_mc3 verify_mt4 verify_mt5",
     "report": "FAILS HOLDS UNMET ChainReport",
-    "scengen": "GenSpec SearchResult gen_affine_config gen_mt1_scenario gen_two_sided_scenario"
+    "scengen": "GenSpec SearchResult gen_affine_config gen_two_sided_scenario"
     " match_spread search_counterexamples straddle_probe_mt4 two_point_from_moments",
 }
 #: public name -> (defining module, its name there)

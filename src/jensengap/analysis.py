@@ -232,18 +232,6 @@ def curvature_sandwich(
     return AInterval(lo, hi, lo <= hi + tol), AInterval(-neg_hi, -neg_lo, neg_lo <= neg_hi + tol)
 
 
-def feasible_A_interval(
-    f: FunctionModel,
-    c: float,
-    interval: IntervalR,
-    grid_n: int = DEFAULT_GRID,
-    tol: float = EPS_EQ,
-) -> AInterval:
-    """Feasible constants at an interior split point c (exact for a certified
-    model, at grid resolution otherwise)."""
-    return classify_at_point(f, c, interval, grid_n, tol).k1_interval
-
-
 class ConvexityClass:
     """Classification at a point: kind is "K1c", "K2c", "both" or "neither"."""
 

@@ -207,12 +207,6 @@ def fn_spec_from_string(spec: str, point: float = 0.0) -> dict:
     return d
 
 
-def parse_fn_spec(spec: str) -> FunctionModel:
-    """The catalog model of a "name" or "name:param" spec."""
-    d = fn_spec_from_string(spec)
-    return catalog(d["name"], d.get("param", d.get("path")))
-
-
 def negate(f: FunctionModel) -> FunctionModel:
     """Pointwise negation; keeps the monotone-f'' certificate (-f'' is
     monotone the other way), so a K1c point of f is a K2c point of -f."""

@@ -190,11 +190,6 @@ def gen_two_sided_scenario(
     return Mt1Scenario(left, right, spec.c, spec.interval)
 
 
-def gen_mt1_scenario(spec: GenSpec, rng: random.Random | None = None) -> Mt1Scenario:
-    """Spread-matched two-sided scenario; passes every mt1 hypothesis check."""
-    return gen_two_sided_scenario(spec, rng, spread_ratio=1.0)
-
-
 def two_point_from_moments(mean: float, second_moment: float) -> tuple[float, float]:
     """Roots of t^2 - s t + p with s = 2*mean and p chosen so the uniform
     two-point set has the prescribed mean and second moment.

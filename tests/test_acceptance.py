@@ -14,7 +14,7 @@ import pytest
 
 import oracles
 from jensengap.affine import verify_mt1, verify_mt2
-from jensengap.analysis import feasible_A_interval
+from jensengap.analysis import classify_at_point
 from jensengap.cli import main
 from jensengap.domain import IntervalR, spread
 from jensengap.funclib import FunctionModel, catalog
@@ -22,7 +22,6 @@ from jensengap.scenario import dumps, make_scenario, run_payload
 from jensengap.scengen import (
     GenSpec,
     draw_config,
-    gen_mt1_scenario,
     gen_payload,
     gen_two_sided_scenario,
     straddle_probe_mt4,
@@ -90,7 +89,7 @@ def test_criterion_2_quadratic_identity():
 def test_criterion_3_two_sided_chain():
     with criterion(3, "four-term chain holds on 1,000 matched scenarios; worked chain exact"):
         for i in range(1_000):
-            s = gen_mt1_scenario(GenSpec(seed=92000 + i))
+            s = gen_two_sided_scenario(GenSpec(seed=92000 + i))
             for f in (SS, CUBIC):
                 rep = verify_mt1(f, s, A=0.0)
                 assert rep.verdict == "holds"
@@ -119,7 +118,7 @@ def test_criterion_4_weakened_hypothesis_branches():
             assert rep.details["A"] == pytest.approx(1.0)
             assert min(rep.margins) >= -1e-9
         for i in range(500):
-            s = gen_mt1_scenario(GenSpec(seed=94000 + i))
+            s = gen_two_sided_scenario(GenSpec(seed=94000 + i))
             rep = verify_mt2(SS, s, branch="c")
             assert rep.verdict == "holds"
             assert min(rep.margins) >= -1e-9
@@ -137,11 +136,11 @@ def test_criterion_5_feasible_interval_accuracy():
         n = 1_000
         for c in (-0.5, 0.0, 0.7):
             h = max(c - (-1.0), 1.0 - c) / (n - 1)
-            iv = feasible_A_interval(CUBIC, c, I11, n)
+            iv = classify_at_point(CUBIC, c, I11, n).k1_interval
             assert iv.feasible
             assert iv.contains(6 * c, tol=1e-12)
             assert iv.hi - iv.lo <= 12 * h + 1e-6
-        iv = feasible_A_interval(SS, 0.0, I11, n)
+        iv = classify_at_point(SS, 0.0, I11, n).k1_interval
         assert iv.lo == pytest.approx(-2.0, abs=1e-6)
         assert iv.hi == pytest.approx(2.0, abs=1e-6)
 

@@ -15,7 +15,6 @@ from jensengap.analysis import (
     curvature_sandwich,
     dd2,
     dd3,
-    feasible_A_interval,
     is_3concave,
     is_3convex,
     k1_witness,
@@ -82,29 +81,29 @@ class TestFeasibleInterval:
     def test_cubic_centered(self):
         n = 1000
         h = 1.0 / (n - 1)
-        iv = feasible_A_interval(_uncertified(catalog("cubic")), 0.0, I11, n)
+        iv = classify_at_point(_uncertified(catalog("cubic")), 0.0, I11, n).k1_interval
         assert iv.feasible and iv.contains(0.0)
         assert iv.hi - iv.lo <= 12 * h + 1e-9
 
     def test_signed_square(self):
-        iv = feasible_A_interval(catalog("signed_square"), 0.0, I11, 1000)
+        iv = classify_at_point(catalog("signed_square"), 0.0, I11, 1000).k1_interval
         assert iv.lo == pytest.approx(-2.0, abs=1e-6)
         assert iv.hi == pytest.approx(2.0, abs=1e-6)
 
     def test_quadratic_pinches(self):
-        iv = feasible_A_interval(catalog("quadratic", 3), 0.25, I11, 400)
+        iv = classify_at_point(catalog("quadratic", 3), 0.25, I11, 400).k1_interval
         assert iv.lo == pytest.approx(3.0, abs=1e-9)
         assert iv.hi == pytest.approx(3.0, abs=1e-9)
 
     def test_point_must_be_interior(self):
         with pytest.raises(StructureError):
-            feasible_A_interval(catalog("cubic"), -1.0, I11, 100)
+            classify_at_point(catalog("cubic"), -1.0, I11, 100)
 
     def test_monotone_refinement(self):
         for name, c in (("exp", 0.0), ("cubic", 0.2)):
             f = _uncertified(catalog(name))
-            coarse = feasible_A_interval(f, c, I11, 250)
-            fine = feasible_A_interval(f, c, I11, 500)
+            coarse = classify_at_point(f, c, I11, 250).k1_interval
+            fine = classify_at_point(f, c, I11, 500).k1_interval
             assert fine.lo >= coarse.lo - 1e-9
             assert fine.hi <= coarse.hi + 1e-9
 
@@ -169,7 +168,7 @@ K2_MODELS = {
 
 def _assert_k2_is_negated_k1_of_negation(f, c, grid_n):
     k2 = classify_at_point(f, c, I11, grid_n).k2_interval
-    neg = feasible_A_interval(negate(f), c, I11, grid_n)
+    neg = classify_at_point(negate(f), c, I11, grid_n).k1_interval
     assert k2.feasible == neg.feasible
     for got, want in ((k2.lo, -neg.hi), (k2.hi, -neg.lo)):
         assert got == want

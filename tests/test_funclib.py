@@ -14,11 +14,12 @@ from jensengap.funclib import (
     catalog,
     d2_one_sided,
     eval_fn,
+    fn_spec_from_string,
     load_table,
     negate,
-    parse_fn_spec,
     tabulated_model,
 )
+from jensengap.scenario import model_from_spec
 
 
 class TestEval:
@@ -91,11 +92,11 @@ class TestCatalog:
         "name", ["quadratic:2", "cubic", "signed_square", "neg_signed_square", "exp"]
     )
     def test_parse_fn_spec(self, name):
-        assert parse_fn_spec(name).name
+        assert model_from_spec(fn_spec_from_string(name)).name
 
     def test_parse_rejects_stray_param(self):
         with pytest.raises(StructureError):
-            parse_fn_spec("cubic:3")
+            model_from_spec(fn_spec_from_string("cubic:3"))
 
     @pytest.mark.parametrize("name", ["cubic", "signed_square", "neg_signed_square", "exp"])
     def test_catalog_rejects_stray_param(self, name):

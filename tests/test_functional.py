@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jensengap.domain import IntervalR, StructureError
-from jensengap.funclib import TabulatedFunction, catalog, parse_fn_spec, tabulated_model
+from jensengap.funclib import TabulatedFunction, catalog, fn_spec_from_string, tabulated_model
 from jensengap.functional import (
     DiscreteFunctional,
     FunctionOnOmega,
@@ -24,7 +24,7 @@ from jensengap.functional import (
     verify_mt5,
 )
 from jensengap.report import HOLDS, UNMET
-from jensengap.scenario import run_payload
+from jensengap.scenario import model_from_spec, run_payload
 from jensengap.scengen import GenSpec, gen_payload
 
 iv = IntervalR
@@ -576,7 +576,7 @@ class TestMt4SharesMt5:
             payload["A"] = 0.0
         elif mutation:
             payload = mutate_mt4(payload, mutation)
-        f = parse_fn_spec(fn)
+        f = model_from_spec(fn_spec_from_string(fn))
         try:
             mt4 = run_payload("mt4", mode, f, payload)
         except ValueError as err:  # StructureError, or DomainError outside exp's domain

@@ -17,7 +17,7 @@ from jensengap.domain import (
 )
 from jensengap.funclib import FunctionModel, catalog
 from jensengap.functional import apply
-from jensengap.scengen import GenSpec, draw_config, gen_mt1_scenario
+from jensengap.scengen import GenSpec, draw_config, gen_two_sided_scenario
 
 finite = st.floats(min_value=-50, max_value=50, allow_nan=False)
 small_pos = st.floats(min_value=0.05, max_value=5, allow_nan=False)
@@ -104,7 +104,7 @@ def test_unital_apply_within_range(weights, data):
 @given(seed=st.integers(0, 200))
 @settings(max_examples=40, deadline=None)
 def test_generated_scenarios_verify(seed):
-    s = gen_mt1_scenario(GenSpec(seed=seed))
+    s = gen_two_sided_scenario(GenSpec(seed=seed))
     rep = verify_mt1(catalog("signed_square"), s, A=0.0)
     assert rep.verdict == "holds"
     assert min(rep.margins) >= -1e-9

@@ -15,7 +15,6 @@ from jensengap.scengen import (
     InfeasibleError,
     gen_affine_config,
     gen_payload,
-    gen_mt1_scenario,
     gen_two_sided_scenario,
     match_spread,
     search_counterexamples,
@@ -109,7 +108,7 @@ class TestTwoPointMoments:
 class TestTwoSidedGeneration:
     @pytest.mark.parametrize("seed", range(10))
     def test_hypotheses_pass(self, seed):
-        s = gen_mt1_scenario(GenSpec(seed=seed))
+        s = gen_two_sided_scenario(GenSpec(seed=seed))
         assert verify_mt1(catalog("signed_square"), s, A=0.0).hypotheses.valid
 
     def test_spread_ratio_below_one(self):
