@@ -234,7 +234,6 @@ def _branch_chain(
     d2m = _one_sided_or_none(f, a_tt, "minus")
     d2p = _one_sided_or_none(f, r_tt, "plus")
     t = tol * max(1.0, abs(sl), abs(sr))
-    # branch a needs s_a <= s_b, branch b the reverse
     s_a, s_b = (sr, sl) if concave else (sl, sr)
     c_sign = 1.0 if c_upward else -1.0
 
