@@ -7,8 +7,8 @@ a mass constraint and must come back hypotheses-unmet; mt3 documents are
 also checked under their non-default ``"c_convention": "printed"``.  The
 `gen` output of seeds 1-20 is pinned for every (theorem id, mode) as well,
 and so are the results of a budget-100 search for each request class of
-the benchmark's search workloads.  The SHA-256 digest of each output is compared with the
-one recorded in golden_reports.json.
+the benchmark's search workloads.  The SHA-256 digest of each output is
+compared with the one recorded in golden_reports.json.
 
 After a deliberate change of the output, rewrite the recorded digests with
 `PYTHONPATH=src python tests/test_golden.py`.
@@ -95,8 +95,8 @@ def golden_outputs(modes: dict, workdir: Path) -> dict[str, bytes]:
                 outputs[name] = run("check", str(doc_path))
                 doc = json.loads(doc_path.read_text(encoding="utf-8"))
                 if theorem_id == "mt3":
-                    doc["payload"]["c_convention"] = "printed"
-                    doc_path.write_text(dumps(doc), encoding="utf-8")
+                    printed = {**doc, "payload": {**doc["payload"], "c_convention": "printed"}}
+                    doc_path.write_text(dumps(printed), encoding="utf-8")
                     outputs[f"{name}.printed"] = run("check", str(doc_path))
                 _first_weights(doc["payload"])[0] *= 1.1
                 doc_path.write_text(dumps(doc), encoding="utf-8")
