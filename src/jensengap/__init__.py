@@ -20,7 +20,7 @@ _EXPORTS = {
     "functional": "verify_ic1 verify_ic2 verify_ic3 verify_it2 verify_it3 verify_mc1 verify_mc2"
     " verify_mc3 verify_mt4 verify_mt5",
     "report": "FAILS HOLDS UNMET ChainReport",
-    "scengen": "GenSpec SearchResult gen_affine_config gen_two_sided_scenario"
+    "scengen": "GenSpec SearchResult gen_two_sided_scenario"
     " match_spread search_counterexamples straddle_probe_mt4 two_point_from_moments",
 }
 #: public name -> (defining module, its name there)

@@ -169,14 +169,14 @@ def _signed_witness(
     is intersected with the regime.
     """
     c = s.c
-    if f.d2_monotone and a_tt - tol <= c <= r_tt + tol:
+    if f.d2_certificate is not None and a_tt - tol <= c <= r_tt + tol:
         shaped = is_3concave if concave else is_3convex
         try:
             certified = shaped(f, s.interval, tol=tol)
         except DomainError:
             certified = False
         if certified:
-            A = 0.5 * (f.d2_minus(c) + f.d2_plus(c))
+            A = 0.5 * f.d2_minus(c) + 0.5 * f.d2_plus(c)
             if A >= -tol if nonneg else A <= tol:
                 return A
     try:

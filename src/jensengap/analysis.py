@@ -16,28 +16,24 @@ of c at grid resolution.  3-concavity at c (K2c) is the same condition for
 right of c and the inf left of c.  So the extremes of the brackets on
 each side decide both classes.
 
-A model certified ``d2_monotone`` (every closed-form catalog entry and
-its negation) has those extremes in closed form: on [lo, hi] the brackets
-range between d2_plus(lo) and d2_minus(hi), so convexity, the K1c/K2c
-intervals and 3-convexity (d2_plus(lo) <= d2_minus(hi)) are exact and
-take O(1), with no grid (Popoviciu's n-convexity).  The grid size is still
+A model with an f'' certificate (every catalog entry and table, and their
+negations; ``funclib``) has those extremes in closed form.  On [lo, hi] the
+certificate lists the values between which f'' is monotone, and every
+bracket is an average of f'' over its triple, so the brackets range
+between the least and the greatest of them; f is 3-convex (3-concave)
+there exactly when they do not decrease (increase), up to ``tol``
+(Popoviciu's n-convexity).  Convexity, the K1c/K2c intervals and
+3-convexity are then exact, with no grid: O(1) for a catalog entry, O(k)
+for a table whose k pieces meet the interval.  The grid size is still
 checked, and endpoints outside the domain still raise DomainError.
 
-Tables and other uncertified models are scanned on a grid.  Whether f is
-convex or 3-convex on an interval, and its brackets on either side of c,
-depend on f, the interval and the grid alone, not on the scenario being
-verified.  Every scan is therefore read through one small per-process memo
-of its extremes (``_scan_extremes``), so the scenarios of a search that
-share a function and an interval scan it once.  The memo is keyed by the
-model object, and a table file whose content has not changed loads as the
-same model (``funclib.catalog``), so documents on one table file share its
-scans too.
+A model built without a certificate is scanned on a grid
+(``bracket_windows``, ``third_windows``) on every query.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 from .domain import EPS_EQ, IntervalR, StructureError
 from .funclib import DomainError, FunctionModel, eval_fn, require_in_domain
@@ -50,8 +46,6 @@ WITNESS_GRID = 512
 SHAPE_GRID = 257
 #: relative width below which a side imposes no constraint
 _DEGENERATE = 1e-12
-#: scans whose extremes the memo keeps, least recently used dropped first
-SCAN_CACHE_SIZE = 16
 
 
 def _divided_differences(xs, ys, order: int, scale: float = 1.0) -> list[float]:
@@ -104,67 +98,39 @@ def third_windows(f: FunctionModel, lo: float, hi: float, n: int) -> list[float]
     return _divided_differences(*_grid_values(f, lo, hi, n), 3)
 
 
-@lru_cache(maxsize=SCAN_CACHE_SIZE)
-def _cached_extremes(
-    f: FunctionModel, lo: float, hi: float, n: int, order: int, signs: tuple[float, float]
-) -> tuple[float, float]:
-    # ``signs`` only keys the entry
-    windows = bracket_windows(f, lo, hi, n) if order == 2 else third_windows(f, lo, hi, n)
-    return min(windows), max(windows)
-
-
-def _scan_extremes(
-    f: FunctionModel, lo: float, hi: float, n: int, order: int
-) -> tuple[float, float]:
-    """(min, max) of bracket_windows (order 2) or third_windows (order 3).
-
-    Memoized for the life of the process in a cache of SCAN_CACHE_SIZE
-    entries.  The key holds the model itself, which hashes and compares by
-    identity: an entry serves only the model object that made it, so no
-    entry goes stale, and a search that builds its model once scans each
-    (interval, grid) once.
-    The signs of lo and hi join the key because equal float keys do not
-    tell -0.0 from 0.0, while f(-0.0) may differ from f(0.0) in the sign of
-    a zero.  Errors are raised again on every call; they are never cached.
-    """
-    signs = (math.copysign(1.0, lo), math.copysign(1.0, hi))
-    return _cached_extremes(f, lo, hi, n, order, signs)
-
-
-def _certified_d2(
-    f: FunctionModel, lo: float, hi: float, n: int, min_n: int
-) -> tuple[float, float]:
-    """d2_plus(lo) and d2_minus(hi) of a certified model, after the grid-size
-    and domain checks a scan would make.  A zero comes back as +0.0, the
-    sign every bracket of equal values has, so that -f's values are exactly
-    0.0 minus f's."""
+def _certified_d2(f: FunctionModel, lo: float, hi: float, n: int, min_n: int):
+    """The certificate's f'' values on [lo, hi], after the grid-size and
+    domain checks a scan would make."""
     if n < min_n:
         raise StructureError(f"grid needs at least {min_n} points")
     require_in_domain(f, lo, hi)
-    return f.d2_plus(lo) + 0.0, f.d2_minus(hi) + 0.0
+    return f.d2_certificate(lo, hi)
 
 
 def _bracket_extremes(f: FunctionModel, lo: float, hi: float, n: int) -> tuple[float, float]:
     """(min, max) of the dd2 brackets on [lo, hi]: exact for a certified model,
-    from an n-point grid scan otherwise."""
-    if f.d2_monotone:
-        a, b = _certified_d2(f, lo, hi, n, 3)
-        return (a, b) if a <= b else (b, a)
-    return _scan_extremes(f, lo, hi, n, 2)
+    from an n-point grid scan otherwise.  An exact zero comes back as +0.0,
+    the sign every bracket of equal values has, so that -f's extremes are
+    exactly 0.0 minus f's."""
+    if f.d2_certificate is None:
+        windows = bracket_windows(f, lo, hi, n)
+        return min(windows), max(windows)
+    d2 = _certified_d2(f, lo, hi, n, 3)
+    return min(d2) + 0.0, max(d2) + 0.0
 
 
 def is_3convex(
     f: FunctionModel, interval: IntervalR, grid_n: int = SHAPE_GRID, tol: float = EPS_EQ
 ) -> bool:
-    """Whether f'' is nondecreasing on the interval: exact for a certified
-    model, otherwise grid evidence that third divided differences are
-    nonnegative; false on a zero-width interval."""
+    """Whether f'' is nondecreasing on the interval, up to tol: exact for a
+    certified model, otherwise grid evidence that third divided differences
+    are nonnegative; false on a zero-width interval."""
     if interval.width <= 0.0:
         return False
-    if f.d2_monotone:
-        d2_lo, d2_hi = _certified_d2(f, interval.lo, interval.hi, grid_n, 4)
-        return d2_lo <= d2_hi
-    return _scan_extremes(f, interval.lo, interval.hi, grid_n, 3)[0] >= -tol
+    if f.d2_certificate is None:
+        return min(third_windows(f, interval.lo, interval.hi, grid_n)) >= -tol
+    d2 = _certified_d2(f, interval.lo, interval.hi, grid_n, 4)
+    return all(a <= b + tol for a, b in zip(d2, d2[1:]))
 
 
 def is_3concave(
@@ -172,10 +138,10 @@ def is_3concave(
 ) -> bool:
     if interval.width <= 0.0:
         return False
-    if f.d2_monotone:
-        d2_lo, d2_hi = _certified_d2(f, interval.lo, interval.hi, grid_n, 4)
-        return d2_lo >= d2_hi
-    return _scan_extremes(f, interval.lo, interval.hi, grid_n, 3)[1] <= tol
+    if f.d2_certificate is None:
+        return max(third_windows(f, interval.lo, interval.hi, grid_n)) <= tol
+    d2 = _certified_d2(f, interval.lo, interval.hi, grid_n, 4)
+    return all(a >= b - tol for a, b in zip(d2, d2[1:]))
 
 
 class AInterval:
@@ -196,7 +162,7 @@ class AInterval:
         lo_fin = math.isfinite(self.lo)
         hi_fin = math.isfinite(self.hi)
         if lo_fin and hi_fin:
-            return 0.5 * (self.lo + self.hi)
+            return 0.5 * self.lo + 0.5 * self.hi
         if lo_fin:
             return self.lo
         if hi_fin:
@@ -295,9 +261,9 @@ def k1_witness(
     tol: float = EPS_EQ,
 ) -> float | None:
     """Constant making f 3-convex at c: the midpoint of the K1 interval of
-    ``curvature_sandwich`` split at c, which for a certified model is
-    (f''(c-) + f''(c+)) / 2; None when c is not interior or the interval is
-    infeasible."""
+    ``curvature_sandwich`` split at c, which for a certified model with a
+    nondecreasing f'' is (f''(c-) + f''(c+)) / 2; None when c is not
+    interior or the interval is infeasible."""
     if not interval.lo < c < interval.hi:
         return None
     try:

@@ -45,6 +45,11 @@ def sum_weights(weights, what: str) -> float:
         raise StructureError(f"{what} sum past the float range") from None
 
 
+def all_finite(*seqs) -> bool:
+    """Whether every number of every sequence is finite."""
+    return all(all(map(math.isfinite, xs)) for xs in seqs)
+
+
 class IntervalR:
     __slots__ = ("lo", "hi")
 
@@ -92,12 +97,16 @@ class WeightedGroup:
         return tuple(compress(self.points, map((0.0).__lt__, self.weights)))
 
     def moment(self, k: int) -> float:
-        """sum(w * p**k); past the float range it is malformed input."""
+        """sum(w * p**k); past the float range it is malformed input, though
+        infinite or NaN weights or points may give an infinite sum."""
         # float(k).__rpow__(p) is p ** k
         try:
-            return math.fsum(map(mul, self.weights, map(float(k).__rpow__, self.points)))
-        except OverflowError:
-            raise StructureError(f"group moment sum(w * p**{k}) past the float range") from None
+            total = math.fsum(map(mul, self.weights, map(float(k).__rpow__, self.points)))
+        except (OverflowError, ValueError):  # an overflow, or fsum's "-inf + inf"
+            total = None
+        if total is None or math.isinf(total) and all_finite(self.weights, self.points):
+            raise StructureError(f"group moment sum(w * p**{k}) past the float range")
+        return total
 
 
 _EMPTY = WeightedGroup((), ())
@@ -348,11 +357,15 @@ def as_function(u) -> FunctionOnOmega:
 
 def apply(L, u) -> float:
     """Weighted sum; for a unital functional the value lies in [min u, max u].
-    A sum past the float range is malformed input."""
+    A sum past the float range is malformed input, though infinite or NaN
+    weights may give an infinite sum."""
     w, v = as_functional(L).weights, as_function(u).values
     if len(w) != len(v):
         raise StructureError(f"length mismatch: {len(w)} weights vs {len(v)} values")
     try:
-        return math.fsum(map(mul, w, v))
-    except OverflowError:
-        raise StructureError("weighted sum L(u) past the float range") from None
+        total = math.fsum(map(mul, w, v))
+    except (OverflowError, ValueError):  # an overflow, or fsum's "-inf + inf"
+        total = None
+    if total is None or math.isinf(total) and all_finite(w, v):
+        raise StructureError("weighted sum L(u) past the float range")
+    return total

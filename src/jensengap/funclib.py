@@ -1,19 +1,23 @@
 """Function models: evaluation, one-sided curvature, and a small catalog.
 
-Catalog entries carry analytic one-sided second derivatives and a
-certificate that f'' is monotone on the whole domain (``d2_monotone``).
-That certificate is the one source of the paper's constant A: at any c,
-the A for which f(x) - (A/2) x^2 is concave left of c and convex right of
-it are exactly [f''(c-), f''(c+)] when f'' is nondecreasing (``analysis``).
+Catalog entries and tables carry analytic one-sided second derivatives and
+an f'' certificate (``d2_certificate``): on any [lo, hi], the ordered values
+between which f'' is monotone.  A catalog entry's f'' is monotone on its
+whole domain, so its values are f''(lo+) and f''(hi-); a table is a C^1
+quadratic spline, so its values are the constant curvatures of the pieces
+that meet [lo, hi].  That certificate is the one source of the paper's
+constant A: at any c, the A for which f(x) - (A/2) x^2 is concave left of c
+and convex right of it are exactly [f''(c-), f''(c+)] when f'' is
+nondecreasing (``analysis``).
 """
 
 from __future__ import annotations
 
-import bisect
 import math
+from bisect import bisect_left, bisect_right
 from functools import lru_cache
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Sequence
 
 from .domain import IntervalR, StructureError
 
@@ -28,7 +32,7 @@ WIDE = 1e6
 FD_STEP = 1e-5
 #: relative slack when testing domain membership
 DOMAIN_SLACK = 1e-12
-#: table files whose parsed table and model are kept, least recently used
+#: table files whose parsed and fitted table is kept, least recently used
 #: dropped first
 TABLE_CACHE_SIZE = 8
 
@@ -37,13 +41,13 @@ class FunctionModel:
     """A function on its domain, with optional analytic one-sided second
     derivatives.  Models hash and compare by identity.
 
-    ``d2_monotone`` certifies that f'' is monotone (in either direction) on
-    the whole domain, with ``d2_minus``/``d2_plus`` its exact one-sided
-    values; ``analysis`` then answers shape queries from those values
-    instead of a grid.  It needs both analytic maps.
+    ``d2_certificate(lo, hi)``, when given, returns values of f'' on
+    [lo, hi] in order from lo to hi, f'' being monotone (either way) from
+    each one to the next; ``analysis`` then answers shape queries from them
+    instead of a grid.  It needs both analytic maps ``d2_minus``/``d2_plus``.
     """
 
-    __slots__ = ("name", "domain", "fn", "d2_minus", "d2_plus", "d2_monotone")
+    __slots__ = ("name", "domain", "fn", "d2_minus", "d2_plus", "d2_certificate")
 
     def __init__(
         self,
@@ -52,16 +56,16 @@ class FunctionModel:
         fn: Callable[[float], float],
         d2_minus: Callable[[float], float] | None = None,
         d2_plus: Callable[[float], float] | None = None,
-        d2_monotone: bool = False,
+        d2_certificate: Callable[[float, float], Sequence[float]] | None = None,
     ):
-        if d2_monotone and (d2_minus is None or d2_plus is None):
-            raise StructureError(f"{name}: a monotone-f'' certificate needs both analytic d2 maps")
+        if d2_certificate is not None and (d2_minus is None or d2_plus is None):
+            raise StructureError(f"{name}: an f'' certificate needs both analytic d2 maps")
         self.name = name
         self.domain = domain
         self.fn = fn
         self.d2_minus = d2_minus
         self.d2_plus = d2_plus
-        self.d2_monotone = d2_monotone
+        self.d2_certificate = d2_certificate
 
 
 def eval_fn(f: FunctionModel, x: float) -> float:
@@ -110,6 +114,21 @@ def d2_one_sided(f: FunctionModel, x: float, side: str, h: float | None = None) 
     return (eval_fn(f, x) - 2.0 * eval_fn(f, x + sgn * h) + eval_fn(f, far)) / (h * h)
 
 
+def _monotone_model(
+    name: str,
+    domain: IntervalR,
+    fn: Callable[[float], float],
+    d2_minus: Callable[[float], float],
+    d2_plus: Callable[[float], float] | None = None,
+) -> FunctionModel:
+    """A model whose f'' is monotone on its whole domain, so that on [lo, hi]
+    it runs from d2_plus(lo) to d2_minus(hi); d2_plus defaults to d2_minus."""
+    d2_plus = d2_minus if d2_plus is None else d2_plus
+    return FunctionModel(
+        name, domain, fn, d2_minus, d2_plus, lambda lo, hi: (d2_plus(lo), d2_minus(hi))
+    )
+
+
 def _signed_square_d2_minus(x: float) -> float:
     return -2.0 if x <= 0.0 else 2.0
 
@@ -128,14 +147,9 @@ def catalog(
     Names: quadratic (needs a curvature parameter q, f = q x^2 / 2), cubic,
     signed_square (x|x|), neg_signed_square (-x|x|), exp, tabulated-spline
     (needs a table or a file path).  A parameter given to a function that
-    takes none is rejected.  Every entry but the table is certified
-    ``d2_monotone``, so its constant A at any c comes from its d2 maps.
-
-    A table file maps to one model per content: ``load_table`` returns the
-    same table while the file is unchanged, and that table keeps its model
-    while among the TABLE_CACHE_SIZE most recent, so the grid-scan memo in
-    ``analysis`` serves every later load.  A table passed in memory gets a
-    new model on every call.
+    takes none is rejected.  Every entry carries an f'' certificate, so its
+    constant A at any c comes from its d2 maps.  A table file is parsed and
+    fitted once per content (``load_table``).
     """
     if param is not None and name in ("cubic", "signed_square", "neg_signed_square", "exp"):
         raise StructureError(f"catalog function {name!r} takes no parameter")
@@ -144,50 +158,27 @@ def catalog(
         if param is None:
             raise StructureError("quadratic needs a parameter, e.g. quadratic:2")
         q = float(param)
-        return FunctionModel(
-            name=f"quadratic({q:g})",
-            domain=wide,
-            fn=lambda x, q=q: 0.5 * q * x * x,
-            d2_minus=lambda x, q=q: q,
-            d2_plus=lambda x, q=q: q,
-            d2_monotone=True,
+        return _monotone_model(
+            f"quadratic({q:g})", wide, lambda x, q=q: 0.5 * q * x * x, lambda x, q=q: q
         )
     if name == "cubic":
-        return FunctionModel(
-            name="cubic",
-            domain=wide,
-            fn=lambda x: x * x * x,
-            d2_minus=lambda x: 6.0 * x,
-            d2_plus=lambda x: 6.0 * x,
-            d2_monotone=True,
-        )
+        return _monotone_model("cubic", wide, lambda x: x * x * x, lambda x: 6.0 * x)
     if name == "signed_square":
         # f'' = 2 sign(x); at 0 the one-sided values differ.  Any constant in
         # [-2, 2] works at c = 0; the certified midpoint is 0.
-        return FunctionModel(
-            name="signed_square",
-            domain=wide,
-            fn=lambda x: x * abs(x),
-            d2_minus=_signed_square_d2_minus,
-            d2_plus=_signed_square_d2_plus,
-            d2_monotone=True,
+        return _monotone_model(
+            "signed_square", wide, lambda x: x * abs(x),
+            _signed_square_d2_minus, _signed_square_d2_plus,
         )
     if name == "neg_signed_square":
         return negate(catalog("signed_square"))
     if name == "exp":
-        return FunctionModel(
-            name="exp",
-            domain=IntervalR(-10.0, 10.0),
-            fn=math.exp,
-            d2_minus=math.exp,
-            d2_plus=math.exp,
-            d2_monotone=True,
-        )
+        return _monotone_model("exp", IntervalR(-10.0, 10.0), math.exp, math.exp)
     if name == "tabulated-spline":
         if table is None:
             if param is None:
                 raise StructureError("tabulated-spline needs a table or a file path")
-            return _file_model(load_table(param))
+            table = load_table(param)
         return tabulated_model(table)
     raise StructureError(f"unknown catalog function {name!r}")
 
@@ -208,44 +199,97 @@ def fn_spec_from_string(spec: str, point: float = 0.0) -> dict:
 
 
 def negate(f: FunctionModel) -> FunctionModel:
-    """Pointwise negation; keeps the monotone-f'' certificate (-f'' is
-    monotone the other way), so a K1c point of f is a K2c point of -f."""
+    """Pointwise negation; keeps the f'' certificate, negated (-f'' is
+    monotone wherever f'' is), so a K1c point of f is a K2c point of -f."""
+    cert = f.d2_certificate
     return FunctionModel(
         name=f"neg({f.name})",
         domain=f.domain,
         fn=lambda x, g=f.fn: -g(x),
         d2_minus=None if f.d2_minus is None else (lambda x, g=f.d2_minus: -g(x)),
         d2_plus=None if f.d2_plus is None else (lambda x, g=f.d2_plus: -g(x)),
-        d2_monotone=f.d2_monotone,
+        d2_certificate=None if cert is None else (lambda lo, hi: [-v for v in cert(lo, hi)]),
     )
 
 
 class TabulatedFunction:
-    """Sampled function on strictly increasing nodes.  Tables hash and
-    compare by identity."""
+    """Sampled function on strictly increasing nodes, read as the C^1
+    quadratic spline with knots at the nodes.  Tables hash and compare by
+    identity.
 
-    __slots__ = ("nodes", "values")
+    The slope s_0 at the first node is that of the polynomial through the
+    first min(n, 4) nodes, and s_i+1 = 2 (y_i+1 - y_i) / h_i - s_i, so piece
+    i is y_i + s_i t + kappa_i t^2 / 2 with the constant curvature
+    kappa_i = (s_i+1 - s_i) / h_i.  The spline reproduces exactly every
+    quadratic, and every piecewise quadratic whose breaks lie at nodes from
+    the fourth on (x|x| on nodes that include 0).  A break between nodes is
+    not damped: the curvatures alternate about it to the end of the table.
+    """
+
+    __slots__ = ("nodes", "values", "slopes", "curvatures")
 
     def __init__(self, nodes, values):
         self.nodes = nodes = tuple(float(x) for x in nodes)
-        self.values = tuple(float(y) for y in values)
-        if len(nodes) != len(self.values):
+        self.values = values = tuple(float(y) for y in values)
+        if len(nodes) != len(values):
             raise StructureError("nodes and values must have equal length")
         if len(nodes) < 2:
             raise StructureError("a table needs at least 2 nodes")
         for a, b in zip(nodes, nodes[1:]):
             if not a < b:
                 raise StructureError("table nodes must be strictly increasing")
+        # Newton form of the polynomial through the first k nodes; its slope
+        # at nodes[0] is the sum of c_j * prod_{1 <= m < j} (x_0 - x_m)
+        k = min(len(nodes), 4)
+        dd, slope, weight = values[:k], 0.0, 1.0
+        for j in range(1, k):
+            dd = [(b - a) / (nodes[i + j] - nodes[i]) for i, (a, b) in enumerate(zip(dd, dd[1:]))]
+            slope += weight * dd[0]
+            weight *= nodes[0] - nodes[j]
+        slopes = [slope]
+        for x0, x1, y0, y1 in zip(nodes, nodes[1:], values, values[1:]):
+            slopes.append(2.0 * (y1 - y0) / (x1 - x0) - slopes[-1])
+        self.slopes = tuple(slopes)
+        self.curvatures = tuple(
+            (b - a) / (x1 - x0) for a, b, x0, x1 in zip(slopes, slopes[1:], nodes, nodes[1:])
+        )
+        if not all(map(math.isfinite, self.curvatures)):
+            raise StructureError("table values and their spline must be finite")
+
+    def _right(self, x: float) -> int:
+        """Index of the piece just right of x (the last one at or past the end)."""
+        i = bisect_right(self.nodes, x) - 1
+        return 0 if i < 0 else min(i, len(self.curvatures) - 1)
+
+    def _left(self, x: float) -> int:
+        """Index of the piece just left of x (the first one at or before the start)."""
+        i = bisect_left(self.nodes, x) - 1
+        return 0 if i < 0 else min(i, len(self.curvatures) - 1)
+
+    def __call__(self, x: float) -> float:
+        i = self._right(x)
+        t = x - self.nodes[i]
+        return self.values[i] + t * (self.slopes[i] + 0.5 * self.curvatures[i] * t)
+
+    def d2_minus(self, x: float) -> float:
+        return self.curvatures[self._left(x)]
+
+    def d2_plus(self, x: float) -> float:
+        return self.curvatures[self._right(x)]
+
+    def d2_pieces(self, lo: float, hi: float) -> tuple[float, ...]:
+        """Curvatures of the pieces that meet [lo, hi], lo < hi, left to right."""
+        return self.curvatures[self._right(lo) : self._left(hi) + 1]
 
 
 def load_table(path: str | Path) -> TabulatedFunction:
     """Read a two-column (node, value) text file; '#' starts a comment.
 
     The file is read on every call, so a rewritten file is never served
-    stale; its text is parsed once per (path, text) and the same table
-    object is returned while that pair stays among the TABLE_CACHE_SIZE
-    most recently loaded.  A malformed file raises StructureError, naming
-    ``path:lineno``, on every call.
+    stale; its text is parsed and fitted once per (path, text), and the
+    same table object is returned while that pair stays among the
+    TABLE_CACHE_SIZE most recently loaded.  A malformed file raises
+    StructureError, naming ``path:lineno``, on every call.
     """
     return _parse_table(str(path), Path(path).read_text(encoding="utf-8"))
 
@@ -269,42 +313,14 @@ def _parse_table(path: str, text: str) -> TabulatedFunction:
     return TabulatedFunction(tuple(nodes), tuple(values))
 
 
-def _interp_quadratic(tab: TabulatedFunction, x: float) -> float:
-    nodes, vals = tab.nodes, tab.values
-    n = len(nodes)
-    if n == 2:
-        t = (x - nodes[0]) / (nodes[1] - nodes[0])
-        return vals[0] + t * (vals[1] - vals[0])
-    i = bisect.bisect_right(nodes, x) - 1
-    i = min(max(i, 0), n - 2)
-    # pick the consecutive triple of nearest nodes around the bracketing pair
-    if i == 0:
-        j = 0
-    elif i >= n - 2:
-        j = n - 3
-    else:
-        j = i - 1 if x - nodes[i - 1] <= nodes[i + 2] - x else i
-    x0, x1, x2 = nodes[j : j + 3]
-    y0, y1, y2 = vals[j : j + 3]
-    d01 = (y1 - y0) / (x1 - x0)
-    d12 = (y2 - y1) / (x2 - x1)
-    d012 = (d12 - d01) / (x2 - x0)
-    return y0 + d01 * (x - x0) + d012 * (x - x0) * (x - x1)
-
-
 def tabulated_model(tab: TabulatedFunction, name: str = "tabulated-spline") -> FunctionModel:
-    """Model evaluating by degree-2 interpolation on the three nearest nodes."""
+    """Model evaluating the table's spline, with its exact piecewise-constant
+    f'' as the certificate."""
     return FunctionModel(
         name=name,
         domain=IntervalR(tab.nodes[0], tab.nodes[-1]),
-        fn=lambda x, tab=tab: _interp_quadratic(tab, x),
+        fn=tab,
+        d2_minus=tab.d2_minus,
+        d2_plus=tab.d2_plus,
+        d2_certificate=tab.d2_pieces,
     )
-
-
-@lru_cache(maxsize=TABLE_CACHE_SIZE)
-def _file_model(table: TabulatedFunction) -> FunctionModel:
-    # Tables hash and compare by identity, so the entry is keyed by the
-    # table object itself, which it keeps alive: two tables with equal
-    # values never share a model, and they may differ in the sign of a
-    # zero (a 2-node table of (0, -0.0), (1, -1) gives -0.0 at 0).
-    return tabulated_model(table)

@@ -39,6 +39,7 @@ from .domain import (  # noqa: F401  (the functional types are re-exported)
     FunctionOnOmega,
     IntervalR,
     StructureError,
+    all_finite,
     apply,
     as_function,
     as_functional,
@@ -55,14 +56,20 @@ def _sq(values: Sequence[float]) -> FunctionOnOmega:
 
 def apply_fn(L, f: FunctionModel, u) -> float:
     """Weighted sum of f over the values; zero-weight coordinates are skipped.
-    A sum past the float range is malformed input."""
+    A sum past the float range is malformed input, though infinite or NaN
+    weights may give an infinite sum."""
     w, v = as_functional(L).weights, as_function(u).values
     if len(w) != len(v):
         raise StructureError(f"length mismatch: {len(w)} weights vs {len(v)} values")
+    # the values are evaluated first, so fsum's errors are the sum's alone
+    terms = [wi * eval_fn(f, vi) for wi, vi in zip(w, v) if wi != 0.0]
     try:
-        return math.fsum(wi * eval_fn(f, vi) for wi, vi in zip(w, v) if wi != 0.0)
-    except OverflowError:
-        raise StructureError("weighted sum L(f(u)) past the float range") from None
+        total = math.fsum(terms)
+    except (OverflowError, ValueError):  # an overflow, or fsum's "-inf + inf"
+        total = None
+    if total is None or math.isinf(total) and all_finite(w):
+        raise StructureError("weighted sum L(f(u)) past the float range")
+    return total
 
 
 def _unital(cs: CheckSet, name: str, L: DiscreteFunctional) -> bool:

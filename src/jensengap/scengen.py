@@ -121,17 +121,6 @@ def draw_config(
     return AffineConfig(group_a, group_b, minus)
 
 
-def gen_affine_config(spec: GenSpec, side: str, rng: random.Random | None = None) -> AffineConfig:
-    """Valid configuration with points in the left ([lo, c]) or right ([c, hi])
-    half of the spec interval; minus points are drawn inside the barycenter
-    hull, so validity holds by construction."""
-    if side not in ("left", "right"):
-        raise StructureError(f"side must be 'left' or 'right', got {side!r}")
-    rng = rng if rng is not None else random.Random(spec.seed)
-    lo, hi = (spec.interval.lo, spec.c) if side == "left" else (spec.c, spec.interval.hi)
-    return draw_config(rng, lo, hi, spec.sizes)
-
-
 def _rescale(cfg: AffineConfig, anchor: float, k: float) -> AffineConfig:
     def scale(g: WeightedGroup) -> WeightedGroup:
         return WeightedGroup([anchor + k * (p - anchor) for p in g.points], g.weights)

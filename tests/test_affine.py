@@ -23,7 +23,7 @@ from jensengap.domain import (
     validate_affine_config,
 )
 from jensengap.funclib import FunctionModel, catalog, negate
-from jensengap.scenario import config_to, dumps, fn_spec_from_string, make_scenario
+from jensengap.scenario import config_from, config_to, dumps, fn_spec_from_string, make_scenario
 from jensengap.scengen import GenSpec, gen_payload, gen_two_sided_scenario
 
 I11 = IntervalR(-1.0, 1.0)
@@ -261,7 +261,7 @@ class TestVerifyMt2:
             lambda x: -math.exp(-x),
             d2_minus=lambda x: -math.exp(-x),
             d2_plus=lambda x: -math.exp(-x),
-            d2_monotone=True,
+            d2_certificate=lambda lo, hi: (-math.exp(-lo), -math.exp(-hi)),
         )
         s = scenario_with_spreads((-0.6, -0.2), (0.2, 0.4))  # spreads 0.04 >= 0.01
         rep = verify_mt2(f, s, branch="b")
@@ -332,7 +332,7 @@ class TestVerifyMt3:
             lambda x: math.exp(-x),
             d2_minus=lambda x: math.exp(-x),
             d2_plus=lambda x: math.exp(-x),
-            d2_monotone=True,
+            d2_certificate=lambda lo, hi: (math.exp(-lo), math.exp(-hi)),
         )
         rep = verify_mt3(f, MIRRORED, branch="b")  # spreads 0.25 <= 0.25
         assert rep.verdict == "holds"
@@ -361,6 +361,21 @@ class TestVerifyMt3:
         mirrored = verify_mt3(f, MIRRORED, branch="c")
         assert mirrored.verdict == "hypotheses-unmet"
         assert mirrored.details["c_convention"] == "mirrored"
+
+
+class TestHugeCurvature:
+    """The witness constant is 0.5 a + 0.5 b, which stays finite for a and b
+    near the float maximum, where 0.5 (a + b) overflows."""
+
+    @pytest.mark.parametrize("theorem, verify, q", [("mt2", verify_mt2, -1e308),
+                                                    ("mt3", verify_mt3, 1e308)])
+    def test_constant_stays_finite(self, theorem, verify, q):
+        # branch b of `gen --seed 0`, with f = q x^2 / 2
+        payload = gen_payload(GenSpec(seed=0), theorem, "b", random.Random(0))
+        s = Mt1Scenario(config_from(payload["left"]), config_from(payload["right"]), 0.0, I11)
+        rep = verify(catalog("quadratic", q), s, branch="b")
+        assert rep.details["A"] == q
+        assert all(map(math.isfinite, rep.margins))
 
 
 def _affine_doc(theorem, mode, **payload_fields):

@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jensengap import analysis
 from jensengap.analysis import (
-    SCAN_CACHE_SIZE,
-    _cached_extremes,
-    _scan_extremes,
+    AInterval,
     bracket_windows,
     classify_at_point,
     convexity_margin,
@@ -147,6 +146,47 @@ def _table(fn):
     return tabulated_model(TabulatedFunction(nodes, tuple(fn(x) for x in nodes)))
 
 
+#: 201-node tables over [-1, 1], whose spline's f'' is their certificate
+TABLES = {
+    "x^2 table": lambda: _table(lambda x: x * x),
+    "x^3 table": lambda: _table(lambda x: x**3),
+    "x|x| table": lambda: _table(lambda x: x * abs(x)),
+    "linear table": lambda: _table(lambda x: 2.0 * x + 1.0),
+}
+
+
+class TestTables:
+    """A table's spline has an exact, piecewise-constant f'', so its shape
+    is read from its piece curvatures, as a catalog function's is."""
+
+    @pytest.mark.parametrize("name, kind", [("x|x| table", "K1c"), ("x^3 table", "K1c"),
+                                            ("x^2 table", "both")])
+    def test_classify_at_zero(self, name, kind):
+        assert classify_at_point(TABLES[name](), 0.0, I11).kind == kind
+
+    def test_signed_square_table_has_the_catalog_interval(self):
+        k1 = classify_at_point(TABLES["x|x| table"](), 0.0, I11).k1_interval
+        assert k1.lo == pytest.approx(-2.0, abs=1e-9) and k1.hi == pytest.approx(2.0, abs=1e-9)
+
+    @pytest.mark.parametrize("name", ["x^2 table", "x^3 table", "x|x| table"])
+    def test_3convex(self, name):
+        assert is_3convex(TABLES[name](), I11)
+
+    def test_square_table_is_also_3concave(self):
+        assert is_3concave(TABLES["x^2 table"](), I11)
+        assert not is_3concave(TABLES["x^3 table"](), I11)
+
+    def test_no_grid_is_scanned(self, monkeypatch):
+        for name in ("bracket_windows", "third_windows"):
+            monkeypatch.setattr(analysis, name, None)
+        for make in TABLES.values():
+            f = make()
+            classify_at_point(f, 0.3, I11)
+            is_3convex(f, I11)
+            is_3concave(f, I11)
+            convexity_margin(f, I11)
+
+
 #: certified catalog models (f'' monotone)
 CATALOG_MODELS = {
     "quadratic:2": lambda: catalog("quadratic", 2),
@@ -157,13 +197,14 @@ CATALOG_MODELS = {
     "exp": lambda: catalog("exp"),
 }
 
-#: models that are scanned on a grid: the catalog ones without their
-#: certificate, and tables
-K2_MODELS = {
-    **{name: lambda make=make: _uncertified(make()) for name, make in CATALOG_MODELS.items()},
-    "linear table": lambda: _table(lambda x: 2.0 * x + 1.0),
-    "x|x| table": lambda: _table(lambda x: x * abs(x)),
+#: models that are scanned on a grid: the catalog ones and tables without
+#: their certificate
+SCANNED = {
+    name: lambda make=make: _uncertified(make())
+    for name, make in {**CATALOG_MODELS, **TABLES}.items()
 }
+#: scanned and certified tables
+K2_MODELS = {**SCANNED, **TABLES}
 
 
 def _assert_k2_is_negated_k1_of_negation(f, c, grid_n):
@@ -192,6 +233,14 @@ class TestK2FromTheSameScan:
         # quadratic:0 has d2 = 0.0 and its negation -0.0: the bounds must
         # still match in the sign of zero
         _assert_k2_is_negated_k1_of_negation(CATALOG_MODELS[name](), c, grid_n)
+
+
+class TestMidpoint:
+    @pytest.mark.parametrize("lo, hi", [(1e308, 1.7e308), (-1.7e308, -1e308), (-1.0, 3.0)])
+    def test_midpoint_is_half_of_each_end(self, lo, hi):
+        # 0.5 * (lo + hi) overflows for the first two
+        assert AInterval(lo, hi, True).midpoint() == 0.5 * lo + 0.5 * hi
+        assert math.isfinite(AInterval(lo, hi, True).midpoint())
 
 
 class TestK1Witness:
@@ -229,42 +278,36 @@ def _same_bits(got, want):
     return got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
 
 
-def _fresh_extremes(f, lo, hi, n, order):
-    windows = (bracket_windows if order == 2 else third_windows)(f, lo, hi, n)
-    return min(windows), max(windows)
-
-
 SCAN_MODELS = {
-    **K2_MODELS,
+    **SCANNED,
     # f(-0.0) = -0.0 beside f = +0.0 on the left: the sign of a zero
     # endpoint reaches the brackets of a 3-point grid
     "relu": lambda: FunctionModel("relu", I11, fn=lambda x: max(x, 0.0)),
 }
 
-#: each signed zero is looked up while the other is cached
-ZERO_ENDS = [
-    (-1.0, 1.0), (-1.0, -0.0), (-1.0, 0.0), (-1.0, -0.0), (-0.0, 1.0), (0.0, 1.0), (-0.0, 1.0),
-]
+#: intervals with each signed zero as an end
+ZERO_ENDS = [(-1.0, 1.0), (-1.0, -0.0), (-1.0, 0.0), (-0.0, 1.0), (0.0, 1.0)]
 
 
-class TestScanMemo:
-    """_scan_extremes serves a scan's (min, max) from a bounded per-process
-    cache; what it serves must be what a fresh scan gives."""
+class TestGridScan:
+    """A model without a certificate is scanned on a grid on every query;
+    what a query reads must be what a fresh scan gives, bit for bit."""
 
     @pytest.mark.parametrize("grid_n", [3, 17, 512])
     @pytest.mark.parametrize("name", sorted(SCAN_MODELS))
-    def test_cached_extremes_equal_a_fresh_scan(self, name, grid_n):
+    def test_queries_equal_a_fresh_scan(self, name, grid_n):
         f = SCAN_MODELS[name]()
-        for order in (2, 3):
-            for lo, hi in ZERO_ENDS:
-                if order == 3 and grid_n < 4:
-                    with pytest.raises(StructureError):
-                        _scan_extremes(f, lo, hi, grid_n, order)
-                    continue
-                want = _fresh_extremes(f, lo, hi, grid_n, order)
-                for _ in range(2):  # a miss, then a hit
-                    got = _scan_extremes(f, lo, hi, grid_n, order)
-                    assert all(map(_same_bits, got, want)), (order, lo, hi, got, want)
+        for lo, hi in ZERO_ENDS:
+            interval = IntervalR(lo, hi)
+            assert _same_bits(convexity_margin(f, interval, grid_n),
+                              min(bracket_windows(f, lo, hi, grid_n)))
+            if grid_n < 4:
+                with pytest.raises(StructureError):
+                    is_3convex(f, interval, grid_n)
+                continue
+            windows = third_windows(f, lo, hi, grid_n)
+            assert is_3convex(f, interval, grid_n) == (min(windows) >= -EPS_EQ)
+            assert is_3concave(f, interval, grid_n) == (max(windows) <= EPS_EQ)
 
     @pytest.mark.parametrize("grid_n", [3, 17, 512])
     @pytest.mark.parametrize("name", sorted(SCAN_MODELS))
@@ -275,51 +318,18 @@ class TestScanMemo:
             assert _same_bits(k1.lo, max(bracket_windows(f, -1.0, c, grid_n)))
             assert _same_bits(k1.hi, min(bracket_windows(f, c, 1.0, grid_n)))
 
-    def test_tables_with_different_data_do_not_share_entries(self):
-        square, signed = _table(lambda x: x * x), _table(lambda x: x * abs(x))
-        interval = IntervalR(-0.5, 0.5)
-        assert convexity_margin(square, interval) > 1.0
-        assert convexity_margin(signed, interval) < -1.0
-        assert _scan_extremes(square, -0.5, 0.5, 17, 3) != _scan_extremes(signed, -0.5, 0.5, 17, 3)
-
-    def test_two_loads_of_one_table_are_two_entries(self):
-        first, second = _table(lambda x: x * x), _table(lambda x: x * x)
-        convexity_margin(first, I11)
-        before = _cached_extremes.cache_info()
-        convexity_margin(second, I11)
-        after = _cached_extremes.cache_info()
-        assert (after.misses, after.hits) == (before.misses + 1, before.hits)
-
-    @pytest.mark.parametrize(
-        "call, error",
-        [
-            (lambda: _scan_extremes(_uncertified(catalog("cubic")), -1.0, 1.0, 3, 3),
-             StructureError),
-            (lambda: is_3convex(_uncertified(catalog("cubic")), I11, grid_n=3), StructureError),
-            (lambda: _scan_extremes(_uncertified(catalog("exp")), -20.0, 20.0, 17, 2),
-             DomainError),
-            (lambda: convexity_margin(_uncertified(catalog("exp")), IntervalR(-20.0, 20.0)),
-             DomainError),
-        ],
-    )
-    def test_errors_are_raised_on_every_call(self, call, error):
-        for _ in range(3):
-            with pytest.raises(error):
-                call()
-
-    def test_cache_stays_bounded(self):
-        f = _uncertified(catalog("quadratic", 2))
-        for k in range(1000):
-            _scan_extremes(f, -1.0, 1.0 + k / 1000, 3, 2)
-            assert _cached_extremes.cache_info().currsize <= SCAN_CACHE_SIZE
-        assert _cached_extremes.cache_info().maxsize == SCAN_CACHE_SIZE
-
 
 #: every catalog function with a monotone f'', and the negation of each
-CERTIFIED = {
+MONOTONE = {
     **CATALOG_MODELS,
     "neg_signed_square": lambda: catalog("neg_signed_square"),
     **{f"neg {name}": lambda make=make: negate(make()) for name, make in CATALOG_MODELS.items()},
+}
+#: every certified model: those, and the tables and their negations
+CERTIFIED = {
+    **MONOTONE,
+    **TABLES,
+    **{f"neg {name}": lambda make=make: negate(make()) for name, make in TABLES.items()},
 }
 #: grid of the uncertified scans the certificate is compared with
 PROBE_GRID = 17
@@ -360,21 +370,23 @@ def _window_spread(f, lo, hi):
 
 
 class TestCertificate:
-    """A certified model answers every shape query exactly, from d2_plus(lo)
-    and d2_minus(hi), where its uncertified copy scans a grid."""
+    """A certified model answers every shape query exactly, from the f''
+    values of its certificate (d2_plus(lo) and d2_minus(hi) for a catalog
+    function, the piece curvatures for a table), where its uncertified copy
+    scans a grid."""
 
     @pytest.mark.parametrize("name", sorted(CERTIFIED))
-    def test_catalog_models_are_certified(self, name):
+    def test_catalog_models_and_tables_are_certified(self, name):
         f = CERTIFIED[name]()
-        assert f.d2_monotone and not _uncertified(f).d2_monotone
+        assert f.d2_certificate is not None and _uncertified(f).d2_certificate is None
 
-    def test_tables_and_user_models_are_not(self):
-        assert not _table(lambda x: x * x).d2_monotone
-        assert not FunctionModel("id", I11, fn=float).d2_monotone
+    def test_user_models_are_not(self):
+        assert FunctionModel("id", I11, fn=float).d2_certificate is None
 
     def test_certificate_needs_both_maps(self):
         with pytest.raises(StructureError):
-            FunctionModel("half", I11, fn=float, d2_minus=float, d2_monotone=True)
+            FunctionModel("half", I11, fn=float, d2_minus=float,
+                          d2_certificate=lambda lo, hi: (0.0, 0.0))
 
     @settings(max_examples=40, deadline=None)
     @pytest.mark.parametrize("name", sorted(CERTIFIED))
@@ -394,14 +406,26 @@ class TestCertificate:
         assert (cls.k1_interval.lo, cls.k1_interval.hi) == (k1.lo, k1.hi)
         assert (cls.k2_interval.lo, cls.k2_interval.hi) == (k2.lo, k2.hi)
 
+        d2 = f.d2_certificate(lo, hi)
         exact = convexity_margin(f, interval)
-        assert exact == min(f.d2_plus(lo), f.d2_minus(hi))
-        scanned = convexity_margin(g, interval, PROBE_GRID)
+        assert exact == min(d2)
+        # every bracket is an average of f'' over its triple, so it lies
+        # within the certified extremes
+        brackets = bracket_windows(g, lo, hi, PROBE_GRID)
         noise = _rounding(f, lo, hi, 2)
-        assert exact - noise <= scanned <= exact + _window_spread(f, lo, hi) + noise
+        assert exact - noise <= min(brackets) and max(brackets) <= max(d2) + noise
+        if name in MONOTONE:
+            assert min(brackets) <= exact + _window_spread(f, lo, hi) + noise
 
         windows = third_windows(g, lo, hi, PROBE_GRID)
         decisive = _rounding(f, lo, hi, 3) + EPS_EQ
+        # a nondecreasing f'' has nonnegative third divided differences
+        if is_3convex(f, interval):
+            assert min(windows) >= -decisive
+        if is_3concave(f, interval):
+            assert max(windows) <= decisive
+        if name not in MONOTONE:
+            return
         if min(windows) > decisive or min(windows) < -decisive:
             assert is_3convex(f, interval) == is_3convex(g, interval, PROBE_GRID)
         if max(windows) > decisive or max(windows) < -decisive:

@@ -141,29 +141,34 @@ class TestCheck:
         assert len(reports) == 2
 
 
-class TestCheckTableDocuments:
-    """Documents on one unchanged table file share its model, so `check` on
-    a list classifies the table once per side of c."""
+#: functions tabulated on 201 nodes over [-1, 1]
+TABLE_FNS = {"x^2": lambda x: x * x, "x^3": lambda x: x**3, "x|x|": lambda x: x * abs(x)}
 
+
+class TestCheckTableDocuments:
+    """A table's spline has an exact f'', so the documents of a `check` list
+    on a table scan no grid, and gen | check holds on the tables of x^2, x^3
+    and x|x|, which are 3-convex at 0."""
+
+    @pytest.mark.parametrize("fn", sorted(TABLE_FNS))
     @pytest.mark.parametrize("theorem", ["mt1", "mt4", "mc1"])
-    def test_list_scans_once_and_matches_single_checks(
-        self, tmp_path, capsys, monkeypatch, theorem
+    def test_list_holds_scans_nothing_and_matches_single_checks(
+        self, tmp_path, capsys, monkeypatch, theorem, fn
     ):
-        table = tmp_path / "sq.txt"
+        table = tmp_path / "t.txt"
         nodes = [-1.0 + i / 100 for i in range(201)]
-        table.write_text("".join(f"{x!r} {x * x!r}\n" for x in nodes), encoding="utf-8")
+        table.write_text("".join(f"{x!r} {TABLE_FNS[fn](x)!r}\n" for x in nodes), encoding="utf-8")
         gen = ["gen", "--theorem", theorem, "--fn", f"tabulated-spline:{table}"]
-        assert run(gen + ["--seed", "3", "--count", "5"]) == 0
+        assert run(gen + ["--interval=-1,1", "--seed", "1", "--count", "5"]) == 0
         docs = capsys.readouterr().out
         scans = []
-        real = analysis.bracket_windows
-        monkeypatch.setattr(
-            analysis, "bracket_windows", lambda *a: scans.append(a) or real(*a)
-        )
+        for name in ("bracket_windows", "third_windows"):
+            real = getattr(analysis, name)
+            monkeypatch.setattr(analysis, name, lambda *a, real=real: scans.append(a) or real(*a))
         monkeypatch.setattr("sys.stdin", io.StringIO(docs))
         assert run(["check", "-"]) == 0
         reports = json.loads(capsys.readouterr().out)
-        assert len(scans) == 2
+        assert scans == []
         assert [r["verdict"] for r in reports] == ["holds"] * 5
         for doc, report in zip(json.loads(docs), reports):
             assert run(["check", write(tmp_path, "one.json", doc)]) == 0
@@ -461,6 +466,15 @@ class TestNoTraceback:
     def test_weighted_sum_past_float_range(self, tmp_path, capsys):
         payload = gen_payload(GenSpec(seed=1), "it2", "standard", random.Random(1))
         payload["L"], payload["g"] = [1, 1], [1e308, 1e308]
+        doc = make_scenario("it2", None, fn_spec_from_string("quadratic:2"), payload, seed=1)
+        rc, err = self._check(tmp_path, capsys, doc)
+        assert rc == 1 and err == "jensengap: error: weighted sum L(u) past the float range\n"
+
+    @pytest.mark.parametrize("g", [[1e10, -1e10], [1e10, 1e10]])
+    def test_weighted_sum_of_overflowing_products(self, tmp_path, capsys, g):
+        # each L * g product leaves the float range: +inf and -inf, or +inf twice
+        payload = gen_payload(GenSpec(seed=1), "it2", "standard", random.Random(1))
+        payload["L"], payload["g"] = [1e300, 1e300], g
         doc = make_scenario("it2", None, fn_spec_from_string("quadratic:2"), payload, seed=1)
         rc, err = self._check(tmp_path, capsys, doc)
         assert rc == 1 and err == "jensengap: error: weighted sum L(u) past the float range\n"

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from jensengap.domain import (
@@ -124,6 +126,15 @@ class TestSpread:
             with pytest.raises(StructureError, match=r"sum\(w \* p\*\*2\) past the float"):
                 WeightedGroup(points, weights).moment(2)
         assert WeightedGroup((1e200,), (1.0,)).moment(1) == 1e200
+
+    @pytest.mark.parametrize("weights", [(1e300, 1e300), (1e300, -1e300)])
+    def test_moment_of_overflowing_products_is_an_input_error(self, weights):
+        # each product is past the float range: inf, or +inf and -inf
+        with pytest.raises(StructureError, match=r"sum\(w \* p\*\*2\) past the float"):
+            WeightedGroup((1e6, -1e6), weights).moment(2)
+
+    def test_moment_of_infinite_points_stays_infinite(self):
+        assert WeightedGroup((math.inf,), (1.0,)).moment(2) == math.inf
 
 
 class TestInterval:

@@ -2,14 +2,13 @@ import math
 
 import pytest
 
-from jensengap.analysis import _cached_extremes, k1_witness
+from jensengap.analysis import k1_witness
 from jensengap.domain import IntervalR, StructureError
 from jensengap.funclib import (
     TABLE_CACHE_SIZE,
     DomainError,
     FunctionModel,
     TabulatedFunction,
-    _file_model,
     _parse_table,
     catalog,
     d2_one_sided,
@@ -148,6 +147,50 @@ class TestTabulated:
         f = tabulated_model(TabulatedFunction((0.0, 2.0), (1.0, 5.0)))
         assert eval_fn(f, 1.0) == pytest.approx(3.0)
 
+    def test_signed_square_table_is_reproduced(self):
+        # the kink of x|x| sits at a node, so the spline is x|x| itself
+        nodes = tuple(-1.0 + i / 100 for i in range(201))
+        f = tabulated_model(TabulatedFunction(nodes, tuple(x * abs(x) for x in nodes)))
+        for x in (-0.7312, -0.0051, -0.0049, 0.0, 0.0049, 0.0051, 0.4999, 0.5, 1.0):
+            assert eval_fn(f, x) == pytest.approx(x * abs(x), rel=1e-9, abs=1e-12)
+        assert (f.d2_minus(0.0), f.d2_plus(0.0)) == pytest.approx((-2.0, 2.0), abs=1e-9)
+        assert (d2_one_sided(f, 0.5, "minus"), d2_one_sided(f, -0.5, "plus")) == pytest.approx(
+            (2.0, -2.0), abs=1e-9
+        )
+
+    @pytest.mark.parametrize("fn", [lambda x: x**3, math.sin, lambda x: x * abs(x)])
+    def test_spline_is_continuous_with_continuous_slope(self, fn):
+        nodes = tuple(-1.0 + i / 100 for i in range(201))
+        tab = TabulatedFunction(nodes, tuple(fn(x) for x in nodes))
+        f = tabulated_model(tab)
+        for i in range(1, 200):
+            # at each node and between each two
+            for x in (nodes[i], 0.5 * (nodes[i - 1] + nodes[i])):
+                h = 1e-7
+                assert abs(eval_fn(f, x + 1e-10) - eval_fn(f, x - 1e-10)) <= 1e-8
+                left = (eval_fn(f, x) - eval_fn(f, x - h)) / h
+                right = (eval_fn(f, x + h) - eval_fn(f, x)) / h
+                assert left == pytest.approx(right, abs=1e-5)
+            assert eval_fn(f, nodes[i]) == pytest.approx(tab.values[i], abs=1e-12)
+
+    def test_curvature_is_constant_on_each_piece(self):
+        nodes = (0.0, 0.5, 1.5, 2.0, 3.0)
+        tab = TabulatedFunction(nodes, (1.0, -2.0, 0.5, 4.0, 3.0))
+        f = tabulated_model(tab)
+        for i, (a, b) in enumerate(zip(nodes, nodes[1:])):
+            kappa = tab.curvatures[i]
+            assert f.d2_plus(a) == f.d2_minus(b) == kappa
+            mid = 0.5 * (a + b)
+            assert d2_one_sided(f, mid, "plus") == d2_one_sided(f, mid, "minus") == kappa
+        assert f.d2_certificate(0.25, 1.5) == tab.curvatures[:2]
+        assert f.d2_certificate(0.5, 1.6) == tab.curvatures[1:3]
+
+    @pytest.mark.parametrize("values", [(0.0, math.inf, 1.0), (0.0, math.nan, 1.0),
+                                        (-1e308, 1e308, -1e308)])
+    def test_non_finite_spline_is_malformed(self, values):
+        with pytest.raises(StructureError, match="spline must be finite"):
+            TabulatedFunction((0.0, 1.0, 2.0), values)
+
 
 def write_table(path, fn, n=201):
     """An n-node table of fn over [-1, 1]."""
@@ -157,31 +200,26 @@ def write_table(path, fn, n=201):
 
 
 class TestTableFileCache:
-    """A table file is read on every load but parsed and modelled once per
-    content, so the grid-scan memo serves every later load."""
+    """A table file is read on every load but parsed and fitted once per
+    content."""
 
     I11 = IntervalR(-1.0, 1.0)
 
-    def test_unchanged_file_shares_model_and_scans(self, tmp_path):
+    def test_unchanged_file_is_parsed_and_fitted_once(self, tmp_path):
         path = write_table(tmp_path / "sq.txt", lambda x: x * x)
         f = catalog("tabulated-spline", str(path))
-        first = k1_witness(f, 0.0, self.I11)
-        before = _cached_extremes.cache_info()
         g = catalog("tabulated-spline", str(path))
-        assert g is f
-        assert k1_witness(g, 0.0, self.I11) == first
-        after = _cached_extremes.cache_info()
-        assert after.hits > before.hits
-        assert after.misses == before.misses
+        assert load_table(path) is load_table(str(path)) is f.fn is g.fn
+        assert k1_witness(g, 0.0, self.I11) == k1_witness(f, 0.0, self.I11)
 
-    def test_rewritten_file_gets_a_new_model(self, tmp_path):
+    def test_rewritten_file_gets_a_new_fit(self, tmp_path):
         path = write_table(tmp_path / "sq.txt", lambda x: x * x)
         f = catalog("tabulated-spline", str(path))
-        assert k1_witness(f, 0.0, self.I11) == pytest.approx(2.0, rel=1e-3)
+        assert k1_witness(f, 0.0, self.I11) == pytest.approx(2.0, rel=1e-9)
         write_table(path, lambda x: 3.0 * x * x)
         g = catalog("tabulated-spline", str(path))
-        assert g is not f
-        assert k1_witness(g, 0.0, self.I11) == pytest.approx(6.0, rel=1e-3)
+        assert g.fn is not f.fn
+        assert k1_witness(g, 0.0, self.I11) == pytest.approx(6.0, rel=1e-9)
 
     def test_malformed_file_raises_on_every_call(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -190,9 +228,9 @@ class TestTableFileCache:
             with pytest.raises(StructureError, match=f"{path}:3: "):
                 catalog("tabulated-spline", str(path))
 
-    def test_tables_differing_in_the_sign_of_a_zero_keep_their_own_models(self, tmp_path):
-        # equal as values, but f(0) = -0.0 + 0.0 * (-1 - -0.0) is -0.0 only
-        # for the first table
+    def test_tables_differing_in_the_sign_of_a_zero_keep_their_own_fits(self, tmp_path):
+        # equal as values, but f(0) = -0.0 + 0.0 * slope is -0.0 only for the
+        # first table
         neg, pos = tmp_path / "neg.txt", tmp_path / "pos.txt"
         neg.write_text("0 -0.0\n1 -1\n", encoding="utf-8")
         pos.write_text("0 0.0\n1 -1\n", encoding="utf-8")
@@ -201,11 +239,10 @@ class TestTableFileCache:
         assert math.copysign(1.0, eval_fn(f, 0.0)) == -1.0
         assert math.copysign(1.0, eval_fn(g, 0.0)) == 1.0
 
-    def test_caches_stay_bounded(self, tmp_path):
-        models = []
+    def test_cache_stays_bounded(self, tmp_path):
+        tables = []
         for k in range(4 * TABLE_CACHE_SIZE):
             path = write_table(tmp_path / f"t{k}.txt", lambda x, k=k: (k + 1) * x * x, n=5)
-            models.append(catalog("tabulated-spline", str(path)))
+            tables.append(catalog("tabulated-spline", str(path)).fn)
             assert _parse_table.cache_info().currsize <= TABLE_CACHE_SIZE
-            assert _file_model.cache_info().currsize <= TABLE_CACHE_SIZE
-        assert len({id(f) for f in models}) == len(models)
+        assert len({id(t) for t in tables}) == len(tables)

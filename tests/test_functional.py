@@ -61,6 +61,19 @@ class TestTypesAndApply:
             apply_fn([1.0, 1.0], near_max, [0.0, 1.0])
         assert apply_fn([0.5, 0.5], near_max, [0.0, 1.0]) == pytest.approx(1.35e308)
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_overflowing_products_are_input_errors(self, sign):
+        # finite weights and values whose products leave the float range:
+        # both +inf, or +inf and -inf
+        with pytest.raises(StructureError, match=r"weighted sum L\(u\) past the float range"):
+            apply([1e300, 1e300], [1e10, sign * 1e10])
+        with pytest.raises(StructureError, match=r"L\(f\(u\)\) past the float range"):
+            apply_fn([1e300, 1e300], catalog("cubic"), [1e4, sign * 1e4])
+
+    def test_infinite_weights_keep_an_infinite_sum(self):
+        assert apply([math.inf, 0.5], [1.0, 2.0]) == math.inf
+        assert apply_fn([math.inf, 0.5], catalog("cubic"), [1.0, 2.0]) == math.inf
+
     def test_negative_weight_rejected(self):
         with pytest.raises(StructureError):
             DiscreteFunctional((-0.1, 1.1))

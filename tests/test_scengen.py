@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 from jensengap import analysis, domain
 from jensengap.affine import verify_mt1
 from jensengap.domain import IntervalR, StructureError, spread, validate_affine_config
-from jensengap.funclib import FunctionModel, catalog
+from jensengap.funclib import FunctionModel, TabulatedFunction, catalog, tabulated_model
 from jensengap.scenario import config_from, run_payload
 from jensengap.scengen import (
     GenSpec,
     InfeasibleError,
-    gen_affine_config,
+    draw_config,
     gen_payload,
     gen_two_sided_scenario,
     match_spread,
@@ -35,37 +35,43 @@ class TestGenSpec:
             GenSpec(seed=1, sizes=(0, 1, 0))
 
 
-class TestGenAffineConfig:
+def _side_config(spec: GenSpec, side: str):
+    """draw_config on the left ([lo, c]) or right ([c, hi]) half of the spec."""
+    lo, hi = (spec.interval.lo, spec.c) if side == "left" else (spec.c, spec.interval.hi)
+    return draw_config(random.Random(spec.seed), lo, hi, spec.sizes)
+
+
+class TestDrawConfig:
     @pytest.mark.parametrize("seed", range(12))
     @pytest.mark.parametrize("side", ["left", "right"])
     def test_always_valid(self, seed, side):
-        cfg = gen_affine_config(GenSpec(seed=seed), side)
+        cfg = _side_config(GenSpec(seed=seed), side)
         assert validate_affine_config(cfg).valid
 
     def test_convex_case_when_minus_empty(self):
-        cfg = gen_affine_config(GenSpec(seed=3, sizes=(1, 1, 0)), "left")
+        cfg = _side_config(GenSpec(seed=3, sizes=(1, 1, 0)), "left")
         assert len(cfg.minus_c) == 0
         assert validate_affine_config(cfg).valid
         assert cfg.plus_a.total + cfg.plus_b.total == pytest.approx(1.0)
 
     def test_deterministic(self):
-        a = gen_affine_config(GenSpec(seed=42), "right")
-        b = gen_affine_config(GenSpec(seed=42), "right")
+        a = _side_config(GenSpec(seed=42), "right")
+        b = _side_config(GenSpec(seed=42), "right")
         assert a == b
 
     def test_points_confined_to_side(self):
-        cfg = gen_affine_config(GenSpec(seed=9), "left")
+        cfg = _side_config(GenSpec(seed=9), "left")
         assert max(cfg.active_points()) <= 0.0
 
 
 class TestMatchSpread:
     def test_identity(self):
-        cfg = gen_affine_config(SPEC, "left")
+        cfg = _side_config(SPEC, "left")
         out = match_spread(spread(cfg), cfg, anchor=0.0)
         assert spread(out) == pytest.approx(spread(cfg), abs=1e-12)
 
     def test_quarter_target_halves_offsets(self):
-        cfg = gen_affine_config(SPEC, "left")
+        cfg = _side_config(SPEC, "left")
         target = 0.25 * spread(cfg)
         out = match_spread(target, cfg, anchor=0.0)
         assert spread(out) == pytest.approx(target, abs=1e-9 * max(1.0, target))
@@ -80,7 +86,7 @@ class TestMatchSpread:
             match_spread(1.0, flat, anchor=1.0)
 
     def test_collapse_to_anchor(self):
-        cfg = gen_affine_config(SPEC, "left")
+        cfg = _side_config(SPEC, "left")
         out = match_spread(0.0, cfg, anchor=-0.25)
         assert spread(out) == pytest.approx(0.0, abs=1e-12)
 
@@ -252,22 +258,30 @@ def _count_scans(monkeypatch) -> list:
     return counted
 
 
-#: the search-grid benchmark classes, with the scans of an uncertified model
+#: the search-grid benchmark classes
 SEARCH_GRID = [
-    ("mt2", "auto", ("signed_square",), 1),
-    ("it2", "standard", ("quadratic", 2), 1),
-    ("it3", "standard", ("quadratic", 2), 1),
-    ("ic1", "standard", ("quadratic", 2), 100),
-    ("ic2", "standard", ("quadratic", 2), 1),
-    ("ic3", "standard", ("quadratic", 2), 1),
+    ("mt2", "auto", ("signed_square",)),
+    ("it2", "standard", ("quadratic", 2)),
+    ("it3", "standard", ("quadratic", 2)),
+    ("ic1", "standard", ("quadratic", 2)),
+    ("ic2", "standard", ("quadratic", 2)),
+    ("ic3", "standard", ("quadratic", 2)),
+]
+
+
+#: functions tabulated on 201 nodes over [-1, 1]
+TABLE_FNS = {"x^2": lambda x: x * x, "x|x|": lambda x: x * abs(x)}
+#: table searches: the search-grid classes on tables of their functions, and mt4
+TABLE_SEARCHES = [
+    ("mt2", "auto", "x|x|"),
+    *[(theorem, mode, "x^2") for theorem, mode, _ in SEARCH_GRID[1:]],
+    ("mt4", "region_restricted", "x|x|"),
 ]
 
 
 class TestGridScansPerSearch:
-    """A catalog function's certificate answers every shape query without a
-    grid.  Without it, the scenarios of one search share (function,
-    interval, grid), so analysis scans them once; ic1 checks convexity on
-    each scenario's own inner interval and so scans once per scenario."""
+    """The certificate of a catalog function or a table answers every shape
+    query without a grid."""
 
     @staticmethod
     def _search(model, theorem, mode):
@@ -277,14 +291,15 @@ class TestGridScansPerSearch:
         assert len(results) == 100  # none came back hypotheses-unmet
         return results
 
-    @pytest.mark.parametrize("theorem, mode, fn, scans", SEARCH_GRID)
-    def test_scans_per_search(self, monkeypatch, theorem, mode, fn, scans):
+    @pytest.mark.parametrize("theorem, mode, fn", TABLE_SEARCHES)
+    def test_table_search_scans_nothing(self, monkeypatch, theorem, mode, fn):
         counted = _count_scans(monkeypatch)
-        # a fresh model, so no entry left by an earlier search applies
-        self._search(_uncertified(catalog(*fn)), theorem, mode)
-        assert len(counted) == scans
+        nodes = tuple(-1.0 + i / 100 for i in range(201))
+        values = tuple(map(TABLE_FNS[fn], nodes))
+        self._search(tabulated_model(TabulatedFunction(nodes, values)), theorem, mode)
+        assert counted == []
 
-    @pytest.mark.parametrize("theorem, mode, fn", [case[:3] for case in SEARCH_GRID])
+    @pytest.mark.parametrize("theorem, mode, fn", SEARCH_GRID)
     def test_catalog_search_scans_nothing(self, monkeypatch, theorem, mode, fn):
         counted = _count_scans(monkeypatch)
         certified = self._search(catalog(*fn), theorem, mode)

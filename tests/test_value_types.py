@@ -84,7 +84,7 @@ def test_keyword_construction_and_defaults():
     assert math.isnan(rep.gap_left) and rep.hypotheses is None and rep.margin == 0.5
     assert ValidityReport(True, ()).checks == ()
     model = FunctionModel("id", IntervalR(0, 1), fn=float)
-    assert model.d2_minus is model.d2_plus is None and model.d2_monotone is False
+    assert model.d2_minus is model.d2_plus is model.d2_certificate is None
 
 
 def test_mutable_defaults_are_not_shared():
