@@ -10,13 +10,13 @@ import importlib
 
 #: defining module -> the public names it provides
 _EXPORTS = {
-    "analysis": "AInterval ConvexityClass classify_at_point dd2 dd3",
+    "analysis": "AInterval ConvexityClass classify_at_point",
     "affine": "cross_weighted_gap jensen_affine_gap verify_mt1 verify_mt2 verify_mt3",
     "domain": "EPS_EQ AffineConfig DiscreteFunctional FunctionOnOmega InfeasibleError IntervalR"
     " Mt1Scenario StructureError ValidityReport WeightedGroup apply barycenter"
     " combination_value hull_membership spread validate_affine_config",
-    "funclib": "DomainError FunctionModel TabulatedFunction catalog d2_one_sided"
-    " eval_fn load_table negate tabulated_model",
+    "funclib": "DomainError FunctionModel TabulatedFunction catalog eval_fn load_table negate"
+    " tabulated_model",
     "functional": "verify_ic1 verify_ic2 verify_ic3 verify_it2 verify_it3 verify_mc1 verify_mc2"
     " verify_mc3 verify_mt4 verify_mt5",
     "report": "FAILS HOLDS UNMET ChainReport",

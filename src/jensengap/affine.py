@@ -31,7 +31,7 @@ from .domain import (
     spread,
     validate_affine_config,
 )
-from .funclib import DomainError, FunctionModel, d2_one_sided, eval_fn, require_in_domain
+from .funclib import DomainError, FunctionModel, eval_fn, require_in_domain
 from .report import UNMET, ChainReport, chain_report
 
 
@@ -162,14 +162,13 @@ def _signed_witness(
     """Witness constant restricted to a sign regime: A >= 0 when ``nonneg``,
     A <= 0 otherwise.
 
-    For a certified model with c in [a_tt, r_tt] that is 3-convex on the
-    interval (3-concave when ``concave``), the constant is
-    (f''(c-) + f''(c+)) / 2 when it has the required sign; otherwise the
-    dd2 sandwich over [lo, a_tt] and [r_tt, hi] (K1, or K2 when ``concave``)
-    is intersected with the regime.
+    For c in [a_tt, r_tt] and f 3-convex on the interval (3-concave when
+    ``concave``), the constant is (f''(c-) + f''(c+)) / 2 when it has the
+    required sign; otherwise the bracket sandwich over [lo, a_tt] and
+    [r_tt, hi] (K1, or K2 when ``concave``) is intersected with the regime.
     """
     c = s.c
-    if f.d2_certificate is not None and a_tt - tol <= c <= r_tt + tol:
+    if a_tt - tol <= c <= r_tt + tol:
         shaped = is_3concave if concave else is_3convex
         try:
             certified = shaped(f, s.interval, tol=tol)
@@ -181,7 +180,7 @@ def _signed_witness(
                 return A
     try:
         k1, k2 = curvature_sandwich(f, s.interval, a_tt, r_tt, tol=tol)
-    except (StructureError, DomainError):
+    except DomainError:
         return None
     lo, hi = (k2.lo, k2.hi) if concave else (k1.lo, k1.hi)
     if nonneg:
@@ -191,13 +190,6 @@ def _signed_witness(
     if lo > hi + tol:
         return None
     return AInterval(lo, hi, True).midpoint()
-
-
-def _one_sided_or_none(f: FunctionModel, x: float, side: str) -> float | None:
-    try:
-        return d2_one_sided(f, x, side)
-    except (DomainError, ValueError):
-        return None
 
 
 _BRANCHES = ("auto", "a", "b", "c")
@@ -231,23 +223,17 @@ def _branch_chain(
     sl, sr = vals["spread_left"], vals["spread_right"]
     if not cs.at_least(tag, r_tt - a_tt, scale=max(abs(a_tt), abs(r_tt))):
         return ChainReport(UNMET, hypotheses=cs.report(), details={"branch": branch})
-    d2m = _one_sided_or_none(f, a_tt, "minus")
-    d2p = _one_sided_or_none(f, r_tt, "plus")
+    d2m, d2p = f.d2_minus(a_tt), f.d2_plus(r_tt)
     t = tol * max(1.0, abs(sl), abs(sr))
     s_a, s_b = (sr, sl) if concave else (sl, sr)
     c_sign = 1.0 if c_upward else -1.0
 
     def gate(b: str) -> bool:
         if b == "a":
-            return d2m is not None and sigma * d2m >= -tol and s_a <= s_b + t
+            return sigma * d2m >= -tol and s_a <= s_b + t
         if b == "b":
-            return d2p is not None and sigma * d2p <= tol and s_b <= s_a + t
-        return (
-            d2m is not None
-            and d2p is not None
-            and c_sign * d2m < 0.0 < c_sign * d2p
-            and shaped(f, s.interval, tol=tol)
-        )
+            return sigma * d2p <= tol and s_b <= s_a + t
+        return c_sign * d2m < 0.0 < c_sign * d2p and shaped(f, s.interval, tol=tol)
 
     candidates = ("a", "b", "c") if branch == "auto" else (branch,)
     gates = {b: gate(b) for b in candidates}
@@ -331,7 +317,7 @@ def verify_mt3(
     if "max_left" in d:  # the side extremes passed the ordering check
         d["c_convention"] = c_convention
     d2m, d2p, A = d.get("d2_minus_at_max_left"), d.get("d2_plus_at_min_right"), d.get("A")
-    if A is not None and d2m is not None and d2p is not None:
+    if A is not None:
         d["sandwich_descending_ok"] = d2m + tol >= A >= d2p - tol
         d["sandwich_ascending_ok"] = d2m - tol <= A <= d2p + tol
     return rep

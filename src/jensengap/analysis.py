@@ -1,34 +1,34 @@
-"""Divided differences and pointwise 3-convexity classification.
+"""Pointwise 3-convexity classification from a model's f'' certificate.
 
-The second-order bracket used throughout is twice the classical second
-divided difference,
+The second-order bracket is twice the classical second divided difference,
 
-    dd2(x1, x2, x3) = 2 * ([x2,x3]f - [x1,x2]f) / (x3 - x1),
+    2 * ([x2,x3]f - [x1,x2]f) / (x3 - x1),
 
 so that on shrinking triples it converges to f''.  A function is 3-convex
 at a split point c (K1c) exactly when some constant A satisfies
 
-    sup { dd2 over triples left of c }  <=  A  <=  inf { dd2 over triples right of c },
+    sup { brackets of triples left of c }  <=  A  <=  inf { brackets right of c },
 
 in which case F(x) = f(x) - (A/2) x^2 is concave left of c and convex right
-of c at grid resolution.  3-concavity at c (K2c) is the same condition for
--f, whose brackets are the negated ones: A lies between the sup of dd2
-right of c and the inf left of c.  So the extremes of the brackets on
-each side decide both classes.
+of c.  3-concavity at c (K2c) is the same condition for -f, whose brackets
+are the negated ones: A lies between the sup of the brackets right of c
+and the inf left of c.  So the extremes of the brackets on each side
+decide both classes.
 
-A model with an f'' certificate (every catalog entry and table, and their
-negations; ``funclib``) has those extremes in closed form.  On [lo, hi] the
-certificate lists the values between which f'' is monotone, and every
-bracket is an average of f'' over its triple, so the brackets range
-between the least and the greatest of them; f is 3-convex (3-concave)
-there exactly when they do not decrease (increase), up to ``tol``
-(Popoviciu's n-convexity).  Convexity, the K1c/K2c intervals and
-3-convexity are then exact, with no grid: O(1) for a catalog entry, O(k)
-for a table whose k pieces meet the interval.  The grid size is still
-checked, and endpoints outside the domain still raise DomainError.
+Every model carries an f'' certificate (``funclib``), which gives those
+extremes in closed form.  On [lo, hi] the certificate lists the values
+between which f'' is monotone, and every bracket is an average of f'' over
+its triple, so the brackets range between the least and the greatest of
+them; f is 3-convex (3-concave) there exactly when they do not decrease
+(increase), up to ``tol`` (Popoviciu's n-convexity).  Convexity, the
+K1c/K2c intervals and 3-convexity are then exact, with no grid: O(1) for a
+catalog entry, O(k) for a table whose k pieces meet the interval.
+Endpoints outside the domain raise DomainError.
 
-A model built without a certificate is scanned on a grid
-(``bracket_windows``, ``third_windows``) on every query.
+``bracket_windows`` and ``third_windows`` compute the same brackets, and
+third divided differences, on a uniform grid.  No query here calls them;
+they are the independent reference that the tests compare the
+certificate with.
 """
 
 from __future__ import annotations
@@ -38,12 +38,6 @@ import math
 from .domain import EPS_EQ, IntervalR, StructureError
 from .funclib import DomainError, FunctionModel, eval_fn, require_in_domain
 
-#: grid points per side for classification scans (`analyze --grid` default)
-DEFAULT_GRID = 1000
-#: grid points per side for a verifier's witness constant
-WITNESS_GRID = 512
-#: grid points for whole-interval convexity and 3-convexity evidence
-SHAPE_GRID = 257
 #: relative width below which a side imposes no constraint
 _DEGENERATE = 1e-12
 
@@ -64,18 +58,6 @@ def _divided_differences(xs, ys, order: int, scale: float = 1.0) -> list[float]:
         raise StructureError("coincident nodes") from None
 
 
-def dd2(f: FunctionModel, x1: float, x2: float, x3: float) -> float:
-    """Doubled second divided difference; symmetric in the three nodes."""
-    xs = (x1, x2, x3)
-    return _divided_differences(xs, [eval_fn(f, x) for x in xs], 2, 2.0)[0]
-
-
-def dd3(f: FunctionModel, x1: float, x2: float, x3: float, x4: float) -> float:
-    """Classical third divided difference via the recursive definition."""
-    xs = (x1, x2, x3, x4)
-    return _divided_differences(xs, [eval_fn(f, x) for x in xs], 3)[0]
-
-
 def _grid_values(f: FunctionModel, lo: float, hi: float, n: int) -> tuple[list, list]:
     """n uniform nodes i*step + lo on [lo, hi], the last one set to hi, and f there."""
     step = (hi - lo) / (n - 1)
@@ -85,7 +67,8 @@ def _grid_values(f: FunctionModel, lo: float, hi: float, n: int) -> tuple[list, 
 
 
 def bracket_windows(f: FunctionModel, lo: float, hi: float, n: int) -> list[float]:
-    """dd2 over all consecutive grid triples of an n-point uniform grid."""
+    """The doubled second divided difference over all consecutive triples of
+    an n-point uniform grid."""
     if n < 3:
         raise StructureError("grid needs at least 3 points per side")
     return _divided_differences(*_grid_values(f, lo, hi, n), 2, 2.0)
@@ -98,49 +81,30 @@ def third_windows(f: FunctionModel, lo: float, hi: float, n: int) -> list[float]
     return _divided_differences(*_grid_values(f, lo, hi, n), 3)
 
 
-def _certified_d2(f: FunctionModel, lo: float, hi: float, n: int, min_n: int):
-    """The certificate's f'' values on [lo, hi], after the grid-size and
-    domain checks a scan would make."""
-    if n < min_n:
-        raise StructureError(f"grid needs at least {min_n} points")
+def _bracket_extremes(f: FunctionModel, lo: float, hi: float) -> tuple[float, float]:
+    """(min, max) of the brackets on [lo, hi], from the certificate.  An exact
+    zero comes back as +0.0, the sign every bracket of equal values has, so
+    that -f's extremes are exactly 0.0 minus f's."""
     require_in_domain(f, lo, hi)
-    return f.d2_certificate(lo, hi)
-
-
-def _bracket_extremes(f: FunctionModel, lo: float, hi: float, n: int) -> tuple[float, float]:
-    """(min, max) of the dd2 brackets on [lo, hi]: exact for a certified model,
-    from an n-point grid scan otherwise.  An exact zero comes back as +0.0,
-    the sign every bracket of equal values has, so that -f's extremes are
-    exactly 0.0 minus f's."""
-    if f.d2_certificate is None:
-        windows = bracket_windows(f, lo, hi, n)
-        return min(windows), max(windows)
-    d2 = _certified_d2(f, lo, hi, n, 3)
+    d2 = f.d2_certificate(lo, hi)
     return min(d2) + 0.0, max(d2) + 0.0
 
 
-def is_3convex(
-    f: FunctionModel, interval: IntervalR, grid_n: int = SHAPE_GRID, tol: float = EPS_EQ
-) -> bool:
-    """Whether f'' is nondecreasing on the interval, up to tol: exact for a
-    certified model, otherwise grid evidence that third divided differences
-    are nonnegative; false on a zero-width interval."""
+def is_3convex(f: FunctionModel, interval: IntervalR, *, tol: float = EPS_EQ) -> bool:
+    """Whether f'' is nondecreasing on the interval, up to tol; false on a
+    zero-width interval."""
     if interval.width <= 0.0:
         return False
-    if f.d2_certificate is None:
-        return min(third_windows(f, interval.lo, interval.hi, grid_n)) >= -tol
-    d2 = _certified_d2(f, interval.lo, interval.hi, grid_n, 4)
+    require_in_domain(f, interval.lo, interval.hi)
+    d2 = f.d2_certificate(interval.lo, interval.hi)
     return all(a <= b + tol for a, b in zip(d2, d2[1:]))
 
 
-def is_3concave(
-    f: FunctionModel, interval: IntervalR, grid_n: int = SHAPE_GRID, tol: float = EPS_EQ
-) -> bool:
+def is_3concave(f: FunctionModel, interval: IntervalR, *, tol: float = EPS_EQ) -> bool:
     if interval.width <= 0.0:
         return False
-    if f.d2_certificate is None:
-        return max(third_windows(f, interval.lo, interval.hi, grid_n)) <= tol
-    d2 = _certified_d2(f, interval.lo, interval.hi, grid_n, 4)
+    require_in_domain(f, interval.lo, interval.hi)
+    d2 = f.d2_certificate(interval.lo, interval.hi)
     return all(a >= b - tol for a, b in zip(d2, d2[1:]))
 
 
@@ -175,13 +139,12 @@ def curvature_sandwich(
     interval: IntervalR,
     left_hi: float,
     right_lo: float,
-    grid_n: int = WITNESS_GRID,
+    *,
     tol: float = EPS_EQ,
 ) -> tuple[AInterval, AInterval]:
-    """K1 and K2 bracket bounds over [interval.lo, left_hi] and [right_lo, interval.hi],
-    exact for a certified model and at grid resolution otherwise.
+    """K1 and K2 bracket bounds over [interval.lo, left_hi] and [right_lo, interval.hi].
 
-    K1 runs from the supremum of dd2 on the left piece to the infimum on the
+    K1 runs from the supremum of the brackets on the left piece to the infimum on the
     right piece.  K2 is the negated K1 interval of -f, whose brackets are
     0.0 - w: the negation of each bracket w, with +0.0 for a zero one.  A
     degenerate (zero-width) piece imposes no constraint and contributes an
@@ -190,10 +153,10 @@ def curvature_sandwich(
     lo = neg_lo = -math.inf
     hi = neg_hi = math.inf
     if left_hi - interval.lo > _DEGENERATE * max(1.0, abs(left_hi)):
-        w_min, w_max = _bracket_extremes(f, interval.lo, left_hi, grid_n)
+        w_min, w_max = _bracket_extremes(f, interval.lo, left_hi)
         lo, neg_lo = w_max, 0.0 - w_min
     if interval.hi - right_lo > _DEGENERATE * max(1.0, abs(right_lo)):
-        w_min, w_max = _bracket_extremes(f, right_lo, interval.hi, grid_n)
+        w_min, w_max = _bracket_extremes(f, right_lo, interval.hi)
         hi, neg_hi = w_min, 0.0 - w_max
     return AInterval(lo, hi, lo <= hi + tol), AInterval(-neg_hi, -neg_lo, neg_lo <= neg_hi + tol)
 
@@ -219,16 +182,12 @@ class ConvexityClass:
 
 
 def classify_at_point(
-    f: FunctionModel,
-    c: float,
-    interval: IntervalR,
-    grid_n: int = DEFAULT_GRID,
-    tol: float = EPS_EQ,
+    f: FunctionModel, c: float, interval: IntervalR, *, tol: float = EPS_EQ
 ) -> ConvexityClass:
     """Classify f at c; the witness constant is the feasible-interval midpoint."""
     if not (interval.lo < c < interval.hi):
         raise StructureError("split point must be interior to the interval")
-    k1, k2 = curvature_sandwich(f, interval, c, c, grid_n, tol)
+    k1, k2 = curvature_sandwich(f, interval, c, c, tol=tol)
     if k1.feasible and k2.feasible:
         kind = "both"
         inter = AInterval(max(k1.lo, k2.lo), min(k1.hi, k2.hi), True)
@@ -242,32 +201,28 @@ def classify_at_point(
     return ConvexityClass(kind, witness, c, k1, k2)
 
 
-def convexity_margin(f: FunctionModel, interval: IntervalR, grid_n: int = SHAPE_GRID) -> float:
-    """Minimum dd2 on the interval (exact for a certified model, over a grid
-    otherwise); >= 0 (up to tolerance) exactly for convex f.
+def convexity_margin(f: FunctionModel, interval: IntervalR) -> float:
+    """Minimum bracket on the interval, the least f'' value of the
+    certificate; >= 0 (up to tolerance) exactly for convex f.
 
     A degenerate interval imposes no constraint and yields 0.
     """
     if interval.width <= _DEGENERATE * max(1.0, abs(interval.lo)):
         return 0.0
-    return _bracket_extremes(f, interval.lo, interval.hi, grid_n)[0]
+    return _bracket_extremes(f, interval.lo, interval.hi)[0]
 
 
 def k1_witness(
-    f: FunctionModel,
-    c: float,
-    interval: IntervalR,
-    grid_n: int = WITNESS_GRID,
-    tol: float = EPS_EQ,
+    f: FunctionModel, c: float, interval: IntervalR, *, tol: float = EPS_EQ
 ) -> float | None:
     """Constant making f 3-convex at c: the midpoint of the K1 interval of
-    ``curvature_sandwich`` split at c, which for a certified model with a
-    nondecreasing f'' is (f''(c-) + f''(c+)) / 2; None when c is not
-    interior or the interval is infeasible."""
+    ``curvature_sandwich`` split at c, which for a nondecreasing f'' is
+    (f''(c-) + f''(c+)) / 2; None when c is not interior or the interval
+    is infeasible."""
     if not interval.lo < c < interval.hi:
         return None
     try:
-        k1 = curvature_sandwich(f, interval, c, c, grid_n, tol)[0]
-    except (StructureError, DomainError):
+        k1 = curvature_sandwich(f, interval, c, c, tol=tol)[0]
+    except DomainError:
         return None
     return k1.midpoint() if k1.feasible else None

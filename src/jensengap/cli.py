@@ -17,7 +17,7 @@ import random
 import sys
 from pathlib import Path
 
-from .analysis import DEFAULT_GRID, classify_at_point
+from .analysis import classify_at_point
 from .domain import InfeasibleError, IntervalR, StructureError
 from .funclib import DomainError, require_in_domain
 from .report import FAILS, HOLDS, UNMET
@@ -71,10 +71,15 @@ def _parse_sizes(text: str) -> tuple[int, int, int]:
     return n, m, l
 
 
+def _reject_constant(token: str):
+    """json's hook for Infinity, -Infinity and NaN, which no document may hold."""
+    raise StructureError(f"non-finite number {token} in the document")
+
+
 def _cmd_check(args: argparse.Namespace) -> int:
     if args.tol is not None:
         check_tolerance(args.tol)
-    doc = json.loads(_read_text(args.path))
+    doc = json.loads(_read_text(args.path), parse_constant=_reject_constant)
     if isinstance(doc, list):
         reports = [run_scenario(d, tol=args.tol) for d in doc]
         _emit(dumps(reports), args.out)
@@ -98,14 +103,13 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     f = model_from_spec(fn_spec)
     interval = _parse_interval(args.interval)
     require_in_domain(f, interval.lo, interval.hi)
-    cls = classify_at_point(f, args.point, interval, args.grid)
+    cls = classify_at_point(f, args.point, interval)
     report = {
         "schema_version": SCHEMA_VERSION,
         "kind": "analysis",
         "function": fn_spec,
         "point": args.point,
         "interval": [interval.lo, interval.hi],
-        "grid_n": args.grid,
         "class": cls.kind,
         "witness_A": cls.witness_A,
         "k1_interval": _interval_json(cls.k1_interval),
@@ -208,7 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--fn", required=True, metavar="NAME[:PARAM]")
     analyze.add_argument("--point", type=float, default=0.0, metavar="C")
     analyze.add_argument("--interval", default="-1,1", metavar="LO,HI")
-    analyze.add_argument("--grid", type=int, default=DEFAULT_GRID, metavar="N")
     analyze.add_argument("--out", default=None, metavar="FILE")
     analyze.set_defaults(handler=_cmd_analyze)
 

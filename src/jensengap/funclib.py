@@ -1,14 +1,15 @@
 """Function models: evaluation, one-sided curvature, and a small catalog.
 
-Catalog entries and tables carry analytic one-sided second derivatives and
-an f'' certificate (``d2_certificate``): on any [lo, hi], the ordered values
+Every model carries analytic one-sided second derivatives and an f''
+certificate (``d2_certificate``): on any [lo, hi], the ordered values
 between which f'' is monotone.  A catalog entry's f'' is monotone on its
 whole domain, so its values are f''(lo+) and f''(hi-); a table is a C^1
 quadratic spline, so its values are the constant curvatures of the pieces
-that meet [lo, hi].  That certificate is the one source of the paper's
-constant A: at any c, the A for which f(x) - (A/2) x^2 is concave left of c
-and convex right of it are exactly [f''(c-), f''(c+)] when f'' is
-nondecreasing (``analysis``).
+that meet [lo, hi].  A function known only by its values is read as a
+table (``tabulated_model``).  That certificate is the one source of the
+paper's constant A: at any c, the A for which f(x) - (A/2) x^2 is concave
+left of c and convex right of it are exactly [f''(c-), f''(c+)] when f''
+is nondecreasing (``analysis``).
 """
 
 from __future__ import annotations
@@ -28,8 +29,6 @@ class DomainError(ValueError):
 
 #: half-width of the default domain for polynomial catalog entries
 WIDE = 1e6
-#: relative step for one-sided second differences
-FD_STEP = 1e-5
 #: relative slack when testing domain membership
 DOMAIN_SLACK = 1e-12
 #: table files whose parsed and fitted table is kept, least recently used
@@ -38,13 +37,15 @@ TABLE_CACHE_SIZE = 8
 
 
 class FunctionModel:
-    """A function on its domain, with optional analytic one-sided second
-    derivatives.  Models hash and compare by identity.
+    """A function on its domain, with its one-sided second derivatives
+    ``d2_minus``/``d2_plus`` and its f'' certificate.  Models hash and
+    compare by identity.
 
-    ``d2_certificate(lo, hi)``, when given, returns values of f'' on
-    [lo, hi] in order from lo to hi, f'' being monotone (either way) from
-    each one to the next; ``analysis`` then answers shape queries from them
-    instead of a grid.  It needs both analytic maps ``d2_minus``/``d2_plus``.
+    ``d2_certificate(lo, hi)`` returns values of f'' on [lo, hi] in order
+    from lo to hi, f'' being monotone (either way) from each one to the
+    next; ``analysis`` answers every shape query from them.  All three maps
+    are required: a function known only by its values is read as a table
+    (``tabulated_model``), whose spline supplies them.
     """
 
     __slots__ = ("name", "domain", "fn", "d2_minus", "d2_plus", "d2_certificate")
@@ -54,12 +55,10 @@ class FunctionModel:
         name: str,
         domain: IntervalR,
         fn: Callable[[float], float],
-        d2_minus: Callable[[float], float] | None = None,
-        d2_plus: Callable[[float], float] | None = None,
-        d2_certificate: Callable[[float, float], Sequence[float]] | None = None,
+        d2_minus: Callable[[float], float],
+        d2_plus: Callable[[float], float],
+        d2_certificate: Callable[[float, float], Sequence[float]],
     ):
-        if d2_certificate is not None and (d2_minus is None or d2_plus is None):
-            raise StructureError(f"{name}: an f'' certificate needs both analytic d2 maps")
         self.name = name
         self.domain = domain
         self.fn = fn
@@ -89,29 +88,6 @@ def require_in_domain(f: FunctionModel, lo: float, hi: float, what: str = "inter
         slack = DOMAIN_SLACK * (slack if slack > 1.0 else 1.0)
         if not dom.lo - slack <= x <= dom.hi + slack:
             raise DomainError(f"{f.name}: {what} [{lo}, {hi}] outside domain [{dom.lo}, {dom.hi}]")
-
-
-def d2_one_sided(f: FunctionModel, x: float, side: str, h: float | None = None) -> float:
-    """One-sided second derivative at x.
-
-    Uses the analytic mapping when the model provides one; otherwise a
-    one-sided second difference with O(h) accuracy on C^3 pieces:
-    (f(x) - 2 f(x -+ h) + f(x -+ 2h)) / h^2 for side "minus"/"plus".
-    """
-    if side not in ("minus", "plus"):
-        raise ValueError(f"side must be 'minus' or 'plus', got {side!r}")
-    analytic = f.d2_minus if side == "minus" else f.d2_plus
-    if analytic is not None:
-        return float(analytic(x))
-    if h is None:
-        h = FD_STEP * max(1.0, abs(x))
-    if h <= 0.0:
-        raise ValueError("step h must be positive")
-    sgn = -1.0 if side == "minus" else 1.0
-    far = x + sgn * 2.0 * h
-    if not f.domain.contains(far, DOMAIN_SLACK * max(1.0, abs(far))):
-        raise DomainError(f"{f.name}: no room for the {side}-side stencil at x={x!r}")
-    return (eval_fn(f, x) - 2.0 * eval_fn(f, x + sgn * h) + eval_fn(f, far)) / (h * h)
 
 
 def _monotone_model(
@@ -206,9 +182,9 @@ def negate(f: FunctionModel) -> FunctionModel:
         name=f"neg({f.name})",
         domain=f.domain,
         fn=lambda x, g=f.fn: -g(x),
-        d2_minus=None if f.d2_minus is None else (lambda x, g=f.d2_minus: -g(x)),
-        d2_plus=None if f.d2_plus is None else (lambda x, g=f.d2_plus: -g(x)),
-        d2_certificate=None if cert is None else (lambda lo, hi: [-v for v in cert(lo, hi)]),
+        d2_minus=lambda x, g=f.d2_minus: -g(x),
+        d2_plus=lambda x, g=f.d2_plus: -g(x),
+        d2_certificate=lambda lo, hi: [-v for v in cert(lo, hi)],
     )
 
 

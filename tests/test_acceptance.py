@@ -35,7 +35,17 @@ SS = catalog("signed_square")
 CUBIC = catalog("cubic")
 EXP = catalog("exp")
 X2 = catalog("quadratic", 2)
-QUARTIC = FunctionModel("quartic", IntervalR(-1e6, 1e6), lambda x: x**4)
+#: f'' = 12 x^2 falls to 0 at 0 and rises after, so its certificate lists 0
+#: between the ends of an interval that straddles 0
+QUARTIC = FunctionModel(
+    "quartic",
+    IntervalR(-1e6, 1e6),
+    lambda x: x**4,
+    lambda x: 12.0 * x * x,
+    lambda x: 12.0 * x * x,
+    lambda lo, hi: (12.0 * lo * lo, 0.0, 12.0 * hi * hi) if lo < 0.0 < hi
+    else (12.0 * lo * lo, 12.0 * hi * hi),
+)
 
 PY_SS = lambda x: x * abs(x)
 PY_X2 = lambda x: x * x
@@ -136,11 +146,11 @@ def test_criterion_5_feasible_interval_accuracy():
         n = 1_000
         for c in (-0.5, 0.0, 0.7):
             h = max(c - (-1.0), 1.0 - c) / (n - 1)
-            iv = classify_at_point(CUBIC, c, I11, n).k1_interval
+            iv = classify_at_point(CUBIC, c, I11).k1_interval
             assert iv.feasible
             assert iv.contains(6 * c, tol=1e-12)
             assert iv.hi - iv.lo <= 12 * h + 1e-6
-        iv = classify_at_point(SS, 0.0, I11, n).k1_interval
+        iv = classify_at_point(SS, 0.0, I11).k1_interval
         assert iv.lo == pytest.approx(-2.0, abs=1e-6)
         assert iv.hi == pytest.approx(2.0, abs=1e-6)
 

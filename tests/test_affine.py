@@ -46,7 +46,10 @@ class TestJensenAffineGap:
         assert jensen_affine_gap(catalog("quadratic", 2), c) == pytest.approx(1.2)
 
     def test_affine_function_gives_zero(self):
-        lin = FunctionModel("line", IntervalR(-10, 10), lambda x: 3 * x + 1)
+        lin = FunctionModel(
+            "line", IntervalR(-10, 10), lambda x: 3 * x + 1,
+            lambda x: 0.0, lambda x: 0.0, lambda lo, hi: (0.0, 0.0),
+        )
         c = cfg((0,), (0.6,), (2,), (0.6,), (1,), (0.2,))
         assert jensen_affine_gap(lin, c) == pytest.approx(0.0, abs=1e-12)
 
@@ -345,13 +348,20 @@ class TestVerifyMt3:
 
     def test_printed_c_convention_accepts_upward_straddle(self):
         # f'' jumps from -2e-12 up to 2e-12 at 0: an upward straddle, and
-        # 3-concave within tolerance on the grid
+        # 3-concave within tolerance
+        def d2_minus(x):
+            return -2e-12 if x <= 0.0 else 2e-12
+
+        def d2_plus(x):
+            return -2e-12 if x < 0.0 else 2e-12
+
         f = FunctionModel(
             "tiny-signed-square",
             IntervalR(-5, 5),
             lambda x: 1e-12 * x * abs(x),
-            d2_minus=lambda x: -2e-12 if x <= 0.0 else 2e-12,
-            d2_plus=lambda x: -2e-12 if x < 0.0 else 2e-12,
+            d2_minus=d2_minus,
+            d2_plus=d2_plus,
+            d2_certificate=lambda lo, hi: (d2_plus(lo), d2_minus(hi)),
         )
         printed = verify_mt3(f, MIRRORED, branch="c", c_convention="printed")
         assert printed.verdict == "holds"
@@ -429,7 +439,12 @@ class TestTranslationInvariance:
         base = verify_mt1(catalog("signed_square"), MIRRORED, A=0.0)
         t = 7.5
         shifted_f = FunctionModel(
-            "shifted-signed-square", IntervalR(-1e6, 1e6), lambda x: (x - t) * abs(x - t)
+            "shifted-signed-square",
+            IntervalR(-1e6, 1e6),
+            lambda x: (x - t) * abs(x - t),
+            d2_minus=lambda x: -2.0 if x <= t else 2.0,
+            d2_plus=lambda x: -2.0 if x < t else 2.0,
+            d2_certificate=lambda lo, hi: (-2.0 if lo < t else 2.0, -2.0 if hi <= t else 2.0),
         )
 
         def shift_cfg(c):

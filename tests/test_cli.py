@@ -96,13 +96,46 @@ class TestCheck:
         assert run(["check", path, "--tol", "1.0"]) == 0
 
     @pytest.mark.parametrize(
-        "tolerances", [[1], [], "x", {"eq": -1e-9}, {"eq": math.nan}, {"eq": math.inf}]
+        "tolerances, named",
+        [
+            ([1], "tolerance"),
+            ([], "tolerance"),
+            ("x", "tolerance"),
+            ({"eq": -1e-9}, "tolerance"),
+            # the parser rejects a non-finite number before any field is read
+            ({"eq": math.nan}, "NaN"),
+            ({"eq": math.inf}, "Infinity"),
+        ],
     )
-    def test_bad_tolerances_in_the_document_exit_1(self, tmp_path, capsys, tolerances):
+    def test_bad_tolerances_in_the_document_exit_1(self, tmp_path, capsys, tolerances, named):
         path = write(tmp_path, "tol.json", {**MIRRORED_MT1, "tolerances": tolerances})
         assert run(["check", path]) == 1
         captured = capsys.readouterr()
-        assert captured.out == "" and "tolerance" in captured.err
+        assert captured.out == "" and named in captured.err
+
+    @pytest.mark.parametrize(
+        "theorem, where, value, token",
+        [
+            # once exit 1 on "-inf + inf in fsum", naming neither the sum nor the input
+            ("mt1", ("left", "plus_a", "weights"), [math.inf, -math.inf], "Infinity"),
+            # once judged, and hypotheses-unmet (exit 3)
+            ("ic3", ("Ls", 0, 0), math.inf, "Infinity"),
+            ("ic3", ("Ls", 0, 0), -math.inf, "-Infinity"),
+            ("ic3", ("Ls", 0, 0), math.nan, "NaN"),
+        ],
+    )
+    def test_non_finite_numbers_are_input_errors(
+        self, tmp_path, capsys, theorem, where, value, token
+    ):
+        assert run(["gen", "--theorem", theorem, "--seed", "1"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        node = doc["payload"]
+        for key in where[:-1]:
+            node = node[key]
+        node[where[-1]] = value
+        assert run(["check", write(tmp_path, "doc.json", json.dumps(doc))]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"non-finite number {token} in" in captured.err
 
     @pytest.mark.parametrize(
         "doc_tol, tol",
@@ -255,14 +288,9 @@ class TestAnalyze:
         assert report["witness_A"] == pytest.approx(2.0, abs=1e-6)
 
     def test_cubic_offcenter(self, capsys):
-        assert run(
-            ["analyze", "--fn", "cubic", "--point", "0.5", "--interval=-1,1", "--grid", "1000"]
-        ) == 0
+        assert run(["analyze", "--fn", "cubic", "--point", "0.5", "--interval=-1,1"]) == 0
         report = json.loads(capsys.readouterr().out)
-        h = max(1.5, 0.5) / 999
-        assert report["k1_interval"]["lo"] == pytest.approx(3.0, abs=6 * h + 1e-9)
-        assert report["k1_interval"]["hi"] == pytest.approx(3.0, abs=6 * h + 1e-9)
-        assert report["k1_interval"]["lo"] <= 3.0 <= report["k1_interval"]["hi"]
+        assert [report["k1_interval"]["lo"], report["k1_interval"]["hi"]] == [3.0, 3.0]
 
     @pytest.mark.parametrize(
         "fn, point, k1",
@@ -273,11 +301,15 @@ class TestAnalyze:
         ],
     )
     def test_catalog_interval_is_exact(self, capsys, fn, point, k1):
-        args = ["analyze", "--fn", fn, "--point", point, "--interval=-1,1", "--grid", "3"]
-        assert run(args) == 0
+        assert run(["analyze", "--fn", fn, "--point", point, "--interval=-1,1"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert [report["k1_interval"]["lo"], report["k1_interval"]["hi"]] == k1
-        assert report["grid_n"] == 3
+        assert "grid_n" not in report
+
+    @pytest.mark.parametrize("n", ["3", "1000"])
+    def test_grid_option_is_gone(self, capsys, n):
+        assert run(["analyze", "--fn", "cubic", "--grid", n]) == 1
+        assert "--grid" in capsys.readouterr().err
 
     def test_unknown_function_exit_1(self, capsys):
         assert run(["analyze", "--fn", "sigmoid", "--point", "0"]) == 1

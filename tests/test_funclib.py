@@ -7,11 +7,9 @@ from jensengap.domain import IntervalR, StructureError
 from jensengap.funclib import (
     TABLE_CACHE_SIZE,
     DomainError,
-    FunctionModel,
     TabulatedFunction,
     _parse_table,
     catalog,
-    d2_one_sided,
     eval_fn,
     fn_spec_from_string,
     load_table,
@@ -39,38 +37,19 @@ class TestEval:
 class TestOneSidedSecondDerivative:
     def test_signed_square_at_kink(self):
         f = catalog("signed_square")
-        assert d2_one_sided(f, 0.0, "minus") == -2.0
-        assert d2_one_sided(f, 0.0, "plus") == 2.0
+        assert f.d2_minus(0.0) == -2.0
+        assert f.d2_plus(0.0) == 2.0
 
     def test_cubic_analytic(self):
         f = catalog("cubic")
         for c in (-0.7, 0.0, 1.3):
-            assert d2_one_sided(f, c, "minus") == pytest.approx(6 * c)
-            assert d2_one_sided(f, c, "plus") == pytest.approx(6 * c)
+            assert f.d2_minus(c) == pytest.approx(6 * c)
+            assert f.d2_plus(c) == pytest.approx(6 * c)
 
     def test_quadratic_constant(self):
         f = catalog("quadratic", 5)
-        assert d2_one_sided(f, -2.0, "minus") == 5.0
-        assert d2_one_sided(f, 3.0, "plus") == 5.0
-
-    @pytest.mark.parametrize("x", [-0.5, 0.25, 1.0])
-    def test_finite_difference_fallback_accuracy(self, x):
-        # strip analytic mappings so the one-sided stencil is exercised
-        exact = catalog("cubic")
-        bare = FunctionModel("bare-cubic", exact.domain, exact.fn)
-        h = 1e-4
-        for side in ("minus", "plus"):
-            fd = d2_one_sided(bare, x, side, h=h)
-            assert abs(fd - 6 * x) <= 10.0 * h
-
-    def test_stencil_needs_room(self):
-        bare = FunctionModel("box", IntervalR(0.0, 1.0), lambda x: x * x)
-        with pytest.raises(DomainError):
-            d2_one_sided(bare, 0.0, "minus", h=0.1)
-
-    def test_bad_side(self):
-        with pytest.raises(ValueError):
-            d2_one_sided(catalog("cubic"), 0.0, "down")
+        assert f.d2_minus(-2.0) == 5.0
+        assert f.d2_plus(3.0) == 5.0
 
 
 class TestCatalog:
@@ -85,7 +64,7 @@ class TestCatalog:
     def test_neg_signed_square(self):
         f = catalog("neg_signed_square")
         assert eval_fn(f, -3.0) == 9.0 and eval_fn(f, 2.0) == -4.0
-        assert (d2_one_sided(f, 0.0, "minus"), d2_one_sided(f, 0.0, "plus")) == (2.0, -2.0)
+        assert (f.d2_minus(0.0), f.d2_plus(0.0)) == (2.0, -2.0)
 
     @pytest.mark.parametrize(
         "name", ["quadratic:2", "cubic", "signed_square", "neg_signed_square", "exp"]
@@ -108,7 +87,7 @@ class TestNegate:
         f = catalog("exp")
         g = negate(f)
         assert eval_fn(g, 1.0) == -math.e
-        assert d2_one_sided(g, 0.3, "minus") == pytest.approx(-math.exp(0.3))
+        assert g.d2_minus(0.3) == pytest.approx(-math.exp(0.3))
 
 
 class TestTabulated:
@@ -154,7 +133,7 @@ class TestTabulated:
         for x in (-0.7312, -0.0051, -0.0049, 0.0, 0.0049, 0.0051, 0.4999, 0.5, 1.0):
             assert eval_fn(f, x) == pytest.approx(x * abs(x), rel=1e-9, abs=1e-12)
         assert (f.d2_minus(0.0), f.d2_plus(0.0)) == pytest.approx((-2.0, 2.0), abs=1e-9)
-        assert (d2_one_sided(f, 0.5, "minus"), d2_one_sided(f, -0.5, "plus")) == pytest.approx(
+        assert (f.d2_minus(0.5), f.d2_plus(-0.5)) == pytest.approx(
             (2.0, -2.0), abs=1e-9
         )
 
@@ -181,7 +160,7 @@ class TestTabulated:
             kappa = tab.curvatures[i]
             assert f.d2_plus(a) == f.d2_minus(b) == kappa
             mid = 0.5 * (a + b)
-            assert d2_one_sided(f, mid, "plus") == d2_one_sided(f, mid, "minus") == kappa
+            assert f.d2_plus(mid) == f.d2_minus(mid) == kappa
         assert f.d2_certificate(0.25, 1.5) == tab.curvatures[:2]
         assert f.d2_certificate(0.5, 1.6) == tab.curvatures[1:3]
 

@@ -132,7 +132,10 @@ class TestIt2:
     def test_affine_function_gives_zero(self):
         from jensengap.funclib import FunctionModel
 
-        lin = FunctionModel("line", iv(-10, 10), lambda x: 2 * x - 1)
+        lin = FunctionModel(
+            "line", iv(-10, 10), lambda x: 2 * x - 1,
+            lambda x: 0.0, lambda x: 0.0, lambda lo, hi: (0.0, 0.0),
+        )
         rep = verify_it2(lin, HALF, [-0.5, 0.5], HALF, [-1.0, 1.0], inner=iv(-1, 1), interval=iv(-3, 3))
         assert rep.margins[0] == pytest.approx(0.0, abs=1e-12)
 
@@ -234,7 +237,10 @@ class TestIt3:
     def test_affine_function(self):
         from jensengap.funclib import FunctionModel
 
-        lin = FunctionModel("line", iv(-10, 10), lambda x: -x + 4)
+        lin = FunctionModel(
+            "line", iv(-10, 10), lambda x: -x + 4,
+            lambda x: 0.0, lambda x: 0.0, lambda lo, hi: (0.0, 0.0),
+        )
         rep = verify_it3(
             lin, [HALF], [[-0.5, 0.5]], [HALF], [[-1.0, 1.0]], inner=iv(-1, 1), interval=iv(-3, 3)
         )

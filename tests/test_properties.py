@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jensengap.affine import jensen_affine_gap, verify_mt1
-from jensengap.analysis import dd2
+from jensengap.analysis import bracket_windows
 from jensengap.domain import (
     AffineConfig,
     IntervalR,
@@ -27,24 +27,17 @@ def seeded_config(seed, lo=-5.0, hi=5.0, sizes=(2, 2, 1)):
     return draw_config(random.Random(seed), lo, hi, sizes)
 
 
-@given(st.permutations([-0.8, -0.1, 0.45]))
-def test_dd2_permutation_symmetry(order):
-    f = catalog("exp")
-    reference = dd2(f, -0.8, -0.1, 0.45)
-    assert dd2(f, *order) == pytest.approx(reference, abs=1e-9)
-
-
-@given(
-    q=st.floats(min_value=-8, max_value=8, allow_nan=False),
-    x1=finite,
-    gap1=small_pos,
-    gap2=small_pos,
-)
-def test_dd2_exact_on_quadratics(q, x1, gap1, gap2):
+@given(q=st.floats(min_value=-8, max_value=8, allow_nan=False), x1=finite, width=small_pos)
+def test_brackets_exact_on_quadratics(q, x1, width):
     slope_part = FunctionModel(
-        "quad-with-line", IntervalR(-1e6, 1e6), lambda x: 0.5 * q * x * x + 3 * x - 7
+        "quad-with-line",
+        IntervalR(-1e6, 1e6),
+        lambda x: 0.5 * q * x * x + 3 * x - 7,
+        lambda x: q,
+        lambda x: q,
+        lambda lo, hi: (q, q),
     )
-    assert dd2(slope_part, x1, x1 + gap1, x1 + gap1 + gap2) == pytest.approx(q, abs=1e-6)
+    assert bracket_windows(slope_part, x1, x1 + width, 4) == pytest.approx([q, q], abs=1e-6)
 
 
 @given(a=finite, b=finite, x=finite)

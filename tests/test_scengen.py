@@ -1,5 +1,6 @@
 import math
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -8,8 +9,15 @@ from hypothesis import strategies as st
 from jensengap import analysis, domain
 from jensengap.affine import verify_mt1
 from jensengap.domain import IntervalR, StructureError, spread, validate_affine_config
-from jensengap.funclib import FunctionModel, TabulatedFunction, catalog, tabulated_model
-from jensengap.scenario import config_from, run_payload
+from jensengap.cli import main
+from jensengap.funclib import TabulatedFunction, catalog, tabulated_model
+from jensengap.scenario import (
+    THEOREMS,
+    config_from,
+    fn_spec_from_string,
+    model_from_spec,
+    run_payload,
+)
 from jensengap.scengen import (
     GenSpec,
     InfeasibleError,
@@ -242,12 +250,6 @@ class TestSearch:
         assert [(r.margin, r.seed_trace) for r in a] == [(r.margin, r.seed_trace) for r in b]
 
 
-def _uncertified(f):
-    """The same function without the monotone-f'' certificate, so that
-    analysis scans it on a grid."""
-    return FunctionModel(f.name, f.domain, f.fn, f.d2_minus, f.d2_plus)
-
-
 def _count_scans(monkeypatch) -> list:
     counted = []
     for name in ("bracket_windows", "third_windows"):
@@ -279,9 +281,14 @@ TABLE_SEARCHES = [
 ]
 
 
+#: every (theorem id, mode) of the registry
+ALL_MODES = [(theorem, mode) for theorem, entry in THEOREMS.items() for mode in entry.modes]
+
+
 class TestGridScansPerSearch:
     """The certificate of a catalog function or a table answers every shape
-    query without a grid."""
+    query without a grid: the grid reference of ``analysis`` is the tests'
+    alone."""
 
     @staticmethod
     def _search(model, theorem, mode):
@@ -302,12 +309,39 @@ class TestGridScansPerSearch:
     @pytest.mark.parametrize("theorem, mode, fn", SEARCH_GRID)
     def test_catalog_search_scans_nothing(self, monkeypatch, theorem, mode, fn):
         counted = _count_scans(monkeypatch)
-        certified = self._search(catalog(*fn), theorem, mode)
+        self._search(catalog(*fn), theorem, mode)
         assert counted == []
-        # the same verdicts as the grid path
-        scanned = self._search(_uncertified(catalog(*fn)), theorem, mode)
-        verdicts = [{r.seed_trace: r.details["verdict"] for r in rs} for rs in (certified, scanned)]
-        assert verdicts[0] == verdicts[1]
+
+    @pytest.mark.parametrize("theorem, mode", ALL_MODES)
+    def test_every_theorem_and_mode_scans_nothing(self, monkeypatch, theorem, mode):
+        counted = _count_scans(monkeypatch)
+        f = model_from_spec(fn_spec_from_string(THEOREMS[theorem].default_fn[mode]))
+        search_counterexamples(f, theorem, mode, budget=20, seed=5, report_threshold=-math.inf)
+        assert counted == []
+
+    @pytest.mark.parametrize(
+        "fn", ["quadratic:2", "cubic", "signed_square", "neg_signed_square", "exp", "table"]
+    )
+    def test_analyze_scans_nothing(self, monkeypatch, capsys, tmp_path, fn):
+        if fn == "table":
+            nodes = [-1.0 + i / 100 for i in range(201)]
+            table = tmp_path / "t.txt"
+            text = "".join(f"{x!r} {TABLE_FNS['x|x|'](x)!r}\n" for x in nodes)
+            table.write_text(text, encoding="utf-8")
+            fn = f"tabulated-spline:{table}"
+        counted = _count_scans(monkeypatch)
+        for point in ("-0.5", "0", "0.3"):
+            assert main(["analyze", "--fn", fn, "--point", point]) == 0
+        assert counted == []
+
+
+def test_no_engine_module_names_the_grid_reference():
+    """Only ``analysis`` defines the grid scans, and none of its own queries
+    calls them (the tests above); no other module may name them."""
+    for path in Path(analysis.__file__).parent.glob("*.py"):
+        if path.name != "analysis.py":
+            text = path.read_text(encoding="utf-8")
+            assert "bracket_windows" not in text and "third_windows" not in text, path.name
 
 
 #: mt1-mt3 generator modes, with mt2's two spread ratios

@@ -18,7 +18,7 @@ from jensengap.domain import (
     ValidityReport,
     WeightedGroup,
 )
-from jensengap.funclib import FunctionModel, TabulatedFunction
+from jensengap.funclib import FunctionModel, TabulatedFunction, catalog
 from jensengap.report import HOLDS, ChainReport
 from jensengap.scenario import Theorem
 from jensengap.scengen import GenSpec, SearchResult
@@ -83,8 +83,18 @@ def test_keyword_construction_and_defaults():
     rep = ChainReport(HOLDS, margins=(0.5,))
     assert math.isnan(rep.gap_left) and rep.hypotheses is None and rep.margin == 0.5
     assert ValidityReport(True, ()).checks == ()
-    model = FunctionModel("id", IntervalR(0, 1), fn=float)
-    assert model.d2_minus is model.d2_plus is model.d2_certificate is None
+
+
+@pytest.mark.parametrize("left_out", ["d2_minus", "d2_plus", "d2_certificate"])
+def test_function_model_needs_both_d2_maps_and_the_certificate(left_out):
+    maps = {
+        "d2_minus": lambda x: 0.0,
+        "d2_plus": lambda x: 0.0,
+        "d2_certificate": lambda lo, hi: (0.0, 0.0),
+    }
+    del maps[left_out]
+    with pytest.raises(TypeError, match=left_out):
+        FunctionModel("id", IntervalR(0, 1), fn=float, **maps)
 
 
 def test_mutable_defaults_are_not_shared():
@@ -110,7 +120,7 @@ def test_models_and_tables_hash_by_identity():
     must not make two of them one key."""
     t1, t2 = (TabulatedFunction((0.0, 1.0), (0.0, -1.0)) for _ in range(2))
     assert t1 != t2 and len({t1, t2}) == 2
-    m1, m2 = (FunctionModel("exp", IntervalR(0, 1), math.exp) for _ in range(2))
+    m1, m2 = (catalog("exp") for _ in range(2))
     assert m1 != m2 and len({m1, m2}) == 2
 
 
