@@ -284,6 +284,39 @@ CERTIFIED = {
     **TABLES,
     **{f"neg {name}": lambda make=make: negate(make()) for name, make in TABLES.items()},
 }
+#: intervals with each signed zero as an end
+ZERO_ENDS = [(-1.0, 1.0), (-1.0, -0.0), (-1.0, 0.0), (-0.0, 1.0), (0.0, 1.0)]
+
+
+class TestSignedZeroEnds:
+    """For a monotone f'' the brackets on [lo, hi] range between f''(lo+)
+    and f''(hi-), so every query is decided by those two values, bit for
+    bit, at ends and split points that are signed zeros; an exact zero
+    extreme comes back as +0.0."""
+
+    @pytest.mark.parametrize("lo, hi", ZERO_ENDS)
+    @pytest.mark.parametrize("name", sorted(MONOTONE))
+    def test_queries_read_the_one_sided_values(self, name, lo, hi):
+        f = MONOTONE[name]()
+        a, b = f.d2_plus(lo), f.d2_minus(hi)
+        interval = IntervalR(lo, hi)
+        for _ in range(2):
+            assert _same_bits(convexity_margin(f, interval), min(a, b) + 0.0)
+            assert is_3convex(f, interval) == (a <= b + EPS_EQ)
+            assert is_3concave(f, interval) == (a >= b - EPS_EQ)
+
+    @pytest.mark.parametrize("c", [0.0, -0.0])
+    @pytest.mark.parametrize("name", sorted(MONOTONE))
+    def test_split_points_at_signed_zero(self, name, c):
+        f = MONOTONE[name]()
+        left = (f.d2_plus(-1.0), f.d2_minus(c))
+        right = (f.d2_plus(c), f.d2_minus(1.0))
+        cls = classify_at_point(f, c, I11)
+        assert _same_bits(cls.k1_interval.lo, max(left) + 0.0)
+        assert _same_bits(cls.k1_interval.hi, min(right) + 0.0)
+        assert (cls.k2_interval.lo, cls.k2_interval.hi) == (max(right), min(left))
+
+
 #: grid of the reference scans the certificate is compared with
 PROBE_GRID = 17
 EPS = 2.0**-52
@@ -397,7 +430,7 @@ class TestCertificate:
         ids=["convexity_margin", "curvature_sandwich", "classify_at_point", "is_3convex",
              "is_3concave"],
     )
-    @pytest.mark.parametrize("interval", [(-20.0, 20.0), (-1.0, 20.0)])
+    @pytest.mark.parametrize("interval", [(-20.0, 20.0), (-1.0, 20.0), (-20.0, 1.0)])
     def test_errors_are_raised_on_every_call(self, query, interval):
         f = catalog("exp")
         for _ in range(3):
