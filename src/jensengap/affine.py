@@ -17,8 +17,6 @@ equality, "2.2" separation at c, "2.8"/"2.10" ordering of the side extremes.
 
 from __future__ import annotations
 
-import math
-
 from .analysis import AInterval, curvature_sandwich, is_3concave, is_3convex, k1_witness
 from .domain import (
     EPS_EQ,
@@ -26,6 +24,7 @@ from .domain import (
     CheckSet,
     Mt1Scenario,
     StructureError,
+    checked_fsum,
     combination_value,
     record_affine_config,
     spread,
@@ -54,7 +53,7 @@ def jensen_affine_gap(
         for p, w in zip(grp.points, grp.weights):
             if w != 0.0:
                 terms.append(sign * w * eval_fn(f, p))
-    return math.fsum(terms) - eval_fn(f, value)
+    return checked_fsum(terms, "affine gap sum(w * f(p))") - eval_fn(f, value)
 
 
 def cross_weighted_gap(
@@ -73,7 +72,8 @@ def cross_weighted_gap(
             value_terms.append(sign * w * p)
             if w != 0.0:
                 terms.append(sign * w * eval_fn(f, p))
-    return math.fsum(terms) - eval_fn(f, math.fsum(value_terms))
+    total = checked_fsum(terms, "crossed gap sum(w * f(p))")
+    return total - eval_fn(f, checked_fsum(value_terms, "crossed value sum(w * p)"))
 
 
 def _base_checkset(f: FunctionModel, s: Mt1Scenario, tol: float) -> tuple[CheckSet, dict]:

@@ -13,15 +13,17 @@ matching length, and ``apply`` is their weighted sum.
 The value types are plain classes with ``__slots__``, each validating its
 fields once, in ``__init__``, where groups and functionals also sum their
 total weight.  They compare by identity, except that weighted groups and
-configurations compare by value.  Every weighted sum is a ``math.fsum``,
-the correctly rounded sum of its terms, so a sum computed once may stand
-for any recomputation.
+configurations compare by value.  Every sum that feeds a margin or an
+equality check, here and in the verifiers and generators, is a
+``checked_fsum``: the correctly rounded ``math.fsum`` of its terms, so a sum
+computed once may stand for any recomputation, and the one place that
+reports a sum past the float range, as malformed input.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import compress
+from itertools import chain, compress
 from operator import mul
 
 #: absolute tolerance for equality constraints on normalized quantities
@@ -36,18 +38,20 @@ class InfeasibleError(RuntimeError):
     """Generation could not satisfy the requested constraints."""
 
 
-def sum_weights(weights, what: str) -> float:
-    """math.fsum of the weights; a sum past the float range is malformed
-    input, a StructureError that names ``what``."""
+def checked_fsum(terms, what: str, *factors) -> float:
+    """``math.fsum(terms)``, exactly.  A sum past the float range is malformed
+    input, a StructureError naming ``what``: fsum overflows or meets both
+    infinities, or the terms are products of the ``factors`` sequences and
+    come out infinite from finite factors.  With no factors, an infinite sum
+    comes from an infinite term and is returned.  The terms are consumed
+    inside the guard: list first any term that may raise an error of its own."""
     try:
-        return math.fsum(weights)
-    except OverflowError:
-        raise StructureError(f"{what} sum past the float range") from None
-
-
-def all_finite(*seqs) -> bool:
-    """Whether every number of every sequence is finite."""
-    return all(all(map(math.isfinite, xs)) for xs in seqs)
+        total = math.fsum(terms)
+    except (OverflowError, ValueError):  # an overflow, or fsum's "-inf + inf"
+        total = None
+    if total is None or factors and math.isinf(total) and all(map(math.isfinite, chain(*factors))):
+        raise StructureError(f"{what} past the float range")
+    return total
 
 
 class IntervalR:
@@ -72,6 +76,10 @@ class IntervalR:
         return self.lo - tol <= other.lo and other.hi <= self.hi + tol
 
 
+#: the name of each moment's sum, formed once
+_MOMENT_SUMS = {k: f"group moment sum(w * p**{k})" for k in (1, 2)}
+
+
 class WeightedGroup:
     """Points with nonnegative weights.  May be empty (used for minus groups)."""
 
@@ -82,7 +90,7 @@ class WeightedGroup:
         self.weights = weights = tuple(map(float, weights))
         if len(self.points) != len(weights):
             raise StructureError("points and weights must have equal length")
-        self.total = sum_weights(weights, "group weights")
+        self.total = checked_fsum(weights, "group weights sum")
 
     def __eq__(self, other):
         if other.__class__ is not WeightedGroup:
@@ -97,16 +105,12 @@ class WeightedGroup:
         return tuple(compress(self.points, map((0.0).__lt__, self.weights)))
 
     def moment(self, k: int) -> float:
-        """sum(w * p**k); past the float range it is malformed input, though
-        infinite or NaN weights or points may give an infinite sum."""
-        # float(k).__rpow__(p) is p ** k
-        try:
-            total = math.fsum(map(mul, self.weights, map(float(k).__rpow__, self.points)))
-        except (OverflowError, ValueError):  # an overflow, or fsum's "-inf + inf"
-            total = None
-        if total is None or math.isinf(total) and all_finite(self.weights, self.points):
-            raise StructureError(f"group moment sum(w * p**{k}) past the float range")
-        return total
+        """sum(w * p**k) for k = 1 or 2; past the float range it is malformed
+        input, though infinite or NaN weights or points may give an infinite sum."""
+        w, p = self.weights, self.points
+        # float(k).__rpow__(p) is p ** k, mapped lazily so that its overflow
+        # is raised inside the sum
+        return checked_fsum(map(mul, w, map(float(k).__rpow__, p)), _MOMENT_SUMS[k], w, p)
 
 
 _EMPTY = WeightedGroup((), ())
@@ -220,7 +224,7 @@ def barycenter(g: WeightedGroup) -> float:
     total = g.total
     if total <= 0.0:
         raise StructureError("barycenter needs positive total weight")
-    return math.fsum(map(mul, g.weights, g.points)) / total
+    return checked_fsum(map(mul, g.weights, g.points), "barycenter sum(w * p)") / total
 
 
 def hull_membership(x: float, a: float, b: float, tol: float = EPS_EQ) -> bool:
@@ -339,7 +343,7 @@ class DiscreteFunctional:
         # w < 0.0 weight by weight: NaN passes and, unlike with min(), hides nothing
         if any(map((0.0).__gt__, weights)):
             raise StructureError("functional weights must be nonnegative")
-        self.total = sum_weights(weights, "functional weights")
+        self.total = checked_fsum(weights, "functional weights sum")
 
     def is_unital(self, tol: float = EPS_EQ) -> bool:
         return abs(self.total - 1.0) <= tol
@@ -362,10 +366,4 @@ def apply(L, u) -> float:
     w, v = as_functional(L).weights, as_function(u).values
     if len(w) != len(v):
         raise StructureError(f"length mismatch: {len(w)} weights vs {len(v)} values")
-    try:
-        total = math.fsum(map(mul, w, v))
-    except (OverflowError, ValueError):  # an overflow, or fsum's "-inf + inf"
-        total = None
-    if total is None or math.isinf(total) and all_finite(w, v):
-        raise StructureError("weighted sum L(u) past the float range")
-    return total
+    return checked_fsum(map(mul, w, v), "weighted sum L(u)", w, v)

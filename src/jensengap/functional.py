@@ -4,7 +4,10 @@ A functional is a nonnegative weight vector over the indices 1..n and a
 function a value vector of matching length (``domain.DiscreteFunctional``,
 ``domain.FunctionOnOmega``, re-exported here).  Each verifier converts its
 weight and value lists once and passes the converted objects to ``apply``
-and ``apply_fn``, so no weighted sum rebuilds or re-validates them.
+and ``apply_fn``, so no weighted sum rebuilds or re-validates them.  Those
+two and every sum over a family go through ``domain.checked_fsum``, which
+names a sum past the float range.  A family's terms are listed first, so a
+member's own error (a length mismatch, a value outside f's domain) is its own.
 
 mt4 runs as mt5 with singleton families that share one (L, H) pair, under
 its own check names; it2 stays a verifier of its own (see the README).
@@ -26,7 +29,6 @@ split-point forms, "2.23" for the aggregate inclusions.
 
 from __future__ import annotations
 
-import math
 from itertools import repeat
 from operator import mul
 from typing import Sequence
@@ -39,14 +41,16 @@ from .domain import (  # noqa: F401  (the functional types are re-exported)
     FunctionOnOmega,
     IntervalR,
     StructureError,
-    all_finite,
     apply,
     as_function,
     as_functional,
-    sum_weights,
+    checked_fsum,
 )
 from .funclib import FunctionModel, eval_fn
 from .report import UNMET, ChainReport, chain_report, judge
+
+#: the names of the sums over a family of (functional, function) pairs
+_MEANS, _SQUARES, _LIFTS = "family sum L(u)", "family sum L(u**2)", "family sum L(f(u))"
 
 
 def _sq(values: Sequence[float]) -> FunctionOnOmega:
@@ -61,15 +65,9 @@ def apply_fn(L, f: FunctionModel, u) -> float:
     w, v = as_functional(L).weights, as_function(u).values
     if len(w) != len(v):
         raise StructureError(f"length mismatch: {len(w)} weights vs {len(v)} values")
-    # the values are evaluated first, so fsum's errors are the sum's alone
+    # the values are evaluated first, so that an error of f is not the sum's
     terms = [wi * eval_fn(f, vi) for wi, vi in zip(w, v) if wi != 0.0]
-    try:
-        total = math.fsum(terms)
-    except (OverflowError, ValueError):  # an overflow, or fsum's "-inf + inf"
-        total = None
-    if total is None or math.isinf(total) and all_finite(w):
-        raise StructureError("weighted sum L(f(u)) past the float range")
-    return total
+    return checked_fsum(terms, "weighted sum L(f(u))", w)
 
 
 def _unital(cs: CheckSet, name: str, L: DiscreteFunctional) -> bool:
@@ -229,14 +227,14 @@ def verify_ic3(
         raise StructureError("need matching nonempty functional and function families")
     cs = CheckSet(tol)
     _convex_gate(cs, f, interval)
-    cs.equality("totals", sum_weights((L.total for L in Ls), "Ls totals") - 1.0)
+    cs.equality("totals", checked_fsum((L.total for L in Ls), "Ls totals sum") - 1.0)
     for i, g in enumerate(gs, start=1):
         _inside(cs, f"range.g{i}", g.values, interval, tol)
     if not cs.ok:
         return ChainReport(UNMET, hypotheses=cs.report())
-    value = math.fsum(map(apply, Ls, gs))
+    value = checked_fsum(list(map(apply, Ls, gs)), _MEANS)
     inclusion = interval.contains(value, tol)
-    margin = math.fsum(map(apply_fn, Ls, repeat(f), gs)) - eval_fn(f, value)
+    margin = checked_fsum(list(map(apply_fn, Ls, repeat(f), gs)), _LIFTS) - eval_fn(f, value)
     return judge(cs, (margin,), conclusion=inclusion, details={"inclusion": inclusion})
 
 
@@ -262,17 +260,17 @@ def verify_it3(
     cs = CheckSet(tol)
     _convex_gate(cs, f, interval)
     cs.record("inner_in_interval", 0.0, interval.contains_interval(inner, tol))
-    cs.equality("totals.L", sum_weights((L.total for L in Ls), "Ls totals") - 1.0)
-    cs.equality("totals.H", sum_weights((H.total for H in Hs), "Hs totals") - 1.0)
+    cs.equality("totals.L", checked_fsum((L.total for L in Ls), "Ls totals sum") - 1.0)
+    cs.equality("totals.H", checked_fsum((H.total for H in Hs), "Hs totals sum") - 1.0)
     vs_g, vs_h = [g.values for g in gs], [h.values for h in hs]
     _pair_range_checks(cs, "g{}", vs_g, "h{}", vs_h, inner, interval, tol)
-    sum_lg = math.fsum(map(apply, Ls, gs))
-    sum_hh = math.fsum(map(apply, Hs, hs))
+    sum_lg = checked_fsum(list(map(apply, Ls, gs)), _MEANS)
+    sum_hh = checked_fsum(list(map(apply, Hs, hs)), _MEANS)
     cs.equality("1.11", sum_lg - sum_hh, scale=max(abs(sum_lg), abs(sum_hh)))
     if not cs.ok:
         return ChainReport(UNMET, hypotheses=cs.report())
-    left = math.fsum(map(apply_fn, Ls, repeat(f), gs))
-    right = math.fsum(map(apply_fn, Hs, repeat(f), hs))
+    left = checked_fsum(list(map(apply_fn, Ls, repeat(f), gs)), _LIFTS)
+    right = checked_fsum(list(map(apply_fn, Hs, repeat(f), hs)), _LIFTS)
     return judge(cs, (right - left,))
 
 
@@ -315,7 +313,7 @@ def _split_transfer(
         raise StructureError("family sizes must match")
     cs = CheckSet(tol)
     for name, fam in zip(totals, ls):
-        cs.equality(name, sum_weights((L.total for L in fam), name) - 1.0)
+        cs.equality(name, checked_fsum((L.total for L in fam), f"{name} sum") - 1.0)
     if mode == "literal":
         cs.record("inner_in_interval", 0.0, interval.contains_interval(inner, tol))
         inner2 = inner
@@ -330,10 +328,11 @@ def _split_transfer(
     vs = [[u.values for u in fun] for fun in us]
     _pair_range_checks(cs, labels[0], vs[0], labels[1], vs[1], inner, outer1, tol)
     _pair_range_checks(cs, labels[2], vs[2], labels[3], vs[3], inner2, outer2, tol)
-    sum_lg, sum_hh, sum_lg2, sum_hh2 = [math.fsum(map(apply, *pair)) for pair in zip(ls, us)]
+    means = [checked_fsum(list(map(apply, *pair)), _MEANS) for pair in zip(ls, us)]
+    sum_lg, sum_hh, sum_lg2, sum_hh2 = means
     cs.equality(tags[0], sum_hh - sum_lg, scale=max(abs(sum_hh), abs(sum_lg)))
     cs.equality(tags[1], sum_hh2 - sum_lg2, scale=max(abs(sum_hh2), abs(sum_lg2)))
-    sq = [math.fsum(map(apply, fam, map(_sq, v))) for fam, v in zip(ls, vs)]
+    sq = [checked_fsum(list(map(apply, fam, map(_sq, v))), _SQUARES) for fam, v in zip(ls, vs)]
     moment1, moment2 = sq[1] - sq[0], sq[3] - sq[2]
     cs.equality(tags[2], moment1 - moment2, scale=max(abs(moment1), abs(moment2)))
     A = _k1_gate(cs, f, c, interval, A)
@@ -341,7 +340,9 @@ def _split_transfer(
     if not cs.ok:
         return ChainReport(UNMET, hypotheses=cs.report(), details=details)
     # each side lifts H before L, which fixes the value a DomainError names
-    lifted = [math.fsum(map(apply_fn, ls[k], repeat(f), us[k])) for k in (1, 0, 3, 2)]
+    lifted = [
+        checked_fsum(list(map(apply_fn, ls[k], repeat(f), us[k])), _LIFTS) for k in (1, 0, 3, 2)
+    ]
     diffs = (lifted[0] - lifted[1], lifted[2] - lifted[3])
     return chain_report(cs, A, diffs, (moment1, moment2), details, order="transfer")
 
@@ -517,24 +518,24 @@ def verify_mc3(
         raise StructureError("family sizes must match and be nonempty")
     vgs, vhs = [g.values for g in gs], [h.values for h in hs]
     cs = CheckSet(tol)
-    cs.equality("totals", sum_weights((L.total for L in Ls), "Ls totals") - 1.0)
+    cs.equality("totals", checked_fsum((L.total for L in Ls), "Ls totals sum") - 1.0)
     for i, (vg, vh) in enumerate(zip(vgs, vhs), start=1):
         _inside(cs, f"range.g{i}", vg, interval, tol)
         _inside(cs, f"range.h{i}", vh, interval, tol)
         if mode == "region_restricted":
             cs.at_least(f"region.g{i}_left_of_c", c - max(vg), scale=abs(c))
             cs.at_least(f"region.h{i}_right_of_c", min(vh) - c, scale=abs(c))
-    g_mean = math.fsum(map(apply, Ls, gs))
-    h_mean = math.fsum(map(apply, Ls, hs))
-    g_var = math.fsum(map(apply, Ls, map(_sq, vgs))) - g_mean * g_mean
-    h_var = math.fsum(map(apply, Ls, map(_sq, vhs))) - h_mean * h_mean
+    g_mean = checked_fsum(list(map(apply, Ls, gs)), _MEANS)
+    h_mean = checked_fsum(list(map(apply, Ls, hs)), _MEANS)
+    g_var = checked_fsum(list(map(apply, Ls, map(_sq, vgs))), _SQUARES) - g_mean * g_mean
+    h_var = checked_fsum(list(map(apply, Ls, map(_sq, vhs))), _SQUARES) - h_mean * h_mean
     cs.equality("2.22", g_var - h_var, scale=max(abs(g_var), abs(h_var)))
     _k1_gate(cs, f, c, interval, None)
     if not cs.ok:
         return ChainReport(UNMET, hypotheses=cs.report())
     inclusion = interval.contains(g_mean, tol) and interval.contains(h_mean, tol)
-    g_gap = math.fsum(map(apply_fn, Ls, repeat(f), gs)) - eval_fn(f, g_mean)
-    h_gap = math.fsum(map(apply_fn, Ls, repeat(f), hs)) - eval_fn(f, h_mean)
+    g_gap = checked_fsum(list(map(apply_fn, Ls, repeat(f), gs)), _LIFTS) - eval_fn(f, g_mean)
+    h_gap = checked_fsum(list(map(apply_fn, Ls, repeat(f), hs)), _LIFTS) - eval_fn(f, h_mean)
     return judge(cs, (h_gap - g_gap,), conclusion=inclusion, details={"inclusion": inclusion})
 
 

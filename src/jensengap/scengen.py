@@ -24,6 +24,7 @@ from .domain import (
     WeightedGroup,
     apply,
     barycenter,
+    checked_fsum,
     spread,
 )
 from .funclib import FunctionModel
@@ -87,11 +88,11 @@ class SearchResult:
         self.details = {} if details is None else details
 
 
-def _split_total(rng: random.Random, total: float, k: int) -> list[float]:
-    if k == 0:
-        return []
-    parts = [rng.uniform(0.1, 1.0) for _ in range(k)]
-    s = math.fsum(parts)
+def _weights(rng: random.Random, k: int, low: float, total: float = 1.0) -> list[float]:
+    """k weights drawn uniformly from [low, 1], then scaled to sum to
+    ``total`` up to rounding."""
+    parts = [rng.uniform(low, 1.0) for _ in range(k)]
+    s = checked_fsum(parts, "drawn weights sum")
     return [total * p / s for p in parts]
 
 
@@ -109,12 +110,12 @@ def draw_config(
         alpha = rng.uniform(0.4, 1.0)
         beta = rng.uniform(max(0.4, 1.0 - alpha + 0.05), 1.0)
         gamma = alpha + beta - 1.0
-    group_a = WeightedGroup([rng.uniform(lo, hi) for _ in range(n)], _split_total(rng, alpha, n))
-    group_b = WeightedGroup([rng.uniform(lo, hi) for _ in range(m)], _split_total(rng, beta, m))
+    group_a = WeightedGroup([rng.uniform(lo, hi) for _ in range(n)], _weights(rng, n, 0.1, alpha))
+    group_b = WeightedGroup([rng.uniform(lo, hi) for _ in range(m)], _weights(rng, m, 0.1, beta))
     if l:
         h_lo, h_hi = sorted((barycenter(group_a), barycenter(group_b)))
         minus = WeightedGroup(
-            [rng.uniform(h_lo, h_hi) for _ in range(l)], _split_total(rng, gamma, l)
+            [rng.uniform(h_lo, h_hi) for _ in range(l)], _weights(rng, l, 0.1, gamma)
         )
     else:
         minus = WeightedGroup((), ())
@@ -202,12 +203,6 @@ def two_point_from_moments(mean: float, second_moment: float) -> tuple[float, fl
     return (min(r1, r2), max(r1, r2))
 
 
-def _unital_weights(rng: random.Random, n: int) -> list[float]:
-    parts = [rng.uniform(0.2, 1.0) for _ in range(n)]
-    s = math.fsum(parts)
-    return [p / s for p in parts]
-
-
 def _sub_interval(rng: random.Random, lo: float, hi: float) -> IntervalR:
     width = hi - lo
     if width <= 1e-9:
@@ -279,7 +274,7 @@ def _gen_it2(spec: GenSpec, mode: str, rng: random.Random) -> dict:
     interval = spec.interval
     inner = _sub_interval(rng, interval.lo, interval.hi)
     n = max(2, spec.sizes[0])
-    weights = _unital_weights(rng, n)
+    weights = _weights(rng, n, 0.2)
     g = _uniform_in(rng, inner, n)
     h, _, _ = _matched_pair(rng, weights, g, inner, interval, None)
     return {
@@ -297,7 +292,7 @@ def _gen_ic1(spec: GenSpec, mode: str, rng: random.Random) -> dict:
     n = max(2, spec.sizes[0])
     return {
         "inner": [inner.lo, inner.hi],
-        "L": _unital_weights(rng, n),
+        "L": _weights(rng, n, 0.2),
         "g": _uniform_in(rng, inner, n),
     }
 
@@ -310,7 +305,7 @@ def _ladder(
     d_k <= d_max.  Returns (functionals, value vectors, inner intervals)."""
     fracs = sorted(rng.uniform(0.15, 0.9) for _ in range(LEVELS - 1))
     ds = [f * d_max for f in fracs]
-    functionals = [_unital_weights(rng, 2)]
+    functionals = [_weights(rng, 2, 0.2)]
     values = [[center, center]]
     inners = [[center, center]]
     for k, d in enumerate(ds):
@@ -366,7 +361,7 @@ def _gen_it3(spec: GenSpec, mode: str, rng: random.Random) -> dict:
 def _gen_mt4(spec: GenSpec, mode: str, rng: random.Random) -> dict:
     interval, c = spec.interval, spec.c
     n = max(2, spec.sizes[0])
-    weights = _unital_weights(rng, n)
+    weights = _weights(rng, n, 0.2)
     if mode == "region_restricted":
         inner1 = _sub_interval(rng, interval.lo, c)
         inner2 = _sub_interval(rng, c, interval.hi)
@@ -472,7 +467,7 @@ def _gen_mc2(spec: GenSpec, mode: str, rng: random.Random) -> dict:
             [g_center - d, h_center + d] for d in ds[:-1]
         ]
         h_inners = g_inners
-    functionals = [_unital_weights(rng, 2)] + [[0.5, 0.5] for _ in range(LEVELS - 1)]
+    functionals = [_weights(rng, 2, 0.2)] + [[0.5, 0.5] for _ in range(LEVELS - 1)]
     gs = [[g_center, g_center]] + [[g_center - d, g_center + d] for d in ds]
     hs = [[h_center, h_center]] + [[h_center - d, h_center + d] for d in ds]
     payload = {

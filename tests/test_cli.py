@@ -465,6 +465,10 @@ def _mt1_doc() -> dict:
     return json.loads(dumps(doc))
 
 
+#: a family of two functionals, each weighing one value by 1.5e296
+BIG_FAMILY = [[1.5e296], [1.5e296]]
+
+
 class TestNoTraceback:
     """Input whose sums or powers would leave the float range is an input
     error: exit 1 with a one-line message naming what is wrong, no
@@ -494,6 +498,38 @@ class TestNoTraceback:
         doc = make_scenario("ic3", None, fn_spec_from_string("quadratic:2"), payload)
         rc, err = self._check(tmp_path, capsys, doc)
         assert rc == 1 and err.startswith("jensengap: error: Ls totals sum past")
+
+    @pytest.mark.parametrize(
+        "theorem, mode, payload, what",
+        [
+            (
+                "mc3", "literal",
+                {"c": 0, "interval": [-1e6, 1e6], "Ls": BIG_FAMILY,
+                 "gs": [[-1e6], [-1e6]], "hs": [[1e6], [1e6]]},
+                "family sum L(u**2)",
+            ),
+            (
+                "mt5", "literal",
+                {"c": 0, "interval": [-1e6, 1e6], "inner": [-1, 1],
+                 "Ls": BIG_FAMILY, "Hs": BIG_FAMILY, "gs": [[0.5], [0.5]], "hs": [[1e6], [1e6]],
+                 "Ls_star": [[1.0]], "Hs_star": [[1.0]], "gs_star": [[0.5]], "hs_star": [[2.0]]},
+                "family sum L(u**2)",
+            ),
+            (
+                "it3", "standard",
+                {"interval": [-1e6, 1e6], "inner": [-1, 1], "Ls": BIG_FAMILY,
+                 "gs": [[1e12], [1e12]], "Hs": [[1.0]], "hs": [[5.0]]},
+                "family sum L(u)",
+            ),
+        ],
+        ids=["mc3", "mt5", "it3"],
+    )
+    def test_family_sum_past_float_range(self, tmp_path, capsys, theorem, mode, payload, what):
+        # each member's weighted sum stays inside the float range; their sum
+        # over the family does not
+        doc = make_scenario(theorem, mode, {"name": "quadratic", "param": 2}, payload)
+        rc, err = self._check(tmp_path, capsys, doc)
+        assert rc == 1 and err == f"jensengap: error: {what} past the float range\n"
 
     def test_weighted_sum_past_float_range(self, tmp_path, capsys):
         payload = gen_payload(GenSpec(seed=1), "it2", "standard", random.Random(1))

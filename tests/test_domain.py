@@ -1,7 +1,10 @@
+import ast
 import math
+from pathlib import Path
 
 import pytest
 
+from jensengap import domain
 from jensengap.domain import (
     AffineConfig,
     IntervalR,
@@ -35,6 +38,11 @@ class TestBarycenter:
     def test_zero_total_weight(self):
         with pytest.raises(StructureError):
             barycenter(WeightedGroup((1, 2), (0.0, 0.0)))
+
+    def test_products_of_both_signs_past_float_range(self):
+        # the products are +inf and -inf, whose fsum is an error of its own
+        with pytest.raises(StructureError, match=r"^barycenter sum\(w \* p\) past the float"):
+            barycenter(WeightedGroup((1e4, -1e4), (1e305, 1e305)))
 
     def test_weight_rescale_invariance(self):
         g = WeightedGroup((1.0, 4.0, -2.0), (0.2, 0.5, 0.3))
@@ -149,3 +157,26 @@ class TestInterval:
     def test_contains_interval(self):
         assert IntervalR(-1, 1).contains_interval(IntervalR(-0.5, 0.5))
         assert not IntervalR(-1, 1).contains_interval(IntervalR(-2, 0.5))
+
+
+def test_no_module_but_domain_names_fsum():
+    """Every sum that feeds a margin or an equality check goes through
+    ``domain.checked_fsum``: no other module names ``fsum``, and in ``domain``
+    only ``checked_fsum`` does."""
+    for path in Path(domain.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        named = [
+            node for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "fsum"
+            or isinstance(node, ast.Name) and node.id == "fsum"
+            or isinstance(node, ast.alias) and node.name == "fsum"
+        ]
+        if path.name != "domain.py":
+            assert not named, path.name
+            continue
+        kernel = next(
+            node for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node.name == "checked_fsum"
+        )
+        in_kernel = {id(node) for node in ast.walk(kernel)}
+        assert named and all(id(node) in in_kernel for node in named)

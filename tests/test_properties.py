@@ -1,4 +1,7 @@
+import math
 import random
+import sys
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -9,8 +12,10 @@ from jensengap.analysis import bracket_windows
 from jensengap.domain import (
     AffineConfig,
     IntervalR,
+    StructureError,
     WeightedGroup,
     barycenter,
+    checked_fsum,
     combination_value,
     hull_membership,
     spread,
@@ -101,3 +106,33 @@ def test_generated_scenarios_verify(seed):
     rep = verify_mt1(catalog("signed_square"), s, A=0.0)
     assert rep.verdict == "holds"
     assert min(rep.margins) >= -1e-9
+
+
+#: finite floats near either end of the float range, and the non-finite ones
+EXTREME = st.one_of(
+    st.floats(min_value=1.6e308, max_value=sys.float_info.max),
+    st.floats(min_value=-sys.float_info.max, max_value=-1.6e308),
+    st.sampled_from([math.inf, -math.inf, math.nan]),
+)
+
+
+@given(
+    terms=st.lists(EXTREME, max_size=4),
+    factors=st.lists(st.lists(st.floats(), max_size=3), max_size=2),
+)
+@settings(max_examples=300)
+def test_checked_fsum_is_fsum_or_an_input_error(terms, factors):
+    """checked_fsum returns exactly what math.fsum returns, unless fsum raises,
+    or the total is infinite while factors are given and all of them are
+    finite: then the sum is past the float range, an input error."""
+    try:
+        expected = math.fsum(terms)
+    except (OverflowError, ValueError):
+        expected = None
+    finite = all(map(math.isfinite, chain(*factors)))
+    if expected is None or factors and math.isinf(expected) and finite:
+        with pytest.raises(StructureError, match=r"^terms sum past the float range$"):
+            checked_fsum(iter(terms), "terms sum", *factors)
+    else:
+        # repr tells NaN, infinities and signed zeros apart
+        assert repr(checked_fsum(iter(terms), "terms sum", *factors)) == repr(expected)

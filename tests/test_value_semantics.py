@@ -21,7 +21,7 @@ from jensengap.domain import (
     apply,
 )
 from jensengap.funclib import DomainError, catalog
-from jensengap.functional import apply_fn, verify_mt4
+from jensengap.functional import apply_fn, verify_ic3, verify_it3, verify_mc3, verify_mt4
 
 NAN, INF = math.nan, math.inf
 QUAD = catalog("quadratic", 2.0)
@@ -132,3 +132,26 @@ def test_split_transfer_rejects_squares_that_overflow():
         StructureError,
         "function values must be finite",
     )
+
+
+@pytest.mark.parametrize(
+    "verify, exc, message",
+    [
+        (lambda: verify_ic3(QUAD, [[0.5], [0.5]], [[1.0], [1.0, 2.0]],
+                            interval=IntervalR(-5.0, 5.0)),
+         StructureError, "length mismatch: 1 weights vs 2 values"),
+        (lambda: verify_mc3(QUAD, [[0.5], [0.5]], [[-1.0], [-1.0, -2.0]], [[1.0], [1.0]],
+                            c=0.0, interval=IntervalR(-5.0, 5.0), mode="literal"),
+         StructureError, "length mismatch: 1 weights vs 2 values"),
+        # 10 + 5e-10 is inside [-10, 10] up to the tolerance, but outside exp's domain
+        (lambda: verify_it3(catalog("exp"), [[0.5], [0.5]], [[9.0], [9.0]],
+                            [[0.5, 0.5]], [[8.0, 10.0 + 5e-10]],
+                            inner=IntervalR(8.5, 9.5), interval=IntervalR(-10.0, 10.0)),
+         DomainError, "exp: x=10.0000000005 outside domain [-10.0, 10.0]"),
+    ],
+    ids=["ic3-length", "mc3-length", "it3-domain"],
+)
+def test_family_members_keep_their_own_errors(verify, exc, message):
+    """A family's terms are listed before they are summed, so a member's own
+    error is not taken for an overflow of the family sum."""
+    _raises(verify, exc, message)
