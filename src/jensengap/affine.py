@@ -11,6 +11,9 @@ mt2 and its mirror image mt3 (f 3-concave, the signs of f'' reversed and
 the chain read downwards) run through one branch-gated core, oriented by a
 single flag; each keeps its own check names.
 
+Each verifier judges both configurations once, through
+``record_affine_config``, and reports a failed hypothesis as
+``hypotheses-unmet``; the spreads and gaps it then measures judge nothing.
 Hypothesis residuals are tagged with stable identifiers: "2.1" spread
 equality, "2.2" separation at c, "2.8"/"2.10" ordering of the side extremes.
 """
@@ -18,7 +21,9 @@ equality, "2.2" separation at c, "2.8"/"2.10" ordering of the side extremes.
 from __future__ import annotations
 
 from .analysis import AInterval, curvature_sandwich, is_3concave, is_3convex, k1_witness
-from .domain import (
+# validate_affine_config is imported but unused: the benchmark's tracer
+# (bench/tracer.py) wraps it in this module as well as in domain
+from .domain import (  # noqa: F401  (validate_affine_config is re-exported)
     EPS_EQ,
     AffineConfig,
     CheckSet,
@@ -34,20 +39,14 @@ from .funclib import DomainError, FunctionModel, eval_fn, require_in_domain
 from .report import UNMET, ChainReport, chain_report
 
 
-def jensen_affine_gap(
-    f: FunctionModel, cfg: AffineConfig, tol: float = EPS_EQ, validate: bool = True
-) -> float:
+def jensen_affine_gap(f: FunctionModel, cfg: AffineConfig, tol: float = EPS_EQ) -> float:
     """sum(w * f(p)) over the signed groups, minus f at the combination value.
 
-    Nonnegative (up to tolerance) for convex f on any valid configuration.
-    ``validate=False`` skips the configuration check for a caller that has
-    already made it.
+    Nonnegative (up to tolerance) for convex f on any valid configuration;
+    validity is not judged here but by the verifiers' checks.  ``tol`` is
+    the slack of ``combination_value``'s hull postcondition.
     """
-    if validate:
-        vr = validate_affine_config(cfg, tol)
-        if not vr.valid:
-            raise StructureError(f"invalid affine configuration: {vr.violations[0][0]}")
-    value = combination_value(cfg, tol, validate=False)
+    value = combination_value(cfg, tol)
     terms = []
     for _, grp, sign in cfg.all_groups():
         for p, w in zip(grp.points, grp.weights):
@@ -98,8 +97,8 @@ def _base_checkset(f: FunctionModel, s: Mt1Scenario, tol: float) -> tuple[CheckS
             cs.at_least(f"{label}.in_interval", slack, scale=max(map(abs, pts)))
     if not (ok_l and ok_r):
         return cs, {}
-    vals["spread_left"] = spread(s.left, tol, validate=False)
-    vals["spread_right"] = spread(s.right, tol, validate=False)
+    vals["spread_left"] = spread(s.left)
+    vals["spread_right"] = spread(s.right)
     return cs, vals
 
 
@@ -142,11 +141,11 @@ def verify_mt1(
         cs.record("witness.K1c", 0.0 if A is None else A, A is not None)
         if A is None:
             return ChainReport(UNMET, hypotheses=cs.report(), details=details)
-    gap_l = jensen_affine_gap(f, s.left, tol, validate=False)
+    gap_l = jensen_affine_gap(f, s.left, tol)
     if weight_reading == "literal_alpha":
         gap_r = cross_weighted_gap(f, s.left, s.right)
     else:
-        gap_r = jensen_affine_gap(f, s.right, tol, validate=False)
+        gap_r = jensen_affine_gap(f, s.right, tol)
     return chain_report(cs, A, (gap_l, gap_r), (sl, sr), details)
 
 
@@ -257,8 +256,8 @@ def _branch_chain(
         if A is None:
             return ChainReport(UNMET, hypotheses=cs.report(), details=details)
     gaps = (
-        jensen_affine_gap(f, s.left, tol, validate=False),
-        jensen_affine_gap(f, s.right, tol, validate=False),
+        jensen_affine_gap(f, s.left, tol),
+        jensen_affine_gap(f, s.right, tol),
     )
     return chain_report(cs, A, gaps, (sl, sr), details, order=order)
 

@@ -5,6 +5,10 @@ An affine configuration carries two nonnegative "plus" groups and one
 nonnegative "minus" group.  The group masses alpha, beta, gamma must satisfy
 alpha + beta - gamma = 1 with alpha, beta in (0, 1], and every minus point
 must lie in the convex hull of the two plus-group barycenters.
+``validate_affine_config`` judges these hypotheses, and
+``record_affine_config`` records them among a verifier's checks; the
+measurements ``spread`` and ``combination_value`` compute on any well-formed
+configuration and judge none of them.
 
 A functional is a nonnegative weight vector over the indices 1..n; it is
 unital when its weights sum to 1.  Functions are plain value vectors of
@@ -220,11 +224,14 @@ class CheckSet:
 
 
 def barycenter(g: WeightedGroup) -> float:
-    """Weight-normalized mean of a group; requires positive total weight."""
+    """Weight-normalized mean of a group; requires positive total weight.
+    A sum past the float range is malformed input, though infinite or NaN
+    weights or points may give an infinite mean."""
     total = g.total
     if total <= 0.0:
         raise StructureError("barycenter needs positive total weight")
-    return checked_fsum(map(mul, g.weights, g.points), "barycenter sum(w * p)") / total
+    w, p = g.weights, g.points
+    return checked_fsum(map(mul, w, p), "barycenter sum(w * p)", w, p) / total
 
 
 def hull_membership(x: float, a: float, b: float, tol: float = EPS_EQ) -> bool:
@@ -281,20 +288,13 @@ def _signed_moment(cfg: AffineConfig, k: int) -> float:
     return cfg.plus_a.moment(k) + cfg.plus_b.moment(k) - cfg.minus_c.moment(k)
 
 
-def combination_value(
-    cfg: AffineConfig, tol: float = EPS_EQ, validate: bool = True
-) -> float:
+def combination_value(cfg: AffineConfig, tol: float = EPS_EQ) -> float:
     """Signed combination sum(w*p) over plus groups minus the minus group.
 
     For a valid configuration the value lies in the hull of the two
-    barycenters; this is re-checked as a postcondition.
+    barycenters; a value outside it by more than tol * max(1, |barycenter|)
+    is a StructureError.
     """
-    if validate:
-        vr = validate_affine_config(cfg, tol)
-        if not vr.valid:
-            raise StructureError(
-                f"invalid affine configuration: {vr.violations[0][0]}"
-            )
     value = _signed_moment(cfg, 1)
     a_bar = barycenter(cfg.plus_a)
     b_bar = barycenter(cfg.plus_b)
@@ -304,18 +304,12 @@ def combination_value(
     return value
 
 
-def spread(cfg: AffineConfig, tol: float = EPS_EQ, validate: bool = True) -> float:
+def spread(cfg: AffineConfig) -> float:
     """Signed second moment minus squared signed first moment.
 
-    Nonnegative (up to tolerance) for every valid configuration; transforms
+    Nonnegative (up to rounding) for every valid configuration; transforms
     as k^2 * spread under the point map x -> k*x + t.
     """
-    if validate:
-        vr = validate_affine_config(cfg, tol)
-        if not vr.valid:
-            raise StructureError(
-                f"invalid affine configuration: {vr.violations[0][0]}"
-            )
     m1 = _signed_moment(cfg, 1)
     return _signed_moment(cfg, 2) - m1 * m1
 

@@ -113,19 +113,16 @@ def _signed_square_d2_plus(x: float) -> float:
     return 2.0 if x >= 0.0 else -2.0
 
 
-def catalog(
-    name: str,
-    param: float | str | None = None,
-    table: "TabulatedFunction | None" = None,
-) -> FunctionModel:
+def catalog(name: str, param: float | str | None = None) -> FunctionModel:
     """Build a catalog model.
 
     Names: quadratic (needs a curvature parameter q, f = q x^2 / 2), cubic,
     signed_square (x|x|), neg_signed_square (-x|x|), exp, tabulated-spline
-    (needs a table or a file path).  A parameter given to a function that
-    takes none is rejected.  Every entry carries an f'' certificate, so its
-    constant A at any c comes from its d2 maps.  A table file is parsed and
-    fitted once per content (``load_table``).
+    (needs a file path; ``tabulated_model`` models a table object).  A
+    parameter given to a function that takes none is rejected.  Every entry
+    carries an f'' certificate, so its constant A at any c comes from its d2
+    maps.  A table file is parsed and fitted once per content
+    (``load_table``).
     """
     if param is not None and name in ("cubic", "signed_square", "neg_signed_square", "exp"):
         raise StructureError(f"catalog function {name!r} takes no parameter")
@@ -151,11 +148,9 @@ def catalog(
     if name == "exp":
         return _monotone_model("exp", IntervalR(-10.0, 10.0), math.exp, math.exp)
     if name == "tabulated-spline":
-        if table is None:
-            if param is None:
-                raise StructureError("tabulated-spline needs a table or a file path")
-            table = load_table(param)
-        return tabulated_model(table)
+        if param is None:
+            raise StructureError("tabulated-spline needs a file path")
+        return tabulated_model(load_table(param))
     raise StructureError(f"unknown catalog function {name!r}")
 
 
@@ -289,11 +284,11 @@ def _parse_table(path: str, text: str) -> TabulatedFunction:
     return TabulatedFunction(tuple(nodes), tuple(values))
 
 
-def tabulated_model(tab: TabulatedFunction, name: str = "tabulated-spline") -> FunctionModel:
+def tabulated_model(tab: TabulatedFunction) -> FunctionModel:
     """Model evaluating the table's spline, with its exact piecewise-constant
     f'' as the certificate."""
     return FunctionModel(
-        name=name,
+        name="tabulated-spline",
         domain=IntervalR(tab.nodes[0], tab.nodes[-1]),
         fn=tab,
         d2_minus=tab.d2_minus,

@@ -129,24 +129,17 @@ def _rescale(cfg: AffineConfig, anchor: float, k: float) -> AffineConfig:
     return AffineConfig(scale(cfg.plus_a), scale(cfg.plus_b), scale(cfg.minus_c))
 
 
-def match_spread(
-    target: float,
-    cfg: AffineConfig,
-    anchor: float,
-    tol: float = EPS_EQ,
-    validate: bool = True,
-) -> AffineConfig:
+def match_spread(target: float, cfg: AffineConfig, anchor: float) -> AffineConfig:
     """Rescale all points about the anchor so the spread equals target.
 
     The map x -> anchor + k (x - anchor) with k = sqrt(target / spread)
     scales the spread by exactly k^2 and preserves hull membership.  With
     the anchor at a side endpoint, k <= 1 keeps points in their side
-    interval.
-    ``validate=False`` skips validating cfg, for callers that built it valid.
+    interval.  cfg is not validated: a valid one stays valid.
     """
     if target < 0.0:
         raise StructureError("target spread must be nonnegative")
-    current = spread(cfg, tol, validate)
+    current = spread(cfg)
     if current <= 0.0:
         raise StructureError("cannot rescale a zero-spread configuration")
     return _rescale(cfg, anchor, math.sqrt(target / current))
@@ -166,17 +159,17 @@ def gen_two_sided_scenario(
     rng = rng if rng is not None else random.Random(spec.seed)
     left = draw_config(rng, spec.interval.lo, spec.c, spec.sizes)
     right = draw_config(rng, spec.c, spec.interval.hi, spec.sizes)
-    sl, sr = spread(left, validate=False), spread(right, validate=False)
+    sl, sr = spread(left), spread(right)
     m = min(sl, sr)
     if sl > m:
-        left = match_spread(m, left, spec.c, validate=False)
+        left = match_spread(m, left, spec.c)
     elif sr > m:
-        right = match_spread(m, right, spec.c, validate=False)
+        right = match_spread(m, right, spec.c)
     if m > 0.0 and spread_ratio != 1.0:
         if spread_ratio < 1.0:
-            left = match_spread(m * spread_ratio**2, left, spec.c, validate=False)
+            left = match_spread(m * spread_ratio**2, left, spec.c)
         else:
-            right = match_spread(m / spread_ratio**2, right, spec.c, validate=False)
+            right = match_spread(m / spread_ratio**2, right, spec.c)
     return Mt1Scenario(left, right, spec.c, spec.interval)
 
 
@@ -561,7 +554,6 @@ def search_counterexamples(
     spec: GenSpec | None = None,
     report_threshold: float = EPS_EQ,
     include_probes: bool = True,
-    tol: float = EPS_EQ,
 ) -> list[SearchResult]:
     """Generate ``budget`` scenarios, verify each, and return every result
     whose verdict-determining margin is below -report_threshold, sorted
@@ -578,7 +570,7 @@ def search_counterexamples(
     results: list[SearchResult] = []
 
     def consider(payload: dict, trace: tuple) -> None:
-        report = run_payload(theorem_id, mode, f, payload, tol)
+        report = run_payload(theorem_id, mode, f, payload)
         if report["verdict"] == UNMET:
             return
         margin = report["margin"]

@@ -57,10 +57,17 @@ class TestJensenAffineGap:
         c = cfg((0,), (0.5,), (2,), (0.5,))
         assert jensen_affine_gap(catalog("quadratic", 2), c) == pytest.approx(1.0)
 
-    def test_invalid_config_raises(self):
+    def test_invalid_config_is_measured_not_judged(self):
+        # the minus point 5 leaves the hull [0, 2] of the barycenters: the gap
+        # still computes (for x^2 it is the spread), and the verifier judges
+        # the hull hypothesis unmet
         bad = cfg((0,), (0.6,), (2,), (0.6,), (5,), (0.2,))
-        with pytest.raises(StructureError):
-            jensen_affine_gap(catalog("quadratic", 2), bad)
+        gap = jensen_affine_gap(catalog("quadratic", 2), bad)
+        assert gap == pytest.approx(spread(bad)) and gap == pytest.approx(-2.64)
+        s = Mt1Scenario(bad, two_point_side(6.0, 7.0), 5.5, IntervalR(-10.0, 10.0))
+        report = verify_mt1(catalog("quadratic", 2), s)
+        assert report.verdict == "hypotheses-unmet"
+        assert "left.hull" in dict(report.hypotheses.violations)
 
 
 class TestValidateOnce:

@@ -531,6 +531,15 @@ class TestNoTraceback:
         rc, err = self._check(tmp_path, capsys, doc)
         assert rc == 1 and err == f"jensengap: error: {what} past the float range\n"
 
+    @pytest.mark.parametrize("points", [[1e4, 1e4], [1e4, -1e4]], ids=["same", "mixed"])
+    def test_barycenter_past_float_range(self, tmp_path, capsys, points):
+        # each w * p product leaves the float range: +inf twice, or +inf and
+        # -inf; either way the barycenter is an input error, not a number
+        doc = _mt1_doc()
+        doc["payload"]["left"]["plus_a"].update(weights=[1e305, 1e305], points=points)
+        rc, err = self._check(tmp_path, capsys, doc)
+        assert rc == 1 and err == "jensengap: error: barycenter sum(w * p) past the float range\n"
+
     def test_weighted_sum_past_float_range(self, tmp_path, capsys):
         payload = gen_payload(GenSpec(seed=1), "it2", "standard", random.Random(1))
         payload["L"], payload["g"] = [1, 1], [1e308, 1e308]

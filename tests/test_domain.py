@@ -44,6 +44,14 @@ class TestBarycenter:
         with pytest.raises(StructureError, match=r"^barycenter sum\(w \* p\) past the float"):
             barycenter(WeightedGroup((1e4, -1e4), (1e305, 1e305)))
 
+    def test_products_of_one_sign_past_float_range(self):
+        # the products are +inf twice, whose fsum is +inf from finite factors
+        with pytest.raises(StructureError, match=r"^barycenter sum\(w \* p\) past the float"):
+            barycenter(WeightedGroup((1e4, 1e4), (1e305, 1e305)))
+
+    def test_infinite_points_stay_infinite(self):
+        assert barycenter(WeightedGroup((math.inf, 1.0), (0.5, 0.5))) == math.inf
+
     def test_weight_rescale_invariance(self):
         g = WeightedGroup((1.0, 4.0, -2.0), (0.2, 0.5, 0.3))
         scaled = WeightedGroup(g.points, tuple(7.5 * w for w in g.weights))
@@ -110,9 +118,15 @@ class TestCombinationValue:
     def test_midpoint(self):
         assert combination_value(cfg((0,), (0.5,), (2,), (0.5,))) == pytest.approx(1.0)
 
-    def test_invalid_config_raises(self):
-        with pytest.raises(StructureError):
-            combination_value(cfg((0,), (0.6,), (2,), (0.6,), (5,), (0.2,)))
+    def test_invalid_config_is_measured_not_judged(self):
+        # the minus point 5 leaves the hull [0, 2] of the barycenters: the
+        # measurements still compute, and only the validity check judges it
+        bad = cfg((0,), (0.6,), (2,), (0.6,), (5,), (0.2,))
+        assert combination_value(bad) == pytest.approx(0.2)
+        assert spread(bad) == pytest.approx(-2.64)
+        report = validate_affine_config(bad)
+        assert not report.valid
+        assert "hull" in dict(report.violations)
 
 
 class TestSpread:
