@@ -6,6 +6,8 @@ first weight of their first functional or group scaled by 1.1, which breaks
 a mass constraint and must come back hypotheses-unmet; mt3 documents are
 also checked under their non-default ``"c_convention": "printed"``.  The
 `gen` output of seeds 1-20 is pinned for every (theorem id, mode) as well,
+and so is that of seeds 1-5 at the non-default spec ``GEN_WIDE`` (n = 5,
+so every family split takes two weights, and a split point that is not 0),
 and so are the results of a budget-100 search for each request class of
 the benchmark's search workloads.  The SHA-256 digest of each output is
 compared with the one recorded in golden_reports.json.
@@ -35,6 +37,9 @@ SEARCH_ARGS = [
 ]
 #: seeds of the `gen` documents pinned for every (theorem id, mode)
 GEN_SEEDS = range(1, 21)
+#: a non-default `gen` spec and its seeds, pinned as ``gen.<id>.<mode>.sizes523``
+GEN_WIDE = ["--interval=-3,3", "--point", "0.5", "--sizes", "5,2,3"]
+GEN_WIDE_SEEDS = range(1, 6)
 #: the first request of each class of the benchmark's search-declared and
 #: search-grid workloads at seed 1: (theorem id, mode, function, interval,
 #: split point, search seed), searched at the CLI budget
@@ -87,6 +92,10 @@ def golden_outputs(modes: dict, workdir: Path) -> dict[str, bytes]:
             outputs[f"gen.{theorem_id}.{mode}"] = b"".join(
                 run("gen", "--theorem", theorem_id, "--mode", mode, "--seed", str(seed))
                 for seed in GEN_SEEDS
+            )
+            outputs[f"gen.{theorem_id}.{mode}.sizes523"] = b"".join(
+                run("gen", "--theorem", theorem_id, "--mode", mode, "--seed", str(seed), *GEN_WIDE)
+                for seed in GEN_WIDE_SEEDS
             )
             for seed in SEEDS:
                 name = f"{theorem_id}.{mode}.seed{seed}"
