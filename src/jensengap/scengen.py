@@ -4,8 +4,11 @@ All constructions satisfy their equality constraints by algebra rather than
 by numerical adjustment: spreads are matched through an exact affine rescale
 about an anchor (spread transforms as k^2), and matched-moment partners are
 the two roots of t^2 - s t + p from the prescribed mean and second moment.
-Every draw comes from a seeded generator, so identical (seed, spec) produce
-identical scenarios.
+A family payload (it3, ic3, mt5, mc3) is its pair payload (it2, ic1, mt4,
+mc1) with each functional split in halves on the same values, and a ladder
+(ic2, mc2) is a constant rung followed by two-point rungs.  Every draw
+comes from a seeded generator, so identical (seed, spec) produce identical
+scenarios.
 """
 
 from __future__ import annotations
@@ -290,65 +293,56 @@ def _gen_ic1(spec: GenSpec, mode: str, rng: random.Random) -> dict:
     }
 
 
-def _ladder(
-    rng: random.Random, center: float, d_max: float
-) -> tuple[list[list[float]], list[list[float]], list[list[float]]]:
-    """Concentric two-point ladder of LEVELS levels: level 1 is the constant
-    center, later levels sit at center +- d_k with strictly growing
-    d_k <= d_max.  Returns (functionals, value vectors, inner intervals)."""
-    fracs = sorted(rng.uniform(0.15, 0.9) for _ in range(LEVELS - 1))
-    ds = [f * d_max for f in fracs]
-    functionals = [_weights(rng, 2, 0.2)]
-    values = [[center, center]]
-    inners = [[center, center]]
-    for k, d in enumerate(ds):
-        functionals.append([0.5, 0.5])
-        values.append([center - d, center + d])
-        if k < len(ds) - 1:
-            inners.append([center - d, center + d])
-    return functionals, values, inners
+def _rungs(lo: float, hi: float, steps: list[float]) -> list[list[float]]:
+    """Ladder rungs: [lo, hi], then [lo - d, hi + d] for each step d."""
+    return [[lo, hi]] + [[lo - d, hi + d] for d in steps]
+
+
+def _ladder_steps(rng: random.Random, d_max: float) -> list[float]:
+    """LEVELS - 1 growing steps: sorted fractions in [0.15, 0.9] of d_max."""
+    return [f * d_max for f in sorted(rng.uniform(0.15, 0.9) for _ in range(LEVELS - 1))]
+
+
+def _ladder_functionals(rng: random.Random) -> list[list[float]]:
+    """A drawn functional on the constant rung, the uniform one on the rest."""
+    return [_weights(rng, 2, 0.2)] + [[0.5, 0.5] for _ in range(LEVELS - 1)]
 
 
 def _gen_ic2(spec: GenSpec, mode: str, rng: random.Random) -> dict:
     interval = spec.interval
     width = interval.width
     center = rng.uniform(interval.lo + 0.3 * width, interval.hi - 0.3 * width)
-    d_max = min(interval.hi - center, center - interval.lo)
-    functionals, values, inners = _ladder(rng, center, d_max)
+    steps = _ladder_steps(rng, min(interval.hi - center, center - interval.lo))
     return {
         "interval": [interval.lo, interval.hi],
-        "inners": inners,
-        "Ls": functionals,
-        "gs": values,
+        "inners": _rungs(center, center, steps[:-1]),
+        "Ls": _ladder_functionals(rng),
+        "gs": _rungs(center, center, steps),
     }
 
 
-def _split_weights(weights: list[float]) -> list[list[float]]:
+def _halves(
+    weights: list[float], values: list[float]
+) -> tuple[list[list[float]], list[list[float]]]:
+    """The functional split into a family of two, its first max(1, n // 2)
+    weights and the rest, both on the same values: (functionals, values)."""
     k = max(1, len(weights) // 2)
-    first = [w if i < k else 0.0 for i, w in enumerate(weights)]
-    second = [0.0 if i < k else w for i, w in enumerate(weights)]
-    return [first, second]
+    first = weights[:k] + [0.0] * (len(weights) - k)
+    return [first, [0.0] * k + weights[k:]], [values, values]
 
 
 def _gen_ic3(spec: GenSpec, mode: str, rng: random.Random) -> dict:
     base = _gen_ic1(spec, mode, rng)
-    return {
-        "interval": [spec.interval.lo, spec.interval.hi],
-        "Ls": _split_weights(base["L"]),
-        "gs": [base["g"], base["g"]],
-    }
+    Ls, gs = _halves(base["L"], base["g"])
+    return {"interval": [spec.interval.lo, spec.interval.hi], "Ls": Ls, "gs": gs}
 
 
 def _gen_it3(spec: GenSpec, mode: str, rng: random.Random) -> dict:
     base = _gen_it2(spec, mode, rng)
-    return {
-        "interval": base["interval"],
-        "inner": base["inner"],
-        "Ls": _split_weights(base["L"]),
-        "gs": [base["g"], base["g"]],
-        "Hs": [[0.5, 0.0], [0.0, 0.5]],
-        "hs": [base["h"], base["h"]],
-    }
+    payload = {"interval": base["interval"], "inner": base["inner"]}
+    payload["Ls"], payload["gs"] = _halves(base["L"], base["g"])
+    payload["Hs"], payload["hs"] = _halves(base["H"], base["h"])
+    return payload
 
 
 def _gen_mt4(spec: GenSpec, mode: str, rng: random.Random) -> dict:
@@ -385,21 +379,11 @@ def _gen_mt4(spec: GenSpec, mode: str, rng: random.Random) -> dict:
 
 def _gen_mt5(spec: GenSpec, mode: str, rng: random.Random) -> dict:
     base = _gen_mt4(spec, mode, rng)
-    payload = {
-        "interval": base["interval"],
-        "c": base["c"],
-        "inner": base["inner"],
-        "Ls": _split_weights(base["L"]),
-        "gs": [base["g1"], base["g1"]],
-        "Hs": [[0.5, 0.0], [0.0, 0.5]],
-        "hs": [base["h1"], base["h1"]],
-        "Ls_star": _split_weights(base["L"]),
-        "gs_star": [base["g2"], base["g2"]],
-        "Hs_star": [[0.5, 0.0], [0.0, 0.5]],
-        "hs_star": [base["h2"], base["h2"]],
-    }
-    if "inner2" in base:
-        payload["inner2"] = base["inner2"]
+    payload = {key: base[key] for key in ("interval", "c", "inner", "inner2") if key in base}
+    payload["Ls"], payload["gs"] = _halves(base["L"], base["g1"])
+    payload["Hs"], payload["hs"] = _halves(base["H"], base["h1"])
+    payload["Ls_star"], payload["gs_star"] = _halves(base["L"], base["g2"])
+    payload["Hs_star"], payload["hs_star"] = _halves(base["H"], base["h2"])
     return payload
 
 
@@ -434,20 +418,15 @@ def _gen_mc2(spec: GenSpec, mode: str, rng: random.Random) -> dict:
         g_center = rng.uniform(g_lo + 0.35 * (g_hi - g_lo), g_hi - 0.35 * (g_hi - g_lo))
         h_center = rng.uniform(h_lo + 0.35 * (h_hi - h_lo), h_hi - 0.35 * (h_hi - h_lo))
         d_max = min(g_hi - g_center, g_center - g_lo, h_hi - h_center, h_center - h_lo)
-        fracs = sorted(rng.uniform(0.15, 0.9) for _ in range(LEVELS - 1))
-        ds = [f * d_max for f in fracs]
-        g_inners = [[g_center, g_center]] + [
-            [g_center - d, g_center + d] for d in ds[:-1]
-        ]
-        h_inners = [[h_center, h_center]] + [
-            [h_center - d, h_center + d] for d in ds[:-1]
-        ]
+        ds = _ladder_steps(rng, d_max)
+        inners = {
+            "g_inners": _rungs(g_center, g_center, ds[:-1]),
+            "h_inners": _rungs(h_center, h_center, ds[:-1]),
+        }
     else:
         width = interval.width
         delta = rng.uniform(0.05, 0.12) * width
-        g_center = rng.uniform(
-            interval.lo + 0.4 * width, interval.hi - 0.4 * width - delta
-        )
+        g_center = rng.uniform(interval.lo + 0.4 * width, interval.hi - 0.4 * width - delta)
         h_center = g_center + delta
         room = min(g_center - interval.lo, interval.hi - h_center)
         step0 = delta + rng.uniform(0.2, 0.4) * (room - (LEVELS - 1) * delta) / (LEVELS - 1)
@@ -456,35 +435,22 @@ def _gen_mc2(spec: GenSpec, mode: str, rng: random.Random) -> dict:
         ds = [step0 * (k + 1) for k in range(LEVELS - 1)]
         if ds[-1] > room:
             raise _Retry
-        g_inners = [[g_center, h_center]] + [
-            [g_center - d, h_center + d] for d in ds[:-1]
-        ]
-        h_inners = g_inners
-    functionals = [_weights(rng, 2, 0.2)] + [[0.5, 0.5] for _ in range(LEVELS - 1)]
-    gs = [[g_center, g_center]] + [[g_center - d, g_center + d] for d in ds]
-    hs = [[h_center, h_center]] + [[h_center - d, h_center + d] for d in ds]
-    payload = {
+        inners = {"g_inners": _rungs(g_center, h_center, ds[:-1])}
+    return {
         "interval": [interval.lo, interval.hi],
         "c": c,
-        "Ls": functionals,
-        "gs": gs,
-        "hs": hs,
-        "g_inners": g_inners,
+        "Ls": _ladder_functionals(rng),
+        "gs": _rungs(g_center, g_center, ds),
+        "hs": _rungs(h_center, h_center, ds),
+        **inners,
     }
-    if mode == "region_restricted":
-        payload["h_inners"] = h_inners
-    return payload
 
 
 def _gen_mc3(spec: GenSpec, mode: str, rng: random.Random) -> dict:
     base = _gen_mc1(spec, mode, rng)
-    return {
-        "interval": base["interval"],
-        "c": base["c"],
-        "Ls": [[0.5, 0.0], [0.0, 0.5]],
-        "gs": [base["g1"], base["g1"]],
-        "hs": [base["g2"], base["g2"]],
-    }
+    Ls, gs = _halves(base["L"], base["g1"])
+    hs = [base["g2"], base["g2"]]
+    return {"interval": base["interval"], "c": base["c"], "Ls": Ls, "gs": gs, "hs": hs}
 
 
 #: payload generator of every theorem id, in registry order
