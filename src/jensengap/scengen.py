@@ -200,12 +200,13 @@ def two_point_from_moments(mean: float, second_moment: float) -> tuple[float, fl
 
 
 def _sub_interval(rng: random.Random, lo: float, hi: float) -> IntervalR:
+    """Inner interval strictly inside (lo, hi), at any width and scale."""
     width = hi - lo
-    if width <= 1e-9:
+    inner_lo = lo + rng.uniform(0.12, 0.38) * width
+    inner_hi = hi - rng.uniform(0.12, 0.38) * width
+    if not lo < inner_lo < inner_hi < hi:
         raise _Retry
-    u1 = rng.uniform(0.12, 0.38)
-    u2 = rng.uniform(0.12, 0.38)
-    return IntervalR(lo + u1 * width, hi - u2 * width)
+    return IntervalR(inner_lo, inner_hi)
 
 
 def _uniform_in(rng: random.Random, iv: IntervalR, n: int) -> list[float]:

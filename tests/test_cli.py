@@ -258,6 +258,28 @@ class TestFarFromZero:
         assert {r["verdict"] for r in json.loads(capsys.readouterr().out)} == {"holds"}
 
 
+class TestNarrowInterval:
+    """An interval 2e-12 wide: the inner interval of these pairs was refused
+    below an absolute width of 1e-9, so gen found no scenario."""
+
+    @pytest.mark.parametrize(
+        "theorem, mode",
+        [
+            ("it2", "standard"), ("it3", "standard"), ("ic1", "standard"),
+            ("ic3", "standard"), ("mt4", "literal"), ("mt4", "region_restricted"),
+            ("mt5", "literal"), ("mt5", "region_restricted"),
+        ],
+    )
+    def test_gen_check_holds(self, capsys, monkeypatch, theorem, mode):
+        gen = [
+            "gen", "--theorem", theorem, "--mode", mode, "--interval=-1e-12,1e-12",
+            "--count", "5", "--seed", "1",
+        ]
+        assert run(gen) == 0
+        monkeypatch.setattr("sys.stdin", io.StringIO(capsys.readouterr().out))
+        assert run(["check", "-"]) == 0
+
+
 class TestMt3BranchCDefault:
     """`gen --theorem mt3 --mode c` uses a function that satisfies branch (c),
     f'' straddling 0 downward with f 3-concave, so `check -` holds."""
