@@ -325,8 +325,9 @@ def _gen_ic2(spec: GenSpec, mode: str, rng: random.Random) -> dict:
 def _halves(
     weights: list[float], values: list[float]
 ) -> tuple[list[list[float]], list[list[float]]]:
-    """The functional split into a family of two, its first max(1, n // 2)
-    weights and the rest, both on the same values: (functionals, values)."""
+    """The functional of n weights split into a family of two, its first
+    max(1, n // 2) weights and the rest, both on the same values; returns
+    (functionals, value vectors)."""
     k = max(1, len(weights) // 2)
     first = weights[:k] + [0.0] * (len(weights) - k)
     return [first, [0.0] * k + weights[k:]], [values, values]
