@@ -1,12 +1,18 @@
 """Command-line front end: check scenario files, analyze functions, generate
 scenarios, and search for counterexamples.
 
+``gen`` and ``search`` take one request (theorem, mode, function, interval,
+split point, sizes, seed), declared once and read by ``_request``, which
+rejects an interval outside the function's domain before any work.
+
 Each subcommand imports what it uses: ``gen`` and ``search`` import
 ``scengen`` when they run, and ``check`` imports only the verifier module
-of the theorem it checks (``scenario.__getattr__``).
+of the theorem it checks (``scenario.__getattr__``).  ``check -`` reads
+stdin as UTF-8, as ``check FILE`` reads a file, whatever the locale.
 
 Exit codes are a stable contract: 0 holds, 1 input error, 2 fails,
-3 hypotheses-unmet.
+3 hypotheses-unmet.  A list of documents exits 2 when any fails, else 3
+when any is unmet.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from pathlib import Path
 from .analysis import classify_at_point
 from .domain import InfeasibleError, IntervalR, StructureError
 from .funclib import DomainError, require_in_domain
-from .report import FAILS, HOLDS, UNMET
+from .report import FAILS, UNMET
 from .scenario import (
     ALL_IDS,
     SCHEMA_VERSION,
@@ -40,12 +46,10 @@ EXIT_INPUT = 1
 EXIT_FAILS = 2
 EXIT_UNMET = 3
 
-_VERDICT_EXIT = {HOLDS: EXIT_OK, FAILS: EXIT_FAILS, UNMET: EXIT_UNMET}
-
 
 def _read_text(path: str) -> str:
     if path == "-":
-        return sys.stdin.read()
+        return sys.stdin.buffer.read().decode("utf-8")
     return Path(path).read_text(encoding="utf-8")
 
 
@@ -80,18 +84,13 @@ def _cmd_check(args: argparse.Namespace) -> int:
     if args.tol is not None:
         check_tolerance(args.tol)
     doc = json.loads(_read_text(args.path), parse_constant=_reject_constant)
-    if isinstance(doc, list):
-        reports = [run_scenario(d, tol=args.tol) for d in doc]
-        _emit(dumps(reports), args.out)
-        verdicts = {r["verdict"] for r in reports}
-        if FAILS in verdicts:
-            return EXIT_FAILS
-        if UNMET in verdicts:
-            return EXIT_UNMET
-        return EXIT_OK
-    report = run_scenario(doc, tol=args.tol)
-    _emit(dumps(report), args.out)
-    return _VERDICT_EXIT[report["verdict"]]
+    many = isinstance(doc, list)
+    reports = [run_scenario(d, tol=args.tol) for d in (doc if many else [doc])]
+    _emit(dumps(reports if many else reports[0]), args.out)
+    verdicts = {r["verdict"] for r in reports}
+    if FAILS in verdicts:
+        return EXIT_FAILS
+    return EXIT_UNMET if UNMET in verdicts else EXIT_OK
 
 
 def _interval_json(iv) -> dict:
@@ -120,54 +119,40 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _request(args: argparse.Namespace):
+    """The request of gen and search: (mode, function spec, its model, GenSpec).
+    An interval outside the function's domain is rejected before any work."""
+    from .scengen import GenSpec
+
+    entry, mode = lookup(args.theorem, args.mode)
+    spec = GenSpec(args.seed, _parse_interval(args.interval), args.point, _parse_sizes(args.sizes))
+    fn_spec = fn_spec_from_string(args.fn or entry.default_fn[mode], point=args.point)
+    f = model_from_spec(fn_spec)
+    require_in_domain(f, spec.interval.lo, spec.interval.hi)
+    return mode, fn_spec, f, spec
+
+
 def _cmd_gen(args: argparse.Namespace) -> int:
     from . import scengen
 
-    theorem_id = args.theorem
-    entry, mode = lookup(theorem_id, args.mode)
-    spec = scengen.GenSpec(
-        seed=args.seed,
-        interval=_parse_interval(args.interval),
-        c=args.point,
-        sizes=_parse_sizes(args.sizes),
-        count=args.count,
-    )
-    fn_spec = fn_spec_from_string(args.fn or entry.default_fn[mode], point=args.point)
-    # reject bad input before emitting
-    require_in_domain(model_from_spec(fn_spec), spec.interval.lo, spec.interval.hi)
+    if args.count < 1:
+        raise StructureError("count must be at least 1")
+    mode, fn_spec, _, spec = _request(args)
     docs = []
-    for i in range(spec.count):
-        rng = random.Random(args.seed + i)
-        payload = scengen.gen_payload(spec, theorem_id, mode, rng)
-        docs.append(make_scenario(theorem_id, mode, fn_spec, payload, seed=args.seed + i))
-    _emit(dumps(docs[0] if spec.count == 1 else docs), args.out)
+    for seed in range(args.seed, args.seed + args.count):
+        payload = scengen.gen_payload(spec, args.theorem, mode, random.Random(seed))
+        docs.append(make_scenario(args.theorem, mode, fn_spec, payload, seed=seed))
+    _emit(dumps(docs[0] if args.count == 1 else docs), args.out)
     return EXIT_OK
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
     from . import scengen
 
+    mode, fn_spec, f, spec = _request(args)
     theorem_id = args.theorem
-    entry, mode = lookup(theorem_id, args.mode)
-    if args.budget < 1:
-        raise StructureError("search budget must be at least 1")
-    fn_spec = fn_spec_from_string(args.fn or entry.default_fn[mode], point=args.point)
-    f = model_from_spec(fn_spec)
-    spec = scengen.GenSpec(
-        seed=args.seed,
-        interval=_parse_interval(args.interval),
-        c=args.point,
-        sizes=_parse_sizes(args.sizes),
-    )
-    require_in_domain(f, spec.interval.lo, spec.interval.hi)
     results = scengen.search_counterexamples(
-        f,
-        theorem_id,
-        mode,
-        args.budget,
-        args.seed,
-        spec=spec,
-        include_probes=not args.no_probes,
+        f, theorem_id, mode, args.budget, args.seed, spec=spec, include_probes=not args.no_probes
     )
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -208,36 +193,31 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--tol", type=float, default=None, metavar="X")
     check.set_defaults(handler=_cmd_check)
 
-    analyze = sub.add_parser("analyze", help="classify a function at a point")
+    # a function on an interval with a split point, and where the output goes
+    place = argparse.ArgumentParser(add_help=False)
+    place.add_argument("--interval", default="-1,1", metavar="LO,HI")
+    place.add_argument("--point", type=float, default=0.0, metavar="C")
+    place.add_argument("--out", default=None, metavar="FILE")
+
+    analyze = sub.add_parser("analyze", parents=[place], help="classify a function at a point")
     analyze.add_argument("--fn", required=True, metavar="NAME[:PARAM]")
-    analyze.add_argument("--point", type=float, default=0.0, metavar="C")
-    analyze.add_argument("--interval", default="-1,1", metavar="LO,HI")
-    analyze.add_argument("--out", default=None, metavar="FILE")
     analyze.set_defaults(handler=_cmd_analyze)
 
-    gen = sub.add_parser("gen", help="generate a hypothesis-satisfying scenario")
-    gen.add_argument("--theorem", required=True, choices=ALL_IDS)
-    gen.add_argument("--mode", default=None, metavar="MODE")
-    gen.add_argument("--seed", type=int, default=0, metavar="S")
-    gen.add_argument("--fn", default=None, metavar="NAME[:PARAM]")
-    gen.add_argument("--interval", default="-1,1", metavar="LO,HI")
-    gen.add_argument("--point", type=float, default=0.0, metavar="C")
-    gen.add_argument("--sizes", default="2,2,1", metavar="N,M,L")
+    # the request that gen and search share (read by _request)
+    request = argparse.ArgumentParser(add_help=False, parents=[place])
+    request.add_argument("--theorem", required=True, choices=ALL_IDS)
+    request.add_argument("--mode", default=None, metavar="MODE")
+    request.add_argument("--fn", default=None, metavar="NAME[:PARAM]")
+    request.add_argument("--sizes", default="2,2,1", metavar="N,M,L")
+    request.add_argument("--seed", type=int, default=0, metavar="S")
+
+    gen = sub.add_parser("gen", parents=[request], help="generate a hypothesis-satisfying scenario")
     gen.add_argument("--count", type=int, default=1, metavar="K")
-    gen.add_argument("--out", default=None, metavar="FILE")
     gen.set_defaults(handler=_cmd_gen)
 
-    search = sub.add_parser("search", help="seeded random counterexample search")
-    search.add_argument("--theorem", required=True, choices=ALL_IDS)
-    search.add_argument("--fn", default=None, metavar="NAME[:PARAM]")
-    search.add_argument("--mode", default=None, metavar="MODE")
+    search = sub.add_parser("search", parents=[request], help="seeded random counterexample search")
     search.add_argument("--budget", type=int, default=100, metavar="N")
-    search.add_argument("--seed", type=int, default=0, metavar="S")
-    search.add_argument("--interval", default="-1,1", metavar="LO,HI")
-    search.add_argument("--point", type=float, default=0.0, metavar="C")
-    search.add_argument("--sizes", default="2,2,1", metavar="N,M,L")
     search.add_argument("--no-probes", action="store_true")
-    search.add_argument("--out", default=None, metavar="FILE")
     search.set_defaults(handler=_cmd_search)
 
     return parser

@@ -58,10 +58,6 @@ class ChainReport:
     def margin(self) -> float:
         return min(self.margins) if self.margins else math.nan
 
-    @property
-    def holds(self) -> bool:
-        return self.verdict == HOLDS
-
 
 def judge(
     cs: CheckSet, margins: Sequence[float], *, conclusion: bool = True, **fields

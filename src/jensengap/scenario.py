@@ -327,7 +327,7 @@ def _report(theorem_id: str, mode: str, rep: ChainReport) -> dict:
         "provenance": {"tool": TOOL, "version": VERSION},
         "verdict": rep.verdict,
         "margins": [_num(m) for m in rep.margins],
-        "margin": _num(min(rep.margins)) if rep.margins else None,
+        "margin": _num(rep.margin),
         "chain": list(rep.chain),
         "values": {k: getattr(rep, k) for k in _VALUE_KEYS if not math.isnan(getattr(rep, k))},
         "hypotheses": _checks_json(rep.hypotheses),

@@ -47,7 +47,7 @@ class _Retry(Exception):
 class GenSpec:
     """Seeded generation request: interval, interior split point, group sizes."""
 
-    __slots__ = ("seed", "interval", "c", "sizes", "count")
+    __slots__ = ("seed", "interval", "c", "sizes")
 
     def __init__(
         self,
@@ -55,20 +55,16 @@ class GenSpec:
         interval: IntervalR = IntervalR(-1.0, 1.0),
         c: float = 0.0,
         sizes: tuple[int, int, int] = (2, 2, 1),
-        count: int = 1,
     ):
         self.seed = seed
         self.interval = interval
         self.c = c
         self.sizes = sizes
-        self.count = count
         if not (interval.lo < c < interval.hi):
             raise StructureError("split point must be interior to the interval")
         n, m, l = sizes
         if n < 1 or m < 1 or l < 0:
             raise StructureError("group sizes must satisfy n >= 1, m >= 1, l >= 0")
-        if count < 1:
-            raise StructureError("count must be at least 1")
 
 
 class SearchResult:
@@ -227,11 +223,11 @@ def _matched_pair(
     inner: IntervalR,
     outer: IntervalR,
     offset: float | None,
-) -> tuple[list[float], float, float]:
+) -> tuple[list[float], float]:
     """Two-point partner outside the open inner interval with the same mean
     and a second moment exceeding the source's by ``offset`` (drawn when None).
 
-    Returns (partner values, moment offset used, partner mean).
+    Returns (partner values, moment offset used).
     """
     L = DiscreteFunctional(weights)
     mean = apply(L, values)
@@ -249,7 +245,7 @@ def _matched_pair(
     if d_sq < d_min * d_min - 1e-15 or d_sq > d_max * d_max + 1e-15:
         raise _Retry
     v_lo, v_hi = two_point_from_moments(mean, second + offset)
-    return [v_lo, v_hi], offset, mean
+    return [v_lo, v_hi], offset
 
 
 def _gen_two_sided(spec: GenSpec, mode: str, rng: random.Random) -> dict:
@@ -267,23 +263,6 @@ def _gen_mt2(spec: GenSpec, mode: str, rng: random.Random) -> dict:
     return mt1_scenario_to(gen_two_sided_scenario(spec, rng, spread_ratio=ratio))
 
 
-def _gen_it2(spec: GenSpec, mode: str, rng: random.Random) -> dict:
-    interval = spec.interval
-    inner = _sub_interval(rng, interval.lo, interval.hi)
-    n = max(2, spec.sizes[0])
-    weights = _weights(rng, n, 0.2)
-    g = _uniform_in(rng, inner, n)
-    h, _, _ = _matched_pair(rng, weights, g, inner, interval, None)
-    return {
-        "interval": [interval.lo, interval.hi],
-        "inner": [inner.lo, inner.hi],
-        "L": weights,
-        "g": g,
-        "H": [0.5, 0.5],
-        "h": h,
-    }
-
-
 def _gen_ic1(spec: GenSpec, mode: str, rng: random.Random) -> dict:
     inner = _sub_interval(rng, spec.interval.lo, spec.interval.hi)
     n = max(2, spec.sizes[0])
@@ -292,6 +271,14 @@ def _gen_ic1(spec: GenSpec, mode: str, rng: random.Random) -> dict:
         "L": _weights(rng, n, 0.2),
         "g": _uniform_in(rng, inner, n),
     }
+
+
+def _gen_it2(spec: GenSpec, mode: str, rng: random.Random) -> dict:
+    """The ic1 draws (inner, L, g), then a partner h outside the inner interval."""
+    base = _gen_ic1(spec, mode, rng)
+    inner = IntervalR(*base["inner"])
+    h, _ = _matched_pair(rng, base["L"], base["g"], inner, spec.interval, None)
+    return {"interval": [spec.interval.lo, spec.interval.hi], **base, "H": [0.5, 0.5], "h": h}
 
 
 def _rungs(lo: float, hi: float, steps: list[float]) -> list[list[float]]:
@@ -361,8 +348,8 @@ def _gen_mt4(spec: GenSpec, mode: str, rng: random.Random) -> dict:
         outer1 = outer2 = interval
     g1 = _uniform_in(rng, inner1, n)
     g2 = _uniform_in(rng, inner2, n)
-    h1, offset, _ = _matched_pair(rng, weights, g1, inner1, outer1, None)
-    h2, _, _ = _matched_pair(rng, weights, g2, inner2, outer2, offset)
+    h1, offset = _matched_pair(rng, weights, g1, inner1, outer1, None)
+    h2, _ = _matched_pair(rng, weights, g2, inner2, outer2, offset)
     payload = {
         "interval": [interval.lo, interval.hi],
         "c": c,

@@ -43,6 +43,20 @@ MIRRORED_MT1 = make_scenario(
 )
 
 
+def _unmet_mt1() -> dict:
+    doc = json.loads(dumps(MIRRORED_MT1))
+    doc["payload"]["right"]["plus_b"]["points"] = [0.4]  # breaks the spread equality
+    return doc
+
+
+#: one document of each verdict
+VERDICT_DOCS = {
+    "holds": MIRRORED_MT1,
+    "fails": make_scenario("mt4", "literal", {"name": "signed_square"}, straddle_probe_mt4()),
+    "hypotheses-unmet": _unmet_mt1(),
+}
+
+
 def write(tmp_path, name, doc):
     path = tmp_path / name
     path.write_text(dumps(doc) if not isinstance(doc, str) else doc, encoding="utf-8")
@@ -51,6 +65,12 @@ def write(tmp_path, name, doc):
 
 def run(args):
     return main(args)
+
+
+def feed_stdin(monkeypatch, text: str) -> None:
+    """Pipe text into `check -`: its UTF-8 bytes behind a text sys.stdin."""
+    stdin = io.TextIOWrapper(io.BytesIO(text.encode("utf-8")), encoding="utf-8")
+    monkeypatch.setattr("sys.stdin", stdin)
 
 
 class TestCheck:
@@ -62,17 +82,14 @@ class TestCheck:
         assert report["chain"] == pytest.approx([-0.25, 0.0, 0.0, 0.25], abs=1e-12)
 
     def test_literal_straddle_fails_with_exit_2(self, tmp_path, capsys):
-        doc = make_scenario("mt4", "literal", {"name": "signed_square"}, straddle_probe_mt4())
-        path = write(tmp_path, "mt4.json", doc)
+        path = write(tmp_path, "mt4.json", VERDICT_DOCS["fails"])
         assert run(["check", path]) == 2
         report = json.loads(capsys.readouterr().out)
         assert report["verdict"] == "fails"
         assert report["margin"] == pytest.approx(-0.06029414592216457, abs=1e-4)
 
     def test_unmet_exit_3(self, tmp_path, capsys):
-        doc = json.loads(dumps(MIRRORED_MT1))
-        doc["payload"]["right"]["plus_b"]["points"] = [0.4]  # breaks the spread equality
-        path = write(tmp_path, "broken.json", doc)
+        path = write(tmp_path, "broken.json", VERDICT_DOCS["hypotheses-unmet"])
         assert run(["check", path]) == 3
         assert json.loads(capsys.readouterr().out)["verdict"] == "hypotheses-unmet"
 
@@ -156,7 +173,7 @@ class TestCheck:
         assert captured.out == "" and "tolerance must be finite and >= 0" in captured.err
 
     def test_stdin_dash(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr("sys.stdin", io.StringIO(dumps(MIRRORED_MT1)))
+        feed_stdin(monkeypatch, dumps(MIRRORED_MT1))
         assert run(["check", "-"]) == 0
 
     def test_parameter_on_parameterless_function_exit_1(self, tmp_path, capsys):
@@ -166,12 +183,21 @@ class TestCheck:
         assert run(["check", path]) == 1
         assert capsys.readouterr().out == ""
 
-    def test_array_of_scenarios(self, tmp_path, capsys):
-        docs = [MIRRORED_MT1, MIRRORED_MT1]
-        path = write(tmp_path, "many.json", docs)
-        assert run(["check", path]) == 0
-        reports = json.loads(capsys.readouterr().out)
-        assert len(reports) == 2
+    @pytest.mark.parametrize(
+        "verdicts, code",
+        [
+            ([], 0),
+            (["holds", "holds"], 0),
+            (["holds", "hypotheses-unmet"], 3),
+            (["hypotheses-unmet", "fails"], 2),
+            (["fails", "hypotheses-unmet", "holds"], 2),
+        ],
+    )
+    def test_list_exit_rule(self, tmp_path, capsys, verdicts, code):
+        # the rule of a single document: any fails gives 2, else any unmet 3
+        path = write(tmp_path, "many.json", [VERDICT_DOCS[v] for v in verdicts])
+        assert run(["check", path]) == code
+        assert [r["verdict"] for r in json.loads(capsys.readouterr().out)] == verdicts
 
 
 #: functions tabulated on 201 nodes over [-1, 1]
@@ -198,7 +224,7 @@ class TestCheckTableDocuments:
         for name in ("bracket_windows", "third_windows"):
             real = getattr(analysis, name)
             monkeypatch.setattr(analysis, name, lambda *a, real=real: scans.append(a) or real(*a))
-        monkeypatch.setattr("sys.stdin", io.StringIO(docs))
+        feed_stdin(monkeypatch, docs)
         assert run(["check", "-"]) == 0
         reports = json.loads(capsys.readouterr().out)
         assert scans == []
@@ -219,7 +245,7 @@ class TestCheckCatalogDocuments:
         for name in ("bracket_windows", "third_windows"):
             real = getattr(analysis, name)
             monkeypatch.setattr(analysis, name, lambda *a, real=real: scans.append(a) or real(*a))
-        monkeypatch.setattr("sys.stdin", io.StringIO(docs))
+        feed_stdin(monkeypatch, docs)
         assert run(["check", "-"]) == 0
         reports = json.loads(capsys.readouterr().out)
         assert scans == []
@@ -236,7 +262,7 @@ class TestFarFromZero:
             "--point", "100000", "--count", "200", "--seed", "1",
         ]
         assert run(gen) == 0
-        monkeypatch.setattr("sys.stdin", io.StringIO(capsys.readouterr().out))
+        feed_stdin(monkeypatch, capsys.readouterr().out)
         run(["check", "-"])
         reports = json.loads(capsys.readouterr().out)
         assert len(reports) == 200
@@ -253,7 +279,7 @@ class TestFarFromZero:
             "--count", "20", "--seed", "1",
         ]
         assert run(gen) == 0
-        monkeypatch.setattr("sys.stdin", io.StringIO(capsys.readouterr().out))
+        feed_stdin(monkeypatch, capsys.readouterr().out)
         assert run(["check", "-"]) == 0
         assert {r["verdict"] for r in json.loads(capsys.readouterr().out)} == {"holds"}
 
@@ -276,7 +302,7 @@ class TestNarrowInterval:
             "--count", "5", "--seed", "1",
         ]
         assert run(gen) == 0
-        monkeypatch.setattr("sys.stdin", io.StringIO(capsys.readouterr().out))
+        feed_stdin(monkeypatch, capsys.readouterr().out)
         assert run(["check", "-"]) == 0
 
 
@@ -289,7 +315,7 @@ class TestMt3BranchCDefault:
     def test_gen_check_holds(self, capsys, monkeypatch, seed, interval):
         gen = ["gen", "--theorem", "mt3", "--mode", "c", "--seed", str(seed), *interval]
         assert run(gen) == 0
-        monkeypatch.setattr("sys.stdin", io.StringIO(capsys.readouterr().out))
+        feed_stdin(monkeypatch, capsys.readouterr().out)
         assert run(["check", "-"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["verdict"] == "holds" and report["details"]["branch"] == "c"
@@ -448,14 +474,78 @@ class TestSearch:
         assert report["found"] >= 1
         assert ["probe"] in [r["seed_trace"] for r in report["results"]]
 
-    def test_zero_budget_exit_1(self, capsys):
-        assert run(["search", "--theorem", "mt1", "--budget", "0", "--seed", "1"]) == 1
+    def test_no_probes_drops_the_literal_probe(self, tmp_path):
+        search = [
+            "search", "--theorem", "mt4", "--mode", "literal", "--fn", "signed_square",
+            "--interval=-3,3", "--budget", "30", "--seed", "3",
+        ]
+        out = tmp_path / "s.json"
+        reports = []
+        for extra in ([], ["--no-probes"]):
+            code = run(search + extra + ["--out", str(out)])
+            reports.append(json.loads(out.read_text(encoding="utf-8")))
+            assert code == (2 if reports[-1]["found"] else 0)
+        probed, unprobed = reports
+        assert ["probe"] in [r["seed_trace"] for r in probed["results"]]
+        assert unprobed["results"] == [
+            r for r in probed["results"] if r["seed_trace"] != ["probe"]
+        ]
 
     def test_bad_flag_exit_1(self, capsys):
         assert run(["search", "--theorem", "bogus", "--budget", "5"]) == 1
 
     def test_help_exit_0(self, capsys):
         assert run(["--help"]) == 0
+
+
+class TestRequest:
+    """gen and search read one request (theorem, mode, function, interval,
+    split point, sizes, seed) through one path, so the same bad request is
+    the same one-line error from either, and nothing is written."""
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--mode", "sideways"], "sideways"),
+            (["--point", "5"], "split point must be interior to the interval"),
+            (["--interval=1,-1"], "empty interval [1.0, -1.0]"),
+            (["--interval=1"], "interval must be 'lo,hi', got '1'"),
+            (["--sizes", "2,2"], "sizes must be 'n,m,l', got '2,2'"),
+            (["--sizes", "0,2,1"], "group sizes must satisfy n >= 1, m >= 1, l >= 0"),
+            (["--fn", "sigmoid"], "sigmoid"),
+            (["--fn", "cubic:3"], "takes no parameter"),
+            (["--fn", "exp", "--interval=-20,20"], "interval ["),
+            # the request is read in one order: spec before function
+            (["--point", "5", "--fn", "sigmoid"], "split point must be interior to the interval"),
+        ],
+    )
+    def test_same_error_from_gen_and_search(self, tmp_path, capsys, args, message):
+        errors = []
+        for command in ("gen", "search"):
+            out = tmp_path / f"{command}.json"
+            assert run([command, "--theorem", "mt1", *args, "--out", str(out)]) == 1
+            assert not out.exists()
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("jensengap: error:") and errors[0].count("\n") == 1
+        assert message in errors[0]
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["gen", "--count", "0"], "count must be at least 1"),
+            (["search", "--budget", "0"], "search budget must be at least 1"),
+        ],
+    )
+    def test_zero_count_and_budget_exit_1(self, capsys, args, message):
+        assert run([*args, "--theorem", "mt1", "--seed", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"jensengap: error: {message}\n"
+
+    @pytest.mark.parametrize("command", ["check", "analyze", "gen", "search"])
+    def test_help_exit_0(self, capsys, command):
+        assert run([command, "--help"]) == 0
+        assert capsys.readouterr().out.startswith(f"usage: jensengap {command}")
 
 
 class TestIntervalOutsideDomain:
@@ -673,6 +763,28 @@ def test_import_leaves_numpy_out():
         [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)}, timeout=60
     )
     assert done.returncode == 0
+
+
+def test_stdin_is_read_as_utf8(tmp_path):
+    """`check -` decodes stdin as UTF-8, as `check FILE` reads a file: a
+    document naming a table at a non-ASCII path, written raw in UTF-8,
+    holds through stdin under a Latin-1 stdio encoding too."""
+    src = Path(jensengap.__file__).resolve().parent.parent
+    table = tmp_path / "tab\u00e9.txt"
+    nodes = [-1.0 + i / 100 for i in range(201)]
+    table.write_text("".join(f"{x!r} {x * x!r}\n" for x in nodes), encoding="utf-8")
+    doc = tmp_path / "doc.json"
+    assert main(["gen", "--theorem", "mt1", "--fn", f"tabulated-spline:{table}", "--seed", "1",
+                 "--out", str(doc)]) == 0
+    raw = json.dumps(json.loads(doc.read_text(encoding="utf-8")), ensure_ascii=False)
+    doc.write_bytes(raw.encode("utf-8"))
+    for path, encoding in ((str(doc), "latin-1"), ("-", "utf-8"), ("-", "latin-1")):
+        done = subprocess.run(
+            [sys.executable, "-m", "jensengap.cli", "check", path],
+            input=doc.read_bytes(), capture_output=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(src), "PYTHONIOENCODING": encoding},
+        )
+        assert done.returncode == 0, (path, encoding, done.stderr)
 
 
 def test_files_are_read_and_written_as_utf8(tmp_path):

@@ -52,7 +52,6 @@ VALUE_TYPES = [
             lambda: GenSpec(seed=0, sizes=(0, 2, 1)),
             "group sizes must satisfy n >= 1, m >= 1, l >= 0",
         ),
-        (lambda: GenSpec(seed=0, count=0), "count must be at least 1"),
     ],
 )
 def test_constructor_validation(build, message):
@@ -77,9 +76,7 @@ def test_keyword_construction_and_defaults():
     s = Mt1Scenario(left, left, c=0.0, interval=IntervalR(-1, 1))
     assert (s.left, s.c, s.interval.hi) == (left, 0.0, 1.0)
     spec = GenSpec(seed=4)
-    assert (spec.interval.lo, spec.interval.hi, spec.c, spec.sizes, spec.count) == (
-        -1.0, 1.0, 0.0, (2, 2, 1), 1
-    )
+    assert (spec.interval.lo, spec.interval.hi, spec.c, spec.sizes) == (-1.0, 1.0, 0.0, (2, 2, 1))
     rep = ChainReport(HOLDS, margins=(0.5,))
     assert math.isnan(rep.gap_left) and rep.hypotheses is None and rep.margin == 0.5
     assert ValidityReport(True, ()).checks == ()
