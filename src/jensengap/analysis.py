@@ -164,19 +164,13 @@ def curvature_sandwich(
 class ConvexityClass:
     """Classification at a point: kind is "K1c", "K2c", "both" or "neither"."""
 
-    __slots__ = ("kind", "witness_A", "point", "k1_interval", "k2_interval")
+    __slots__ = ("kind", "witness_A", "k1_interval", "k2_interval")
 
     def __init__(
-        self,
-        kind: str,
-        witness_A: float | None,
-        point: float,
-        k1_interval: AInterval,
-        k2_interval: AInterval,
+        self, kind: str, witness_A: float | None, k1_interval: AInterval, k2_interval: AInterval
     ):
         self.kind = kind
         self.witness_A = witness_A
-        self.point = point
         self.k1_interval = k1_interval
         self.k2_interval = k2_interval
 
@@ -198,7 +192,7 @@ def classify_at_point(
         kind, witness = "K2c", k2.midpoint()
     else:
         kind, witness = "neither", None
-    return ConvexityClass(kind, witness, c, k1, k2)
+    return ConvexityClass(kind, witness, k1, k2)
 
 
 def convexity_margin(f: FunctionModel, interval: IntervalR) -> float:

@@ -45,6 +45,8 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_FAILS = 2
 EXIT_UNMET = 3
+#: most documents one gen writes
+MAX_COUNT = 100_000
 
 
 def _read_text(path: str) -> str:
@@ -61,17 +63,18 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _parse_interval(text: str) -> IntervalR:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise StructureError(f"interval must be 'lo,hi', got {text!r}")
-    return IntervalR(float(parts[0]), float(parts[1]))
+    try:
+        lo, hi = map(float, text.split(","))
+    except ValueError:
+        raise StructureError(f"interval must be 'lo,hi', got {text!r}") from None
+    return IntervalR(lo, hi)
 
 
 def _parse_sizes(text: str) -> tuple[int, int, int]:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise StructureError(f"sizes must be 'n,m,l', got {text!r}")
-    n, m, l = (int(p) for p in parts)
+    try:
+        n, m, l = map(int, text.split(","))
+    except ValueError:
+        raise StructureError(f"sizes must be 'n,m,l', got {text!r}") from None
     return n, m, l
 
 
@@ -137,6 +140,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
     if args.count < 1:
         raise StructureError("count must be at least 1")
+    if args.count > MAX_COUNT:
+        raise StructureError(f"count must be at most {MAX_COUNT}")
     mode, fn_spec, _, spec = _request(args)
     docs = []
     for seed in range(args.seed, args.seed + args.count):

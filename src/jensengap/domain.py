@@ -173,14 +173,21 @@ class Check:
 
 
 class ValidityReport:
-    __slots__ = ("valid", "violations", "checks")
+    """Recorded checks; valid exactly when none failed, and the violations
+    are the (name, residual) of those that did."""
 
-    def __init__(
-        self, valid: bool, violations: tuple[tuple[str, float], ...], checks: tuple[Check, ...] = ()
-    ):
-        self.valid = valid
-        self.violations = violations
+    __slots__ = ("checks",)
+
+    def __init__(self, checks: tuple[Check, ...] = ()):
         self.checks = checks
+
+    @property
+    def valid(self) -> bool:
+        return all(c.ok for c in self.checks)
+
+    @property
+    def violations(self) -> tuple[tuple[str, float], ...]:
+        return tuple((c.name, c.residual) for c in self.checks if not c.ok)
 
 
 class CheckSet:
@@ -218,9 +225,7 @@ class CheckSet:
         return ok
 
     def report(self) -> ValidityReport:
-        checks = tuple(self._checks)
-        violations = tuple((c.name, c.residual) for c in checks if not c.ok)
-        return ValidityReport(valid=not violations, violations=violations, checks=checks)
+        return ValidityReport(tuple(self._checks))
 
 
 def barycenter(g: WeightedGroup) -> float:

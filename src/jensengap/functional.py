@@ -130,7 +130,8 @@ def verify_it2(
     left = apply_fn(L, f, g)
     right = apply_fn(H, f, h)
     details = {"lhs": left, "rhs": right}
-    return judge(cs, (right - left,), gap_left=left, gap_right=right, details=details)
+    values = {"gap_left": left, "gap_right": right}
+    return judge(cs, (right - left,), details=details, values=values)
 
 
 def verify_ic1(

@@ -315,9 +315,6 @@ def _checks_json(vr: ValidityReport | None) -> list[dict]:
     ]
 
 
-_VALUE_KEYS = ("gap_left", "gap_right", "spread_left", "spread_right", "mid_left", "mid_right")
-
-
 def _report(theorem_id: str, mode: str, rep: ChainReport) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
@@ -329,7 +326,7 @@ def _report(theorem_id: str, mode: str, rep: ChainReport) -> dict:
         "margins": [_num(m) for m in rep.margins],
         "margin": _num(rep.margin),
         "chain": list(rep.chain),
-        "values": {k: getattr(rep, k) for k in _VALUE_KEYS if not math.isnan(getattr(rep, k))},
+        "values": {k: v for k, v in rep.values.items() if not math.isnan(v)},
         "hypotheses": _checks_json(rep.hypotheses),
         "details": {k: _num(v) for k, v in rep.details.items()},
     }

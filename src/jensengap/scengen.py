@@ -38,6 +38,9 @@ from .scenario import lookup, mt1_scenario_to, run_payload
 RETRY_CAP = 100
 #: rungs of the ic2 and mc2 ladders, the constant center included
 LEVELS = 3
+#: largest group size n, m or l, and largest search budget
+MAX_SIZE = 10_000
+MAX_BUDGET = 100_000
 
 
 class _Retry(Exception):
@@ -65,24 +68,18 @@ class GenSpec:
         n, m, l = sizes
         if n < 1 or m < 1 or l < 0:
             raise StructureError("group sizes must satisfy n >= 1, m >= 1, l >= 0")
+        if max(sizes) > MAX_SIZE:
+            raise StructureError(f"group sizes must be at most {MAX_SIZE}")
 
 
 class SearchResult:
-    __slots__ = ("payload", "margin", "theorem_id", "mode", "seed_trace", "details")
+    __slots__ = ("payload", "margin", "seed_trace", "details")
 
     def __init__(
-        self,
-        payload: dict,
-        margin: float,
-        theorem_id: str,
-        mode: str,
-        seed_trace: tuple = (),
-        details: dict | None = None,
+        self, payload: dict, margin: float, seed_trace: tuple = (), details: dict | None = None
     ):
         self.payload = payload
         self.margin = margin
-        self.theorem_id = theorem_id
-        self.mode = mode
         self.seed_trace = seed_trace
         self.details = {} if details is None else details
 
@@ -461,15 +458,15 @@ GENERATORS = {
 
 
 def gen_payload(
-    spec: GenSpec, theorem_id: str, mode: str, rng: random.Random | None = None
+    spec: GenSpec, theorem_id: str, mode: str | None, rng: random.Random | None = None
 ) -> dict:
     """Scenario payload for any theorem id, ready for dispatch or serialization.
+    ``lookup`` reads the mode (None is the theorem's first) and rejects a bad one.
 
     Equality constraints hold by construction; draws are rejected and
     retried when the two-point roots would violate the range constraints.
     """
-    if theorem_id not in GENERATORS:
-        raise StructureError(f"no generator for theorem id {theorem_id!r}")
+    _, mode = lookup(theorem_id, mode)
     rng = rng if rng is not None else random.Random(spec.seed)
     gen = GENERATORS[theorem_id]
     for _ in range(RETRY_CAP):
@@ -521,6 +518,8 @@ def search_counterexamples(
     _, mode = lookup(theorem_id, mode)
     if budget < 1:
         raise StructureError("search budget must be at least 1")
+    if budget > MAX_BUDGET:
+        raise StructureError(f"search budget must be at most {MAX_BUDGET}")
     base_spec = spec if spec is not None else GenSpec(seed=seed)
     results: list[SearchResult] = []
 
@@ -531,7 +530,7 @@ def search_counterexamples(
         margin = report["margin"]
         if margin is not None and margin < -report_threshold:
             details = {"verdict": report["verdict"]}
-            results.append(SearchResult(payload, margin, theorem_id, mode, trace, details))
+            results.append(SearchResult(payload, margin, trace, details))
 
     if include_probes and theorem_id == "mt4" and mode == "literal":
         consider(straddle_probe_mt4(), ("probe",))

@@ -193,8 +193,8 @@ def test_criterion_7_split_point_transfer_region_mode():
             inner2=IntervalR(1, 2),
             mode="region_restricted",
         )
-        assert rep.gap_left == pytest.approx(-2.0, abs=1e-12)
-        assert rep.gap_right == pytest.approx(2.0, abs=1e-12)
+        assert rep.values["gap_left"] == pytest.approx(-2.0, abs=1e-12)
+        assert rep.values["gap_right"] == pytest.approx(2.0, abs=1e-12)
         assert rep.chain[0] <= rep.chain[1] + 1e-12 and rep.chain[2] <= rep.chain[3] + 1e-12
         spec = GenSpec(seed=97000, interval=I33, c=0.0)
         for i in range(500):

@@ -142,8 +142,8 @@ class TestVerifyMt1:
     def test_cubic_chain(self):
         rep = verify_mt1(catalog("cubic"), MIRRORED, A=0.0)
         assert rep.verdict == "holds"
-        assert rep.gap_left == pytest.approx(-0.375)
-        assert rep.gap_right == pytest.approx(0.375)
+        assert rep.values["gap_left"] == pytest.approx(-0.375)
+        assert rep.values["gap_right"] == pytest.approx(0.375)
 
     def test_certified_constant_used_when_omitted(self):
         rep = verify_mt1(catalog("signed_square"), MIRRORED)
@@ -166,7 +166,7 @@ class TestVerifyMt1:
         )
         assert matched.details["weight_reading"] == "matched"
         assert literal.details["weight_reading"] == "literal_alpha"
-        assert abs(matched.gap_right - literal.gap_right) > 1e-3
+        assert abs(matched.values["gap_right"] - literal.values["gap_right"]) > 1e-3
         # equal weights on both sides make the two readings coincide
         mirrored_literal = verify_mt1(
             catalog("signed_square"), MIRRORED, A=0.0, weight_reading="literal_alpha"
@@ -178,8 +178,8 @@ class TestVerifyMt1:
         f = lambda x: x * abs(x)
         left = config_to(MIRRORED.left)
         right = config_to(MIRRORED.right)
-        assert rep.gap_left == pytest.approx(oracles.cfg_gap(f, left), abs=1e-12)
-        assert rep.gap_right == pytest.approx(oracles.cfg_gap(f, right), abs=1e-12)
+        assert rep.values["gap_left"] == pytest.approx(oracles.cfg_gap(f, left), abs=1e-12)
+        assert rep.values["gap_right"] == pytest.approx(oracles.cfg_gap(f, right), abs=1e-12)
         oracle_holds = (
             oracles.cfg_gap(f, left) <= 1e-9 + 0.0 <= oracles.cfg_gap(f, right) + 1e-9
         )

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import jensengap
-from jensengap import analysis
+from jensengap import analysis, scengen
 from jensengap.cli import main
 from jensengap.domain import StructureError
 from jensengap.scenario import THEOREMS, dumps, fn_spec_from_string, make_scenario, run_scenario
@@ -362,6 +362,11 @@ class TestAnalyze:
     def test_unknown_function_exit_1(self, capsys):
         assert run(["analyze", "--fn", "sigmoid", "--point", "0"]) == 1
 
+    def test_unparsable_interval_names_the_option(self, capsys):
+        assert run(["analyze", "--fn", "cubic", "--interval=a,1"]) == 1
+        message = "interval must be 'lo,hi', got 'a,1'"
+        assert capsys.readouterr().err == f"jensengap: error: {message}\n"
+
     @pytest.mark.parametrize("fn", ["cubic:3", "exp:7"])
     def test_parameter_on_parameterless_function_exit_1(self, capsys, fn):
         assert run(["analyze", "--fn", fn]) == 1
@@ -512,6 +517,10 @@ class TestRequest:
             (["--interval=1"], "interval must be 'lo,hi', got '1'"),
             (["--sizes", "2,2"], "sizes must be 'n,m,l', got '2,2'"),
             (["--sizes", "0,2,1"], "group sizes must satisfy n >= 1, m >= 1, l >= 0"),
+            (["--sizes", "2,2,10001"], "group sizes must be at most 10000"),
+            # a number that does not parse gets the message of a wrong count
+            (["--sizes", "2,2,x"], "sizes must be 'n,m,l', got '2,2,x'"),
+            (["--interval=a,1"], "interval must be 'lo,hi', got 'a,1'"),
             (["--fn", "sigmoid"], "sigmoid"),
             (["--fn", "cubic:3"], "takes no parameter"),
             (["--fn", "exp", "--interval=-20,20"], "interval ["),
@@ -535,12 +544,30 @@ class TestRequest:
         [
             (["gen", "--count", "0"], "count must be at least 1"),
             (["search", "--budget", "0"], "search budget must be at least 1"),
+            (["gen", "--count", "100001"], "count must be at most 100000"),
+            (["search", "--budget", "100001"], "search budget must be at most 100000"),
         ],
     )
-    def test_zero_count_and_budget_exit_1(self, capsys, args, message):
+    def test_count_and_budget_limits_exit_1(self, monkeypatch, capsys, args, message):
+        def no_draw(*args):
+            raise AssertionError("a scenario was drawn past the limit check")
+
+        monkeypatch.setattr(scengen, "gen_payload", no_draw)
         assert run([*args, "--theorem", "mt1", "--seed", "1"]) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == f"jensengap: error: {message}\n"
+
+    def test_oversized_sizes_exit_1_at_once(self):
+        """One mistyped digit in --sizes is an input error, not hours of work."""
+        src = Path(jensengap.__file__).resolve().parent.parent
+        done = subprocess.run(
+            [sys.executable, "-m", "jensengap.cli", "gen", "--theorem", "mt1",
+             "--sizes", "2,2,100000000"],
+            capture_output=True, text=True, encoding="utf-8", timeout=10,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert done.returncode == 1 and done.stdout == ""
+        assert done.stderr == "jensengap: error: group sizes must be at most 10000\n"
 
     @pytest.mark.parametrize("command", ["check", "analyze", "gen", "search"])
     def test_help_exit_0(self, capsys, command):

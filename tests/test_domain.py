@@ -7,8 +7,10 @@ import pytest
 from jensengap import domain
 from jensengap.domain import (
     AffineConfig,
+    Check,
     IntervalR,
     StructureError,
+    ValidityReport,
     WeightedGroup,
     barycenter,
     combination_value,
@@ -98,6 +100,12 @@ class TestValidate:
         # inert far-away minus point must not fail the hull check
         report = validate_affine_config(cfg((0,), (0.5,), (2,), (0.5,), (99.0,), (0.0,)))
         assert report.valid
+
+    def test_report_follows_its_checks(self):
+        passed, failed = Check("a", 0.0, True), Check("b", 0.5, False)
+        assert ValidityReport((passed,)).valid and ValidityReport().violations == ()
+        report = ValidityReport((passed, failed))
+        assert not report.valid and report.violations == (("b", 0.5),)
 
     def test_structural_errors(self):
         with pytest.raises(StructureError):

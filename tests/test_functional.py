@@ -267,10 +267,11 @@ class TestMt4:
             SS, HALF, HALF, [-2, -1], [-3, 0], [1, 2], [0, 3], mode="region_restricted", **WORKED_MT4
         )
         assert rep.verdict == "holds"
-        assert rep.gap_left == pytest.approx(-2.0, abs=1e-12)
-        assert rep.gap_right == pytest.approx(2.0, abs=1e-12)
+        assert rep.values["gap_left"] == pytest.approx(-2.0, abs=1e-12)
+        assert rep.values["gap_right"] == pytest.approx(2.0, abs=1e-12)
         assert rep.chain == pytest.approx((-2.0, 0.0, 0.0, 2.0), abs=1e-12)
-        assert rep.spread_left == pytest.approx(2.0) and rep.spread_right == pytest.approx(2.0)
+        spreads = (rep.values["spread_left"], rep.values["spread_right"])
+        assert spreads == pytest.approx((2.0, 2.0))
 
     def test_quadratic_mirror_equality(self):
         rep = verify_mt4(
@@ -461,7 +462,8 @@ class TestMt5:
             **WORKED_MT4,
         )
         assert rep.verdict == "holds"
-        assert (rep.gap_left, rep.gap_right) == pytest.approx((-2.0, 2.0), abs=1e-12)
+        gaps = (rep.values["gap_left"], rep.values["gap_right"])
+        assert gaps == pytest.approx((-2.0, 2.0), abs=1e-12)
 
     def test_identical_family_pairs_zero_margin(self):
         rep = verify_mt5(

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jensengap import analysis, domain
+from jensengap import analysis, domain, scengen
 from jensengap.affine import verify_mt1
 from jensengap.domain import IntervalR, StructureError, spread, validate_affine_config
 from jensengap.cli import main
@@ -15,8 +15,10 @@ from jensengap.scenario import (
     THEOREMS,
     config_from,
     fn_spec_from_string,
+    make_scenario,
     model_from_spec,
     run_payload,
+    run_scenario,
 )
 from jensengap.scengen import (
     GenSpec,
@@ -41,6 +43,35 @@ class TestGenSpec:
     def test_size_floor(self):
         with pytest.raises(StructureError):
             GenSpec(seed=1, sizes=(0, 1, 0))
+
+    @pytest.mark.parametrize("sizes", [(10_001, 2, 1), (2, 10_001, 1), (2, 2, 10_001)])
+    def test_size_ceiling(self, sizes):
+        with pytest.raises(StructureError, match="^group sizes must be at most 10000$"):
+            GenSpec(seed=1, sizes=sizes)
+        assert GenSpec(seed=1, sizes=(10_000, 10_000, 10_000)).sizes == (10_000,) * 3
+
+
+class TestGenPayloadMode:
+    """gen_payload reads the mode as the registry does: None is the
+    theorem's first mode, and an unknown mode is an error."""
+
+    @pytest.mark.parametrize("theorem_id", list(THEOREMS))
+    def test_none_is_the_first_mode(self, theorem_id):
+        first = THEOREMS[theorem_id].modes[0]
+        payload = gen_payload(SPEC, theorem_id, None, random.Random(1))
+        assert payload == gen_payload(SPEC, theorem_id, first, random.Random(1))
+
+    def test_default_mt4_payload_checks_as_labelled(self):
+        payload = gen_payload(GenSpec(seed=1), "mt4", None, random.Random(1))
+        doc = make_scenario("mt4", None, fn_spec_from_string("signed_square"), payload)
+        assert doc["mode"] == "region_restricted" and "inner2" in payload
+        assert run_scenario(doc)["verdict"] == "holds"
+
+    @pytest.mark.parametrize("theorem_id", ["mt4", "mc2"])
+    @pytest.mark.parametrize("mode", ["bogus", "regionrestricted"])
+    def test_unknown_mode_rejected(self, theorem_id, mode):
+        with pytest.raises(StructureError, match=f"has no mode '{mode}'"):
+            gen_payload(SPEC, theorem_id, mode, random.Random(1))
 
 
 def _side_config(spec: GenSpec, side: str):
@@ -242,6 +273,14 @@ class TestSearch:
     def test_budget_must_be_positive(self):
         with pytest.raises(StructureError):
             search_counterexamples(catalog("signed_square"), "mt1", "proper", budget=0, seed=1)
+
+    def test_budget_ceiling_before_any_draw(self, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("a scenario was drawn past the budget check")
+
+        monkeypatch.setattr(scengen, "gen_payload", no_draw)
+        with pytest.raises(StructureError, match="^search budget must be at most 100000$"):
+            search_counterexamples(catalog("cubic"), "mt1", "proper", budget=100_001, seed=1)
 
     def test_deterministic_results(self):
         kwargs = dict(budget=25, seed=3, spec=GenSpec(seed=3, interval=IntervalR(-3, 3), c=0.0))

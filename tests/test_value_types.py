@@ -78,8 +78,8 @@ def test_keyword_construction_and_defaults():
     spec = GenSpec(seed=4)
     assert (spec.interval.lo, spec.interval.hi, spec.c, spec.sizes) == (-1.0, 1.0, 0.0, (2, 2, 1))
     rep = ChainReport(HOLDS, margins=(0.5,))
-    assert math.isnan(rep.gap_left) and rep.hypotheses is None and rep.margin == 0.5
-    assert ValidityReport(True, ()).checks == ()
+    assert rep.values == {} and rep.hypotheses is None and rep.margin == 0.5
+    assert ValidityReport().checks == ()
 
 
 @pytest.mark.parametrize("left_out", ["d2_minus", "d2_plus", "d2_certificate"])
@@ -98,7 +98,8 @@ def test_mutable_defaults_are_not_shared():
     a, b = ChainReport(HOLDS), ChainReport(HOLDS)
     a.details["x"] = 1.0
     assert b.details == {}
-    r1, r2 = SearchResult({}, -1.0, "mt1", "proper"), SearchResult({}, -1.0, "mt1", "proper")
+    assert a.values is not b.values
+    r1, r2 = SearchResult({}, -1.0), SearchResult({}, -1.0)
     assert r1.details is not r2.details and r1.seed_trace == ()
     t1, t2 = Theorem("verify_x", {"m": "f"}, ()), Theorem("verify_y", {"m": "f"}, ())
     assert t1.optional is not t2.optional and t1.mode_values is not t2.mode_values
