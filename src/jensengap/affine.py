@@ -127,7 +127,7 @@ def verify_mt1(
     if vals:
         cs.at_least("2.2", min(s.c - vals["max_left"], vals["min_right"] - s.c))
         sl, sr = vals["spread_left"], vals["spread_right"]
-        cs.equality("2.1", sl - sr, scale=max(abs(sl), abs(sr)))
+        cs.matched("2.1", sl, sr)
     if weight_reading == "literal_alpha":
         sizes_ok = all(
             len(wg) == len(pg)
@@ -138,8 +138,7 @@ def verify_mt1(
         return ChainReport(UNMET, hypotheses=cs.report(), details=details)
     if A is None:
         A = k1_witness(f, s.c, s.interval, tol=tol)
-        cs.record("witness.K1c", 0.0 if A is None else A, A is not None)
-        if A is None:
+        if not cs.witness("witness.K1c", A):
             return ChainReport(UNMET, hypotheses=cs.report(), details=details)
     gap_l = jensen_affine_gap(f, s.left, tol)
     if weight_reading == "literal_alpha":
@@ -223,7 +222,7 @@ def _branch_chain(
     if not cs.at_least(tag, r_tt - a_tt, scale=max(abs(a_tt), abs(r_tt))):
         return ChainReport(UNMET, hypotheses=cs.report(), details={"branch": branch})
     d2m, d2p = f.d2_minus(a_tt), f.d2_plus(r_tt)
-    t = tol * max(1.0, abs(sl), abs(sr))
+    t = cs.bound(max(abs(sl), abs(sr)))
     s_a, s_b = (sr, sl) if concave else (sl, sr)
     c_sign = 1.0 if c_upward else -1.0
 
@@ -252,13 +251,9 @@ def _branch_chain(
         A = 0.0
     else:
         A = _signed_witness(f, s, a_tt, r_tt, concave, (chosen == "a") != concave, tol)
-        cs.record(f"witness.{kind}", 0.0 if A is None else A, A is not None)
-        if A is None:
+        if not cs.witness(f"witness.{kind}", A):
             return ChainReport(UNMET, hypotheses=cs.report(), details=details)
-    gaps = (
-        jensen_affine_gap(f, s.left, tol),
-        jensen_affine_gap(f, s.right, tol),
-    )
+    gaps = jensen_affine_gap(f, s.left, tol), jensen_affine_gap(f, s.right, tol)
     return chain_report(cs, A, gaps, (sl, sr), details, order=order)
 
 

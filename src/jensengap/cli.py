@@ -5,10 +5,10 @@ scenarios, and search for counterexamples.
 split point, sizes, seed), declared once and read by ``_request``, which
 rejects an interval outside the function's domain before any work.
 
-Each subcommand imports what it uses: ``gen`` and ``search`` import
-``scengen`` when they run, and ``check`` imports only the verifier module
-of the theorem it checks (``scenario.__getattr__``).  ``check -`` reads
-stdin as UTF-8, as ``check FILE`` reads a file, whatever the locale.
+Each subcommand imports what it uses when it runs: ``gen`` and ``search``
+import ``scengen``, ``analyze`` ``analysis``, and ``check`` only the
+verifier module of its theorem (``scenario.__getattr__``).  ``check -``
+reads stdin as UTF-8, as ``check FILE`` reads a file, whatever the locale.
 
 Exit codes are a stable contract: 0 holds, 1 input error, 2 fails,
 3 hypotheses-unmet.  A list of documents exits 2 when any fails, else 3
@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from pathlib import Path
 
-from .analysis import classify_at_point
 from .domain import InfeasibleError, IntervalR, StructureError
 from .funclib import DomainError, require_in_domain
 from .report import FAILS, UNMET
@@ -34,6 +34,7 @@ from .scenario import (
     VERSION,
     check_tolerance,
     dumps,
+    dumps_each,
     fn_spec_from_string,
     lookup,
     make_scenario,
@@ -45,8 +46,6 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_FAILS = 2
 EXIT_UNMET = 3
-#: most documents one gen writes
-MAX_COUNT = 100_000
 
 
 def _read_text(path: str) -> str:
@@ -55,11 +54,18 @@ def _read_text(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+def _emit(parts, out: str | None) -> None:
+    """Write the pieces of text to stdout, or to FILE only once all are written."""
+    if not out:
+        return sys.stdout.writelines(parts)
+    tmp = f"{out}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as f:
+            f.writelines(parts)
+        os.replace(tmp, out)
+    except BaseException:
+        Path(tmp).unlink(missing_ok=True)
+        raise
 
 
 def _parse_interval(text: str) -> IntervalR:
@@ -89,7 +95,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     doc = json.loads(_read_text(args.path), parse_constant=_reject_constant)
     many = isinstance(doc, list)
     reports = [run_scenario(d, tol=args.tol) for d in (doc if many else [doc])]
-    _emit(dumps(reports if many else reports[0]), args.out)
+    _emit([dumps(reports if many else reports[0])], args.out)
     verdicts = {r["verdict"] for r in reports}
     if FAILS in verdicts:
         return EXIT_FAILS
@@ -100,12 +106,23 @@ def _interval_json(iv) -> dict:
     return {"lo": iv.lo, "hi": iv.hi, "feasible": iv.feasible}
 
 
+def __getattr__(name: str):
+    """Bind ``classify_at_point`` on first use, so only ``analyze`` imports
+    ``analysis``; it stays a name here, where bench/tracer.py wraps it."""
+    if name != "classify_at_point":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .analysis import classify_at_point
+
+    globals()[name] = classify_at_point
+    return classify_at_point
+
+
 def _cmd_analyze(args: argparse.Namespace) -> int:
     fn_spec = fn_spec_from_string(args.fn, point=args.point)
     f = model_from_spec(fn_spec)
     interval = _parse_interval(args.interval)
     require_in_domain(f, interval.lo, interval.hi)
-    cls = classify_at_point(f, args.point, interval)
+    cls = sys.modules[__name__].classify_at_point(f, args.point, interval)
     report = {
         "schema_version": SCHEMA_VERSION,
         "kind": "analysis",
@@ -118,7 +135,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         "k2_interval": _interval_json(cls.k2_interval),
         "provenance": {"tool": TOOL, "version": VERSION},
     }
-    _emit(dumps(report), args.out)
+    _emit([dumps(report)], args.out)
     return EXIT_OK
 
 
@@ -138,16 +155,12 @@ def _request(args: argparse.Namespace):
 def _cmd_gen(args: argparse.Namespace) -> int:
     from . import scengen
 
-    if args.count < 1:
-        raise StructureError("count must be at least 1")
-    if args.count > MAX_COUNT:
-        raise StructureError(f"count must be at most {MAX_COUNT}")
     mode, fn_spec, _, spec = _request(args)
-    docs = []
-    for seed in range(args.seed, args.seed + args.count):
-        payload = scengen.gen_payload(spec, args.theorem, mode, random.Random(seed))
-        docs.append(make_scenario(args.theorem, mode, fn_spec, payload, seed=seed))
-    _emit(dumps(docs[0] if args.count == 1 else docs), args.out)
+    scengen.check_count("count", args.count, spec)
+    seeds = range(args.seed, args.seed + args.count)
+    payloads = (scengen.gen_payload(spec, args.theorem, mode, random.Random(s)) for s in seeds)
+    docs = (make_scenario(args.theorem, mode, fn_spec, p, seed=s) for s, p in zip(seeds, payloads))
+    _emit([dumps(next(docs))] if args.count == 1 else dumps_each(docs), args.out)
     return EXIT_OK
 
 
@@ -178,7 +191,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
         ],
         "provenance": {"tool": TOOL, "version": VERSION},
     }
-    _emit(dumps(report), args.out)
+    _emit([dumps(report)], args.out)
     return EXIT_FAILS if results else EXIT_OK
 
 

@@ -30,7 +30,7 @@ import math
 from itertools import chain, compress
 from operator import mul
 
-#: absolute tolerance for equality constraints on normalized quantities
+#: default tolerance of every hypothesis check (``CheckSet``)
 EPS_EQ = 1e-9
 
 
@@ -191,8 +191,11 @@ class ValidityReport:
 
 
 class CheckSet:
-    """Accumulates named residual checks and renders them as a ValidityReport.
-    ``ok`` is true while every check recorded so far holds."""
+    """Accumulates named residual checks and renders them as a ValidityReport;
+    ``ok`` is true while every check recorded so far holds.  The one place
+    that knows how a hypothesis is compared: ``matched`` and ``at_least`` are
+    relative, within ``bound(scale)``; ``unit_total`` and the ranges and
+    nestings that read ``tol`` are absolute."""
 
     __slots__ = ("tol", "ok", "_checks")
 
@@ -207,20 +210,37 @@ class CheckSet:
         self.ok = self.ok and ok
         return ok
 
-    def equality(self, name: str, residual: float, scale: float = 1.0) -> bool:
-        """|residual| must not exceed tol * max(1, |scale|)."""
-        residual = float(abs(residual))
-        scale = abs(scale)
-        ok = residual <= self.tol * (scale if scale > 1.0 else 1.0)
+    def bound(self, scale: float) -> float:
+        """The relative tolerance: tol * max(1, |scale|)."""
+        return self.tol * max(1.0, abs(scale))
+
+    def matched(self, name: str, a: float, b: float) -> bool:
+        """a and b agree: |a - b| must not exceed bound(max(|a|, |b|))."""
+        residual = float(abs(a - b))
+        ok = residual <= self.bound(max(abs(a), abs(b)))
         self._checks.append(Check(name, residual, ok))
         self.ok = self.ok and ok
         return ok
 
     def at_least(self, name: str, margin: float, scale: float = 1.0) -> bool:
-        """margin must be >= -tol * max(1, |scale|)."""
-        scale = abs(scale)
-        ok = margin >= -self.tol * (scale if scale > 1.0 else 1.0)
+        """margin must be >= -bound(scale)."""
+        ok = margin >= -self.bound(scale)
         self._checks.append(Check(name, float(margin), ok))
+        self.ok = self.ok and ok
+        return ok
+
+    def unit_total(self, name: str, total: float) -> bool:
+        """A total weight must be 1: |total - 1| must not exceed tol."""
+        residual = float(abs(total - 1.0))
+        ok = residual <= self.tol
+        self._checks.append(Check(name, residual, ok))
+        self.ok = self.ok and ok
+        return ok
+
+    def witness(self, name: str, A: float | None) -> bool:
+        """A curvature constant was found: A is not None, recorded as its value."""
+        ok = A is not None
+        self._checks.append(Check(name, float(A) if ok else 0.0, ok))
         self.ok = self.ok and ok
         return ok
 
@@ -274,7 +294,7 @@ def record_affine_config(cs: CheckSet, prefix: str, cfg: AffineConfig) -> bool:
     ok &= cs.record(f"{prefix}alpha_range", alpha, 0.0 < alpha <= 1.0 + tol)
     ok &= cs.record(f"{prefix}beta_range", beta, 0.0 < beta <= 1.0 + tol)
     ok &= cs.at_least(f"{prefix}gamma_nonneg", gamma)
-    ok &= cs.equality(f"{prefix}mass_balance", alpha + beta - gamma - 1.0)
+    ok &= cs.unit_total(f"{prefix}mass_balance", alpha + beta - gamma)
     if alpha > 0.0 and beta > 0.0:
         h_lo, h_hi = sorted((barycenter(cfg.plus_a), barycenter(cfg.plus_b)))
         worst = 0.0
@@ -343,9 +363,6 @@ class DiscreteFunctional:
         if any(map((0.0).__gt__, weights)):
             raise StructureError("functional weights must be nonnegative")
         self.total = checked_fsum(weights, "functional weights sum")
-
-    def is_unital(self, tol: float = EPS_EQ) -> bool:
-        return abs(self.total - 1.0) <= tol
 
 
 def as_functional(L) -> DiscreteFunctional:

@@ -70,44 +70,27 @@ def apply_fn(L, f: FunctionModel, u) -> float:
     return checked_fsum(terms, "weighted sum L(f(u))", w)
 
 
-def _unital(cs: CheckSet, name: str, L: DiscreteFunctional) -> bool:
-    return cs.equality(name, L.total - 1.0)
-
-
-def _inside(cs: CheckSet, name: str, values, interval: IntervalR, tol: float) -> bool:
+def _inside(cs: CheckSet, name: str, values, interval: IntervalR) -> bool:
     worst = max(max(interval.lo - x, x - interval.hi, 0.0) for x in values)
-    return cs.record(name, worst, worst <= tol)
+    return cs.record(name, worst, worst <= cs.tol)
 
 
-def _outside_open(cs: CheckSet, name: str, values, inner: IntervalR, tol: float) -> bool:
+def _outside_open(cs: CheckSet, name: str, values, inner: IntervalR) -> bool:
     depth = max(min(x - inner.lo, inner.hi - x) for x in values)
-    return cs.record(name, max(depth, 0.0), depth <= tol)
+    return cs.record(name, max(depth, 0.0), depth <= cs.tol)
 
 
 def _pair_range_checks(
-    cs: CheckSet, g: str, gs, h: str, hs, inner: IntervalR, outer: IntervalR, tol: float
+    cs: CheckSet, g: str, gs, h: str, hs, inner: IntervalR, outer: IntervalR
 ) -> None:
     """Transfer ranges: every g inside the inner interval, every h inside the
     outer interval but outside the open inner one.  The checks are labelled
     by the templates g and h, whose "{}" takes the member's 1-based index."""
     for i, v in enumerate(gs, start=1):
-        _inside(cs, f"range.{g.format(i)}", v, inner, tol)
+        _inside(cs, f"range.{g.format(i)}", v, inner)
     for i, v in enumerate(hs, start=1):
-        _inside(cs, f"range.{h.format(i)}_outer", v, outer, tol)
-        _outside_open(cs, f"range.{h.format(i)}", v, inner, tol)
-
-
-def _convex_gate(cs: CheckSet, f: FunctionModel, interval: IntervalR) -> bool:
-    return cs.at_least("f.convex", convexity_margin(f, interval))
-
-
-def _k1_gate(
-    cs: CheckSet, f: FunctionModel, c: float, interval: IntervalR, A: float | None
-) -> float | None:
-    if A is None:
-        A = k1_witness(f, c, interval, tol=cs.tol)
-    cs.record("witness.K1c", 0.0 if A is None else A, A is not None)
-    return A
+        _inside(cs, f"range.{h.format(i)}_outer", v, outer)
+        _outside_open(cs, f"range.{h.format(i)}", v, inner)
 
 
 def verify_it2(
@@ -118,20 +101,17 @@ def verify_it2(
     L, H = as_functional(L), as_functional(H)
     g, h = as_function(g), as_function(h)
     cs = CheckSet(tol)
-    _unital(cs, "unital.L", L)
-    _unital(cs, "unital.H", H)
-    cs.record("inner_in_interval", 0.0, interval.contains_interval(inner, tol))
-    _convex_gate(cs, f, interval)
-    _pair_range_checks(cs, "g", [g.values], "h", [h.values], inner, interval, tol)
-    lg, hh = apply(L, g), apply(H, h)
-    cs.equality("1.4", lg - hh, scale=max(abs(lg), abs(hh)))
+    cs.unit_total("unital.L", L.total)
+    cs.unit_total("unital.H", H.total)
+    cs.record("inner_in_interval", 0.0, interval.contains_interval(inner, cs.tol))
+    cs.at_least("f.convex", convexity_margin(f, interval))
+    _pair_range_checks(cs, "g", [g.values], "h", [h.values], inner, interval)
+    cs.matched("1.4", apply(L, g), apply(H, h))
     if not cs.ok:
         return ChainReport(UNMET, hypotheses=cs.report())
-    left = apply_fn(L, f, g)
-    right = apply_fn(H, f, h)
-    details = {"lhs": left, "rhs": right}
+    left, right = apply_fn(L, f, g), apply_fn(H, f, h)
     values = {"gap_left": left, "gap_right": right}
-    return judge(cs, (right - left,), details=details, values=values)
+    return judge(cs, (right - left,), details={"lhs": left, "rhs": right}, values=values)
 
 
 def verify_ic1(
@@ -145,34 +125,27 @@ def verify_ic1(
     """Jensen margin L(f.g) - f(L(g)) >= 0 for unital L and convex f."""
     L, g = as_functional(L), as_function(g)
     cs = CheckSet(tol)
-    _unital(cs, "unital.L", L)
-    _convex_gate(cs, f, inner)
-    _inside(cs, "range.g", g.values, inner, tol)
+    cs.unit_total("unital.L", L.total)
+    cs.at_least("f.convex", convexity_margin(f, inner))
+    _inside(cs, "range.g", g.values, inner)
     if not cs.ok:
         return ChainReport(UNMET, hypotheses=cs.report())
     return judge(cs, (apply_fn(L, f, g) - eval_fn(f, apply(L, g)),))
 
 
 def _ladder_checks(
-    cs: CheckSet,
-    label: str,
-    vs: list[tuple[float, ...]],
-    inners: Sequence[IntervalR],
-    interval: IntervalR,
-    tol: float,
+    cs: CheckSet, label: str, vs: list, inners: Sequence[IntervalR], interval: IntervalR
 ) -> None:
     """Nested-interval ladder: level 1 inside the first inner interval, each
     later level inside the next interval but outside the open previous one."""
-    for i in range(len(inners) - 1):
-        cs.record(
-            f"nesting.{label}[{i + 1}]", 0.0, inners[i + 1].contains_interval(inners[i], tol)
-        )
-    cs.record(f"nesting.{label}[outer]", 0.0, interval.contains_interval(inners[-1], tol))
-    _inside(cs, f"range.{label}1", vs[0], inners[0], tol)
+    for i, (rung, around) in enumerate(zip(inners, inners[1:]), start=1):
+        cs.record(f"nesting.{label}[{i}]", 0.0, around.contains_interval(rung, cs.tol))
+    cs.record(f"nesting.{label}[outer]", 0.0, interval.contains_interval(inners[-1], cs.tol))
+    _inside(cs, f"range.{label}1", vs[0], inners[0])
     for k in range(1, len(vs)):
         outer = inners[k] if k < len(vs) - 1 else interval
-        _inside(cs, f"range.{label}{k + 1}_outer", vs[k], outer, tol)
-        _outside_open(cs, f"range.{label}{k + 1}", vs[k], inners[k - 1], tol)
+        _inside(cs, f"range.{label}{k + 1}_outer", vs[k], outer)
+        _outside_open(cs, f"range.{label}{k + 1}", vs[k], inners[k - 1])
 
 
 def verify_ic2(
@@ -194,17 +167,13 @@ def verify_ic2(
     Ls = [as_functional(L) for L in Ls]
     gs = [as_function(g) for g in gs]
     cs = CheckSet(tol)
-    _convex_gate(cs, f, interval)
+    cs.at_least("f.convex", convexity_margin(f, interval))
     for i, L in enumerate(Ls, start=1):
-        _unital(cs, f"unital.L{i}", L)
-    _ladder_checks(cs, "g", [g.values for g in gs], inners, interval, tol)
+        cs.unit_total(f"unital.L{i}", L.total)
+    _ladder_checks(cs, "g", [g.values for g in gs], inners, interval)
     means = list(map(apply, Ls, gs))
     for i in range(n - 1):
-        cs.equality(
-            f"1.7[{i + 1}]",
-            means[i] - means[i + 1],
-            scale=max(abs(means[i]), abs(means[i + 1])),
-        )
+        cs.matched(f"1.7[{i + 1}]", means[i], means[i + 1])
     if not cs.ok:
         return ChainReport(UNMET, hypotheses=cs.report())
     lifted = list(map(apply_fn, Ls, repeat(f), gs))
@@ -227,10 +196,10 @@ def verify_ic3(
     if len(Ls) != len(gs) or not Ls:
         raise StructureError("need matching nonempty functional and function families")
     cs = CheckSet(tol)
-    _convex_gate(cs, f, interval)
-    cs.equality("totals", checked_fsum((L.total for L in Ls), "Ls totals sum") - 1.0)
+    cs.at_least("f.convex", convexity_margin(f, interval))
+    cs.unit_total("totals", checked_fsum((L.total for L in Ls), "Ls totals sum"))
     for i, g in enumerate(gs, start=1):
-        _inside(cs, f"range.g{i}", g.values, interval, tol)
+        _inside(cs, f"range.g{i}", g.values, interval)
     if not cs.ok:
         return ChainReport(UNMET, hypotheses=cs.report())
     value = checked_fsum(list(map(apply, Ls, gs)), _MEANS)
@@ -259,15 +228,14 @@ def verify_it3(
     if len(Ls) != len(gs) or len(Hs) != len(hs) or not Ls or not Hs:
         raise StructureError("family sizes must match and be nonempty")
     cs = CheckSet(tol)
-    _convex_gate(cs, f, interval)
-    cs.record("inner_in_interval", 0.0, interval.contains_interval(inner, tol))
-    cs.equality("totals.L", checked_fsum((L.total for L in Ls), "Ls totals sum") - 1.0)
-    cs.equality("totals.H", checked_fsum((H.total for H in Hs), "Hs totals sum") - 1.0)
+    cs.at_least("f.convex", convexity_margin(f, interval))
+    cs.record("inner_in_interval", 0.0, interval.contains_interval(inner, cs.tol))
+    cs.unit_total("totals.L", checked_fsum((L.total for L in Ls), "Ls totals sum"))
+    cs.unit_total("totals.H", checked_fsum((H.total for H in Hs), "Hs totals sum"))
     vs_g, vs_h = [g.values for g in gs], [h.values for h in hs]
-    _pair_range_checks(cs, "g{}", vs_g, "h{}", vs_h, inner, interval, tol)
+    _pair_range_checks(cs, "g{}", vs_g, "h{}", vs_h, inner, interval)
     sum_lg = checked_fsum(list(map(apply, Ls, gs)), _MEANS)
-    sum_hh = checked_fsum(list(map(apply, Hs, hs)), _MEANS)
-    cs.equality("1.11", sum_lg - sum_hh, scale=max(abs(sum_lg), abs(sum_hh)))
+    cs.matched("1.11", sum_lg, checked_fsum(list(map(apply, Hs, hs)), _MEANS))
     if not cs.ok:
         return ChainReport(UNMET, hypotheses=cs.report())
     left = checked_fsum(list(map(apply_fn, Ls, repeat(f), gs)), _LIFTS)
@@ -314,9 +282,9 @@ def _split_transfer(
         raise StructureError("family sizes must match")
     cs = CheckSet(tol)
     for name, fam in zip(totals, ls):
-        cs.equality(name, checked_fsum((L.total for L in fam), f"{name} sum") - 1.0)
+        cs.unit_total(name, checked_fsum((L.total for L in fam), f"{name} sum"))
     if mode == "literal":
-        cs.record("inner_in_interval", 0.0, interval.contains_interval(inner, tol))
+        cs.record("inner_in_interval", 0.0, interval.contains_interval(inner, cs.tol))
         inner2 = inner
         outer1 = outer2 = interval
     else:
@@ -324,19 +292,19 @@ def _split_transfer(
             raise StructureError("region_restricted mode needs a second inner interval")
         outer1 = IntervalR(interval.lo, c)
         outer2 = IntervalR(c, interval.hi)
-        cs.record("region.inner1", 0.0, outer1.contains_interval(inner, tol))
-        cs.record("region.inner2", 0.0, outer2.contains_interval(inner2, tol))
+        cs.record("region.inner1", 0.0, outer1.contains_interval(inner, cs.tol))
+        cs.record("region.inner2", 0.0, outer2.contains_interval(inner2, cs.tol))
     vs = [[u.values for u in fun] for fun in us]
-    _pair_range_checks(cs, labels[0], vs[0], labels[1], vs[1], inner, outer1, tol)
-    _pair_range_checks(cs, labels[2], vs[2], labels[3], vs[3], inner2, outer2, tol)
+    _pair_range_checks(cs, labels[0], vs[0], labels[1], vs[1], inner, outer1)
+    _pair_range_checks(cs, labels[2], vs[2], labels[3], vs[3], inner2, outer2)
     means = [checked_fsum(list(map(apply, *pair)), _MEANS) for pair in zip(ls, us)]
-    sum_lg, sum_hh, sum_lg2, sum_hh2 = means
-    cs.equality(tags[0], sum_hh - sum_lg, scale=max(abs(sum_hh), abs(sum_lg)))
-    cs.equality(tags[1], sum_hh2 - sum_lg2, scale=max(abs(sum_hh2), abs(sum_lg2)))
+    cs.matched(tags[0], means[1], means[0])
+    cs.matched(tags[1], means[3], means[2])
     sq = [checked_fsum(list(map(apply, fam, map(_sq, v))), _SQUARES) for fam, v in zip(ls, vs)]
     moment1, moment2 = sq[1] - sq[0], sq[3] - sq[2]
-    cs.equality(tags[2], moment1 - moment2, scale=max(abs(moment1), abs(moment2)))
-    A = _k1_gate(cs, f, c, interval, A)
+    cs.matched(tags[2], moment1, moment2)
+    A = k1_witness(f, c, interval, tol=tol) if A is None else A
+    cs.witness("witness.K1c", A)
     details = {"mode": mode, "c": c}
     if not cs.ok:
         return ChainReport(UNMET, hypotheses=cs.report(), details=details)
@@ -400,19 +368,18 @@ def verify_mc1(
     L = as_functional(L)
     g1, g2 = as_function(g1), as_function(g2)
     v1, v2 = g1.values, g2.values
-    cls_interval = interval if interval is not None else inner
     cs = CheckSet(tol)
-    _unital(cs, "unital.L", L)
-    _inside(cs, "range.g1", v1, inner, tol)
-    _inside(cs, "range.g2", v2, inner, tol)
+    cs.unit_total("unital.L", L.total)
+    _inside(cs, "range.g1", v1, inner)
+    _inside(cs, "range.g2", v2, inner)
     if mode == "region_restricted":
         cs.at_least("region.g1_left_of_c", c - max(v1), scale=abs(c))
         cs.at_least("region.g2_right_of_c", min(v2) - c, scale=abs(c))
     m1, m2 = apply(L, g1), apply(L, g2)
     var1 = apply(L, _sq(v1)) - m1 * m1
     var2 = apply(L, _sq(v2)) - m2 * m2
-    cs.equality("2.17", var1 - var2, scale=max(abs(var1), abs(var2)))
-    _k1_gate(cs, f, c, cls_interval, None)
+    cs.matched("2.17", var1, var2)
+    cs.witness("witness.K1c", k1_witness(f, c, interval or inner, tol=tol))
     if not cs.ok:
         return ChainReport(UNMET, hypotheses=cs.report())
     gap1 = apply_fn(L, f, g1) - eval_fn(f, m1)
@@ -456,33 +423,23 @@ def verify_mc2(
     vgs, vhs = [g.values for g in gs], [h.values for h in hs]
     cs = CheckSet(tol)
     for i, L in enumerate(Ls, start=1):
-        _unital(cs, f"unital.L{i}", L)
+        cs.unit_total(f"unital.L{i}", L.total)
     if mode == "region_restricted":
         g_outer = IntervalR(interval.lo, c)
         h_outer = IntervalR(c, interval.hi)
     else:
         g_outer = h_outer = interval
-    _ladder_checks(cs, "g", vgs, g_inners, g_outer, tol)
-    _ladder_checks(cs, "h", vhs, h_inners, h_outer, tol)
+    _ladder_checks(cs, "g", vgs, g_inners, g_outer)
+    _ladder_checks(cs, "h", vhs, h_inners, h_outer)
     g_means = list(map(apply, Ls, gs))
     h_means = list(map(apply, Ls, hs))
     g_sqs = list(map(apply, Ls, map(_sq, vgs)))
     h_sqs = list(map(apply, Ls, map(_sq, vhs)))
     for i in range(n - 1):
-        cs.equality(
-            f"2.19.g[{i + 1}]",
-            g_means[i] - g_means[i + 1],
-            scale=max(abs(g_means[i]), abs(g_means[i + 1])),
-        )
-        cs.equality(
-            f"2.19.h[{i + 1}]",
-            h_means[i] - h_means[i + 1],
-            scale=max(abs(h_means[i]), abs(h_means[i + 1])),
-        )
-        dg = g_sqs[i + 1] - g_sqs[i]
-        dh = h_sqs[i + 1] - h_sqs[i]
-        cs.equality(f"2.20[{i + 1}]", dg - dh, scale=max(abs(dg), abs(dh)))
-    _k1_gate(cs, f, c, interval, None)
+        cs.matched(f"2.19.g[{i + 1}]", g_means[i], g_means[i + 1])
+        cs.matched(f"2.19.h[{i + 1}]", h_means[i], h_means[i + 1])
+        cs.matched(f"2.20[{i + 1}]", g_sqs[i + 1] - g_sqs[i], h_sqs[i + 1] - h_sqs[i])
+    cs.witness("witness.K1c", k1_witness(f, c, interval, tol=tol))
     if not cs.ok:
         return ChainReport(UNMET, hypotheses=cs.report())
     g_lift = list(map(apply_fn, Ls, repeat(f), gs))
@@ -519,10 +476,10 @@ def verify_mc3(
         raise StructureError("family sizes must match and be nonempty")
     vgs, vhs = [g.values for g in gs], [h.values for h in hs]
     cs = CheckSet(tol)
-    cs.equality("totals", checked_fsum((L.total for L in Ls), "Ls totals sum") - 1.0)
+    cs.unit_total("totals", checked_fsum((L.total for L in Ls), "Ls totals sum"))
     for i, (vg, vh) in enumerate(zip(vgs, vhs), start=1):
-        _inside(cs, f"range.g{i}", vg, interval, tol)
-        _inside(cs, f"range.h{i}", vh, interval, tol)
+        _inside(cs, f"range.g{i}", vg, interval)
+        _inside(cs, f"range.h{i}", vh, interval)
         if mode == "region_restricted":
             cs.at_least(f"region.g{i}_left_of_c", c - max(vg), scale=abs(c))
             cs.at_least(f"region.h{i}_right_of_c", min(vh) - c, scale=abs(c))
@@ -530,8 +487,8 @@ def verify_mc3(
     h_mean = checked_fsum(list(map(apply, Ls, hs)), _MEANS)
     g_var = checked_fsum(list(map(apply, Ls, map(_sq, vgs))), _SQUARES) - g_mean * g_mean
     h_var = checked_fsum(list(map(apply, Ls, map(_sq, vhs))), _SQUARES) - h_mean * h_mean
-    cs.equality("2.22", g_var - h_var, scale=max(abs(g_var), abs(h_var)))
-    _k1_gate(cs, f, c, interval, None)
+    cs.matched("2.22", g_var, h_var)
+    cs.witness("witness.K1c", k1_witness(f, c, interval, tol=tol))
     if not cs.ok:
         return ChainReport(UNMET, hypotheses=cs.report())
     inclusion = interval.contains(g_mean, tol) and interval.contains(h_mean, tol)

@@ -168,6 +168,13 @@ def dumps(obj: Any) -> str:
     return _write(obj, "\n") + "\n"
 
 
+def dumps_each(items):
+    """``dumps(list(items))`` of a nonempty list, yielded one item at a time."""
+    for i, item in enumerate(items):
+        yield ("[" if i == 0 else ",") + "\n  " + _write(item, "\n  ")
+    yield "\n]\n"
+
+
 #: json's tokens for the floats whose repr is not JSON
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 #: a subclass of a JSON type (an IntEnum, an OrderedDict) is written as the

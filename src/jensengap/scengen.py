@@ -38,9 +38,11 @@ from .scenario import lookup, mt1_scenario_to, run_payload
 RETRY_CAP = 100
 #: rungs of the ic2 and mc2 ladders, the constant center included
 LEVELS = 3
-#: largest group size n, m or l, and largest search budget
+#: largest group size n, m or l
 MAX_SIZE = 10_000
-MAX_BUDGET = 100_000
+#: most scenarios one gen or search draws, and most points: scenarios times n + m + l
+MAX_SCENARIOS = 100_000
+MAX_POINTS = 1_000_000
 
 
 class _Retry(Exception):
@@ -70,6 +72,16 @@ class GenSpec:
             raise StructureError("group sizes must satisfy n >= 1, m >= 1, l >= 0")
         if max(sizes) > MAX_SIZE:
             raise StructureError(f"group sizes must be at most {MAX_SIZE}")
+
+
+def check_count(what: str, k: int, spec: GenSpec) -> None:
+    """Reject k scenarios of spec unless 1 <= k <= MAX_SCENARIOS and k * (n+m+l) <= MAX_POINTS."""
+    if k < 1:
+        raise StructureError(f"{what} must be at least 1")
+    if k > MAX_SCENARIOS:
+        raise StructureError(f"{what} must be at most {MAX_SCENARIOS}")
+    if k * sum(spec.sizes) > MAX_POINTS:
+        raise StructureError(f"{what} * (n + m + l) must be at most {MAX_POINTS}")
 
 
 class SearchResult:
@@ -516,11 +528,8 @@ def search_counterexamples(
     (seed_trace "probe") unless ``include_probes`` is false.
     """
     _, mode = lookup(theorem_id, mode)
-    if budget < 1:
-        raise StructureError("search budget must be at least 1")
-    if budget > MAX_BUDGET:
-        raise StructureError(f"search budget must be at most {MAX_BUDGET}")
     base_spec = spec if spec is not None else GenSpec(seed=seed)
+    check_count("search budget", budget, base_spec)
     results: list[SearchResult] = []
 
     def consider(payload: dict, trace: tuple) -> None:

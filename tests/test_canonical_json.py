@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from jensengap.scenario import dumps
+from jensengap.scenario import dumps, dumps_each
 
 
 def reference(v) -> str:
@@ -47,6 +47,13 @@ values = st.recursive(
 @example({"é\x00": "\ud800\x1f€", "\U0001f600": [True, False, None]})
 def test_matches_json(v):
     assert dumps(v) == reference(v)
+
+
+@given(st.lists(values, min_size=1, max_size=5))
+@example([{}])
+@example([[], {"a": [1.5]}, "x"])
+def test_each_item_at_a_time_matches_the_whole_list(items):
+    assert "".join(dumps_each(iter(items))) == dumps(items) == reference(items)
 
 
 class Colour(enum.IntEnum):

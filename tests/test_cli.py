@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import jensengap
 from jensengap import analysis, scengen
 from jensengap.cli import main
-from jensengap.domain import StructureError
+from jensengap.domain import InfeasibleError, StructureError
 from jensengap.scenario import THEOREMS, dumps, fn_spec_from_string, make_scenario, run_scenario
 from jensengap.scengen import GenSpec, gen_payload, straddle_probe_mt4
 
@@ -429,6 +429,46 @@ class TestGen:
             assert run(["gen", "--theorem", "mt4", "--seed", "9", "--out", out]) == 0
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
+    @pytest.mark.parametrize("count", [1, 2, 5])
+    def test_bytes_are_the_dumps_of_the_whole_list(self, tmp_path, capsys, count):
+        """Documents written one at a time make the text dumps gives the list."""
+        fn = fn_spec_from_string("signed_square", point=0.0)
+        docs = []
+        for seed in range(4, 4 + count):
+            payload = gen_payload(GenSpec(seed), "mt1", "proper", random.Random(seed))
+            docs.append(make_scenario("mt1", "proper", fn, payload, seed=seed))
+        text = dumps(docs[0] if count == 1 else docs)
+        args = ["gen", "--theorem", "mt1", "--seed", "4", "--count", str(count)]
+        assert run(args) == 0
+        assert capsys.readouterr().out == text
+        out = tmp_path / "docs.json"
+        assert run([*args, "--out", str(out)]) == 0
+        assert out.read_bytes() == text.encode("utf-8")
+        assert [p.name for p in tmp_path.iterdir()] == ["docs.json"]
+
+    @pytest.mark.parametrize("before", [None, "an earlier file\n"])
+    def test_failed_gen_leaves_out_as_it_was(self, tmp_path, capsys, monkeypatch, before):
+        calls = []
+
+        def third_call_fails(*args):
+            calls.append(args)
+            if len(calls) == 3:
+                raise InfeasibleError("no feasible scenario")
+            return gen_payload(*args)
+
+        monkeypatch.setattr(scengen, "gen_payload", third_call_fails)
+        out = tmp_path / "docs.json"
+        if before is not None:
+            out.write_text(before, encoding="utf-8")
+        args = ["gen", "--theorem", "mt1", "--seed", "1", "--count", "5", "--out", str(out)]
+        assert run(args) == 1 and len(calls) == 3
+        assert capsys.readouterr().err == "jensengap: error: no feasible scenario\n"
+        if before is None:
+            assert not out.exists()
+        else:
+            assert out.read_text(encoding="utf-8") == before
+        assert [p.name for p in tmp_path.iterdir()] == ([] if before is None else ["docs.json"])
+
 
 class TestSearch:
     def test_clean_search_exit_0(self, tmp_path, capsys):
@@ -556,6 +596,27 @@ class TestRequest:
         assert run([*args, "--theorem", "mt1", "--seed", "1"]) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == f"jensengap: error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "command, key, what", [("gen", "--count", "count"), ("search", "--budget", "search budget")]
+    )
+    def test_points_limit_boundary(self, monkeypatch, capsys, command, key, what):
+        """k * (n + m + l) may reach scengen.MAX_POINTS but not pass it; past
+        it is an input error before any draw."""
+        drawn = []
+
+        def stub(*args):
+            drawn.append(args)
+            raise InfeasibleError("drawn")
+
+        monkeypatch.setattr(scengen, "gen_payload", stub)
+        sizes = ["--theorem", "mt1", "--sizes", "10000,10000,5000"]  # n + m + l = 25000
+        assert scengen.MAX_POINTS == 40 * 25000
+        assert run([command, *sizes, key, "41"]) == 1 and not drawn
+        message = f"{what} * (n + m + l) must be at most 1000000"
+        assert capsys.readouterr().err == f"jensengap: error: {message}\n"
+        assert run([command, *sizes, key, "40"]) == 1 and len(drawn) == 1
+        assert capsys.readouterr().err == "jensengap: error: drawn\n"
 
     def test_oversized_sizes_exit_1_at_once(self):
         """One mistyped digit in --sizes is an input error, not hours of work."""

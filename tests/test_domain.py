@@ -1,13 +1,19 @@
 import ast
+import itertools
 import math
+import struct
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from jensengap import domain
 from jensengap.domain import (
+    EPS_EQ,
     AffineConfig,
     Check,
+    CheckSet,
     IntervalR,
     StructureError,
     ValidityReport,
@@ -114,6 +120,56 @@ class TestValidate:
             validate_affine_config(
                 AffineConfig(WeightedGroup((), ()), WeightedGroup((1,), (1.0,)))
             )
+
+
+def _equality(tol, residual, scale):
+    """The relative equality rule written out as a reference: the (residual,
+    ok) of |residual| against tol * max(1, |scale|)."""
+    residual = float(abs(residual))
+    scale = abs(scale)
+    return residual, residual <= tol * (scale if scale > 1.0 else 1.0)
+
+
+#: signed zeros, the smallest subnormal, the smallest normal, the extremes
+_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0, -1.0,
+          1.5, 1e308, -1.7976931348623157e308, math.inf, -math.inf, math.nan]
+_ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(_EDGES)
+_TOLS = st.sampled_from([0.0, 1e-300, 1e-12, EPS_EQ, 0.5])
+
+
+def _same_record(a, b, tol):
+    """matched(a, b) records the reference rule's (residual, ok) for a - b on
+    the scale max(|a|, |b|), bit for bit, in this argument order."""
+    cs = CheckSet(tol)
+    ok = cs.matched("m", a, b)
+    (check,) = cs.report().checks
+    residual, want = _equality(tol, a - b, max(abs(a), abs(b)))
+    assert ok is check.ok is want is cs.ok
+    assert struct.pack("<d", check.residual) == struct.pack("<d", residual)
+
+
+class TestMatched:
+    @given(_ANY_FLOAT, _ANY_FLOAT, _TOLS)
+    @example(math.inf, 1.0, EPS_EQ)
+    @example(math.nan, 2.0, EPS_EQ)
+    @example(-0.0, 5e-324, 0.0)
+    def test_records_the_equality_rule_in_both_orders(self, a, b, tol):
+        _same_record(a, b, tol)
+        _same_record(b, a, tol)
+
+    @pytest.mark.parametrize("tol", [0.0, EPS_EQ])
+    def test_every_pair_of_edge_values(self, tol):
+        for a, b in itertools.product(_EDGES, repeat=2):
+            _same_record(a, b, tol)
+
+    def test_relative_and_absolute_bounds(self):
+        cs = CheckSet(1e-9)
+        assert cs.matched("big", 1e6, 1e6 + 1e-4)  # 1e-4 <= 1e-9 * 1e6
+        assert not cs.matched("small", 0.5, 0.5 + 2e-9)  # the bound is at least tol
+        assert cs.unit_total("total", 1.0 + 5e-10) and not cs.unit_total("total", 1.0 + 2e-9)
+        assert cs.at_least("ordered", -1e-4, scale=1e6)
+        assert not cs.at_least("ordered", -2e-9)
+        assert cs.bound(-1e6) == 1e-9 * 1e6 and cs.bound(0.5) == 1e-9
 
 
 class TestCombinationValue:

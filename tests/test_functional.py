@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jensengap.domain import IntervalR, StructureError
+from jensengap.domain import CheckSet, IntervalR, StructureError
 from jensengap.funclib import TabulatedFunction, catalog, fn_spec_from_string, tabulated_model
 from jensengap.functional import (
     DiscreteFunctional,
@@ -79,8 +79,9 @@ class TestTypesAndApply:
             DiscreteFunctional((-0.1, 1.1))
 
     def test_unital_flag(self):
-        assert DiscreteFunctional((0.25, 0.75)).is_unital()
-        assert not DiscreteFunctional((0.25, 0.5)).is_unital()
+        cs = CheckSet()
+        assert cs.unit_total("unital.L", DiscreteFunctional((0.25, 0.75)).total)
+        assert not cs.unit_total("unital.L", DiscreteFunctional((0.25, 0.5)).total)
 
     def test_unital_apply_stays_in_range(self):
         u = FunctionOnOmega((-3.0, 1.0, 2.5))

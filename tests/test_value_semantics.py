@@ -13,6 +13,7 @@ import re
 import pytest
 
 from jensengap.domain import (
+    CheckSet,
     DiscreteFunctional,
     FunctionOnOmega,
     IntervalR,
@@ -67,7 +68,8 @@ def test_constructors_accept():
     assert math.isnan(g.total)
     assert WeightedGroup((1.0, 2.0), (-0.5, 0.25)).total == -0.25
     L = DiscreteFunctional((NAN, 0.5))
-    assert math.isnan(L.weights[0]) and math.isnan(L.total) and not L.is_unital()
+    assert math.isnan(L.weights[0]) and math.isnan(L.total)
+    assert not CheckSet().unit_total("unital.L", L.total)
     assert DiscreteFunctional((INF, 0.0)).total == INF
     assert DiscreteFunctional((0.0, 0.0)).total == 0.0
     assert FunctionOnOmega((-1.0, -2.0)).values == (-1.0, -2.0)
@@ -77,7 +79,7 @@ def test_totals_are_exactly_rounded_sums():
     weights = (0.1, 0.2, 0.3, 1e16, -1e16)
     assert WeightedGroup((0.0,) * 5, weights).total == math.fsum(weights)
     assert DiscreteFunctional((0.1,) * 10).total == 1.0
-    assert DiscreteFunctional((0.1,) * 10).is_unital(tol=0.0)
+    assert CheckSet(0.0).unit_total("unital.L", DiscreteFunctional((0.1,) * 10).total)
 
 
 @pytest.mark.parametrize(
