@@ -253,7 +253,10 @@ def _branch_chain(
         A = _signed_witness(f, s, a_tt, r_tt, concave, (chosen == "a") != concave, tol)
         if not cs.witness(f"witness.{kind}", A):
             return ChainReport(UNMET, hypotheses=cs.report(), details=details)
-    gaps = jensen_affine_gap(f, s.left, tol), jensen_affine_gap(f, s.right, tol)
+    gaps = (
+        jensen_affine_gap(f, s.left, tol),
+        jensen_affine_gap(f, s.right, tol),
+    )
     return chain_report(cs, A, gaps, (sl, sr), details, order=order)
 
 

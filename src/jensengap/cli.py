@@ -5,10 +5,10 @@ scenarios, and search for counterexamples.
 split point, sizes, seed), declared once and read by ``_request``, which
 rejects an interval outside the function's domain before any work.
 
-Each subcommand imports what it uses when it runs: ``gen`` and ``search``
-import ``scengen``, ``analyze`` ``analysis``, and ``check`` only the
-verifier module of its theorem (``scenario.__getattr__``).  ``check -``
-reads stdin as UTF-8, as ``check FILE`` reads a file, whatever the locale.
+Each subcommand imports what it uses: ``gen`` and ``search`` import
+``scengen`` when they run, and ``check`` imports only the verifier module
+of the theorem it checks (``scenario.__getattr__``).  ``check -`` reads
+stdin as UTF-8, as ``check FILE`` reads a file, whatever the locale.
 
 Exit codes are a stable contract: 0 holds, 1 input error, 2 fails,
 3 hypotheses-unmet.  A list of documents exits 2 when any fails, else 3
@@ -21,9 +21,12 @@ import argparse
 import json
 import os
 import random
+import stat
 import sys
+import tempfile
 from pathlib import Path
 
+from .analysis import classify_at_point
 from .domain import InfeasibleError, IntervalR, StructureError
 from .funclib import DomainError, require_in_domain
 from .report import FAILS, UNMET
@@ -54,17 +57,64 @@ def _read_text(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
-def _emit(parts, out: str | None) -> None:
-    """Write the pieces of text to stdout, or to FILE only once all are written."""
+def _emit(text: str, out: str | None) -> None:
+    if out:
+        Path(out).write_text(text, encoding="utf-8")
+    else:
+        sys.stdout.write(text)
+
+
+def _file_beside(target: str) -> tuple[int, str] | None:
+    """A new file (descriptor, path) in target's directory with the mode and
+    owner target has, or a new file would get.  None when target exists and
+    is not a plain file with one link, or no such file can be made."""
+    try:
+        st = os.stat(target)
+    except FileNotFoundError:
+        st = None
+    except OSError:
+        return None
+    if st is not None and not (stat.S_ISREG(st.st_mode) and st.st_nlink == 1):
+        return None
+    try:
+        fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=os.path.dirname(target))
+    except OSError:
+        return None
+    try:
+        if st is None:
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(fd, 0o666 & ~umask)
+        else:
+            os.fchown(fd, st.st_uid, st.st_gid)
+            os.fchmod(fd, stat.S_IMODE(st.st_mode))
+    except OSError:
+        os.close(fd)
+        os.unlink(tmp)
+        return None
+    return fd, tmp
+
+
+def _emit_whole(parts, out: str | None) -> None:
+    """Write the pieces of text to stdout, or to FILE only once all are
+    written: into a new file beside FILE (a symlink's target) that then
+    replaces it, so a failure part way leaves FILE as it was.  Where no such
+    file can be made (FILE is a device or a pipe, or its directory takes no
+    new file), FILE is written in place."""
     if not out:
         return sys.stdout.writelines(parts)
-    tmp = f"{out}.{os.getpid()}.tmp"
+    target = os.path.realpath(out)
+    beside = _file_beside(target)
+    if beside is None:
+        with open(out, "w", encoding="utf-8") as f:
+            return f.writelines(parts)
+    fd, tmp = beside
     try:
-        with open(tmp, "w", encoding="utf-8") as f:
+        with open(fd, "w", encoding="utf-8") as f:
             f.writelines(parts)
-        os.replace(tmp, out)
+        os.replace(tmp, target)
     except BaseException:
-        Path(tmp).unlink(missing_ok=True)
+        os.unlink(tmp)
         raise
 
 
@@ -95,7 +145,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     doc = json.loads(_read_text(args.path), parse_constant=_reject_constant)
     many = isinstance(doc, list)
     reports = [run_scenario(d, tol=args.tol) for d in (doc if many else [doc])]
-    _emit([dumps(reports if many else reports[0])], args.out)
+    _emit(dumps(reports if many else reports[0]), args.out)
     verdicts = {r["verdict"] for r in reports}
     if FAILS in verdicts:
         return EXIT_FAILS
@@ -106,23 +156,12 @@ def _interval_json(iv) -> dict:
     return {"lo": iv.lo, "hi": iv.hi, "feasible": iv.feasible}
 
 
-def __getattr__(name: str):
-    """Bind ``classify_at_point`` on first use, so only ``analyze`` imports
-    ``analysis``; it stays a name here, where bench/tracer.py wraps it."""
-    if name != "classify_at_point":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from .analysis import classify_at_point
-
-    globals()[name] = classify_at_point
-    return classify_at_point
-
-
 def _cmd_analyze(args: argparse.Namespace) -> int:
     fn_spec = fn_spec_from_string(args.fn, point=args.point)
     f = model_from_spec(fn_spec)
     interval = _parse_interval(args.interval)
     require_in_domain(f, interval.lo, interval.hi)
-    cls = sys.modules[__name__].classify_at_point(f, args.point, interval)
+    cls = classify_at_point(f, args.point, interval)
     report = {
         "schema_version": SCHEMA_VERSION,
         "kind": "analysis",
@@ -135,7 +174,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         "k2_interval": _interval_json(cls.k2_interval),
         "provenance": {"tool": TOOL, "version": VERSION},
     }
-    _emit([dumps(report)], args.out)
+    _emit(dumps(report), args.out)
     return EXIT_OK
 
 
@@ -160,7 +199,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     seeds = range(args.seed, args.seed + args.count)
     payloads = (scengen.gen_payload(spec, args.theorem, mode, random.Random(s)) for s in seeds)
     docs = (make_scenario(args.theorem, mode, fn_spec, p, seed=s) for s, p in zip(seeds, payloads))
-    _emit([dumps(next(docs))] if args.count == 1 else dumps_each(docs), args.out)
+    _emit_whole([dumps(next(docs))] if args.count == 1 else dumps_each(docs), args.out)
     return EXIT_OK
 
 
@@ -191,7 +230,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
         ],
         "provenance": {"tool": TOOL, "version": VERSION},
     }
-    _emit([dumps(report)], args.out)
+    _emit(dumps(report), args.out)
     return EXIT_FAILS if results else EXIT_OK
 
 

@@ -211,20 +211,24 @@ class CheckSet:
         return ok
 
     def bound(self, scale: float) -> float:
-        """The relative tolerance: tol * max(1, |scale|)."""
-        return self.tol * max(1.0, abs(scale))
+        """The relative tolerance tol * max(1, |scale|).  ``matched`` and
+        ``at_least`` write it inline, one call frame fewer per check."""
+        scale = abs(scale)
+        return self.tol * (scale if scale > 1.0 else 1.0)
 
     def matched(self, name: str, a: float, b: float) -> bool:
         """a and b agree: |a - b| must not exceed bound(max(|a|, |b|))."""
         residual = float(abs(a - b))
-        ok = residual <= self.bound(max(abs(a), abs(b)))
+        scale = max(abs(a), abs(b))
+        ok = residual <= self.tol * (scale if scale > 1.0 else 1.0)
         self._checks.append(Check(name, residual, ok))
         self.ok = self.ok and ok
         return ok
 
     def at_least(self, name: str, margin: float, scale: float = 1.0) -> bool:
         """margin must be >= -bound(scale)."""
-        ok = margin >= -self.bound(scale)
+        scale = abs(scale)
+        ok = margin >= -self.tol * (scale if scale > 1.0 else 1.0)
         self._checks.append(Check(name, float(margin), ok))
         self.ok = self.ok and ok
         return ok

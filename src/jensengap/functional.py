@@ -109,9 +109,11 @@ def verify_it2(
     cs.matched("1.4", apply(L, g), apply(H, h))
     if not cs.ok:
         return ChainReport(UNMET, hypotheses=cs.report())
-    left, right = apply_fn(L, f, g), apply_fn(H, f, h)
+    left = apply_fn(L, f, g)
+    right = apply_fn(H, f, h)
+    details = {"lhs": left, "rhs": right}
     values = {"gap_left": left, "gap_right": right}
-    return judge(cs, (right - left,), details={"lhs": left, "rhs": right}, values=values)
+    return judge(cs, (right - left,), details=details, values=values)
 
 
 def verify_ic1(
@@ -134,12 +136,18 @@ def verify_ic1(
 
 
 def _ladder_checks(
-    cs: CheckSet, label: str, vs: list, inners: Sequence[IntervalR], interval: IntervalR
+    cs: CheckSet,
+    label: str,
+    vs: list[tuple[float, ...]],
+    inners: Sequence[IntervalR],
+    interval: IntervalR,
 ) -> None:
     """Nested-interval ladder: level 1 inside the first inner interval, each
     later level inside the next interval but outside the open previous one."""
-    for i, (rung, around) in enumerate(zip(inners, inners[1:]), start=1):
-        cs.record(f"nesting.{label}[{i}]", 0.0, around.contains_interval(rung, cs.tol))
+    for i in range(len(inners) - 1):
+        cs.record(
+            f"nesting.{label}[{i + 1}]", 0.0, inners[i + 1].contains_interval(inners[i], cs.tol)
+        )
     cs.record(f"nesting.{label}[outer]", 0.0, interval.contains_interval(inners[-1], cs.tol))
     _inside(cs, f"range.{label}1", vs[0], inners[0])
     for k in range(1, len(vs)):
@@ -235,7 +243,8 @@ def verify_it3(
     vs_g, vs_h = [g.values for g in gs], [h.values for h in hs]
     _pair_range_checks(cs, "g{}", vs_g, "h{}", vs_h, inner, interval)
     sum_lg = checked_fsum(list(map(apply, Ls, gs)), _MEANS)
-    cs.matched("1.11", sum_lg, checked_fsum(list(map(apply, Hs, hs)), _MEANS))
+    sum_hh = checked_fsum(list(map(apply, Hs, hs)), _MEANS)
+    cs.matched("1.11", sum_lg, sum_hh)
     if not cs.ok:
         return ChainReport(UNMET, hypotheses=cs.report())
     left = checked_fsum(list(map(apply_fn, Ls, repeat(f), gs)), _LIFTS)
@@ -298,8 +307,9 @@ def _split_transfer(
     _pair_range_checks(cs, labels[0], vs[0], labels[1], vs[1], inner, outer1)
     _pair_range_checks(cs, labels[2], vs[2], labels[3], vs[3], inner2, outer2)
     means = [checked_fsum(list(map(apply, *pair)), _MEANS) for pair in zip(ls, us)]
-    cs.matched(tags[0], means[1], means[0])
-    cs.matched(tags[1], means[3], means[2])
+    sum_lg, sum_hh, sum_lg2, sum_hh2 = means
+    cs.matched(tags[0], sum_hh, sum_lg)
+    cs.matched(tags[1], sum_hh2, sum_lg2)
     sq = [checked_fsum(list(map(apply, fam, map(_sq, v))), _SQUARES) for fam, v in zip(ls, vs)]
     moment1, moment2 = sq[1] - sq[0], sq[3] - sq[2]
     cs.matched(tags[2], moment1, moment2)
@@ -368,6 +378,7 @@ def verify_mc1(
     L = as_functional(L)
     g1, g2 = as_function(g1), as_function(g2)
     v1, v2 = g1.values, g2.values
+    cls_interval = interval if interval is not None else inner
     cs = CheckSet(tol)
     cs.unit_total("unital.L", L.total)
     _inside(cs, "range.g1", v1, inner)
@@ -379,7 +390,7 @@ def verify_mc1(
     var1 = apply(L, _sq(v1)) - m1 * m1
     var2 = apply(L, _sq(v2)) - m2 * m2
     cs.matched("2.17", var1, var2)
-    cs.witness("witness.K1c", k1_witness(f, c, interval or inner, tol=tol))
+    cs.witness("witness.K1c", k1_witness(f, c, cls_interval, tol=tol))
     if not cs.ok:
         return ChainReport(UNMET, hypotheses=cs.report())
     gap1 = apply_fn(L, f, g1) - eval_fn(f, m1)
@@ -438,7 +449,9 @@ def verify_mc2(
     for i in range(n - 1):
         cs.matched(f"2.19.g[{i + 1}]", g_means[i], g_means[i + 1])
         cs.matched(f"2.19.h[{i + 1}]", h_means[i], h_means[i + 1])
-        cs.matched(f"2.20[{i + 1}]", g_sqs[i + 1] - g_sqs[i], h_sqs[i + 1] - h_sqs[i])
+        dg = g_sqs[i + 1] - g_sqs[i]
+        dh = h_sqs[i + 1] - h_sqs[i]
+        cs.matched(f"2.20[{i + 1}]", dg, dh)
     cs.witness("witness.K1c", k1_witness(f, c, interval, tol=tol))
     if not cs.ok:
         return ChainReport(UNMET, hypotheses=cs.report())

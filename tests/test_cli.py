@@ -5,8 +5,10 @@ import json
 import math
 import os
 import random
+import stat
 import subprocess
 import sys
+import tempfile
 from functools import lru_cache
 from pathlib import Path
 
@@ -468,6 +470,68 @@ class TestGen:
         else:
             assert out.read_text(encoding="utf-8") == before
         assert [p.name for p in tmp_path.iterdir()] == ([] if before is None else ["docs.json"])
+
+    GEN2 = ["gen", "--theorem", "mt1", "--sizes", "2,2,1", "--seed", "3", "--count", "2"]
+
+    def _text(self, capsys) -> str:
+        assert run(self.GEN2) == 0
+        return capsys.readouterr().out
+
+    def test_out_through_a_symlink_writes_its_target(self, tmp_path, capsys):
+        text = self._text(capsys)
+        (tmp_path / "docs.json").write_text("old\n", encoding="utf-8")
+        link = tmp_path / "link.json"
+        link.symlink_to("docs.json")
+        assert run([*self.GEN2, "--out", str(link)]) == 0
+        assert link.is_symlink() and os.readlink(link) == "docs.json"
+        assert (tmp_path / "docs.json").read_text(encoding="utf-8") == text
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["docs.json", "link.json"]
+
+    def test_out_keeps_an_existing_files_mode(self, tmp_path, capsys):
+        text = self._text(capsys)
+        out = tmp_path / "docs.json"
+        out.write_text("old\n", encoding="utf-8")
+        out.chmod(0o640)
+        assert run([*self.GEN2, "--out", str(out)]) == 0
+        assert out.read_text(encoding="utf-8") == text
+        assert out.stat().st_mode & 0o7777 == 0o640
+
+    def test_new_out_gets_the_mode_open_gives(self, tmp_path):
+        """A new FILE has the mode any file the process makes has (0o666
+        less the umask), not the private mode of a temporary file."""
+        ref = tmp_path / "ref"
+        ref.write_text("", encoding="utf-8")
+        out = tmp_path / "docs.json"
+        assert run([*self.GEN2, "--out", str(out)]) == 0
+        assert out.stat().st_mode & 0o7777 == ref.stat().st_mode & 0o7777
+
+    def test_out_in_a_directory_that_takes_no_new_file(self, tmp_path, capsys, monkeypatch):
+        """Where no file can be made beside FILE, FILE is written in place."""
+        text = self._text(capsys)
+        out = tmp_path / "docs.json"
+        out.write_text("old\n", encoding="utf-8")
+
+        def refuse(*args, **kwargs):
+            raise PermissionError("no new file here")
+
+        monkeypatch.setattr(tempfile, "mkstemp", refuse)
+        assert run([*self.GEN2, "--out", str(out)]) == 0
+        assert out.read_text(encoding="utf-8") == text
+
+    def test_out_to_a_pipe_writes_into_it(self, tmp_path, capsys):
+        """A FILE that is not a plain file (here a named pipe) is written in
+        place; it is not replaced by a plain file."""
+        text = self._text(capsys)
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            assert run([*self.GEN2, "--out", str(fifo)]) == 0
+            got = os.read(reader, 1 << 16)
+        finally:
+            os.close(reader)
+        assert stat.S_ISFIFO(fifo.lstat().st_mode)
+        assert got.decode("utf-8") == text
 
 
 class TestSearch:

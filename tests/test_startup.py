@@ -74,7 +74,7 @@ class TestImportSets:
         rc, modules = _fresh("gen", "--theorem", theorem_id, "--seed", "3")
         assert rc == 0
         assert "jensengap.scengen" in modules
-        assert not modules & {"jensengap.affine", "jensengap.functional", "jensengap.analysis"}
+        assert not modules & {"jensengap.affine", "jensengap.functional"}
 
     @pytest.mark.parametrize(
         "args",
