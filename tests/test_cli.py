@@ -487,14 +487,18 @@ class TestGen:
         assert (tmp_path / "docs.json").read_text(encoding="utf-8") == text
         assert sorted(p.name for p in tmp_path.iterdir()) == ["docs.json", "link.json"]
 
-    def test_out_keeps_an_existing_files_mode(self, tmp_path, capsys):
+    def test_out_keeps_an_existing_files_mode_and_owner(self, tmp_path, capsys):
+        """Another user's file stays theirs when root rewrites it."""
         text = self._text(capsys)
         out = tmp_path / "docs.json"
         out.write_text("old\n", encoding="utf-8")
         out.chmod(0o640)
+        owner = (1234, 1234) if os.geteuid() == 0 else (os.getuid(), os.getgid())
+        os.chown(out, *owner)
         assert run([*self.GEN2, "--out", str(out)]) == 0
         assert out.read_text(encoding="utf-8") == text
-        assert out.stat().st_mode & 0o7777 == 0o640
+        st = out.stat()
+        assert (st.st_mode & 0o7777, st.st_uid, st.st_gid) == (0o640, *owner)
 
     def test_new_out_gets_the_mode_open_gives(self, tmp_path):
         """A new FILE has the mode any file the process makes has (0o666
