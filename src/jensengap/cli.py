@@ -57,13 +57,6 @@ def _read_text(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
-
-
 def _file_beside(target: str) -> tuple[int, str] | None:
     """A new file (descriptor, path) in target's directory with the mode and
     owner target has, or a new file would get.  None when target exists and
@@ -95,7 +88,7 @@ def _file_beside(target: str) -> tuple[int, str] | None:
     return fd, tmp
 
 
-def _emit_whole(parts, out: str | None) -> None:
+def _emit(parts, out: str | None) -> None:
     """Write the pieces of text to stdout, or to FILE only once all are
     written: into a new file beside FILE (a symlink's target) that then
     replaces it, so a failure part way leaves FILE as it was.  Where no such
@@ -145,7 +138,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     doc = json.loads(_read_text(args.path), parse_constant=_reject_constant)
     many = isinstance(doc, list)
     reports = [run_scenario(d, tol=args.tol) for d in (doc if many else [doc])]
-    _emit(dumps(reports if many else reports[0]), args.out)
+    _emit([dumps(reports if many else reports[0])], args.out)
     verdicts = {r["verdict"] for r in reports}
     if FAILS in verdicts:
         return EXIT_FAILS
@@ -174,7 +167,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         "k2_interval": _interval_json(cls.k2_interval),
         "provenance": {"tool": TOOL, "version": VERSION},
     }
-    _emit(dumps(report), args.out)
+    _emit([dumps(report)], args.out)
     return EXIT_OK
 
 
@@ -199,7 +192,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     seeds = range(args.seed, args.seed + args.count)
     payloads = (scengen.gen_payload(spec, args.theorem, mode, random.Random(s)) for s in seeds)
     docs = (make_scenario(args.theorem, mode, fn_spec, p, seed=s) for s, p in zip(seeds, payloads))
-    _emit_whole([dumps(next(docs))] if args.count == 1 else dumps_each(docs), args.out)
+    _emit([dumps(next(docs))] if args.count == 1 else dumps_each(docs), args.out)
     return EXIT_OK
 
 
@@ -230,7 +223,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
         ],
         "provenance": {"tool": TOOL, "version": VERSION},
     }
-    _emit(dumps(report), args.out)
+    _emit([dumps(report)], args.out)
     return EXIT_FAILS if results else EXIT_OK
 
 

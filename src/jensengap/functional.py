@@ -3,21 +3,23 @@
 A functional is a nonnegative weight vector over the indices 1..n and a
 function a value vector of matching length (``domain.DiscreteFunctional``,
 ``domain.FunctionOnOmega``, re-exported here).  Each verifier converts its
-weight and value lists once and passes the converted objects to ``apply``
-and ``apply_fn``, so no weighted sum rebuilds or re-validates them.  Those
-two and every sum over a family go through ``domain.checked_fsum``, which
-names a sum past the float range.  A family's terms are listed first, so a
-member's own error (a length mismatch, a value outside f's domain) is its own.
+weight and value lists once, a family's through ``_family``, and passes the
+converted objects to ``apply`` and ``apply_fn``, so no weighted sum rebuilds
+or re-validates them.  Those two and every sum over a family go through
+``domain.checked_fsum``, which names a sum past the float range.  A family's
+terms are listed first, so a member's own error (a length mismatch, a value
+outside f's domain) is its own.
 
 mt4 runs as mt5 with singleton families that share one (L, H) pair, under
 its own check names; it2 stays a verifier of its own (see the README).
 
-Two range regimes exist for the split-point verifiers (mt4, mt5, mc1, mc2,
-mc3).  "literal" applies the range constraints exactly as stated: one shared
-inner interval with the outer functions anywhere outside it.  The default
-"region_restricted" additionally confines the first pair (or the unstarred
-family, or the g-side) to the closed half-line left of the split point c and
-the second pair to the right half, which is the configuration the two-sided
+The split-point verifiers (mt4, mt5, mc1, mc2, mc3) read their mode and
+split point c through ``_sides``; a c outside the interval is an input
+error.  "literal" mode applies the range constraints exactly as stated: one
+shared inner interval with the outer functions anywhere outside it.  The
+default "region_restricted" additionally confines the first pair (or the
+unstarred family, or the g-side) to the closed half-line left of c and the
+second pair to the right half, which is the configuration the two-sided
 concavity/convexity argument needs.  The literal regime admits genuine
 violations and is kept for hypothesis exploration; reports label the mode.
 
@@ -56,6 +58,29 @@ _MEANS, _SQUARES, _LIFTS = "family sum L(u)", "family sum L(u**2)", "family sum 
 def _sq(values: Sequence[float]) -> FunctionOnOmega:
     """The squared values, as the function whose second moment they give."""
     return FunctionOnOmega(map(mul, values, values))
+
+
+def _family(Ls, us, least: int = 1) -> tuple[list[DiscreteFunctional], list[FunctionOnOmega]]:
+    """A family's functionals and functions, each converted once; a family
+    has one function per functional and at least `least` of each."""
+    if len(Ls) != len(us) or len(Ls) < least:
+        raise StructureError(
+            f"family sizes must match and be at least {least}, got {len(Ls)} and {len(us)}"
+        )
+    return [as_functional(L) for L in Ls], [as_function(u) for u in us]
+
+
+def _sides(mode: str, interval: IntervalR, c: float) -> tuple[IntervalR, IntervalR]:
+    """The outer intervals of the two sides of c: the halves of the interval
+    at c in region_restricted mode, else the interval itself.  An unknown
+    mode or a c outside the interval is an input error."""
+    if mode not in ("literal", "region_restricted"):
+        raise StructureError(f"unknown mode {mode!r}")
+    if not interval.contains(c):
+        raise StructureError("split point must lie in the interval")
+    if mode == "literal":
+        return interval, interval
+    return IntervalR(interval.lo, c), IntervalR(c, interval.hi)
 
 
 def apply_fn(L, f: FunctionModel, u) -> float:
@@ -167,13 +192,10 @@ def verify_ic2(
 ) -> ChainReport:
     """Link margins along a nested ladder with matched means: each
     L_{i+1}(f.g_{i+1}) - L_i(f.g_i) >= 0 (tag "1.7" for the mean links)."""
+    Ls, gs = _family(Ls, gs, 2)
     n = len(Ls)
-    if n < 2 or len(gs) != n:
-        raise StructureError("need at least two functionals with matching functions")
     if len(inners) != n - 1:
         raise StructureError("need exactly n-1 nested inner intervals")
-    Ls = [as_functional(L) for L in Ls]
-    gs = [as_function(g) for g in gs]
     cs = CheckSet(tol)
     cs.at_least("f.convex", convexity_margin(f, interval))
     for i, L in enumerate(Ls, start=1):
@@ -199,10 +221,7 @@ def verify_ic3(
     """Subunital family: Jensen margin of the aggregate, with the verdict
     also requiring the aggregate value inside the interval (tag "1.9",
     reported as ``details["inclusion"]``)."""
-    Ls = [as_functional(L) for L in Ls]
-    gs = [as_function(g) for g in gs]
-    if len(Ls) != len(gs) or not Ls:
-        raise StructureError("need matching nonempty functional and function families")
+    Ls, gs = _family(Ls, gs)
     cs = CheckSet(tol)
     cs.at_least("f.convex", convexity_margin(f, interval))
     cs.unit_total("totals", checked_fsum((L.total for L in Ls), "Ls totals sum"))
@@ -229,12 +248,8 @@ def verify_it3(
 ) -> ChainReport:
     """Family transfer margin: sum H_j(f.h_j) - sum L_i(f.g_i) >= 0 under the
     matched family means (tag "1.11")."""
-    Ls = [as_functional(L) for L in Ls]
-    gs = [as_function(g) for g in gs]
-    Hs = [as_functional(H) for H in Hs]
-    hs = [as_function(h) for h in hs]
-    if len(Ls) != len(gs) or len(Hs) != len(hs) or not Ls or not Hs:
-        raise StructureError("family sizes must match and be nonempty")
+    Ls, gs = _family(Ls, gs)
+    Hs, hs = _family(Hs, hs)
     cs = CheckSet(tol)
     cs.at_least("f.convex", convexity_margin(f, interval))
     cs.record("inner_in_interval", 0.0, interval.contains_interval(inner, cs.tol))
@@ -279,34 +294,26 @@ def _split_transfer(
     diff1 <= (A/2) M1 = (A/2) M2 <= diff2, with M_i the second-moment
     differences, are reported in the chain and ``details`` only.
     """
-    if mode not in ("literal", "region_restricted"):
-        raise StructureError(f"unknown mode {mode!r}")
-    if not interval.contains(c):
-        raise StructureError("split point must lie in the interval")
-    ls = [list(map(as_functional, fam)) for fam in fams]
-    if len(ls) == 2:
-        ls *= 2
-    us = [list(map(as_function, fun)) for fun in funcs]
-    if list(map(len, ls)) != list(map(len, us)):
-        raise StructureError("family sizes must match")
+    outer1, outer2 = _sides(mode, interval, c)
+    pairs = list(map(_family, fams, funcs))
+    if len(pairs) == 2:  # mt4: the second side shares the first side's L and H
+        pairs += [_family(pairs[k][0], funcs[k + 2]) for k in (0, 1)]
+    ls, us = zip(*pairs)
     cs = CheckSet(tol)
     for name, fam in zip(totals, ls):
         cs.unit_total(name, checked_fsum((L.total for L in fam), f"{name} sum"))
     if mode == "literal":
         cs.record("inner_in_interval", 0.0, interval.contains_interval(inner, cs.tol))
         inner2 = inner
-        outer1 = outer2 = interval
     else:
         if inner2 is None:
             raise StructureError("region_restricted mode needs a second inner interval")
-        outer1 = IntervalR(interval.lo, c)
-        outer2 = IntervalR(c, interval.hi)
         cs.record("region.inner1", 0.0, outer1.contains_interval(inner, cs.tol))
         cs.record("region.inner2", 0.0, outer2.contains_interval(inner2, cs.tol))
     vs = [[u.values for u in fun] for fun in us]
     _pair_range_checks(cs, labels[0], vs[0], labels[1], vs[1], inner, outer1)
     _pair_range_checks(cs, labels[2], vs[2], labels[3], vs[3], inner2, outer2)
-    means = [checked_fsum(list(map(apply, *pair)), _MEANS) for pair in zip(ls, us)]
+    means = [checked_fsum(list(map(apply, *pair)), _MEANS) for pair in pairs]
     sum_lg, sum_hh, sum_lg2, sum_hh2 = means
     cs.matched(tags[0], sum_hh, sum_lg)
     cs.matched(tags[1], sum_hh2, sum_lg2)
@@ -373,12 +380,11 @@ def verify_mc1(
     In region_restricted mode g1 is confined to values at or below c and g2
     at or above c; literal mode only requires both inside the inner interval.
     """
-    if mode not in ("literal", "region_restricted"):
-        raise StructureError(f"unknown mode {mode!r}")
+    cls_interval = interval if interval is not None else inner
+    _sides(mode, cls_interval, c)
     L = as_functional(L)
     g1, g2 = as_function(g1), as_function(g2)
     v1, v2 = g1.values, g2.values
-    cls_interval = interval if interval is not None else inner
     cs = CheckSet(tol)
     cs.unit_total("unital.L", L.total)
     _inside(cs, "range.g1", v1, inner)
@@ -419,27 +425,18 @@ def verify_mc2(
     of c and the h-ladder right of c, each with its own nesting; literal
     mode uses one shared ladder of inner intervals for both families.
     """
-    if mode not in ("literal", "region_restricted"):
-        raise StructureError(f"unknown mode {mode!r}")
+    g_outer, h_outer = _sides(mode, interval, c)
+    Ls, gs = _family(Ls, gs, 2)
+    hs = _family(Ls, hs, 2)[1]
     n = len(Ls)
-    if n < 2 or len(gs) != n or len(hs) != n:
-        raise StructureError("need n >= 2 with matching family sizes")
     if h_inners is None:
         h_inners = g_inners
     if len(g_inners) != n - 1 or len(h_inners) != n - 1:
         raise StructureError("each ladder needs exactly n-1 inner intervals")
-    Ls = [as_functional(L) for L in Ls]
-    gs = [as_function(g) for g in gs]
-    hs = [as_function(h) for h in hs]
     vgs, vhs = [g.values for g in gs], [h.values for h in hs]
     cs = CheckSet(tol)
     for i, L in enumerate(Ls, start=1):
         cs.unit_total(f"unital.L{i}", L.total)
-    if mode == "region_restricted":
-        g_outer = IntervalR(interval.lo, c)
-        h_outer = IntervalR(c, interval.hi)
-    else:
-        g_outer = h_outer = interval
     _ladder_checks(cs, "g", vgs, g_inners, g_outer)
     _ladder_checks(cs, "h", vhs, h_inners, h_outer)
     g_means = list(map(apply, Ls, gs))
@@ -480,13 +477,9 @@ def verify_mc3(
     The stated inclusion lists one aggregate twice; it is implemented as the
     pair (sum L_i(g_i), sum L_i(h_i)), reading the duplication as a typo.
     """
-    if mode not in ("literal", "region_restricted"):
-        raise StructureError(f"unknown mode {mode!r}")
-    Ls = [as_functional(L) for L in Ls]
-    gs = [as_function(g) for g in gs]
-    hs = [as_function(h) for h in hs]
-    if not Ls or len(Ls) != len(gs) or len(Ls) != len(hs):
-        raise StructureError("family sizes must match and be nonempty")
+    _sides(mode, interval, c)
+    Ls, gs = _family(Ls, gs)
+    hs = _family(Ls, hs)[1]
     vgs, vhs = [g.values for g in gs], [h.values for h in hs]
     cs = CheckSet(tol)
     cs.unit_total("totals", checked_fsum((L.total for L in Ls), "Ls totals sum"))

@@ -40,7 +40,8 @@ SCHEMA_VERSION = 1
 
 
 class Theorem:
-    """Registry entry: everything the engine knows about one theorem id."""
+    """Registry entry: everything the engine knows about one theorem id.
+    Optional payload fields that are absent or null take the verifier's default."""
 
     __slots__ = ("verifier", "default_fn", "modes", "fields", "optional", "mode_arg", "mode_values")
 
@@ -49,7 +50,7 @@ class Theorem:
         verifier: str,
         default_fn: dict[str, str],
         fields: tuple[str, ...],
-        optional: dict[str, Any] | None = None,
+        optional: tuple[str, ...] = (),
         mode_arg: str = "mode",
         mode_values: dict[str, str] | None = None,
     ):
@@ -62,8 +63,8 @@ class Theorem:
         self.modes = tuple(default_fn)
         #: required payload fields, in the verifier's argument order
         self.fields = fields
-        #: optional payload fields -> value used when a field is absent or null
-        self.optional = {} if optional is None else optional
+        #: optional payload fields, passed only when present and not null
+        self.optional = optional
         #: verifier keyword that receives the mode; single-mode ids pass none
         self.mode_arg = mode_arg
         #: the verifier's value of each mode whose name differs from it
@@ -82,7 +83,7 @@ THEOREMS = {
         "verify_mt1",
         {"proper": "signed_square", "literal_alpha": "signed_square"},
         AFFINE_FIELDS,
-        {"A": None},
+        ("A",),
         mode_arg="weight_reading",
         mode_values={"proper": "matched"},
     ),
@@ -96,7 +97,7 @@ THEOREMS = {
         "verify_mt3",
         {"auto": "quadratic:2", "a": "quadratic:-3", "b": "quadratic:2", "c": "neg_signed_square"},
         AFFINE_FIELDS,
-        {"c_convention": "mirrored"},
+        ("c_convention",),
         mode_arg="branch",
     ),
     "it2": Theorem("verify_it2", STANDARD, ("L", "g", "H", "h", "inner", "interval")),
@@ -108,7 +109,7 @@ THEOREMS = {
         "verify_mt4",
         SPLIT,
         ("L", "H", "g1", "h1", "g2", "h2", "c", "interval", "inner"),
-        {"inner2": None, "A": None},
+        ("inner2", "A"),
     ),
     "mt5": Theorem(
         "verify_mt5",
@@ -117,11 +118,11 @@ THEOREMS = {
             "Ls", "gs", "Hs", "hs", "Ls_star", "gs_star", "Hs_star", "hs_star",
             "c", "interval", "inner",
         ),
-        {"inner2": None, "A": None},
+        ("inner2", "A"),
     ),
-    "mc1": Theorem("verify_mc1", SPLIT, ("L", "g1", "g2", "c", "inner"), {"interval": None}),
+    "mc1": Theorem("verify_mc1", SPLIT, ("L", "g1", "g2", "c", "inner"), ("interval",)),
     "mc2": Theorem(
-        "verify_mc2", SPLIT, ("Ls", "gs", "hs", "c", "interval", "g_inners"), {"h_inners": None}
+        "verify_mc2", SPLIT, ("Ls", "gs", "hs", "c", "interval", "g_inners"), ("h_inners",)
     ),
     "mc3": Theorem("verify_mc3", SPLIT, ("Ls", "gs", "hs", "c", "interval")),
 }
@@ -371,9 +372,9 @@ def run_payload(
     if not isinstance(payload, dict):
         raise StructureError("payload must be an object")
     args = {key: _parse_field(key, _need(payload, key, theorem_id)) for key in entry.fields}
-    for key, default in entry.optional.items():
-        value = payload.get(key)
-        args[key] = default if value is None else _parse_field(key, value)
+    for key in entry.optional:
+        if payload.get(key) is not None:
+            args[key] = _parse_field(key, payload[key])
     if len(entry.modes) > 1:
         args[entry.mode_arg] = entry.mode_values.get(mode, mode)
     if entry.fields == AFFINE_FIELDS:

@@ -17,10 +17,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import jensengap
-from jensengap import analysis, scengen
+from jensengap import analysis, cli, scengen
 from jensengap.cli import main
 from jensengap.domain import InfeasibleError, StructureError
-from jensengap.scenario import THEOREMS, dumps, fn_spec_from_string, make_scenario, run_scenario
+from jensengap.scenario import (
+    THEOREMS,
+    dumps,
+    fn_spec_from_string,
+    make_scenario,
+    model_from_spec,
+    run_payload,
+    run_scenario,
+)
 from jensengap.scengen import GenSpec, gen_payload, straddle_probe_mt4
 
 MIRRORED_MT1 = make_scenario(
@@ -448,22 +456,46 @@ class TestGen:
         assert out.read_bytes() == text.encode("utf-8")
         assert [p.name for p in tmp_path.iterdir()] == ["docs.json"]
 
-    @pytest.mark.parametrize("before", [None, "an earlier file\n"])
-    def test_failed_gen_leaves_out_as_it_was(self, tmp_path, capsys, monkeypatch, before):
-        calls = []
+    # the --out rules hold for every subcommand, which write through one writer;
+    # each test runs gen and check
+    OUT_COMMANDS = pytest.mark.parametrize("command", ["gen", "check"])
 
-        def third_call_fails(*args):
+    @staticmethod
+    def _args(command, tmp_path_factory, count=2) -> list[str]:
+        """gen of `count` mt1 documents, or check of the file that run writes,
+        which lies outside the test's own tmp_path."""
+        gen = ["gen", "--theorem", "mt1", "--sizes", "2,2,1", "--seed", "3", "--count", str(count)]
+        if command == "gen":
+            return gen
+        docs = tmp_path_factory.mktemp("in") / "docs.json"
+        assert run([*gen, "--out", str(docs)]) == 0
+        return ["check", str(docs)]
+
+    @staticmethod
+    def _text(args, capsys) -> str:
+        assert run(args) == 0
+        return capsys.readouterr().out
+
+    @OUT_COMMANDS
+    @pytest.mark.parametrize("before", [None, "an earlier file\n"])
+    def test_failed_run_leaves_out_as_it_was(
+        self, tmp_path, tmp_path_factory, capsys, monkeypatch, before, command
+    ):
+        args = self._args(command, tmp_path_factory, count=5)
+        module, name = (scengen, "gen_payload") if command == "gen" else (cli, "run_scenario")
+        real, calls = getattr(module, name), []
+
+        def third_call_fails(*args, **kwargs):
             calls.append(args)
             if len(calls) == 3:
                 raise InfeasibleError("no feasible scenario")
-            return gen_payload(*args)
+            return real(*args, **kwargs)
 
-        monkeypatch.setattr(scengen, "gen_payload", third_call_fails)
+        monkeypatch.setattr(module, name, third_call_fails)
         out = tmp_path / "docs.json"
         if before is not None:
             out.write_text(before, encoding="utf-8")
-        args = ["gen", "--theorem", "mt1", "--seed", "1", "--count", "5", "--out", str(out)]
-        assert run(args) == 1 and len(calls) == 3
+        assert run([*args, "--out", str(out)]) == 1 and len(calls) == 3
         assert capsys.readouterr().err == "jensengap: error: no feasible scenario\n"
         if before is None:
             assert not out.exists()
@@ -471,47 +503,55 @@ class TestGen:
             assert out.read_text(encoding="utf-8") == before
         assert [p.name for p in tmp_path.iterdir()] == ([] if before is None else ["docs.json"])
 
-    GEN2 = ["gen", "--theorem", "mt1", "--sizes", "2,2,1", "--seed", "3", "--count", "2"]
-
-    def _text(self, capsys) -> str:
-        assert run(self.GEN2) == 0
-        return capsys.readouterr().out
-
-    def test_out_through_a_symlink_writes_its_target(self, tmp_path, capsys):
-        text = self._text(capsys)
+    @OUT_COMMANDS
+    def test_out_through_a_symlink_writes_its_target(
+        self, tmp_path, tmp_path_factory, capsys, command
+    ):
+        args = self._args(command, tmp_path_factory)
+        text = self._text(args, capsys)
         (tmp_path / "docs.json").write_text("old\n", encoding="utf-8")
         link = tmp_path / "link.json"
         link.symlink_to("docs.json")
-        assert run([*self.GEN2, "--out", str(link)]) == 0
+        assert run([*args, "--out", str(link)]) == 0
         assert link.is_symlink() and os.readlink(link) == "docs.json"
         assert (tmp_path / "docs.json").read_text(encoding="utf-8") == text
         assert sorted(p.name for p in tmp_path.iterdir()) == ["docs.json", "link.json"]
 
-    def test_out_keeps_an_existing_files_mode_and_owner(self, tmp_path, capsys):
+    @OUT_COMMANDS
+    def test_out_keeps_an_existing_files_mode_and_owner(
+        self, tmp_path, tmp_path_factory, capsys, command
+    ):
         """Another user's file stays theirs when root rewrites it."""
-        text = self._text(capsys)
+        args = self._args(command, tmp_path_factory)
+        text = self._text(args, capsys)
         out = tmp_path / "docs.json"
         out.write_text("old\n", encoding="utf-8")
         out.chmod(0o640)
         owner = (1234, 1234) if os.geteuid() == 0 else (os.getuid(), os.getgid())
         os.chown(out, *owner)
-        assert run([*self.GEN2, "--out", str(out)]) == 0
+        assert run([*args, "--out", str(out)]) == 0
         assert out.read_text(encoding="utf-8") == text
         st = out.stat()
         assert (st.st_mode & 0o7777, st.st_uid, st.st_gid) == (0o640, *owner)
 
-    def test_new_out_gets_the_mode_open_gives(self, tmp_path):
+    @OUT_COMMANDS
+    def test_new_out_gets_the_mode_open_gives(self, tmp_path, tmp_path_factory, command):
         """A new FILE has the mode any file the process makes has (0o666
         less the umask), not the private mode of a temporary file."""
+        args = self._args(command, tmp_path_factory)
         ref = tmp_path / "ref"
         ref.write_text("", encoding="utf-8")
         out = tmp_path / "docs.json"
-        assert run([*self.GEN2, "--out", str(out)]) == 0
+        assert run([*args, "--out", str(out)]) == 0
         assert out.stat().st_mode & 0o7777 == ref.stat().st_mode & 0o7777
 
-    def test_out_in_a_directory_that_takes_no_new_file(self, tmp_path, capsys, monkeypatch):
+    @OUT_COMMANDS
+    def test_out_in_a_directory_that_takes_no_new_file(
+        self, tmp_path, tmp_path_factory, capsys, monkeypatch, command
+    ):
         """Where no file can be made beside FILE, FILE is written in place."""
-        text = self._text(capsys)
+        args = self._args(command, tmp_path_factory)
+        text = self._text(args, capsys)
         out = tmp_path / "docs.json"
         out.write_text("old\n", encoding="utf-8")
 
@@ -519,18 +559,20 @@ class TestGen:
             raise PermissionError("no new file here")
 
         monkeypatch.setattr(tempfile, "mkstemp", refuse)
-        assert run([*self.GEN2, "--out", str(out)]) == 0
+        assert run([*args, "--out", str(out)]) == 0
         assert out.read_text(encoding="utf-8") == text
 
-    def test_out_to_a_pipe_writes_into_it(self, tmp_path, capsys):
+    @OUT_COMMANDS
+    def test_out_to_a_pipe_writes_into_it(self, tmp_path, tmp_path_factory, capsys, command):
         """A FILE that is not a plain file (here a named pipe) is written in
         place; it is not replaced by a plain file."""
-        text = self._text(capsys)
+        args = self._args(command, tmp_path_factory)
+        text = self._text(args, capsys)
         fifo = tmp_path / "pipe"
         os.mkfifo(fifo)
         reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
         try:
-            assert run([*self.GEN2, "--out", str(fifo)]) == 0
+            assert run([*args, "--out", str(fifo)]) == 0
             got = os.read(reader, 1 << 16)
         finally:
             os.close(reader)
@@ -734,6 +776,62 @@ def _mt1_doc() -> dict:
 
 
 #: a family of two functionals, each weighing one value by 1.5e296
+#: theorem id -> (the function list cut short by one, the keys of the family
+#: cut to fewer members than allowed, the least number of members)
+FAMILY_SHAPES = {
+    "ic2": ("gs", ("Ls", "gs"), 2),
+    "ic3": ("gs", ("Ls", "gs"), 1),
+    "it3": ("hs", ("Hs", "hs"), 1),
+    "mc2": ("hs", ("Ls", "gs", "hs"), 2),
+    "mc3": ("hs", ("Ls", "gs", "hs"), 1),
+    "mt5": ("gs_star", ("Ls_star", "gs_star"), 1),
+}
+
+
+class TestInputRules:
+    """One family reader and one split-point rule: each shape fault of a
+    family, and a split point outside the interval, is the same one-line
+    input error from every verifier that reads it."""
+
+    def _check_error(self, tmp_path, capsys, doc) -> str:
+        assert run(["check", write(tmp_path, "doc.json", doc)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        return captured.err
+
+    @pytest.mark.parametrize("shape", ["mismatched", "too small"])
+    @pytest.mark.parametrize("theorem", sorted(FAMILY_SHAPES))
+    def test_family_shape_is_one_input_error(self, tmp_path, capsys, theorem, shape):
+        cut, family, least = FAMILY_SHAPES[theorem]
+        mode = THEOREMS[theorem].modes[0]
+        payload = gen_payload(GenSpec(seed=1), theorem, mode, random.Random(1))
+        if shape == "mismatched":
+            n = len(payload[family[0]])
+            got = (n, n - 1)
+            payload[cut] = payload[cut][:-1]
+        else:
+            got = (least - 1, least - 1)
+            for key in family:
+                payload[key] = payload[key][: least - 1]
+        message = f"family sizes must match and be at least {least}, got {got[0]} and {got[1]}"
+        fn_spec = fn_spec_from_string(THEOREMS[theorem].default_fn[mode])
+        with pytest.raises(StructureError) as err:
+            run_payload(theorem, mode, model_from_spec(fn_spec), payload)
+        assert str(err.value) == message
+        doc = make_scenario(theorem, mode, fn_spec, payload)
+        assert self._check_error(tmp_path, capsys, doc) == f"jensengap: error: {message}\n"
+
+    @pytest.mark.parametrize("mode", ["region_restricted", "literal"])
+    @pytest.mark.parametrize("theorem", ["mc1", "mc2", "mc3"])
+    def test_split_point_outside_the_interval(self, tmp_path, capsys, theorem, mode):
+        assert run(["gen", "--theorem", theorem, "--mode", mode, "--seed", "1"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["payload"]["interval"] == [-1.0, 1.0]
+        doc["payload"]["c"] = 5.0
+        err = self._check_error(tmp_path, capsys, doc)
+        assert err == "jensengap: error: split point must lie in the interval\n"
+
+
 BIG_FAMILY = [[1.5e296], [1.5e296]]
 
 

@@ -518,6 +518,60 @@ class TestMt5:
         assert rep.verdict == "hypotheses-unmet"
 
 
+#: split-point verifier -> a call of it, from the worked examples above: the
+#: positional arguments and the keywords, c and the interval included
+SPLIT_CALLS = {
+    "mt4": (verify_mt4, (SS, HALF, HALF, [-2, -1], [-3, 0], [1, 2], [0, 3]), WORKED_MT4),
+    "mt5": (
+        verify_mt5,
+        (SS, [HALF], [[-2.0, -1.0]], [HALF], [[-3.0, 0.0]],
+         [HALF], [[1.0, 2.0]], [HALF], [[0.0, 3.0]]),
+        WORKED_MT4,
+    ),
+    "mc1": (
+        verify_mc1, (SS, HALF, [-2, -1], [1, 2]), dict(c=0.0, inner=iv(-2, 2), interval=iv(-3, 3))
+    ),
+    "mc2": (
+        verify_mc2,
+        (SS, [HALF, HALF], [[-1.5, -1.5], [-2.0, -1.0]], [[1.5, 1.5], [1.0, 2.0]]),
+        dict(c=0.0, interval=iv(-3, 3), g_inners=[iv(-1.5, -1.5)], h_inners=[iv(1.5, 1.5)]),
+    ),
+    "mc3": (
+        verify_mc3, (SS, [HALF], [[-2.0, -1.0]], [[1.0, 2.0]]), dict(c=0.0, interval=iv(-3, 3))
+    ),
+}
+
+
+class TestSplitPointRule:
+    """Every split-point verifier reads its mode and c by one rule: an unknown
+    mode, or a c outside the closed interval, is an input error."""
+
+    @pytest.mark.parametrize("theorem", sorted(SPLIT_CALLS))
+    def test_unknown_mode(self, theorem):
+        verifier, args, kwargs = SPLIT_CALLS[theorem]
+        with pytest.raises(StructureError, match="^unknown mode 'sideways'$"):
+            verifier(*args, **kwargs, mode="sideways")
+
+    @pytest.mark.parametrize("mode", ["region_restricted", "literal"])
+    @pytest.mark.parametrize("c", [-3.5, 5.0])
+    @pytest.mark.parametrize("theorem", sorted(SPLIT_CALLS))
+    def test_split_point_outside_the_interval(self, theorem, c, mode):
+        verifier, args, kwargs = SPLIT_CALLS[theorem]
+        with pytest.raises(StructureError, match="^split point must lie in the interval$"):
+            verifier(*args, **{**kwargs, "c": c}, mode=mode)
+
+    @pytest.mark.parametrize("c", [-3.0, 3.0])
+    @pytest.mark.parametrize("theorem", sorted(SPLIT_CALLS))
+    def test_split_point_at_an_end_is_read(self, theorem, c):
+        verifier, args, kwargs = SPLIT_CALLS[theorem]
+        assert verifier(*args, **{**kwargs, "c": c}, mode="literal").verdict in (HOLDS, UNMET)
+
+    def test_mc1_reads_c_against_inner_without_an_interval(self):
+        verifier, args, kwargs = SPLIT_CALLS["mc1"]
+        with pytest.raises(StructureError, match="split point"):
+            verifier(*args, **{**kwargs, "c": 2.5, "interval": None})
+
+
 #: mt4's check names, in report order, for each mode
 MT4_CHECKS = {
     mode: ["unital.L", "unital.H", *middle, "range.g1", "range.h1_outer", "range.h1", "range.g2",

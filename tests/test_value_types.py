@@ -1,6 +1,7 @@
 """The value types: plain slotted classes whose constructors validate and
 convert their fields."""
 
+import inspect
 import math
 import re
 
@@ -20,7 +21,8 @@ from jensengap.domain import (
 )
 from jensengap.funclib import FunctionModel, TabulatedFunction, catalog
 from jensengap.report import HOLDS, ChainReport
-from jensengap.scenario import Theorem
+from jensengap import scenario
+from jensengap.scenario import THEOREMS, Theorem
 from jensengap.scengen import GenSpec, SearchResult
 
 VALUE_TYPES = [
@@ -102,7 +104,18 @@ def test_mutable_defaults_are_not_shared():
     r1, r2 = SearchResult({}, -1.0), SearchResult({}, -1.0)
     assert r1.details is not r2.details and r1.seed_trace == ()
     t1, t2 = Theorem("verify_x", {"m": "f"}, ()), Theorem("verify_y", {"m": "f"}, ())
-    assert t1.optional is not t2.optional and t1.mode_values is not t2.mode_values
+    # optional is a tuple, immutable, so two entries may share it
+    assert t1.optional == t2.optional == () and t1.mode_values is not t2.mode_values
+
+
+@pytest.mark.parametrize("theorem_id", list(THEOREMS))
+def test_optional_fields_take_the_verifiers_default(theorem_id):
+    """The registry names each optional field and holds no value for it: a
+    field left out takes the default of the verifier's keyword."""
+    entry = THEOREMS[theorem_id]
+    params = inspect.signature(getattr(scenario, entry.verifier)).parameters
+    for key in entry.optional:
+        assert params[key].default is not inspect.Parameter.empty
 
 
 def test_groups_and_configurations_compare_by_value():
