@@ -14,6 +14,12 @@ A functional is a nonnegative weight vector over the indices 1..n; it is
 unital when its weights sum to 1.  Functions are plain value vectors of
 matching length, and ``apply`` is their weighted sum.
 
+``sides`` is the one split-point rule: a split point c must lie in its
+closed interval, and the two sides at c are the halves of the interval or,
+in literal mode, the interval itself.  The functional split-point verifiers
+and their generators take their sides from it, and ``Mt1Scenario`` checks
+its c through it.
+
 The value types are plain classes with ``__slots__``, each validating its
 fields once, in ``__init__``, where groups and functionals also sum their
 total weight.  They compare by identity, except that weighted groups and
@@ -78,6 +84,19 @@ class IntervalR:
 
     def contains_interval(self, other: "IntervalR", tol: float = 0.0) -> bool:
         return self.lo - tol <= other.lo and other.hi <= self.hi + tol
+
+
+def sides(mode: str, interval: IntervalR, c: float) -> tuple[IntervalR, IntervalR]:
+    """The outer intervals of the two sides of a split point c: the halves of
+    the interval at c in region_restricted mode, else the interval itself.
+    An unknown mode or a c outside the closed interval is an input error."""
+    if mode not in ("literal", "region_restricted"):
+        raise StructureError(f"unknown mode {mode!r}")
+    if not interval.contains(c):
+        raise StructureError("split point must lie in the interval")
+    if mode == "literal":
+        return interval, interval
+    return IntervalR(interval.lo, c), IntervalR(c, interval.hi)
 
 
 #: the name of each moment's sum, formed once
@@ -152,11 +171,13 @@ class AffineConfig:
 
 
 class Mt1Scenario:
-    """Left/right configurations around a split point inside an interval."""
+    """Left/right configurations around a split point c of an interval; a c
+    outside the closed interval is an input error, as for ``sides``."""
 
     __slots__ = ("left", "right", "c", "interval")
 
     def __init__(self, left: AffineConfig, right: AffineConfig, c: float, interval: IntervalR):
+        sides("region_restricted", interval, c)
         self.left = left
         self.right = right
         self.c = c
@@ -195,7 +216,8 @@ class CheckSet:
     ``ok`` is true while every check recorded so far holds.  The one place
     that knows how a hypothesis is compared: ``matched`` and ``at_least`` are
     relative, within ``bound(scale)``; ``unit_total`` and the ranges and
-    nestings that read ``tol`` are absolute."""
+    nestings that read ``tol`` are absolute.  Every method records its
+    residual and verdict through ``record``."""
 
     __slots__ = ("tol", "ok", "_checks")
 
@@ -211,42 +233,27 @@ class CheckSet:
         return ok
 
     def bound(self, scale: float) -> float:
-        """The relative tolerance tol * max(1, |scale|).  ``matched`` and
-        ``at_least`` write it inline, one call frame fewer per check."""
+        """The relative tolerance tol * max(1, |scale|)."""
         scale = abs(scale)
         return self.tol * (scale if scale > 1.0 else 1.0)
 
     def matched(self, name: str, a: float, b: float) -> bool:
         """a and b agree: |a - b| must not exceed bound(max(|a|, |b|))."""
-        residual = float(abs(a - b))
-        scale = max(abs(a), abs(b))
-        ok = residual <= self.tol * (scale if scale > 1.0 else 1.0)
-        self._checks.append(Check(name, residual, ok))
-        self.ok = self.ok and ok
-        return ok
+        residual = abs(a - b)
+        return self.record(name, residual, residual <= self.bound(max(abs(a), abs(b))))
 
     def at_least(self, name: str, margin: float, scale: float = 1.0) -> bool:
         """margin must be >= -bound(scale)."""
-        scale = abs(scale)
-        ok = margin >= -self.tol * (scale if scale > 1.0 else 1.0)
-        self._checks.append(Check(name, float(margin), ok))
-        self.ok = self.ok and ok
-        return ok
+        return self.record(name, margin, margin >= -self.bound(scale))
 
     def unit_total(self, name: str, total: float) -> bool:
         """A total weight must be 1: |total - 1| must not exceed tol."""
-        residual = float(abs(total - 1.0))
-        ok = residual <= self.tol
-        self._checks.append(Check(name, residual, ok))
-        self.ok = self.ok and ok
-        return ok
+        residual = abs(total - 1.0)
+        return self.record(name, residual, residual <= self.tol)
 
     def witness(self, name: str, A: float | None) -> bool:
         """A curvature constant was found: A is not None, recorded as its value."""
-        ok = A is not None
-        self._checks.append(Check(name, float(A) if ok else 0.0, ok))
-        self.ok = self.ok and ok
-        return ok
+        return self.record(name, 0.0 if A is None else A, A is not None)
 
     def report(self) -> ValidityReport:
         return ValidityReport(tuple(self._checks))

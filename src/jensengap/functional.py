@@ -14,13 +14,13 @@ mt4 runs as mt5 with singleton families that share one (L, H) pair, under
 its own check names; it2 stays a verifier of its own (see the README).
 
 The split-point verifiers (mt4, mt5, mc1, mc2, mc3) read their mode and
-split point c through ``_sides``; a c outside the interval is an input
-error.  "literal" mode applies the range constraints exactly as stated: one
-shared inner interval with the outer functions anywhere outside it.  The
-default "region_restricted" additionally confines the first pair (or the
-unstarred family, or the g-side) to the closed half-line left of c and the
-second pair to the right half, which is the configuration the two-sided
-concavity/convexity argument needs.  The literal regime admits genuine
+split point c through ``domain.sides``; a c outside the interval is an
+input error.  "literal" mode applies the range constraints exactly as
+stated: one shared inner interval with the outer functions anywhere
+outside it.  The default "region_restricted" additionally confines the
+first pair (or the unstarred family, or the g-side) to the closed half-line
+left of c and the second pair to the right half, which is the configuration
+the two-sided concavity/convexity argument needs.  The literal regime admits genuine
 violations and is kept for hypothesis exploration; reports label the mode.
 
 Hypothesis residuals carry stable tags: "1.4"/"1.7"/"1.9"/"1.11" for the
@@ -47,6 +47,7 @@ from .domain import (  # noqa: F401  (the functional types are re-exported)
     as_function,
     as_functional,
     checked_fsum,
+    sides,
 )
 from .funclib import FunctionModel, eval_fn
 from .report import UNMET, ChainReport, chain_report, judge
@@ -68,19 +69,6 @@ def _family(Ls, us, least: int = 1) -> tuple[list[DiscreteFunctional], list[Func
             f"family sizes must match and be at least {least}, got {len(Ls)} and {len(us)}"
         )
     return [as_functional(L) for L in Ls], [as_function(u) for u in us]
-
-
-def _sides(mode: str, interval: IntervalR, c: float) -> tuple[IntervalR, IntervalR]:
-    """The outer intervals of the two sides of c: the halves of the interval
-    at c in region_restricted mode, else the interval itself.  An unknown
-    mode or a c outside the interval is an input error."""
-    if mode not in ("literal", "region_restricted"):
-        raise StructureError(f"unknown mode {mode!r}")
-    if not interval.contains(c):
-        raise StructureError("split point must lie in the interval")
-    if mode == "literal":
-        return interval, interval
-    return IntervalR(interval.lo, c), IntervalR(c, interval.hi)
 
 
 def apply_fn(L, f: FunctionModel, u) -> float:
@@ -294,7 +282,7 @@ def _split_transfer(
     diff1 <= (A/2) M1 = (A/2) M2 <= diff2, with M_i the second-moment
     differences, are reported in the chain and ``details`` only.
     """
-    outer1, outer2 = _sides(mode, interval, c)
+    outer1, outer2 = sides(mode, interval, c)
     pairs = list(map(_family, fams, funcs))
     if len(pairs) == 2:  # mt4: the second side shares the first side's L and H
         pairs += [_family(pairs[k][0], funcs[k + 2]) for k in (0, 1)]
@@ -381,7 +369,7 @@ def verify_mc1(
     at or above c; literal mode only requires both inside the inner interval.
     """
     cls_interval = interval if interval is not None else inner
-    _sides(mode, cls_interval, c)
+    sides(mode, cls_interval, c)
     L = as_functional(L)
     g1, g2 = as_function(g1), as_function(g2)
     v1, v2 = g1.values, g2.values
@@ -425,7 +413,7 @@ def verify_mc2(
     of c and the h-ladder right of c, each with its own nesting; literal
     mode uses one shared ladder of inner intervals for both families.
     """
-    g_outer, h_outer = _sides(mode, interval, c)
+    g_outer, h_outer = sides(mode, interval, c)
     Ls, gs = _family(Ls, gs, 2)
     hs = _family(Ls, hs, 2)[1]
     n = len(Ls)
@@ -477,7 +465,7 @@ def verify_mc3(
     The stated inclusion lists one aggregate twice; it is implemented as the
     pair (sum L_i(g_i), sum L_i(h_i)), reading the duplication as a typo.
     """
-    _sides(mode, interval, c)
+    sides(mode, interval, c)
     Ls, gs = _family(Ls, gs)
     hs = _family(Ls, hs)[1]
     vgs, vhs = [g.values for g in gs], [h.values for h in hs]

@@ -22,6 +22,7 @@ import sys
 from json.encoder import encode_basestring_ascii
 from typing import Any
 
+from . import _SOURCES
 from .domain import (
     EPS_EQ,
     AffineConfig,
@@ -127,21 +128,18 @@ THEOREMS = {
     "mc3": Theorem("verify_mc3", SPLIT, ("Ls", "gs", "hs", "c", "interval")),
 }
 ALL_IDS = tuple(THEOREMS)
-#: verifier name -> defining module, imported on the first lookup
-_VERIFIER_MODULES = {
-    entry.verifier: "affine" if entry.fields == AFFINE_FIELDS else "functional"
-    for entry in THEOREMS.values()
-}
+_VERIFIERS = frozenset(entry.verifier for entry in THEOREMS.values())
 _this = sys.modules[__name__]
 
 
 def __getattr__(name: str) -> Any:
-    """Resolve a ``verify_*`` name from its defining module on first use and
-    bind it here, so only the verifiers a process runs are imported."""
-    module = _VERIFIER_MODULES.get(name)
-    if module is None:
+    """Resolve a registered verifier on first use from the defining module
+    that the package's export table names, and bind it here, so only the
+    verifiers a process runs are imported."""
+    if name not in _VERIFIERS:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{module}", __package__), name)
+    module, attr = _SOURCES[name]
+    value = getattr(importlib.import_module(f".{module}", __package__), attr)
     globals()[name] = value
     return value
 

@@ -28,6 +28,7 @@ from .domain import (
     apply,
     barycenter,
     checked_fsum,
+    sides,
     spread,
 )
 from .funclib import FunctionModel
@@ -204,8 +205,9 @@ def two_point_from_moments(mean: float, second_moment: float) -> tuple[float, fl
     return (min(r1, r2), max(r1, r2))
 
 
-def _sub_interval(rng: random.Random, lo: float, hi: float) -> IntervalR:
-    """Inner interval strictly inside (lo, hi), at any width and scale."""
+def _sub_interval(rng: random.Random, outer: IntervalR) -> IntervalR:
+    """Inner interval strictly inside the open outer one, at any width and scale."""
+    lo, hi = outer.lo, outer.hi
     width = hi - lo
     inner_lo = lo + rng.uniform(0.12, 0.38) * width
     inner_hi = hi - rng.uniform(0.12, 0.38) * width
@@ -273,7 +275,7 @@ def _gen_mt2(spec: GenSpec, mode: str, rng: random.Random) -> dict:
 
 
 def _gen_ic1(spec: GenSpec, mode: str, rng: random.Random) -> dict:
-    inner = _sub_interval(rng, spec.interval.lo, spec.interval.hi)
+    inner = _sub_interval(rng, spec.interval)
     n = max(2, spec.sizes[0])
     return {
         "inner": [inner.lo, inner.hi],
@@ -347,14 +349,9 @@ def _gen_mt4(spec: GenSpec, mode: str, rng: random.Random) -> dict:
     interval, c = spec.interval, spec.c
     n = max(2, spec.sizes[0])
     weights = _weights(rng, n, 0.2)
-    if mode == "region_restricted":
-        inner1 = _sub_interval(rng, interval.lo, c)
-        inner2 = _sub_interval(rng, c, interval.hi)
-        outer1 = IntervalR(interval.lo, c)
-        outer2 = IntervalR(c, interval.hi)
-    else:
-        inner1 = inner2 = _sub_interval(rng, interval.lo, interval.hi)
-        outer1 = outer2 = interval
+    outer1, outer2 = sides(mode, interval, c)
+    inner1 = _sub_interval(rng, outer1)
+    inner2 = inner1 if mode == "literal" else _sub_interval(rng, outer2)
     g1 = _uniform_in(rng, inner1, n)
     g2 = _uniform_in(rng, inner2, n)
     h1, offset = _matched_pair(rng, weights, g1, inner1, outer1, None)
@@ -390,13 +387,12 @@ def _gen_mc1(spec: GenSpec, mode: str, rng: random.Random) -> dict:
     lo_frac = rng.uniform(0.5, 0.9)
     hi_frac = rng.uniform(0.5, 0.9)
     inner = IntervalR(c - lo_frac * (c - interval.lo), c + hi_frac * (interval.hi - c))
-    g1_box = IntervalR(inner.lo, c) if mode == "region_restricted" else inner
+    g1_box, g2_box = sides(mode, inner, c)
     g1 = _uniform_in(rng, g1_box, 2)
     m1 = 0.5 * (g1[0] + g1[1])
     var1 = 0.5 * (g1[0] ** 2 + g1[1] ** 2) - m1 * m1
     d = math.sqrt(var1)
-    lo2 = c if mode == "region_restricted" else inner.lo
-    m2 = _window_draw(rng, lo2 + d, inner.hi - d)
+    m2 = _window_draw(rng, g2_box.lo + d, g2_box.hi - d)
     g2 = list(two_point_from_moments(m2, var1 + m2 * m2))
     return {
         "interval": [interval.lo, interval.hi],
@@ -411,8 +407,9 @@ def _gen_mc1(spec: GenSpec, mode: str, rng: random.Random) -> dict:
 def _gen_mc2(spec: GenSpec, mode: str, rng: random.Random) -> dict:
     interval, c = spec.interval, spec.c
     if mode == "region_restricted":
-        g_lo, g_hi = interval.lo, c
-        h_lo, h_hi = c, interval.hi
+        g_side, h_side = sides(mode, interval, c)
+        g_lo, g_hi = g_side.lo, g_side.hi
+        h_lo, h_hi = h_side.lo, h_side.hi
         g_center = rng.uniform(g_lo + 0.35 * (g_hi - g_lo), g_hi - 0.35 * (g_hi - g_lo))
         h_center = rng.uniform(h_lo + 0.35 * (h_hi - h_lo), h_hi - 0.35 * (h_hi - h_lo))
         d_max = min(g_hi - g_center, g_center - g_lo, h_hi - h_center, h_center - h_lo)

@@ -821,8 +821,10 @@ class TestInputRules:
         doc = make_scenario(theorem, mode, fn_spec, payload)
         assert self._check_error(tmp_path, capsys, doc) == f"jensengap: error: {message}\n"
 
-    @pytest.mark.parametrize("mode", ["region_restricted", "literal"])
-    @pytest.mark.parametrize("theorem", ["mc1", "mc2", "mc3"])
+    @pytest.mark.parametrize(
+        "theorem, mode",
+        [(t, m) for t in ("mt1", "mt2", "mt3", "mc1", "mc2", "mc3") for m in THEOREMS[t].modes],
+    )
     def test_split_point_outside_the_interval(self, tmp_path, capsys, theorem, mode):
         assert run(["gen", "--theorem", theorem, "--mode", mode, "--seed", "1"]) == 0
         doc = json.loads(capsys.readouterr().out)

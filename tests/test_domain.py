@@ -15,6 +15,7 @@ from jensengap.domain import (
     Check,
     CheckSet,
     IntervalR,
+    Mt1Scenario,
     StructureError,
     ValidityReport,
     WeightedGroup,
@@ -137,15 +138,21 @@ _ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(_E
 _TOLS = st.sampled_from([0.0, 1e-300, 1e-12, EPS_EQ, 0.5])
 
 
+def _recorded(cs, ok, residual, want):
+    """cs holds one check, whose (residual, ok) is the reference's bit for
+    bit; the method returned that ok, and cs.ok follows it."""
+    (check,) = cs.report().checks
+    assert ok is check.ok is want is cs.ok
+    assert type(check.residual) is float
+    assert struct.pack("<d", check.residual) == struct.pack("<d", residual)
+
+
 def _same_record(a, b, tol):
     """matched(a, b) records the reference rule's (residual, ok) for a - b on
     the scale max(|a|, |b|), bit for bit, in this argument order."""
     cs = CheckSet(tol)
     ok = cs.matched("m", a, b)
-    (check,) = cs.report().checks
-    residual, want = _equality(tol, a - b, max(abs(a), abs(b)))
-    assert ok is check.ok is want is cs.ok
-    assert struct.pack("<d", check.residual) == struct.pack("<d", residual)
+    _recorded(cs, ok, *_equality(tol, a - b, max(abs(a), abs(b))))
 
 
 class TestMatched:
@@ -170,6 +177,80 @@ class TestMatched:
         assert cs.at_least("ordered", -1e-4, scale=1e6)
         assert not cs.at_least("ordered", -2e-9)
         assert cs.bound(-1e6) == 1e-9 * 1e6 and cs.bound(0.5) == 1e-9
+
+
+def _ordering(tol, margin, scale):
+    """The relative ordering rule written out as a reference: the (residual,
+    ok) of margin against -tol * max(1, |scale|)."""
+    scale = abs(scale)
+    return float(margin), margin >= -tol * (scale if scale > 1.0 else 1.0)
+
+
+#: scales below 1, above 1 and negative, besides the edge values
+_SCALES = _EDGES + [0.5, -0.5, 2.5, -2.5, 1e6]
+
+
+class TestAtLeast:
+    @given(_ANY_FLOAT, _ANY_FLOAT | st.sampled_from(_SCALES), _TOLS)
+    @example(-0.0, 1.0, 0.0)
+    @example(-2e-9, -1e6, EPS_EQ)
+    @example(math.nan, 2.0, EPS_EQ)
+    def test_records_the_ordering_rule(self, margin, scale, tol):
+        cs = CheckSet(tol)
+        _recorded(cs, cs.at_least("o", margin, scale=scale), *_ordering(tol, margin, scale))
+
+    @pytest.mark.parametrize("tol", [0.0, EPS_EQ])
+    def test_every_pair_of_edge_values(self, tol):
+        for margin, scale in itertools.product(_SCALES, repeat=2):
+            cs = CheckSet(tol)
+            _recorded(cs, cs.at_least("o", margin, scale=scale), *_ordering(tol, margin, scale))
+
+    @pytest.mark.parametrize("margin", _SCALES)
+    def test_default_scale_is_one(self, margin):
+        cs = CheckSet(EPS_EQ)
+        _recorded(cs, cs.at_least("o", margin), *_ordering(EPS_EQ, margin, 1.0))
+
+
+class TestUnitTotal:
+    @given(_ANY_FLOAT, _TOLS)
+    @example(1.0 + 2e-9, EPS_EQ)
+    @example(-0.0, 1.0)
+    def test_records_the_absolute_rule(self, total, tol):
+        cs = CheckSet(tol)
+        residual = float(abs(total - 1.0))
+        _recorded(cs, cs.unit_total("t", total), residual, residual <= tol)
+
+    @pytest.mark.parametrize("tol", [0.0, EPS_EQ, 0.5])
+    def test_every_edge_value(self, tol):
+        for total in _SCALES:
+            cs = CheckSet(tol)
+            residual = float(abs(total - 1.0))
+            _recorded(cs, cs.unit_total("t", total), residual, residual <= tol)
+
+
+class TestWitness:
+    @pytest.mark.parametrize("A", [*_SCALES, 3, -2, 0])
+    def test_a_found_constant_is_recorded_as_its_value(self, A):
+        cs = CheckSet(EPS_EQ)
+        _recorded(cs, cs.witness("w", A), float(A), True)
+
+    def test_no_constant_fails_at_zero(self):
+        cs = CheckSet(EPS_EQ)
+        _recorded(cs, cs.witness("w", None), 0.0, False)
+
+
+def test_checkset_ok_is_every_recorded_verdict():
+    cs = CheckSet(EPS_EQ)
+    verdicts = [
+        cs.matched("m", 1.0, 1.0),
+        cs.at_least("o", -1.0),
+        cs.unit_total("t", 1.0),
+        cs.witness("w", 2.0),
+        cs.record("r", 0.0, True),
+    ]
+    assert verdicts == [True, False, True, True, True]
+    assert cs.ok is False
+    assert [c.ok for c in cs.report().checks] == verdicts
 
 
 class TestCombinationValue:
@@ -235,6 +316,38 @@ class TestInterval:
     def test_contains_interval(self):
         assert IntervalR(-1, 1).contains_interval(IntervalR(-0.5, 0.5))
         assert not IntervalR(-1, 1).contains_interval(IntervalR(-2, 0.5))
+
+
+class TestSplitPoint:
+    """One split-point rule: ``sides`` for the functional forms, and the
+    same rule when a two-sided scenario is built."""
+
+    def test_sides_of_each_mode(self):
+        iv = IntervalR(-1.0, 3.0)
+        lo, hi = domain.sides("region_restricted", iv, 0.5)
+        assert (lo.lo, lo.hi, hi.lo, hi.hi) == (-1.0, 0.5, 0.5, 3.0)
+        assert domain.sides("literal", iv, 0.5) == (iv, iv)
+
+    @pytest.mark.parametrize("c", [-1.0, 3.0])
+    def test_c_at_either_end_is_inside(self, c):
+        domain.sides("region_restricted", IntervalR(-1.0, 3.0), c)
+
+    @pytest.mark.parametrize("c", [-1.5, 5.0, math.nan])
+    def test_c_outside_is_an_input_error(self, c):
+        for mode in ("literal", "region_restricted"):
+            with pytest.raises(StructureError, match="^split point must lie in the interval$"):
+                domain.sides(mode, IntervalR(-1.0, 3.0), c)
+
+    def test_unknown_mode_is_an_input_error(self):
+        with pytest.raises(StructureError, match="unknown mode 'sideways'"):
+            domain.sides("sideways", IntervalR(-1.0, 1.0), 0.0)
+
+    def test_two_sided_scenario_checks_c(self):
+        left = cfg((-0.5,), (0.5,), (-0.2,), (0.5,))
+        right = cfg((0.2,), (0.5,), (0.5,), (0.5,))
+        with pytest.raises(StructureError, match="^split point must lie in the interval$"):
+            Mt1Scenario(left, right, 5.0, IntervalR(-1, 1))
+        assert Mt1Scenario(left, right, 1.0, IntervalR(-1, 1)).c == 1.0
 
 
 def test_no_module_but_domain_names_fsum():

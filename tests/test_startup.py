@@ -128,6 +128,9 @@ class TestLazyNamespace:
         assert not hasattr(jensengap, "apply_fn")
         assert not hasattr(scenario, "verify_nothing")
         assert not hasattr(scenario, "k1_witness")
+        # the package exports these, but none is a registered verifier
+        for name in ("jensen_affine_gap", "spread", "__version__", "search_counterexamples"):
+            assert name in jensengap._SOURCES and not hasattr(scenario, name)
 
     def test_declared_class_is_gone(self):
         # every catalog constant A comes from the monotone-f'' certificate
