@@ -319,8 +319,9 @@ class TestInterval:
 
 
 class TestSplitPoint:
-    """One split-point rule: ``sides`` for the functional forms, and the
-    same rule when a two-sided scenario is built."""
+    """One split-point rule: ``sides`` for the functional forms (its errors
+    are tested through every verifier in test_functional), and the same rule
+    when a two-sided scenario is built."""
 
     def test_sides_of_each_mode(self):
         iv = IntervalR(-1.0, 3.0)
@@ -328,19 +329,9 @@ class TestSplitPoint:
         assert (lo.lo, lo.hi, hi.lo, hi.hi) == (-1.0, 0.5, 0.5, 3.0)
         assert domain.sides("literal", iv, 0.5) == (iv, iv)
 
-    @pytest.mark.parametrize("c", [-1.0, 3.0])
-    def test_c_at_either_end_is_inside(self, c):
-        domain.sides("region_restricted", IntervalR(-1.0, 3.0), c)
-
-    @pytest.mark.parametrize("c", [-1.5, 5.0, math.nan])
-    def test_c_outside_is_an_input_error(self, c):
-        for mode in ("literal", "region_restricted"):
-            with pytest.raises(StructureError, match="^split point must lie in the interval$"):
-                domain.sides(mode, IntervalR(-1.0, 3.0), c)
-
-    def test_unknown_mode_is_an_input_error(self):
-        with pytest.raises(StructureError, match="unknown mode 'sideways'"):
-            domain.sides("sideways", IntervalR(-1.0, 1.0), 0.0)
+    def test_nan_split_point_is_outside(self):
+        with pytest.raises(StructureError, match="^split point must lie in the interval$"):
+            domain.sides("literal", IntervalR(-1.0, 3.0), math.nan)
 
     def test_two_sided_scenario_checks_c(self):
         left = cfg((-0.5,), (0.5,), (-0.2,), (0.5,))
