@@ -82,9 +82,6 @@ class IntervalR:
     def contains(self, x: float, tol: float = 0.0) -> bool:
         return self.lo - tol <= x <= self.hi + tol
 
-    def contains_interval(self, other: "IntervalR", tol: float = 0.0) -> bool:
-        return self.lo - tol <= other.lo and other.hi <= self.hi + tol
-
 
 def sides(mode: str, interval: IntervalR, c: float) -> tuple[IntervalR, IntervalR]:
     """The outer intervals of the two sides of a split point c: the halves of
@@ -216,8 +213,8 @@ class CheckSet:
     ``ok`` is true while every check recorded so far holds.  The one place
     that knows how a hypothesis is compared: ``matched`` and ``at_least`` are
     relative, within ``bound(scale)``; ``unit_total`` and the ranges and
-    nestings that read ``tol`` are absolute.  Every method records its
-    residual and verdict through ``record``."""
+    nestings of ``inside`` and ``outside`` are absolute.  Every method
+    records its residual and verdict through ``record``."""
 
     __slots__ = ("tol", "ok", "_checks")
 
@@ -254,6 +251,16 @@ class CheckSet:
     def witness(self, name: str, A: float | None) -> bool:
         """A curvature constant was found: A is not None, recorded as its value."""
         return self.record(name, 0.0 if A is None else A, A is not None)
+
+    def inside(self, name: str, values, interval: IntervalR) -> bool:
+        """Every value lies in the closed interval, within tol; records the largest excess."""
+        worst = max(max(interval.lo - x, x - interval.hi, 0.0) for x in values)
+        return self.record(name, worst, worst <= self.tol)
+
+    def outside(self, name: str, values, inner: IntervalR) -> bool:
+        """No value lies deeper than tol in the open inner interval; records the depth, or 0.0."""
+        depth = max(min(x - inner.lo, inner.hi - x) for x in values)
+        return self.record(name, max(depth, 0.0), depth <= self.tol)
 
     def report(self) -> ValidityReport:
         return ValidityReport(tuple(self._checks))

@@ -26,7 +26,8 @@ violations and is kept for hypothesis exploration; reports label the mode.
 Hypothesis residuals carry stable tags: "1.4"/"1.7"/"1.9"/"1.11" for the
 mean constraints of the convex forms, "2.12", "2.17", "2.19", "2.20",
 "2.22", "2.25", "2.26" for the mean/second-moment constraints of the
-split-point forms, "2.23" for the aggregate inclusions.
+split-point forms, "2.23" for the aggregate inclusions.  Every range and
+nesting check is a ``CheckSet.inside`` or ``outside`` check.
 """
 
 from __future__ import annotations
@@ -83,16 +84,6 @@ def apply_fn(L, f: FunctionModel, u) -> float:
     return checked_fsum(terms, "weighted sum L(f(u))", w)
 
 
-def _inside(cs: CheckSet, name: str, values, interval: IntervalR) -> bool:
-    worst = max(max(interval.lo - x, x - interval.hi, 0.0) for x in values)
-    return cs.record(name, worst, worst <= cs.tol)
-
-
-def _outside_open(cs: CheckSet, name: str, values, inner: IntervalR) -> bool:
-    depth = max(min(x - inner.lo, inner.hi - x) for x in values)
-    return cs.record(name, max(depth, 0.0), depth <= cs.tol)
-
-
 def _pair_range_checks(
     cs: CheckSet, g: str, gs, h: str, hs, inner: IntervalR, outer: IntervalR
 ) -> None:
@@ -100,10 +91,10 @@ def _pair_range_checks(
     outer interval but outside the open inner one.  The checks are labelled
     by the templates g and h, whose "{}" takes the member's 1-based index."""
     for i, v in enumerate(gs, start=1):
-        _inside(cs, f"range.{g.format(i)}", v, inner)
+        cs.inside(f"range.{g.format(i)}", v, inner)
     for i, v in enumerate(hs, start=1):
-        _inside(cs, f"range.{h.format(i)}_outer", v, outer)
-        _outside_open(cs, f"range.{h.format(i)}", v, inner)
+        cs.inside(f"range.{h.format(i)}_outer", v, outer)
+        cs.outside(f"range.{h.format(i)}", v, inner)
 
 
 def verify_it2(
@@ -116,7 +107,7 @@ def verify_it2(
     cs = CheckSet(tol)
     cs.unit_total("unital.L", L.total)
     cs.unit_total("unital.H", H.total)
-    cs.record("inner_in_interval", 0.0, interval.contains_interval(inner, cs.tol))
+    cs.inside("inner_in_interval", (inner.lo, inner.hi), interval)
     cs.at_least("f.convex", convexity_margin(f, interval))
     _pair_range_checks(cs, "g", [g.values], "h", [h.values], inner, interval)
     cs.matched("1.4", apply(L, g), apply(H, h))
@@ -142,7 +133,7 @@ def verify_ic1(
     cs = CheckSet(tol)
     cs.unit_total("unital.L", L.total)
     cs.at_least("f.convex", convexity_margin(f, inner))
-    _inside(cs, "range.g", g.values, inner)
+    cs.inside("range.g", g.values, inner)
     if not cs.ok:
         return ChainReport(UNMET, hypotheses=cs.report())
     return judge(cs, (apply_fn(L, f, g) - eval_fn(f, apply(L, g)),))
@@ -158,15 +149,13 @@ def _ladder_checks(
     """Nested-interval ladder: level 1 inside the first inner interval, each
     later level inside the next interval but outside the open previous one."""
     for i in range(len(inners) - 1):
-        cs.record(
-            f"nesting.{label}[{i + 1}]", 0.0, inners[i + 1].contains_interval(inners[i], cs.tol)
-        )
-    cs.record(f"nesting.{label}[outer]", 0.0, interval.contains_interval(inners[-1], cs.tol))
-    _inside(cs, f"range.{label}1", vs[0], inners[0])
+        cs.inside(f"nesting.{label}[{i + 1}]", (inners[i].lo, inners[i].hi), inners[i + 1])
+    cs.inside(f"nesting.{label}[outer]", (inners[-1].lo, inners[-1].hi), interval)
+    cs.inside(f"range.{label}1", vs[0], inners[0])
     for k in range(1, len(vs)):
         outer = inners[k] if k < len(vs) - 1 else interval
-        _inside(cs, f"range.{label}{k + 1}_outer", vs[k], outer)
-        _outside_open(cs, f"range.{label}{k + 1}", vs[k], inners[k - 1])
+        cs.inside(f"range.{label}{k + 1}_outer", vs[k], outer)
+        cs.outside(f"range.{label}{k + 1}", vs[k], inners[k - 1])
 
 
 def verify_ic2(
@@ -214,7 +203,7 @@ def verify_ic3(
     cs.at_least("f.convex", convexity_margin(f, interval))
     cs.unit_total("totals", checked_fsum((L.total for L in Ls), "Ls totals sum"))
     for i, g in enumerate(gs, start=1):
-        _inside(cs, f"range.g{i}", g.values, interval)
+        cs.inside(f"range.g{i}", g.values, interval)
     if not cs.ok:
         return ChainReport(UNMET, hypotheses=cs.report())
     value = checked_fsum(list(map(apply, Ls, gs)), _MEANS)
@@ -240,7 +229,7 @@ def verify_it3(
     Hs, hs = _family(Hs, hs)
     cs = CheckSet(tol)
     cs.at_least("f.convex", convexity_margin(f, interval))
-    cs.record("inner_in_interval", 0.0, interval.contains_interval(inner, cs.tol))
+    cs.inside("inner_in_interval", (inner.lo, inner.hi), interval)
     cs.unit_total("totals.L", checked_fsum((L.total for L in Ls), "Ls totals sum"))
     cs.unit_total("totals.H", checked_fsum((H.total for H in Hs), "Hs totals sum"))
     vs_g, vs_h = [g.values for g in gs], [h.values for h in hs]
@@ -291,13 +280,13 @@ def _split_transfer(
     for name, fam in zip(totals, ls):
         cs.unit_total(name, checked_fsum((L.total for L in fam), f"{name} sum"))
     if mode == "literal":
-        cs.record("inner_in_interval", 0.0, interval.contains_interval(inner, cs.tol))
+        cs.inside("inner_in_interval", (inner.lo, inner.hi), interval)
         inner2 = inner
     else:
         if inner2 is None:
             raise StructureError("region_restricted mode needs a second inner interval")
-        cs.record("region.inner1", 0.0, outer1.contains_interval(inner, cs.tol))
-        cs.record("region.inner2", 0.0, outer2.contains_interval(inner2, cs.tol))
+        cs.inside("region.inner1", (inner.lo, inner.hi), outer1)
+        cs.inside("region.inner2", (inner2.lo, inner2.hi), outer2)
     vs = [[u.values for u in fun] for fun in us]
     _pair_range_checks(cs, labels[0], vs[0], labels[1], vs[1], inner, outer1)
     _pair_range_checks(cs, labels[2], vs[2], labels[3], vs[3], inner2, outer2)
@@ -375,8 +364,8 @@ def verify_mc1(
     v1, v2 = g1.values, g2.values
     cs = CheckSet(tol)
     cs.unit_total("unital.L", L.total)
-    _inside(cs, "range.g1", v1, inner)
-    _inside(cs, "range.g2", v2, inner)
+    cs.inside("range.g1", v1, inner)
+    cs.inside("range.g2", v2, inner)
     if mode == "region_restricted":
         cs.at_least("region.g1_left_of_c", c - max(v1), scale=abs(c))
         cs.at_least("region.g2_right_of_c", min(v2) - c, scale=abs(c))
@@ -472,8 +461,8 @@ def verify_mc3(
     cs = CheckSet(tol)
     cs.unit_total("totals", checked_fsum((L.total for L in Ls), "Ls totals sum"))
     for i, (vg, vh) in enumerate(zip(vgs, vhs), start=1):
-        _inside(cs, f"range.g{i}", vg, interval)
-        _inside(cs, f"range.h{i}", vh, interval)
+        cs.inside(f"range.g{i}", vg, interval)
+        cs.inside(f"range.h{i}", vh, interval)
         if mode == "region_restricted":
             cs.at_least(f"region.g{i}_left_of_c", c - max(vg), scale=abs(c))
             cs.at_least(f"region.h{i}_right_of_c", min(vh) - c, scale=abs(c))

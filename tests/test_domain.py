@@ -239,6 +239,80 @@ class TestWitness:
         _recorded(cs, cs.witness("w", None), 0.0, False)
 
 
+def _inside_ref(tol, values, interval):
+    """The range rule as ``functional._inside`` wrote it before it moved into
+    ``CheckSet.inside``: the (residual, ok) of the largest excess past an end."""
+    worst = max(max(interval.lo - x, x - interval.hi, 0.0) for x in values)
+    return worst, worst <= tol
+
+
+def _outside_ref(tol, values, inner):
+    """The rule as ``functional._outside_open`` wrote it before it moved into
+    ``CheckSet.outside``: the (residual, ok) of the largest depth inside."""
+    depth = max(min(x - inner.lo, inner.hi - x) for x in values)
+    return max(depth, 0.0), depth <= tol
+
+
+#: 2**-30: an excess exactly at this tolerance is exactly representable
+_TOL_BITS = 2.0**-30
+_CONTAINMENT_TOLS = [0.0, _TOL_BITS, EPS_EQ]
+#: signed zero and touching ends, the extremes, and a unit interval
+_CONTAINMENT_INTERVALS = [
+    IntervalR(-0.0, 0.0), IntervalR(0.0, 0.0), IntervalR(-0.0, -0.0), IntervalR(-0.0, 1.0),
+    IntervalR(-1.0, 1.0), IntervalR(2.0, 2.0), IntervalR(-1e308, 1e308), IntervalR(0.0, 1.0),
+    IntervalR(-1.0, 0.0),
+]
+#: single values, signed zeros in either order (of equal excesses, max keeps
+#: the first), ±1e308, the ends of [0, 1] and of [-1, 1], excesses past 1
+#: and below 0 just below, at and above 2**-30, and the endpoints of
+#: [-0.5, 0.5] and [-2, 0.5] read as the values of a nesting
+_CONTAINMENT_VALUES = [
+    (0.0,), (-0.0,), (0.0, -0.0), (-0.0, 0.0), (1.0, 0.0), (-0.0, -1.0),
+    (1e308,), (-1e308,), (1e308, -1e308),
+    (1.0,), (0.0, 1.0), (-1.0, 1.0), (2.0,), (2.0, 2.0),
+    *[(1.0 + k * 2.0**-31,) for k in (1, 2, 4)],
+    *[(-k * 2.0**-31, 0.5) for k in (1, 2, 4)],
+    (-0.5, 0.5), (-2.0, 0.5),
+]
+_FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(_EDGES[:10])
+
+
+class TestInsideOutside:
+    """``inside`` and ``outside`` record the range rules they replaced bit
+    for bit: the residual (its sign of zero too), ``ok`` and ``cs.ok``."""
+
+    @staticmethod
+    def _same(method, reference, tol, values, interval):
+        cs = CheckSet(tol)
+        residual, want = reference(tol, values, interval)
+        _recorded(cs, getattr(cs, method)("r", values, interval), residual, want)
+        (check,) = cs.report().checks
+        assert math.copysign(1.0, check.residual) == math.copysign(1.0, residual)
+
+    @pytest.mark.parametrize("method, reference", [("inside", _inside_ref), ("outside", _outside_ref)])
+    @pytest.mark.parametrize("tol", _CONTAINMENT_TOLS)
+    def test_every_edge_case(self, method, reference, tol):
+        for interval, values in itertools.product(_CONTAINMENT_INTERVALS, _CONTAINMENT_VALUES):
+            self._same(method, reference, tol, values, interval)
+
+    @given(st.lists(_FINITE, min_size=1, max_size=4), _FINITE, _FINITE, _TOLS)
+    def test_any_finite_values(self, values, a, b, tol):
+        interval = IntervalR(min(a, b), max(a, b))
+        self._same("inside", _inside_ref, tol, values, interval)
+        self._same("outside", _outside_ref, tol, values, interval)
+
+    def test_excess_against_the_tolerance(self):
+        cs = CheckSet(_TOL_BITS)
+        unit = IntervalR(0.0, 1.0)
+        below, at, above = (1.0 + k * 2.0**-31 for k in (1, 2, 4))
+        assert cs.inside("below", (below,), unit) and cs.inside("at", (at,), unit) and cs.ok
+        assert cs.inside("nested", (-0.5, 0.5), IntervalR(-1, 1)) and cs.ok
+        assert not cs.inside("above", (above,), unit) and not cs.ok
+        assert not cs.inside("sticks_out", (-2.0, 0.5), IntervalR(-1, 1))
+        residuals = [2.0**-31, 2.0**-30, 0.0, 2.0**-29, 1.0]
+        assert [c.residual for c in cs.report().checks] == residuals
+
+
 def test_checkset_ok_is_every_recorded_verdict():
     cs = CheckSet(EPS_EQ)
     verdicts = [
@@ -247,8 +321,10 @@ def test_checkset_ok_is_every_recorded_verdict():
         cs.unit_total("t", 1.0),
         cs.witness("w", 2.0),
         cs.record("r", 0.0, True),
+        cs.inside("i", (0.5,), IntervalR(0.0, 1.0)),
+        cs.outside("x", (0.5,), IntervalR(0.0, 1.0)),
     ]
-    assert verdicts == [True, False, True, True, True]
+    assert verdicts == [True, False, True, True, True, True, False]
     assert cs.ok is False
     assert [c.ok for c in cs.report().checks] == verdicts
 
@@ -312,10 +388,6 @@ class TestInterval:
     def test_degenerate_allowed(self):
         iv = IntervalR(2.0, 2.0)
         assert iv.contains(2.0) and not iv.contains(2.1)
-
-    def test_contains_interval(self):
-        assert IntervalR(-1, 1).contains_interval(IntervalR(-0.5, 0.5))
-        assert not IntervalR(-1, 1).contains_interval(IntervalR(-2, 0.5))
 
 
 class TestSplitPoint:

@@ -24,7 +24,7 @@ from jensengap.functional import (
     verify_mt5,
 )
 from jensengap.report import HOLDS, UNMET
-from jensengap.scenario import model_from_spec, run_payload
+from jensengap.scenario import THEOREMS, model_from_spec, run_payload
 from jensengap.scengen import GenSpec, gen_payload
 
 iv = IntervalR
@@ -115,9 +115,30 @@ class TestIt2Ranges:
         assert it2_checks([0.2, 0.8], [-1.0, 2.0])["range.g"]
         assert not it2_checks([0.2, 1.5], [-1.0, 2.7])["range.g"]
 
-    def test_inner_must_sit_in_interval(self):
-        checks = it2_checks([0.5, 0.5], [-1.0, 2.0], inner=iv(-5, 5))
-        assert not checks["inner_in_interval"]
+
+#: (theorem, mode, field, check): moving the low end of the interval ``field``
+#: (the last rung of a ladder) 0.5 below the interval's fails ``check`` by 0.5
+CONTAINMENT_CASES = [
+    ("it2", "standard", "inner", "inner_in_interval"),
+    ("it3", "standard", "inner", "inner_in_interval"),
+    ("mt4", "literal", "inner", "inner_in_interval"),
+    ("mt4", "region_restricted", "inner", "region.inner1"),
+    ("ic2", "standard", "inners", "nesting.g[outer]"),
+    ("mc2", "literal", "g_inners", "nesting.g[outer]"),
+    ("mc2", "region_restricted", "g_inners", "nesting.g[outer]"),
+]
+
+
+@pytest.mark.parametrize("theorem, mode, field, check", CONTAINMENT_CASES)
+def test_inner_must_sit_in_interval(theorem, mode, field, check):
+    """A failing containment check reports how far out the inner interval is."""
+    payload = gen_payload(GenSpec(seed=1), theorem, mode)
+    inner = payload[field][-1] if field.endswith("s") else payload[field]
+    inner[0] = payload["interval"][0] - 0.5
+    f = model_from_spec(fn_spec_from_string(THEOREMS[theorem].default_fn[mode]))
+    checks = {c["name"]: c for c in run_payload(theorem, mode, f, payload)["hypotheses"]}
+    assert checks[check]["ok"] is False
+    assert checks[check]["residual"] == 0.5
 
 
 class TestIt2:
@@ -592,7 +613,7 @@ MT4_TO_MT5 = {
     "2.12.mean2": "2.25.2",
     "2.12.moment": "2.26",
 }
-MT4_MUTATIONS = ("unital.H", "range.h2", "2.12.mean2", "2.12.moment")
+MT4_MUTATIONS = ("unital.H", "region.inner1", "range.h2", "2.12.mean2", "2.12.moment")
 
 
 def mutate_mt4(payload: dict, check: str) -> dict:
@@ -600,6 +621,8 @@ def mutate_mt4(payload: dict, check: str) -> dict:
     p = copy.deepcopy(payload)
     if check == "unital.H":
         p["H"][0] *= 1.1
+    elif check == "region.inner1":  # past the interval's low end: inner_in_interval when literal
+        p["inner"] = [p["interval"][0] - 0.5, p["inner"][1]]
     elif check == "range.h2":
         p["h2"] = list(p["g2"])  # inside the open inner interval
     elif check == "2.12.mean2":
@@ -635,7 +658,8 @@ class TestMt4SharesMt5:
         names = [c["name"] for c in report["hypotheses"]]
         assert names == MT4_CHECKS[mode]
         assert not any(n.startswith("totals.") or "*" in n for n in names)
-        assert check in [c["name"] for c in report["hypotheses"] if not c["ok"]]
+        failed = {c["name"]: c["residual"] for c in report["hypotheses"] if not c["ok"]}
+        assert failed[check if check in names else "inner_in_interval"] > 0.0
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -669,3 +693,6 @@ class TestMt4SharesMt5:
             assert checks[f"totals.{star}*"]["residual"] == checks[f"totals.{star}"]["residual"]
         unstarred = [c for c in mt5["hypotheses"] if c["name"] not in ("totals.L*", "totals.H*")]
         assert unstarred == renamed
+        if mutation == "region.inner1":
+            name = "region.inner1" if mode == "region_restricted" else "inner_in_interval"
+            assert checks[name]["residual"] == lo - payload["inner"][0] > 0.0
