@@ -89,9 +89,9 @@ class TestTypesAndApply:
         assert min(u.values) <= value <= max(u.values)
 
 
-def it2_checks(g, h, inner=iv(-1, 1)):
+def it2_checks(g, h):
     """Name -> ok of every hypothesis check of an it2 scenario with HALF weights."""
-    rep = verify_it2(Q2, HALF, g, HALF, h, inner=inner, interval=iv(-3, 3))
+    rep = verify_it2(Q2, HALF, g, HALF, h, inner=iv(-1, 1), interval=iv(-3, 3))
     return {c.name: c.ok for c in rep.hypotheses.checks}
 
 
