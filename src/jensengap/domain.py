@@ -12,7 +12,8 @@ configuration and judge none of them.
 
 A functional is a nonnegative weight vector over the indices 1..n; it is
 unital when its weights sum to 1.  Functions are plain value vectors of
-matching length, and ``apply`` is their weighted sum.
+matching length, and ``apply`` is their weighted sum.  ``moment`` is the
+one place a second moment is formed, for spreads, verifiers and generators.
 
 ``sides`` is the one split-point rule: a split point c must lie in its
 closed interval, and the two sides at c are the halves of the interval or,
@@ -52,16 +53,24 @@ def checked_fsum(terms, what: str, *factors) -> float:
     """``math.fsum(terms)``, exactly.  A sum past the float range is malformed
     input, a StructureError naming ``what``: fsum overflows or meets both
     infinities, or the terms are products of the ``factors`` sequences and
-    come out infinite from finite factors.  With no factors, an infinite sum
-    comes from an infinite term and is returned.  The terms are consumed
-    inside the guard: list first any term that may raise an error of its own."""
+    come out infinite or NaN from finite factors.  With no factors, an
+    infinite sum comes from an infinite term and is returned.  The terms are
+    consumed inside the guard: list first any term that may raise its own error."""
     try:
         total = math.fsum(terms)
     except (OverflowError, ValueError):  # an overflow, or fsum's "-inf + inf"
         total = None
-    if total is None or factors and math.isinf(total) and all(map(math.isfinite, chain(*factors))):
+    if total is None or (
+        factors and not math.isfinite(total) and all(map(math.isfinite, chain(*factors)))
+    ):
         raise StructureError(f"{what} past the float range")
     return total
+
+
+def moment(w, x, what: str = "weighted sum L(u**2)", k: int = 2) -> float:
+    """sum(w * x**k), k = 1 or 2, of equal-length w and x: a ``checked_fsum`` naming ``what``."""
+    terms = map(mul, w, x) if k == 1 else map(mul, w, map(mul, x, x))
+    return checked_fsum(terms, what, w, x)
 
 
 class IntervalR:
@@ -96,10 +105,6 @@ def sides(mode: str, interval: IntervalR, c: float) -> tuple[IntervalR, Interval
     return IntervalR(interval.lo, c), IntervalR(c, interval.hi)
 
 
-#: the name of each moment's sum, formed once
-_MOMENT_SUMS = {k: f"group moment sum(w * p**{k})" for k in (1, 2)}
-
-
 class WeightedGroup:
     """Points with nonnegative weights.  May be empty (used for minus groups)."""
 
@@ -123,14 +128,6 @@ class WeightedGroup:
     def active_points(self) -> tuple[float, ...]:
         """Points carrying strictly positive weight."""
         return tuple(compress(self.points, map((0.0).__lt__, self.weights)))
-
-    def moment(self, k: int) -> float:
-        """sum(w * p**k) for k = 1 or 2; past the float range it is malformed
-        input, though infinite or NaN weights or points may give an infinite sum."""
-        w, p = self.weights, self.points
-        # float(k).__rpow__(p) is p ** k, mapped lazily so that its overflow
-        # is raised inside the sum
-        return checked_fsum(map(mul, w, map(float(k).__rpow__, p)), _MOMENT_SUMS[k], w, p)
 
 
 _EMPTY = WeightedGroup((), ())
@@ -328,7 +325,10 @@ def record_affine_config(cs: CheckSet, prefix: str, cfg: AffineConfig) -> bool:
 
 
 def _signed_moment(cfg: AffineConfig, k: int) -> float:
-    return cfg.plus_a.moment(k) + cfg.plus_b.moment(k) - cfg.minus_c.moment(k)
+    what = "group moment sum(w * p**2)" if k == 2 else "group moment sum(w * p**1)"
+    a, b, c = cfg.plus_a, cfg.plus_b, cfg.minus_c
+    a, b = moment(a.weights, a.points, what, k), moment(b.weights, b.points, what, k)
+    return a + b - moment(c.weights, c.points, what, k)
 
 
 def combination_value(cfg: AffineConfig, tol: float = EPS_EQ) -> float:

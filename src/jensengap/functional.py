@@ -33,7 +33,6 @@ nesting check is a ``CheckSet.inside`` or ``outside`` check.
 from __future__ import annotations
 
 from itertools import repeat
-from operator import mul
 from typing import Sequence
 
 from .analysis import convexity_margin, k1_witness
@@ -48,6 +47,7 @@ from .domain import (  # noqa: F401  (the functional types are re-exported)
     as_function,
     as_functional,
     checked_fsum,
+    moment,
     sides,
 )
 from .funclib import FunctionModel, eval_fn
@@ -57,9 +57,9 @@ from .report import UNMET, ChainReport, chain_report, judge
 _MEANS, _SQUARES, _LIFTS = "family sum L(u)", "family sum L(u**2)", "family sum L(f(u))"
 
 
-def _sq(values: Sequence[float]) -> FunctionOnOmega:
-    """The squared values, as the function whose second moment they give."""
-    return FunctionOnOmega(map(mul, values, values))
+def _second_moments(Ls: Sequence[DiscreteFunctional], vs) -> list[float]:
+    """Each member's L(u**2); its mean L(u) has checked the lengths."""
+    return [moment(L.weights, v) for L, v in zip(Ls, vs)]
 
 
 def _family(Ls, us, least: int = 1) -> tuple[list[DiscreteFunctional], list[FunctionOnOmega]]:
@@ -294,7 +294,7 @@ def _split_transfer(
     sum_lg, sum_hh, sum_lg2, sum_hh2 = means
     cs.matched(tags[0], sum_hh, sum_lg)
     cs.matched(tags[1], sum_hh2, sum_lg2)
-    sq = [checked_fsum(list(map(apply, fam, map(_sq, v))), _SQUARES) for fam, v in zip(ls, vs)]
+    sq = [checked_fsum(_second_moments(fam, v), _SQUARES) for fam, v in zip(ls, vs)]
     moment1, moment2 = sq[1] - sq[0], sq[3] - sq[2]
     cs.matched(tags[2], moment1, moment2)
     A = k1_witness(f, c, interval, tol=tol) if A is None else A
@@ -367,12 +367,11 @@ def verify_mc1(
     cs.inside("range.g1", v1, inner)
     cs.inside("range.g2", v2, inner)
     if mode == "region_restricted":
-        cs.at_least("region.g1_left_of_c", c - max(v1), scale=abs(c))
-        cs.at_least("region.g2_right_of_c", min(v2) - c, scale=abs(c))
+        cs.at_least("region.g1_left_of_c", c - max(v1))
+        cs.at_least("region.g2_right_of_c", min(v2) - c)
     m1, m2 = apply(L, g1), apply(L, g2)
-    var1 = apply(L, _sq(v1)) - m1 * m1
-    var2 = apply(L, _sq(v2)) - m2 * m2
-    cs.matched("2.17", var1, var2)
+    sq1, sq2 = _second_moments((L, L), (v1, v2))
+    cs.matched("2.17", sq1 - m1 * m1, sq2 - m2 * m2)
     cs.witness("witness.K1c", k1_witness(f, c, cls_interval, tol=tol))
     if not cs.ok:
         return ChainReport(UNMET, hypotheses=cs.report())
@@ -418,8 +417,8 @@ def verify_mc2(
     _ladder_checks(cs, "h", vhs, h_inners, h_outer)
     g_means = list(map(apply, Ls, gs))
     h_means = list(map(apply, Ls, hs))
-    g_sqs = list(map(apply, Ls, map(_sq, vgs)))
-    h_sqs = list(map(apply, Ls, map(_sq, vhs)))
+    g_sqs = _second_moments(Ls, vgs)
+    h_sqs = _second_moments(Ls, vhs)
     for i in range(n - 1):
         cs.matched(f"2.19.g[{i + 1}]", g_means[i], g_means[i + 1])
         cs.matched(f"2.19.h[{i + 1}]", h_means[i], h_means[i + 1])
@@ -464,12 +463,12 @@ def verify_mc3(
         cs.inside(f"range.g{i}", vg, interval)
         cs.inside(f"range.h{i}", vh, interval)
         if mode == "region_restricted":
-            cs.at_least(f"region.g{i}_left_of_c", c - max(vg), scale=abs(c))
-            cs.at_least(f"region.h{i}_right_of_c", min(vh) - c, scale=abs(c))
+            cs.at_least(f"region.g{i}_left_of_c", c - max(vg))
+            cs.at_least(f"region.h{i}_right_of_c", min(vh) - c)
     g_mean = checked_fsum(list(map(apply, Ls, gs)), _MEANS)
     h_mean = checked_fsum(list(map(apply, Ls, hs)), _MEANS)
-    g_var = checked_fsum(list(map(apply, Ls, map(_sq, vgs))), _SQUARES) - g_mean * g_mean
-    h_var = checked_fsum(list(map(apply, Ls, map(_sq, vhs))), _SQUARES) - h_mean * h_mean
+    g_var = checked_fsum(_second_moments(Ls, vgs), _SQUARES) - g_mean * g_mean
+    h_var = checked_fsum(_second_moments(Ls, vhs), _SQUARES) - h_mean * h_mean
     cs.matched("2.22", g_var, h_var)
     cs.witness("witness.K1c", k1_witness(f, c, interval, tol=tol))
     if not cs.ok:

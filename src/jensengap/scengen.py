@@ -28,6 +28,7 @@ from .domain import (
     apply,
     barycenter,
     checked_fsum,
+    moment,
     sides,
     spread,
 )
@@ -246,7 +247,7 @@ def _matched_pair(
     d_max = min(outer.hi - mean, mean - outer.lo)
     if d_max <= d_min:
         raise _Retry
-    second = apply(L, [v * v for v in values])
+    second = moment(L.weights, values)
     var = second - mean * mean
     if offset is None:
         lo = d_min * d_min - var
@@ -390,7 +391,7 @@ def _gen_mc1(spec: GenSpec, mode: str, rng: random.Random) -> dict:
     g1_box, g2_box = sides(mode, inner, c)
     g1 = _uniform_in(rng, g1_box, 2)
     m1 = 0.5 * (g1[0] + g1[1])
-    var1 = 0.5 * (g1[0] ** 2 + g1[1] ** 2) - m1 * m1
+    var1 = moment((0.5, 0.5), g1) - m1 * m1
     d = math.sqrt(var1)
     m2 = _window_draw(rng, g2_box.lo + d, g2_box.hi - d)
     g2 = list(two_point_from_moments(m2, var1 + m2 * m2))

@@ -22,6 +22,7 @@ from jensengap.domain import (
     barycenter,
     combination_value,
     hull_membership,
+    moment,
     spread,
     validate_affine_config,
 )
@@ -364,20 +365,22 @@ class TestSpread:
         assert spread(cfg((0,), (0.6,), (2,), (0.6,), (1.7,), (0.2,))) >= -1e-9
 
     def test_moment_past_float_range_is_an_input_error(self):
-        # the power overflows, and so does the sum of finite products
-        for points, weights in (((1e200,), (1.0,)), ((1e154, 1e154), (1.0, 1.0))):
+        # the square overflows, and so does the sum of finite products; a
+        # zero weight times an overflowed square is NaN, past the range too
+        cases = (((1e200,), (1.0,)), ((1e154, 1e154), (1.0, 1.0)), ((1e200,), (0.0,)))
+        for points, weights in cases:
             with pytest.raises(StructureError, match=r"sum\(w \* p\*\*2\) past the float"):
-                WeightedGroup(points, weights).moment(2)
-        assert WeightedGroup((1e200,), (1.0,)).moment(1) == 1e200
+                moment(weights, points, "group moment sum(w * p**2)")
+        assert moment((1.0,), (1e200,), "group moment sum(w * p**1)", 1) == 1e200
 
     @pytest.mark.parametrize("weights", [(1e300, 1e300), (1e300, -1e300)])
     def test_moment_of_overflowing_products_is_an_input_error(self, weights):
         # each product is past the float range: inf, or +inf and -inf
         with pytest.raises(StructureError, match=r"sum\(w \* p\*\*2\) past the float"):
-            WeightedGroup((1e6, -1e6), weights).moment(2)
+            moment(weights, (1e6, -1e6), "group moment sum(w * p**2)")
 
     def test_moment_of_infinite_points_stays_infinite(self):
-        assert WeightedGroup((math.inf,), (1.0,)).moment(2) == math.inf
+        assert moment((1.0,), (math.inf,), "group moment sum(w * p**2)") == math.inf
 
 
 class TestInterval:

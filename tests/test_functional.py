@@ -1,11 +1,19 @@
 import copy
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jensengap.domain import CheckSet, IntervalR, StructureError
+from jensengap.domain import (
+    AffineConfig,
+    CheckSet,
+    IntervalR,
+    StructureError,
+    WeightedGroup,
+    spread,
+)
 from jensengap.funclib import TabulatedFunction, catalog, fn_spec_from_string, tabulated_model
 from jensengap.functional import (
     DiscreteFunctional,
@@ -466,6 +474,39 @@ class TestMc3:
     def test_variance_mismatch(self):
         rep = verify_mc3(SS, [HALF], [[-2.0, -1.0]], [[0.5, 2.0]], c=0.0, interval=iv(-3, 3))
         assert_unmet(rep, "2.22")
+
+
+#: g1's top value lies 5e-7 right of c = 1000; g2 is g1 moved right by 2
+FAR_G1, FAR_G2 = [999.0, 1000.0000005], [1001.0, 1002.0000005]
+
+
+@pytest.mark.parametrize(
+    "verify",
+    [
+        lambda: verify_mc1(SS, HALF, FAR_G1, FAR_G2, c=1000.0, inner=iv(0, 2000), interval=iv(0, 2000)),
+        lambda: verify_mc3(SS, [HALF], [FAR_G1], [FAR_G2], c=1000.0, interval=iv(0, 2000)),
+    ],
+    ids=["mc1", "mc3"],
+)
+def test_left_of_c_is_absolute_far_from_0(verify):
+    """"Left of c" is within the absolute tol, as for mt1's 2.2, the mt4/mt5
+    halves and the mc2 ladders: 5e-7 right of c = 1000 is not left of it,
+    though tol * |c| = 1e-6 would let it pass."""
+    assert_unmet(verify(), "region.g1_left_of_c")
+
+
+def test_spread_and_mc1_form_the_same_second_moment():
+    """The second moment inside ``spread`` and the one verify_mc1 matches are
+    formed alike, bit for bit, also at points where libm's x ** 2.0 rounds
+    otherwise than x * x.  With g2 constant, 2.17's residual is g1's variance."""
+    rng = random.Random(1)
+    xs = [rng.uniform(-1e6, 1e6) for _ in range(20000)]
+    points = [x for x in xs if x ** 2.0 != x * x] + xs[:20]
+    for x, y in zip(points[::2], points[1::2]):
+        s = spread(AffineConfig(WeightedGroup([x], [0.5]), WeightedGroup([y], [0.5])))
+        rep = verify_mc1(Q2, HALF, [x, y], [0.0, 0.0], c=0.0, inner=iv(-1e6, 1e6), mode="literal")
+        residual = {c.name: c.residual for c in rep.hypotheses.checks}["2.17"]
+        assert residual == abs(s), (x, y)
 
 
 class TestMt5:

@@ -123,14 +123,14 @@ EXTREME = st.one_of(
 @settings(max_examples=300)
 def test_checked_fsum_is_fsum_or_an_input_error(terms, factors):
     """checked_fsum returns exactly what math.fsum returns, unless fsum raises,
-    or the total is infinite while factors are given and all of them are
-    finite: then the sum is past the float range, an input error."""
+    or the total is infinite or NaN while factors are given and all of them
+    are finite: then the sum is past the float range, an input error."""
     try:
         expected = math.fsum(terms)
     except (OverflowError, ValueError):
         expected = None
     finite = all(map(math.isfinite, chain(*factors)))
-    if expected is None or factors and math.isinf(expected) and finite:
+    if expected is None or factors and not math.isfinite(expected) and finite:
         with pytest.raises(StructureError, match=r"^terms sum past the float range$"):
             checked_fsum(iter(terms), "terms sum", *factors)
     else:

@@ -121,8 +121,8 @@ def test_apply_fn_evaluates_in_the_domain():
 
 
 def test_split_transfer_rejects_squares_that_overflow():
-    """Values whose squares overflow pass every range check; the second
-    moments then meet the functions' finiteness check."""
+    """Values whose squares overflow pass every range check; their second
+    moments are then past the float range."""
     big = 1e200
     iv = IntervalR(-1e300, 1e300)
     _raises(
@@ -132,7 +132,7 @@ def test_split_transfer_rejects_squares_that_overflow():
             c=0.0, interval=iv, inner=IntervalR(-2 * big, 2 * big), mode="literal",
         ),
         StructureError,
-        "function values must be finite",
+        "weighted sum L(u**2) past the float range",
     )
 
 
