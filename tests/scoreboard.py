@@ -128,10 +128,11 @@ def table(counts: dict[str, dict[str, int]]) -> str:
         + ["/".join(map(str, counts[cell_key(theorem_id, mode, case)].values())) for case in CASES]
         for theorem_id, mode, _ in pairs()
     ]
-    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
+    widths = [max(map(len, column)) for column in zip(*rows)]
     lines = ["cells: " + "/".join(OUTCOMES)]
-    for row in rows:
-        lines.append(row[0].ljust(widths[0]) + "".join(f"  {x:>{w}}" for x, w in zip(row[1:], widths[1:])))
+    for label, *cells in rows:
+        padded = (f"{x:>{w}}" for x, w in zip(cells, widths[1:]))
+        lines.append(label.ljust(widths[0]) + "  " + "  ".join(padded))
     totals = {o: sum(c[o] for c in counts.values()) for o in OUTCOMES}
     lines.append("total: " + ", ".join(f"{o} {n}" for o, n in totals.items()))
     return "\n".join(lines)
