@@ -12,9 +12,9 @@ import importlib
 _EXPORTS = {
     "analysis": "AInterval ConvexityClass classify_at_point",
     "affine": "cross_weighted_gap jensen_affine_gap verify_mt1 verify_mt2 verify_mt3",
-    "domain": "EPS_EQ AffineConfig DiscreteFunctional FunctionOnOmega InfeasibleError IntervalR"
-    " Mt1Scenario StructureError ValidityReport WeightedGroup apply barycenter"
-    " combination_value hull_membership spread validate_affine_config",
+    "domain": "EPS_EQ AffineConfig CheckSet DiscreteFunctional FunctionOnOmega InfeasibleError"
+    " IntervalR Mt1Scenario StructureError WeightedGroup apply barycenter combination_value"
+    " spread validate_affine_config",
     "funclib": "DomainError FunctionModel TabulatedFunction catalog eval_fn load_table negate"
     " tabulated_model",
     "functional": "verify_ic1 verify_ic2 verify_ic3 verify_it2 verify_it3 verify_mc1 verify_mc2"

@@ -135,11 +135,11 @@ def verify_mt1(
         )
         cs.record("literal_alpha.sizes", 0.0, sizes_ok)
     if not cs.ok:
-        return ChainReport(UNMET, hypotheses=cs.report(), details=details)
+        return ChainReport(UNMET, hypotheses=cs, details=details)
     if A is None:
         A = k1_witness(f, s.c, s.interval, tol=tol)
         if not cs.witness("witness.K1c", A):
-            return ChainReport(UNMET, hypotheses=cs.report(), details=details)
+            return ChainReport(UNMET, hypotheses=cs, details=details)
     gap_l = jensen_affine_gap(f, s.left, tol)
     if weight_reading == "literal_alpha":
         gap_r = cross_weighted_gap(f, s.left, s.right)
@@ -178,7 +178,7 @@ def _signed_witness(
         lo = max(lo, 0.0)
     else:
         hi = min(hi, 0.0)
-    if lo > hi and not cs.admits(lo, hi=hi):  # lo > hi first: a NaN end passes
+    if not cs.admits(lo, hi=hi):  # an empty K, or a NaN end
         return None
     return AInterval(lo, hi, True).midpoint()
 
@@ -209,11 +209,11 @@ def _branch_chain(
         tag, shaped, kind, order, sigma = "2.8", is_3convex, "K1c", "ascending", 1.0
     cs, vals = _base_checkset(f, s, tol)
     if not cs.ok:
-        return ChainReport(UNMET, hypotheses=cs.report(), details={"branch": branch})
+        return ChainReport(UNMET, hypotheses=cs, details={"branch": branch})
     a_tt, r_tt = vals["max_left"], vals["min_right"]
     sl, sr = vals["spread_left"], vals["spread_right"]
     if not cs.at_least(tag, r_tt - a_tt, scale=max(abs(a_tt), abs(r_tt))):
-        return ChainReport(UNMET, hypotheses=cs.report(), details={"branch": branch})
+        return ChainReport(UNMET, hypotheses=cs, details={"branch": branch})
     d2m, d2p = f.d2_minus(a_tt), f.d2_plus(r_tt)
     scale = max(abs(sl), abs(sr))
     s_a, s_b = (sr, sl) if concave else (sl, sr)
@@ -239,13 +239,13 @@ def _branch_chain(
     for b in candidates:
         cs.record(f"branch.{b}", 0.0, gates[b])
     if chosen is None:
-        return ChainReport(UNMET, hypotheses=cs.report(), details=details)
+        return ChainReport(UNMET, hypotheses=cs, details=details)
     if chosen == "c":
         A = 0.0
     else:
         A = _signed_witness(f, s, a_tt, r_tt, concave, (chosen == "a") != concave, cs)
         if not cs.witness(f"witness.{kind}", A):
-            return ChainReport(UNMET, hypotheses=cs.report(), details=details)
+            return ChainReport(UNMET, hypotheses=cs, details=details)
     if concave:  # mt3's diagnostics: A against both sandwich orientations
         details["sandwich_descending_ok"] = cs.admits(A, d2p, d2m)
         details["sandwich_ascending_ok"] = cs.admits(A, d2m, d2p)

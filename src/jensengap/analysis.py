@@ -23,7 +23,10 @@ them; f is 3-convex (3-concave) there exactly when they do not decrease
 (increase), up to ``tol`` (Popoviciu's n-convexity).  Convexity, the
 K1c/K2c intervals and 3-convexity are then exact, with no grid: O(1) for a
 catalog entry, O(k) for a table whose k pieces meet the interval.
-Endpoints outside the domain raise DomainError.
+Endpoints outside the domain raise DomainError.  The order test and the
+feasibility of a K1c/K2c interval are ``CheckSet(tol).admits`` calls, the
+package's one tolerance rule; each query's public ``tol`` keyword is its
+slack.
 
 ``bracket_windows`` and ``third_windows`` compute the same brackets, and
 third divided differences, on a uniform grid.  No query here calls them;
@@ -35,7 +38,7 @@ from __future__ import annotations
 
 import math
 
-from .domain import EPS_EQ, IntervalR, StructureError
+from .domain import EPS_EQ, CheckSet, IntervalR, StructureError
 from .funclib import FunctionModel, eval_fn, require_in_domain
 
 #: relative width below which a side imposes no constraint
@@ -96,7 +99,8 @@ def _d2_nondecreasing(f: FunctionModel, interval: IntervalR, tol: float, sign: f
         return False
     require_in_domain(f, interval.lo, interval.hi)
     d2 = f.d2_certificate(interval.lo, interval.hi)
-    return all(sign * a <= sign * b + tol for a, b in zip(d2, d2[1:]))
+    admits = CheckSet(tol).admits
+    return all(admits(sign * a, hi=sign * b) for a, b in zip(d2, d2[1:]))
 
 
 def is_3convex(f: FunctionModel, interval: IntervalR, *, tol: float = EPS_EQ) -> bool:
@@ -105,7 +109,7 @@ def is_3convex(f: FunctionModel, interval: IntervalR, *, tol: float = EPS_EQ) ->
 
 
 def is_3concave(f: FunctionModel, interval: IntervalR, *, tol: float = EPS_EQ) -> bool:
-    """``is_3convex`` of -f: negation is exact, so a >= b - tol is -a <= -b + tol."""
+    """``is_3convex`` of -f: negation is exact, so -a <= -b + tol is a >= b - tol."""
     return _d2_nondecreasing(f, interval, tol, -1.0)
 
 
@@ -118,9 +122,6 @@ class AInterval:
         self.lo = lo
         self.hi = hi
         self.feasible = feasible
-
-    def contains(self, x: float, tol: float = EPS_EQ) -> bool:
-        return self.lo - tol <= x <= self.hi + tol
 
     def midpoint(self) -> float:
         """Midpoint clamped to finite values."""
@@ -159,7 +160,9 @@ def curvature_sandwich(
     if interval.hi - right_lo > _DEGENERATE * max(1.0, abs(right_lo)):
         w_min, w_max = _bracket_extremes(f, right_lo, interval.hi)
         hi, neg_hi = w_min, 0.0 - w_max
-    return AInterval(lo, hi, lo <= hi + tol), AInterval(-neg_hi, -neg_lo, neg_lo <= neg_hi + tol)
+    admits = CheckSet(tol).admits
+    k1 = AInterval(lo, hi, admits(lo, hi=hi))
+    return k1, AInterval(-neg_hi, -neg_lo, admits(neg_lo, hi=neg_hi))
 
 
 class ConvexityClass:
@@ -185,8 +188,9 @@ def classify_at_point(
     k1, k2 = curvature_sandwich(f, interval, c, c, tol=tol)
     if k1.feasible and k2.feasible:
         kind = "both"
-        inter = AInterval(max(k1.lo, k2.lo), min(k1.hi, k2.hi), True)
-        witness = inter.midpoint() if inter.lo <= inter.hi + tol else k1.midpoint()
+        lo, hi = max(k1.lo, k2.lo), min(k1.hi, k2.hi)
+        inter = AInterval(lo, hi, CheckSet(tol).admits(lo, hi=hi))
+        witness = inter.midpoint() if inter.feasible else k1.midpoint()
     elif k1.feasible:
         kind, witness = "K1c", k1.midpoint()
     elif k2.feasible:

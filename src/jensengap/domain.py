@@ -5,10 +5,16 @@ An affine configuration carries two nonnegative "plus" groups and one
 nonnegative "minus" group.  The group masses alpha, beta, gamma must satisfy
 alpha + beta - gamma = 1 with alpha, beta in (0, 1], and every minus point
 must lie in the convex hull of the two plus-group barycenters.
-``validate_affine_config`` judges these hypotheses, and
-``record_affine_config`` records them among a verifier's checks; the
-measurements ``spread`` and ``combination_value`` compute on any well-formed
-configuration and judge none of them.
+``validate_affine_config`` judges these hypotheses and returns the
+``CheckSet`` of its checks, and ``record_affine_config`` records them among
+a verifier's checks; the measurements ``spread`` and ``combination_value``
+compute on any well-formed configuration and judge none of them.
+
+``CheckSet`` is the one record of named checks (a verifier's report holds
+it as its hypotheses) and the one place that compares a value with the
+tolerance ``tol``: every such test in the package (the hypothesis checks,
+the verdict, the shape queries of ``analysis`` and ``combination_value``'s
+postcondition) is a call of one of its methods.
 
 A functional is a nonnegative weight vector over the indices 1..n; it is
 unital when its weights sum to 1.  Functions are plain value vectors of
@@ -88,8 +94,8 @@ class IntervalR:
     def width(self) -> float:
         return self.hi - self.lo
 
-    def contains(self, x: float, tol: float = 0.0) -> bool:
-        return self.lo - tol <= x <= self.hi + tol
+    def contains(self, x: float) -> bool:
+        return self.lo <= x <= self.hi
 
 
 def sides(mode: str, interval: IntervalR, c: float) -> tuple[IntervalR, IntervalR]:
@@ -187,43 +193,31 @@ class Check:
         self.ok = ok
 
 
-class ValidityReport:
-    """Recorded checks; valid exactly when none failed, and the violations
-    are the (name, residual) of those that did."""
+class CheckSet:
+    """The one record of a verification's named residual checks, and the one
+    place that compares a value with ``tol``.  ``checks`` lists them in
+    order, ``ok`` is true while every one holds, and ``violations`` are the
+    (name, residual) of those that failed.  Against ``tol`` (>= 0),
+    ``matched``, ``at_least`` and ``admits`` are relative, within ``bound(scale)``;
+    ``unit_total``, ``inside`` and ``outside`` are absolute.  Each records
+    through ``record``, except ``admits``, which answers the comparisons
+    that choose a branch, a constant or a shape, or decide a conclusion, a
+    verdict or a postcondition."""
 
-    __slots__ = ("checks",)
+    __slots__ = ("tol", "ok", "checks")
 
-    def __init__(self, checks: tuple[Check, ...] = ()):
-        self.checks = checks
-
-    @property
-    def valid(self) -> bool:
-        return all(c.ok for c in self.checks)
+    def __init__(self, tol: float = EPS_EQ):
+        self.tol = tol
+        self.ok = True
+        self.checks: list[Check] = []
 
     @property
     def violations(self) -> tuple[tuple[str, float], ...]:
         return tuple((c.name, c.residual) for c in self.checks if not c.ok)
 
-
-class CheckSet:
-    """Accumulates named residual checks and renders them as a ValidityReport;
-    ``ok`` is true while every check recorded so far holds.  The one place
-    that knows how a value is compared with ``tol`` (>= 0): ``matched``,
-    ``at_least`` and ``admits`` are relative, within ``bound(scale)``;
-    ``unit_total``, ``inside`` and ``outside`` are absolute.  Each records
-    through ``record``, except ``admits``, which answers the comparisons
-    that choose a branch or a constant, or decide a conclusion or verdict."""
-
-    __slots__ = ("tol", "ok", "_checks")
-
-    def __init__(self, tol: float = EPS_EQ):
-        self.tol = tol
-        self.ok = True
-        self._checks: list[Check] = []
-
     def record(self, name: str, residual: float, ok: bool) -> bool:
         ok = bool(ok)
-        self._checks.append(Check(name, float(residual), ok))
+        self.checks.append(Check(name, float(residual), ok))
         self.ok = self.ok and ok
         return ok
 
@@ -268,9 +262,6 @@ class CheckSet:
         depth = max(min(x - inner.lo, inner.hi - x) for x in values)
         return self.record(name, max(depth, 0.0), depth <= self.tol)
 
-    def report(self) -> ValidityReport:
-        return ValidityReport(tuple(self._checks))
-
 
 def barycenter(g: WeightedGroup) -> float:
     """Weight-normalized mean of a group; requires positive total weight.
@@ -283,11 +274,6 @@ def barycenter(g: WeightedGroup) -> float:
     return checked_fsum(map(mul, w, p), "barycenter sum(w * p)", w, p) / total
 
 
-def hull_membership(x: float, a: float, b: float, tol: float = EPS_EQ) -> bool:
-    """Closed-interval membership of x in the 1-D hull of {a, b}."""
-    return min(a, b) - tol <= x <= max(a, b) + tol
-
-
 def _require_structure(cfg: AffineConfig) -> None:
     if len(cfg.plus_a) == 0:
         raise StructureError("plus_a group is empty")
@@ -295,12 +281,12 @@ def _require_structure(cfg: AffineConfig) -> None:
         raise StructureError("plus_b group is empty")
 
 
-def validate_affine_config(cfg: AffineConfig, tol: float = EPS_EQ) -> ValidityReport:
-    """Check every configuration invariant and report each numeric residual.
+def validate_affine_config(cfg: AffineConfig, tol: float = EPS_EQ) -> CheckSet:
+    """Check every configuration invariant: the CheckSet of its residuals.
     Minus points are tested against the hull of the two group barycenters."""
     cs = CheckSet(tol)
     record_affine_config(cs, "", cfg)
-    return cs.report()
+    return cs
 
 
 def record_affine_config(cs: CheckSet, prefix: str, cfg: AffineConfig) -> bool:
@@ -325,7 +311,7 @@ def record_affine_config(cs: CheckSet, prefix: str, cfg: AffineConfig) -> bool:
             if w <= 0.0:
                 continue  # inert points are not hull-checked
             dist = max(h_lo - p, p - h_hi, 0.0)
-            if dist > 0.0 and not cs.admits(dist, hi=0.0):  # inside (0.0) or NaN: no record
+            if not cs.admits(dist, hi=0.0):  # a NaN distance is outside
                 ok &= cs.record(f"{prefix}hull[{k}]", dist, False)
             worst = max(worst, dist)
         ok &= cs.record(f"{prefix}hull", worst, cs.admits(worst, hi=0.0))
@@ -343,14 +329,14 @@ def combination_value(cfg: AffineConfig, tol: float = EPS_EQ) -> float:
     """Signed combination sum(w*p) over plus groups minus the minus group.
 
     For a valid configuration the value lies in the hull of the two
-    barycenters; a value outside it by more than tol * max(1, |barycenter|)
-    is a StructureError.
+    barycenters; a value that ``CheckSet(tol).admits`` does not admit in
+    it, on the scale of the larger barycenter, is a StructureError.
     """
     value = _signed_moment(cfg, 1)
     a_bar = barycenter(cfg.plus_a)
     b_bar = barycenter(cfg.plus_b)
-    span = max(1.0, abs(a_bar), abs(b_bar))
-    if not hull_membership(value, a_bar, b_bar, tol * span):
+    span = max(abs(a_bar), abs(b_bar))
+    if not CheckSet(tol).admits(value, min(a_bar, b_bar), max(a_bar, b_bar), span):
         raise StructureError("combination value escapes the barycenter hull")
     return value
 

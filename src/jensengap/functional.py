@@ -112,7 +112,7 @@ def verify_it2(
     _pair_range_checks(cs, "g", [g.values], "h", [h.values], inner, interval)
     cs.matched("1.4", apply(L, g), apply(H, h))
     if not cs.ok:
-        return ChainReport(UNMET, hypotheses=cs.report())
+        return ChainReport(UNMET, hypotheses=cs)
     left = apply_fn(L, f, g)
     right = apply_fn(H, f, h)
     details = {"lhs": left, "rhs": right}
@@ -135,7 +135,7 @@ def verify_ic1(
     cs.at_least("f.convex", convexity_margin(f, inner))
     cs.inside("range.g", g.values, inner)
     if not cs.ok:
-        return ChainReport(UNMET, hypotheses=cs.report())
+        return ChainReport(UNMET, hypotheses=cs)
     return judge(cs, (apply_fn(L, f, g) - eval_fn(f, apply(L, g)),))
 
 
@@ -182,7 +182,7 @@ def verify_ic2(
     for i in range(n - 1):
         cs.matched(f"1.7[{i + 1}]", means[i], means[i + 1])
     if not cs.ok:
-        return ChainReport(UNMET, hypotheses=cs.report())
+        return ChainReport(UNMET, hypotheses=cs)
     lifted = list(map(apply_fn, Ls, repeat(f), gs))
     return judge(cs, [lifted[i + 1] - lifted[i] for i in range(n - 1)])
 
@@ -205,7 +205,7 @@ def verify_ic3(
     for i, g in enumerate(gs, start=1):
         cs.inside(f"range.g{i}", g.values, interval)
     if not cs.ok:
-        return ChainReport(UNMET, hypotheses=cs.report())
+        return ChainReport(UNMET, hypotheses=cs)
     value = checked_fsum(list(map(apply, Ls, gs)), _MEANS)
     inclusion = cs.admits(value, interval.lo, interval.hi)
     margin = checked_fsum(list(map(apply_fn, Ls, repeat(f), gs)), _LIFTS) - eval_fn(f, value)
@@ -238,7 +238,7 @@ def verify_it3(
     sum_hh = checked_fsum(list(map(apply, Hs, hs)), _MEANS)
     cs.matched("1.11", sum_lg, sum_hh)
     if not cs.ok:
-        return ChainReport(UNMET, hypotheses=cs.report())
+        return ChainReport(UNMET, hypotheses=cs)
     left = checked_fsum(list(map(apply_fn, Ls, repeat(f), gs)), _LIFTS)
     right = checked_fsum(list(map(apply_fn, Hs, repeat(f), hs)), _LIFTS)
     return judge(cs, (right - left,))
@@ -301,7 +301,7 @@ def _split_transfer(
     cs.witness("witness.K1c", A)
     details = {"mode": mode, "c": c}
     if not cs.ok:
-        return ChainReport(UNMET, hypotheses=cs.report(), details=details)
+        return ChainReport(UNMET, hypotheses=cs, details=details)
     # each side lifts H before L, which fixes the value a DomainError names
     lifted = [
         checked_fsum(list(map(apply_fn, ls[k], repeat(f), us[k])), _LIFTS) for k in (1, 0, 3, 2)
@@ -374,7 +374,7 @@ def verify_mc1(
     cs.matched("2.17", sq1 - m1 * m1, sq2 - m2 * m2)
     cs.witness("witness.K1c", k1_witness(f, c, cls_interval, tol=tol))
     if not cs.ok:
-        return ChainReport(UNMET, hypotheses=cs.report())
+        return ChainReport(UNMET, hypotheses=cs)
     gap1 = apply_fn(L, f, g1) - eval_fn(f, m1)
     gap2 = apply_fn(L, f, g2) - eval_fn(f, m2)
     return judge(cs, (gap2 - gap1,))
@@ -427,7 +427,7 @@ def verify_mc2(
         cs.matched(f"2.20[{i + 1}]", dg, dh)
     cs.witness("witness.K1c", k1_witness(f, c, interval, tol=tol))
     if not cs.ok:
-        return ChainReport(UNMET, hypotheses=cs.report())
+        return ChainReport(UNMET, hypotheses=cs)
     g_lift = list(map(apply_fn, Ls, repeat(f), gs))
     h_lift = list(map(apply_fn, Ls, repeat(f), hs))
     links = range(n - 1)
@@ -472,7 +472,7 @@ def verify_mc3(
     cs.matched("2.22", g_var, h_var)
     cs.witness("witness.K1c", k1_witness(f, c, interval, tol=tol))
     if not cs.ok:
-        return ChainReport(UNMET, hypotheses=cs.report())
+        return ChainReport(UNMET, hypotheses=cs)
     lo, hi = interval.lo, interval.hi
     inclusion = cs.admits(g_mean, lo, hi) and cs.admits(h_mean, lo, hi)
     g_gap = checked_fsum(list(map(apply_fn, Ls, repeat(f), gs)), _LIFTS) - eval_fn(f, g_mean)

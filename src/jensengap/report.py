@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .domain import CheckSet, ValidityReport
+from .domain import CheckSet
 
 HOLDS = "holds"
 FAILS = "fails"
@@ -15,8 +15,9 @@ UNMET = "hypotheses-unmet"
 class ChainReport:
     """Outcome of a verification.
 
-    ``margins`` are the slacks that determine the verdict; refinement values
-    that are reported but do not gate the verdict live in ``details``.
+    ``margins`` are the slacks that determine the verdict; ``hypotheses`` is
+    the verifier's ``CheckSet``, the record of its named checks; refinement
+    values that are reported but do not gate the verdict live in ``details``.
     ``values`` holds only the chain terms the verifier measured: all six
     (gap_left, gap_right, spread_left, spread_right, mid_left, mid_right)
     for a four-term chain, gap_left and gap_right for it2, none otherwise.
@@ -28,7 +29,7 @@ class ChainReport:
         self,
         verdict: str,
         margins: tuple[float, ...] = (),
-        hypotheses: ValidityReport | None = None,
+        hypotheses: CheckSet | None = None,
         details: dict | None = None,
         values: dict | None = None,
     ):
@@ -63,7 +64,7 @@ def judge(
     min(margins) >= -tol (``cs.admits``); otherwise it fails.  ``details``
     and ``values`` go into the report as given."""
     ok = conclusion and cs.admits(min(margins), lo=0.0)
-    return ChainReport(HOLDS if ok else FAILS, tuple(margins), cs.report(), details, values)
+    return ChainReport(HOLDS if ok else FAILS, tuple(margins), cs, details, values)
 
 
 def chain_report(

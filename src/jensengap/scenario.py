@@ -26,10 +26,10 @@ from . import _SOURCES
 from .domain import (
     EPS_EQ,
     AffineConfig,
+    CheckSet,
     IntervalR,
     Mt1Scenario,
     StructureError,
-    ValidityReport,
     WeightedGroup,
 )
 from .funclib import FunctionModel, catalog, fn_spec_from_string  # noqa: F401  (re-exported)
@@ -311,13 +311,13 @@ def _num(x: Any) -> Any:
     return x
 
 
-def _checks_json(vr: ValidityReport | None) -> list[dict]:
-    if vr is None:
+def _checks_json(cs: CheckSet | None) -> list[dict]:
+    if cs is None:
         return []
     # a residual is a float, and NaN is the one float unequal to itself
     return [
         {"name": c.name, "residual": c.residual if c.residual == c.residual else None, "ok": c.ok}
-        for c in vr.checks
+        for c in cs.checks
     ]
 
 

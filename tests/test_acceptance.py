@@ -16,7 +16,7 @@ import oracles
 from jensengap.affine import verify_mt1, verify_mt2
 from jensengap.analysis import classify_at_point
 from jensengap.cli import main
-from jensengap.domain import IntervalR, spread
+from jensengap.domain import CheckSet, IntervalR, spread
 from jensengap.funclib import FunctionModel, catalog
 from jensengap.scenario import dumps, make_scenario, run_payload
 from jensengap.scengen import (
@@ -148,7 +148,7 @@ def test_criterion_5_feasible_interval_accuracy():
             h = max(c - (-1.0), 1.0 - c) / (n - 1)
             iv = classify_at_point(CUBIC, c, I11).k1_interval
             assert iv.feasible
-            assert iv.contains(6 * c, tol=1e-12)
+            assert CheckSet(1e-12).admits(6 * c, iv.lo, iv.hi)
             assert iv.hi - iv.lo <= 12 * h + 1e-6
         iv = classify_at_point(SS, 0.0, I11).k1_interval
         assert iv.lo == pytest.approx(-2.0, abs=1e-6)

@@ -111,7 +111,7 @@ def mt1_hypotheses(s):
 class TestMt1Hypotheses:
     def test_mirrored_scenario_passes(self):
         report = mt1_hypotheses(MIRRORED)
-        assert report.valid
+        assert report.ok
         sl = spread(MIRRORED.left)
         assert sl == pytest.approx(0.25) and sl == pytest.approx(spread(MIRRORED.right))
 
@@ -277,6 +277,22 @@ class TestVerifyMt2:
         rep = verify_mt2(f, s, branch="b")
         assert rep.verdict == "holds"
         assert rep.details["A"] == -1.0
+
+    def test_nan_certificate_gives_no_witness(self):
+        # every K end is NaN: no constant lies in K, so there is no witness
+        # and the verdict is unmet, not a chain at the clamped midpoint 0
+        f = FunctionModel(
+            "nan-certificate",
+            IntervalR(-5, 5),
+            lambda x: x * x,
+            d2_minus=lambda x: 2.0,
+            d2_plus=lambda x: 2.0,
+            d2_certificate=lambda lo, hi: (math.nan, math.nan),
+        )
+        s = scenario_with_spreads((-0.4, -0.2), (0.2, 0.6))  # spreads 0.01 <= 0.04
+        rep = verify_mt2(f, s, branch="a")
+        assert rep.hypotheses.violations == (("witness.K1c", 0.0),)
+        assert rep.verdict == "hypotheses-unmet"
 
     def test_requested_branch_gate_failure_is_unmet(self):
         rep = verify_mt2(catalog("signed_square"), MIRRORED, branch="a")

@@ -16,7 +16,7 @@ from jensengap.analysis import (
     k1_witness,
     third_windows,
 )
-from jensengap.domain import EPS_EQ, IntervalR, StructureError
+from jensengap.domain import EPS_EQ, CheckSet, IntervalR, StructureError
 from jensengap.funclib import (
     DomainError,
     FunctionModel,
@@ -90,7 +90,7 @@ class TestFeasibleInterval:
         n = 1000
         h = 1.0 / (n - 1)
         (lo, hi), _ = _grid_sandwich(catalog("cubic"), -1.0, 0.0, 1.0, n)
-        assert AInterval(lo, hi, True).contains(0.0)
+        assert CheckSet(EPS_EQ).admits(0.0, lo, hi)
         assert hi - lo <= 12 * h + 1e-9
 
     def test_signed_square(self):
@@ -147,7 +147,7 @@ class TestClassify:
             f = catalog(name)
             cls = classify_at_point(f, point, I11)
             A = 0.5 * (f.d2_minus(point) + f.d2_plus(point))
-            assert cls.k1_interval.contains(A, tol=1e-6)
+            assert CheckSet(1e-6).admits(A, cls.k1_interval.lo, cls.k1_interval.hi)
             assert cls.kind in ("K1c", "both")
 
 

@@ -17,11 +17,9 @@ from jensengap.domain import (
     IntervalR,
     Mt1Scenario,
     StructureError,
-    ValidityReport,
     WeightedGroup,
     barycenter,
     combination_value,
-    hull_membership,
     moment,
     spread,
     validate_affine_config,
@@ -69,32 +67,41 @@ class TestBarycenter:
 
 
 class TestHullMembership:
+    """Membership in the hull [lo, hi] of two barycenters is ``CheckSet.admits``."""
+
     def test_interior(self):
-        assert hull_membership(1, 0, 2)
+        assert CheckSet().admits(1, 0, 2)
 
     def test_endpoint(self):
-        assert hull_membership(0, 0, 2)
+        assert CheckSet().admits(0, 0, 2)
 
     def test_outside_by_more_than_tol(self):
-        assert not hull_membership(2.0000001, 0, 2, tol=1e-9)
+        assert not CheckSet(1e-9).admits(2.0000001, 0, 2)
 
     def test_orientation_free(self):
-        assert hull_membership(1, 2, 0)
+        # combination_value orders the barycenters itself: plus_a's is 2 here
+        assert combination_value(cfg((2,), (0.6,), (0,), (0.6,), (1,), (0.2,))) == pytest.approx(1.0)
 
 
 class TestValidate:
     def test_convex_case_valid(self):
         report = validate_affine_config(cfg((0,), (0.5,), (2,), (0.5,)))
-        assert report.valid and report.violations == ()
+        assert report.ok and report.violations == ()
 
     def test_minus_group_valid(self):
         report = validate_affine_config(cfg((0,), (0.6,), (2,), (0.6,), (1,), (0.2,)))
-        assert report.valid
+        assert report.ok
 
     def test_hull_violation(self):
         report = validate_affine_config(cfg((0,), (0.6,), (2,), (0.6,), (5,), (0.2,)))
-        assert not report.valid
+        assert not report.ok
         assert any(name.startswith("hull") for name, _ in report.violations)
+
+    def test_nan_minus_point_is_outside_the_hull(self):
+        # its distance to the hull is NaN, which no tolerance admits
+        report = validate_affine_config(cfg((0,), (0.6,), (2,), (0.6,), (math.nan,), (0.2,)))
+        ((name, residual),) = report.violations
+        assert name == "hull[0]" and math.isnan(residual) and not report.ok
 
     def test_mass_balance_violation(self):
         report = validate_affine_config(cfg((0,), (0.6,), (2,), (0.6,), (1,), (0.1,)))
@@ -107,13 +114,23 @@ class TestValidate:
     def test_zero_weight_point_not_hull_checked(self):
         # inert far-away minus point must not fail the hull check
         report = validate_affine_config(cfg((0,), (0.5,), (2,), (0.5,), (99.0,), (0.0,)))
-        assert report.valid
+        assert report.ok
 
     def test_report_follows_its_checks(self):
-        passed, failed = Check("a", 0.0, True), Check("b", 0.5, False)
-        assert ValidityReport((passed,)).valid and ValidityReport().violations == ()
-        report = ValidityReport((passed, failed))
-        assert not report.valid and report.violations == (("b", 0.5),)
+        report = CheckSet()
+        assert report.ok and report.checks == [] and report.violations == ()
+        report.record("a", 0.0, True)
+        assert report.ok and report.violations == ()
+        report.record("b", 0.5, False)
+        assert not report.ok and report.violations == (("b", 0.5),)
+        assert [(c.name, c.residual, c.ok) for c in report.checks] == [
+            ("a", 0.0, True), ("b", 0.5, False),
+        ]
+
+    def test_validate_returns_the_checkset_it_recorded_in(self):
+        report = validate_affine_config(cfg((0,), (0.6,), (2,), (0.6,), (1,), (0.1,)), tol=0.5)
+        assert type(report) is CheckSet and report.tol == 0.5 and report.ok
+        assert all(type(c) is Check for c in report.checks)
 
     def test_structural_errors(self):
         with pytest.raises(StructureError):
@@ -142,7 +159,7 @@ _TOLS = st.sampled_from([0.0, 1e-300, 1e-12, EPS_EQ, 0.5])
 def _recorded(cs, ok, residual, want):
     """cs holds one check, whose (residual, ok) is the reference's bit for
     bit; the method returned that ok, and cs.ok follows it."""
-    (check,) = cs.report().checks
+    (check,) = cs.checks
     assert ok is check.ok is want is cs.ok
     assert type(check.residual) is float
     assert struct.pack("<d", check.residual) == struct.pack("<d", residual)
@@ -303,7 +320,7 @@ class TestInsideOutside:
         cs = CheckSet(tol)
         residual, want = reference(tol, values, interval)
         _recorded(cs, getattr(cs, method)("r", values, interval), residual, want)
-        (check,) = cs.report().checks
+        (check,) = cs.checks
         assert math.copysign(1.0, check.residual) == math.copysign(1.0, residual)
 
     @pytest.mark.parametrize("method, reference", [("inside", _inside_ref), ("outside", _outside_ref)])
@@ -327,7 +344,7 @@ class TestInsideOutside:
         assert not cs.inside("above", (above,), unit) and not cs.ok
         assert not cs.inside("sticks_out", (-2.0, 0.5), IntervalR(-1, 1))
         residuals = [2.0**-31, 2.0**-30, 0.0, 2.0**-29, 1.0]
-        assert [c.residual for c in cs.report().checks] == residuals
+        assert [c.residual for c in cs.checks] == residuals
 
 
 def _around(*bounds):
@@ -344,18 +361,36 @@ _ENDS = [0.0, -0.0, 1.0, -1.0, 1e6, math.inf, -math.inf, math.nan]
 
 @pytest.mark.parametrize("tol", _CONTAINMENT_TOLS)
 class TestAdmits:
-    """``admits`` answers each comparison with tol that the verifiers once
+    """``admits`` answers each comparison with tol that the package once
     wrote by hand, bit for bit: each rewrite is checked against the
     expression it replaced, at the bound, one ulp either side, at signed
     zeros, infinities and NaN."""
 
     def test_two_sided(self, tol):
-        # IntervalR.contains(x, tol), c in [a_tt, r_tt], ic3/mc3's
-        # inclusion, and mt3's sandwich diagnostics in either orientation
+        # the removed IntervalR.contains(x, tol) and AInterval.contains(x,
+        # tol), c in [a_tt, r_tt], ic3/mc3's inclusion, and mt3's sandwich
+        # diagnostics in either orientation
         cs = CheckSet(tol)
         for lo, hi in itertools.product(_ENDS, repeat=2):
             for x in _around(lo - tol, hi + tol):
                 assert cs.admits(x, lo, hi) is (lo - tol <= x <= hi + tol)
+
+    def test_barycenter_hull(self, tol):
+        # combination_value's postcondition, once hull_membership(x, a, b,
+        # tol * max(1, |a|, |b|)): on the scale max(|a|, |b|), the same slack
+        cs = CheckSet(tol)
+        for a, b in itertools.product([*_ENDS, 0.5, -2.5], repeat=2):
+            lo, hi, t = min(a, b), max(a, b), tol * max(1.0, abs(a), abs(b))
+            for x in _around(lo - t, hi + t):
+                assert cs.admits(x, lo, hi, max(abs(a), abs(b))) is (lo - t <= x <= hi + t)
+
+    def test_certificate_order(self, tol):
+        # is_3convex and is_3concave (sign * a <= sign * b + tol), and the
+        # feasibility of a K interval and of K1 and K2's meet (lo <= hi + tol)
+        cs = CheckSet(tol)
+        for b in _ENDS:
+            for a, sign in itertools.product(_around(b + tol, b - tol), (1.0, -1.0)):
+                assert cs.admits(sign * a, hi=sign * b) is (sign * a <= sign * b + tol)
 
     def test_one_sided(self, tol):
         # the f'' sign of gates a (>= -tol) and b (<= tol), the sign regime
@@ -380,20 +415,22 @@ class TestAdmits:
                 assert cs.admits(x, hi=y, scale=scale) is (x <= y + t)
 
     def test_strict_excess(self, tol):
-        # hull[k] (dist > tol) and an empty K interval (lo > hi + tol): the
-        # strict test first, so that NaN passes as it did
+        # hull[k] (once dist > tol) and an empty K interval (once lo > hi +
+        # tol), each one admits call now: the same answer, except that a
+        # NaN, which the strict test passed, is outside
         cs = CheckSet(tol)
         for x in _around(tol):
-            assert (x > 0.0 and not cs.admits(x, hi=0.0)) is (x > tol)
+            assert (not cs.admits(x, hi=0.0)) is (x > tol or math.isnan(x))
         for hi in _ENDS:
             for lo in _around(hi, hi + tol):
-                assert (lo > hi and not cs.admits(lo, hi=hi)) is (lo > hi + tol)
+                nan = math.isnan(lo) or math.isnan(hi)
+                assert (not cs.admits(lo, hi=hi)) is (lo > hi + tol or nan)
 
 
 def test_checkset_ok_is_every_recorded_verdict():
     cs = CheckSet(EPS_EQ)
     # admits records nothing and leaves ok as it is, whatever it answers
-    assert not cs.admits(2.0, 0.0, 1.0) and cs.ok is True and cs.report().checks == ()
+    assert not cs.admits(2.0, 0.0, 1.0) and cs.ok is True and cs.checks == []
     verdicts = [
         cs.matched("m", 1.0, 1.0),
         cs.at_least("o", -1.0),
@@ -406,7 +443,7 @@ def test_checkset_ok_is_every_recorded_verdict():
     assert verdicts == [True, False, True, True, True, True, False]
     assert cs.ok is False
     assert cs.admits(0.5, 0.0, 1.0) and cs.ok is False
-    assert [c.ok for c in cs.report().checks] == verdicts
+    assert [c.ok for c in cs.checks] == verdicts
 
 
 class TestCombinationValue:
@@ -426,7 +463,7 @@ class TestCombinationValue:
         assert combination_value(bad) == pytest.approx(0.2)
         assert spread(bad) == pytest.approx(-2.64)
         report = validate_affine_config(bad)
-        assert not report.valid
+        assert not report.ok
         assert "hull" in dict(report.violations)
 
 
@@ -525,34 +562,41 @@ def _reads_tol(node) -> bool:
 
 
 def test_no_verifier_compares_with_tol_by_hand():
-    """``CheckSet`` makes every tolerance decision of the verifiers: affine,
-    functional, report and domain's ``record_affine_config`` do no
-    arithmetic or comparison on a tol, pass none to ``contains`` and take no
-    ``bound`` to compare with themselves.  Each hit is named file:line."""
+    """``CheckSet`` makes every tolerance decision: no module of the package
+    does arithmetic or an ordering comparison on a tol, or takes a
+    ``bound`` to compare with itself, outside ``CheckSet``'s body and
+    ``scenario.check_tolerance``, which validates a tol given as input.
+    Each hit is named file:line."""
     src = Path(domain.__file__).parent
-    hits = []
-    for name in ("affine.py", "functional.py", "report.py", "domain.py"):
-        tree = ast.parse((src / name).read_text(encoding="utf-8"))
-        if name == "domain.py":
-            tree = next(
-                node for node in tree.body
-                if isinstance(node, ast.FunctionDef) and node.name == "record_affine_config"
-            )
+    exempt = {("domain.py", "CheckSet"), ("scenario.py", "check_tolerance")}
+    hits, exempted = [], set()
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        skip = set()
+        for node in tree.body:
+            if getattr(node, "name", None) and (path.name, node.name) in exempt:
+                exempted.add((path.name, node.name))
+                skip.update(map(id, ast.walk(node)))
         for node in ast.walk(tree):
+            if id(node) in skip:
+                continue
             if isinstance(node, ast.BinOp):
                 operands = (node.left, node.right)
+            elif isinstance(node, ast.AugAssign):
+                operands = (node.target, node.value)
             elif isinstance(node, ast.UnaryOp):
                 operands = (node.operand,)
             elif isinstance(node, ast.Compare):
+                if all(isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops):
+                    continue  # `tol is None` asks whether one was given
                 operands = (node.left, *node.comparators)
-            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-                if node.func.attr == "bound":
-                    hits.append(f"{name}:{node.lineno}")
-                if node.func.attr != "contains":
-                    continue
-                operands = (*node.args, *(k.value for k in node.keywords))
+            elif isinstance(node, ast.Call):
+                if isinstance(node.func, ast.Attribute) and node.func.attr == "bound":
+                    hits.append(f"{path.name}:{node.lineno}")
+                continue
             else:
                 continue
             if any(map(_reads_tol, operands)):
-                hits.append(f"{name}:{node.lineno}")
+                hits.append(f"{path.name}:{node.lineno}")
+    assert exempted == exempt
     assert sorted(set(hits)) == []

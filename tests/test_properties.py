@@ -11,13 +11,13 @@ from jensengap.affine import jensen_affine_gap, verify_mt1
 from jensengap.analysis import bracket_windows
 from jensengap.domain import (
     AffineConfig,
+    CheckSet,
     IntervalR,
     StructureError,
     WeightedGroup,
     barycenter,
     checked_fsum,
     combination_value,
-    hull_membership,
     spread,
 )
 from jensengap.funclib import FunctionModel, catalog
@@ -46,8 +46,8 @@ def test_brackets_exact_on_quadratics(q, x1, width):
 
 
 @given(a=finite, b=finite, x=finite)
-def test_hull_membership_matches_sorting(a, b, x):
-    assert hull_membership(x, a, b, tol=0.0) == (min(a, b) <= x <= max(a, b))
+def test_hull_admits_matches_sorting(a, b, x):
+    assert CheckSet(0.0).admits(x, min(a, b), max(a, b)) == (min(a, b) <= x <= max(a, b))
 
 
 @given(scale=st.floats(min_value=0.01, max_value=100, allow_nan=False), seed=st.integers(0, 500))

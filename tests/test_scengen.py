@@ -85,12 +85,12 @@ class TestDrawConfig:
     @pytest.mark.parametrize("side", ["left", "right"])
     def test_always_valid(self, seed, side):
         cfg = _side_config(GenSpec(seed=seed), side)
-        assert validate_affine_config(cfg).valid
+        assert validate_affine_config(cfg).ok
 
     def test_convex_case_when_minus_empty(self):
         cfg = _side_config(GenSpec(seed=3, sizes=(1, 1, 0)), "left")
         assert len(cfg.minus_c) == 0
-        assert validate_affine_config(cfg).valid
+        assert validate_affine_config(cfg).ok
         assert cfg.plus_a.total + cfg.plus_b.total == pytest.approx(1.0)
 
     def test_deterministic(self):
@@ -154,7 +154,7 @@ class TestTwoSidedGeneration:
     @pytest.mark.parametrize("seed", range(10))
     def test_hypotheses_pass(self, seed):
         s = gen_two_sided_scenario(GenSpec(seed=seed))
-        assert verify_mt1(catalog("signed_square"), s, A=0.0).hypotheses.valid
+        assert verify_mt1(catalog("signed_square"), s, A=0.0).hypotheses.ok
 
     def test_spread_ratio_below_one(self):
         s = gen_two_sided_scenario(GenSpec(seed=5), spread_ratio=0.5)
@@ -417,4 +417,4 @@ class TestTwoSidedSidesValidByConstruction:
         payload = gen_payload(spec, *case)
         for side in ("left", "right"):
             report = validate_affine_config(config_from(payload[side]))
-            assert report.valid, (side, report.violations)
+            assert report.ok, (side, report.violations)

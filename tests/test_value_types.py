@@ -9,14 +9,15 @@ import pytest
 
 from jensengap.analysis import AInterval, ConvexityClass
 from jensengap.domain import (
+    EPS_EQ,
     AffineConfig,
     Check,
+    CheckSet,
     DiscreteFunctional,
     FunctionOnOmega,
     IntervalR,
     Mt1Scenario,
     StructureError,
-    ValidityReport,
     WeightedGroup,
 )
 from jensengap.funclib import FunctionModel, TabulatedFunction, catalog
@@ -26,7 +27,7 @@ from jensengap.scenario import THEOREMS, Theorem
 from jensengap.scengen import GenSpec, SearchResult
 
 VALUE_TYPES = [
-    IntervalR, WeightedGroup, AffineConfig, Check, ValidityReport, FunctionModel,
+    IntervalR, WeightedGroup, AffineConfig, Check, CheckSet, FunctionModel,
     TabulatedFunction, AInterval, ConvexityClass, Mt1Scenario, FunctionOnOmega,
     DiscreteFunctional, ChainReport, Theorem, GenSpec, SearchResult,
 ]
@@ -81,7 +82,8 @@ def test_keyword_construction_and_defaults():
     assert (spec.interval.lo, spec.interval.hi, spec.c, spec.sizes) == (-1.0, 1.0, 0.0, (2, 2, 1))
     rep = ChainReport(HOLDS, margins=(0.5,))
     assert rep.values == {} and rep.hypotheses is None and rep.margin == 0.5
-    assert ValidityReport().checks == ()
+    cs = CheckSet()
+    assert cs.checks == [] and cs.ok and cs.violations == () and cs.tol == EPS_EQ
 
 
 @pytest.mark.parametrize("left_out", ["d2_minus", "d2_plus", "d2_certificate"])
