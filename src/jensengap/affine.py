@@ -20,6 +20,8 @@ equality, "2.2" separation at c, "2.8"/"2.10" ordering of the side extremes.
 
 from __future__ import annotations
 
+from math import isnan, nan
+
 from .analysis import AInterval, curvature_sandwich, is_3concave, is_3convex, k1_witness
 # validate_affine_config is imported but unused: the benchmark's tracer
 # (bench/tracer.py) wraps it in this module as well as in domain
@@ -78,13 +80,14 @@ def cross_weighted_gap(
 def _base_checkset(f: FunctionModel, s: Mt1Scenario, tol: float) -> tuple[CheckSet, dict]:
     """Config validity and interval containment; returns spreads when computable.
 
-    A point outside f's domain is an input error, raised before any work:
-    its powers in the spread may overflow.
+    A point outside f's domain, or NaN at any position (which min and max may
+    skip), is an input error raised before any work: its powers may overflow.
     """
     for what, cfg in (("left points", s.left), ("right points", s.right)):
         pts = cfg.plus_a.points + cfg.plus_b.points + cfg.minus_c.points
         if pts:
-            require_in_domain(f, min(pts), max(pts), what)
+            lo, hi = (nan, nan) if any(map(isnan, pts)) else (min(pts), max(pts))
+            require_in_domain(f, lo, hi, what)
     cs = CheckSet(tol)
     ok_l = record_affine_config(cs, "left.", s.left)
     ok_r = record_affine_config(cs, "right.", s.right)
@@ -105,14 +108,14 @@ def _base_checkset(f: FunctionModel, s: Mt1Scenario, tol: float) -> tuple[CheckS
 def verify_mt1(
     f: FunctionModel,
     s: Mt1Scenario,
-    A: float | None = None,
+    *,
     tol: float = EPS_EQ,
     weight_reading: str = "matched",
 ) -> ChainReport:
     """Four-term chain: gap_left <= (A/2) spread_left = (A/2) spread_right <= gap_right.
 
     Requires matched spreads and separation at c; f must be 3-convex at c
-    with constant A (supplied, or from ``k1_witness``).
+    with the constant A that ``k1_witness`` reads from f's f'' certificate.
 
     ``weight_reading`` selects how the right gap is evaluated: "matched"
     (default) uses the right configuration's own weights, which is what the
@@ -136,10 +139,9 @@ def verify_mt1(
         cs.record("literal_alpha.sizes", 0.0, sizes_ok)
     if not cs.ok:
         return ChainReport(UNMET, hypotheses=cs, details=details)
-    if A is None:
-        A = k1_witness(f, s.c, s.interval, tol=tol)
-        if not cs.witness("witness.K1c", A):
-            return ChainReport(UNMET, hypotheses=cs, details=details)
+    A = k1_witness(f, s.c, s.interval, tol=tol)
+    if not cs.witness("witness.K1c", A):
+        return ChainReport(UNMET, hypotheses=cs, details=details)
     gap_l = jensen_affine_gap(f, s.left, tol)
     if weight_reading == "literal_alpha":
         gap_r = cross_weighted_gap(f, s.left, s.right)
@@ -183,16 +185,13 @@ def _signed_witness(
     return AInterval(lo, hi, True).midpoint()
 
 
-_BRANCHES = ("auto", "a", "b", "c")
-
-
 def _branch_chain(
     f: FunctionModel,
     s: Mt1Scenario,
     branch: str,
     tol: float,
     concave: bool,
-    c_upward: bool,
+    c_convention: str,
 ) -> ChainReport:
     """The branch-gated chain of mt2 (``concave`` false) and mt3 (true).
 
@@ -200,9 +199,14 @@ def _branch_chain(
     sign sigma = +1 or -1 of f'' that branches a and b need, their spread
     orders, the shape test (3-convex or 3-concave), the witness check
     ("witness.K1c" or "witness.K2c") and the chain order (ascending or
-    descending).  ``c_upward`` is the direction of branch c's straddle:
-    f''(max_left-) < 0 < f''(min_right+) when true, the reverse when false.
+    descending).  ``c_convention`` is the direction of branch c's straddle:
+    f''(max_left-) < 0 < f''(min_right+) when "printed", the reverse when
+    "mirrored".  An unknown branch is an error, checked before the convention.
     """
+    if branch not in ("auto", "a", "b", "c"):
+        raise StructureError(f"unknown branch {branch!r}")
+    if c_convention not in ("mirrored", "printed"):
+        raise StructureError(f"unknown c_convention {c_convention!r}")
     if concave:
         tag, shaped, kind, order, sigma = "2.10", is_3concave, "K2c", "descending", -1.0
     else:
@@ -217,7 +221,7 @@ def _branch_chain(
     d2m, d2p = f.d2_minus(a_tt), f.d2_plus(r_tt)
     scale = max(abs(sl), abs(sr))
     s_a, s_b = (sr, sl) if concave else (sl, sr)
-    c_sign = 1.0 if c_upward else -1.0
+    c_sign = 1.0 if c_convention == "printed" else -1.0
 
     def gate(b: str) -> bool:
         if b == "a":
@@ -272,9 +276,7 @@ def verify_mt2(
       c: the two one-sided values straddle 0 upward strictly and f is
          3-convex on the interval (witness constant 0).
     """
-    if branch not in _BRANCHES:
-        raise StructureError(f"unknown branch {branch!r}")
-    return _branch_chain(f, s, branch, tol, concave=False, c_upward=True)
+    return _branch_chain(f, s, branch, tol, concave=False, c_convention="printed")
 
 
 def verify_mt3(
@@ -301,11 +303,7 @@ def verify_mt3(
     The report records which was used, and the constant is checked against
     both sandwich orientations in ``details``.
     """
-    if branch not in _BRANCHES:
-        raise StructureError(f"unknown branch {branch!r}")
-    if c_convention not in ("mirrored", "printed"):
-        raise StructureError(f"unknown c_convention {c_convention!r}")
-    rep = _branch_chain(f, s, branch, tol, concave=True, c_upward=c_convention == "printed")
+    rep = _branch_chain(f, s, branch, tol, concave=True, c_convention=c_convention)
     if "max_left" in rep.details:  # the side extremes passed the ordering check
         rep.details["c_convention"] = c_convention
     return rep

@@ -257,7 +257,6 @@ def _split_transfer(
     inner: IntervalR,
     inner2: IntervalR | None,
     mode: str,
-    A: float | None,
     tol: float,
 ) -> ChainReport:
     """Split-point transfer comparison of families (L, H, L*, H*) against
@@ -269,7 +268,8 @@ def _split_transfer(
     The verdict is on diff1 <= diff2, where diff1 = sum H(f.h) - sum L(f.g)
     and diff2 is the same over the starred families.  The refinement values
     diff1 <= (A/2) M1 = (A/2) M2 <= diff2, with M_i the second-moment
-    differences, are reported in the chain and ``details`` only.
+    differences and A from f's f'' certificate (``k1_witness``), are reported
+    in the chain and ``details`` only.
     """
     outer1, outer2 = sides(mode, interval, c)
     pairs = list(map(_family, fams, funcs))
@@ -297,7 +297,7 @@ def _split_transfer(
     sq = [checked_fsum(_second_moments(fam, v), _SQUARES) for fam, v in zip(ls, vs)]
     moment1, moment2 = sq[1] - sq[0], sq[3] - sq[2]
     cs.matched(tags[2], moment1, moment2)
-    A = k1_witness(f, c, interval, tol=tol) if A is None else A
+    A = k1_witness(f, c, interval, tol=tol)
     cs.witness("witness.K1c", A)
     details = {"mode": mode, "c": c}
     if not cs.ok:
@@ -324,18 +324,17 @@ def verify_mt4(
     inner: IntervalR,
     inner2: IntervalR | None = None,
     mode: str = "region_restricted",
-    A: float | None = None,
     tol: float = EPS_EQ,
 ) -> ChainReport:
     """Split-point transfer comparison for f 3-convex at c (tag "2.12"):
     diff_i = H(f.h_i) - L(f.g_i) with diff1 <= diff2.  It is verify_mt5 with
-    the singleton families L, H shared by both sides.
+    the singleton families L, H shared by both sides, and A from ``k1_witness``.
     """
     return _split_transfer(
         f, ([L], [H]), ([g1], [h1], [g2], [h2]),
         ("unital.L", "unital.H"), ("g1", "h1", "g2", "h2"),
         ("2.12.mean1", "2.12.mean2", "2.12.moment"),
-        c=c, interval=interval, inner=inner, inner2=inner2, mode=mode, A=A, tol=tol,
+        c=c, interval=interval, inner=inner, inner2=inner2, mode=mode, tol=tol,
     )
 
 
@@ -496,16 +495,16 @@ def verify_mt5(
     inner: IntervalR,
     inner2: IntervalR | None = None,
     mode: str = "region_restricted",
-    A: float | None = None,
     tol: float = EPS_EQ,
 ) -> ChainReport:
     """Family version of the split-point transfer comparison (tags "2.25",
     "2.26").  The unstarred families play the left role and the starred
-    families the right role; verify_mt4 is its singleton case.
+    families the right role; verify_mt4 is its singleton case.  A is read from
+    f's f'' certificate (``k1_witness``), never supplied.
     """
     return _split_transfer(
         f, (Ls, Hs, Ls_star, Hs_star), (gs, hs, gs_star, hs_star),
         ("totals.L", "totals.H", "totals.L*", "totals.H*"), ("g{}", "h{}", "g*{}", "h*{}"),
         ("2.25.1", "2.25.2", "2.26"),
-        c=c, interval=interval, inner=inner, inner2=inner2, mode=mode, A=A, tol=tol,
+        c=c, interval=interval, inner=inner, inner2=inner2, mode=mode, tol=tol,
     )

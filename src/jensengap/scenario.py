@@ -41,8 +41,9 @@ SCHEMA_VERSION = 1
 
 
 class Theorem:
-    """Registry entry: everything the engine knows about one theorem id.
-    Optional payload fields that are absent or null take the verifier's default."""
+    """Registry entry: everything the engine knows about one theorem id.  An
+    optional payload field absent or null takes the verifier's default, and
+    ``run_payload`` rejects any other key."""
 
     __slots__ = ("verifier", "default_fn", "modes", "fields", "optional", "mode_arg", "mode_values")
 
@@ -84,7 +85,6 @@ THEOREMS = {
         "verify_mt1",
         {"proper": "signed_square", "literal_alpha": "signed_square"},
         AFFINE_FIELDS,
-        ("A",),
         mode_arg="weight_reading",
         mode_values={"proper": "matched"},
     ),
@@ -110,7 +110,7 @@ THEOREMS = {
         "verify_mt4",
         SPLIT,
         ("L", "H", "g1", "h1", "g2", "h2", "c", "interval", "inner"),
-        ("inner2", "A"),
+        ("inner2",),
     ),
     "mt5": Theorem(
         "verify_mt5",
@@ -119,7 +119,7 @@ THEOREMS = {
             "Ls", "gs", "Hs", "hs", "Ls_star", "gs_star", "Hs_star", "hs_star",
             "c", "interval", "inner",
         ),
-        ("inner2", "A"),
+        ("inner2",),
     ),
     "mc1": Theorem("verify_mc1", SPLIT, ("L", "g1", "g2", "c", "inner"), ("interval",)),
     "mc2": Theorem(
@@ -347,7 +347,6 @@ _FIELD_PARSERS = {
     "left": config_from,
     "right": config_from,
     "c": float,
-    "A": float,
     "interval": interval_from,
     "inner": interval_from,
     "inner2": interval_from,
@@ -369,6 +368,9 @@ def run_payload(
     entry, mode = lookup(theorem_id, mode)
     if not isinstance(payload, dict):
         raise StructureError("payload must be an object")
+    unread = payload.keys() - {*entry.fields, *entry.optional}
+    if unread:
+        raise StructureError(f"{theorem_id} payload has unknown field {min(map(repr, unread))}")
     args = {key: _parse_field(key, _need(payload, key, theorem_id)) for key in entry.fields}
     for key in entry.optional:
         if payload.get(key) is not None:

@@ -101,7 +101,7 @@ def test_criterion_3_two_sided_chain():
         for i in range(1_000):
             s = gen_two_sided_scenario(GenSpec(seed=92000 + i))
             for f in (SS, CUBIC):
-                rep = verify_mt1(f, s, A=0.0)
+                rep = verify_mt1(f, s)
                 assert rep.verdict == "holds"
                 assert min(rep.margins) >= -1e-9
         from jensengap.affine import Mt1Scenario
@@ -113,7 +113,7 @@ def test_criterion_3_two_sided_chain():
             0.0,
             I11,
         )
-        rep = verify_mt1(SS, mirrored, A=0.0)
+        rep = verify_mt1(SS, mirrored)
         assert rep.chain == pytest.approx((-0.25, 0.0, 0.0, 0.25), abs=1e-12)
 
 

@@ -1,5 +1,7 @@
+import copy
 import math
 import random
+import re
 
 import pytest
 
@@ -22,8 +24,17 @@ from jensengap.domain import (
     spread,
     validate_affine_config,
 )
-from jensengap.funclib import FunctionModel, catalog, negate
-from jensengap.scenario import config_from, config_to, dumps, fn_spec_from_string, make_scenario
+from jensengap.funclib import DomainError, FunctionModel, catalog, negate
+from jensengap.scenario import (
+    THEOREMS,
+    config_from,
+    config_to,
+    dumps,
+    fn_spec_from_string,
+    make_scenario,
+    model_from_spec,
+    run_payload,
+)
 from jensengap.scengen import GenSpec, gen_payload, gen_two_sided_scenario
 
 I11 = IntervalR(-1.0, 1.0)
@@ -103,9 +114,9 @@ class TestValidateOnce:
 
 
 def mt1_hypotheses(s):
-    """verify_mt1's hypothesis checks; with A supplied they are exactly the
-    side validity, separation ("2.2") and spread-equality ("2.1") checks."""
-    return verify_mt1(catalog("signed_square"), s, A=0.0).hypotheses
+    """verify_mt1's hypothesis checks: the side validity, separation ("2.2")
+    and spread-equality ("2.1") checks, then "witness.K1c" once they pass."""
+    return verify_mt1(catalog("signed_square"), s).hypotheses
 
 
 class TestMt1Hypotheses:
@@ -130,17 +141,17 @@ class TestMt1Hypotheses:
 
 class TestVerifyMt1:
     def test_signed_square_chain(self):
-        rep = verify_mt1(catalog("signed_square"), MIRRORED, A=0.0)
+        rep = verify_mt1(catalog("signed_square"), MIRRORED)
         assert rep.verdict == "holds"
         assert rep.chain == pytest.approx((-0.25, 0.0, 0.0, 0.25), abs=1e-12)
 
     def test_quadratic_all_margins_zero(self):
-        rep = verify_mt1(catalog("quadratic", 2), MIRRORED, A=2.0)
+        rep = verify_mt1(catalog("quadratic", 2), MIRRORED)
         assert rep.verdict == "holds"
         assert max(abs(m) for m in rep.margins) <= 1e-12
 
     def test_cubic_chain(self):
-        rep = verify_mt1(catalog("cubic"), MIRRORED, A=0.0)
+        rep = verify_mt1(catalog("cubic"), MIRRORED)
         assert rep.verdict == "holds"
         assert rep.values["gap_left"] == pytest.approx(-0.375)
         assert rep.values["gap_right"] == pytest.approx(0.375)
@@ -151,7 +162,7 @@ class TestVerifyMt1:
 
     def test_unmet_on_spread_mismatch(self):
         s = Mt1Scenario(two_point_side(-1.0, 0.0), two_point_side(0.0, 0.4), 0.0, I11)
-        rep = verify_mt1(catalog("signed_square"), s, A=0.0)
+        rep = verify_mt1(catalog("signed_square"), s)
         assert rep.verdict == "hypotheses-unmet"
 
     def test_literal_alpha_reading(self):
@@ -160,21 +171,19 @@ class TestVerifyMt1:
         left = cfg((-1.0,), (0.3,), (0.0,), (0.7,))
         right = cfg((0.0,), (0.5,), (y,), (0.5,))
         s = Mt1Scenario(left, right, 0.0, I11)
-        matched = verify_mt1(catalog("signed_square"), s, A=0.0)
-        literal = verify_mt1(
-            catalog("signed_square"), s, A=0.0, weight_reading="literal_alpha"
-        )
+        matched = verify_mt1(catalog("signed_square"), s)
+        literal = verify_mt1(catalog("signed_square"), s, weight_reading="literal_alpha")
         assert matched.details["weight_reading"] == "matched"
         assert literal.details["weight_reading"] == "literal_alpha"
         assert abs(matched.values["gap_right"] - literal.values["gap_right"]) > 1e-3
         # equal weights on both sides make the two readings coincide
         mirrored_literal = verify_mt1(
-            catalog("signed_square"), MIRRORED, A=0.0, weight_reading="literal_alpha"
+            catalog("signed_square"), MIRRORED, weight_reading="literal_alpha"
         )
         assert mirrored_literal.chain == pytest.approx((-0.25, 0.0, 0.0, 0.25), abs=1e-12)
 
     def test_agrees_with_bruteforce_oracle(self):
-        rep = verify_mt1(catalog("signed_square"), MIRRORED, A=0.0)
+        rep = verify_mt1(catalog("signed_square"), MIRRORED)
         f = lambda x: x * abs(x)
         left = config_to(MIRRORED.left)
         right = config_to(MIRRORED.right)
@@ -411,6 +420,32 @@ class TestHugeCurvature:
         assert all(map(math.isfinite, rep.margins))
 
 
+class TestNanPoints:
+    """A NaN point is an input error naming its side at every position, not
+    only as its side's first point, where min and max see it."""
+
+    @pytest.mark.parametrize("sizes", [(2, 2, 0), (2, 2, 1)])
+    @pytest.mark.parametrize(
+        "theorem, mode", [(t, m) for t in ("mt1", "mt2", "mt3") for m in THEOREMS[t].modes]
+    )
+    def test_nan_at_every_position(self, theorem, mode, sizes):
+        payload = gen_payload(GenSpec(seed=1, sizes=sizes), theorem, mode, random.Random(1))
+        f = model_from_spec(fn_spec_from_string(THEOREMS[theorem].default_fn[mode]))
+        positions = [
+            (side, group, k)
+            for side in ("left", "right")
+            for group in ("plus_a", "plus_b", "minus_c")
+            for k in range(len(payload[side][group]["points"]))
+        ]
+        assert len(positions) == 2 * sum(sizes)
+        for side, group, k in positions:
+            doc = copy.deepcopy(payload)
+            doc[side][group]["points"][k] = math.nan
+            message = f"{f.name}: {side} points [nan, nan] outside domain "
+            with pytest.raises(DomainError, match=f"^{re.escape(message)}"):
+                run_payload(theorem, mode, f, doc)
+
+
 def _affine_doc(theorem, mode, **payload_fields):
     """A generated document of an affine theorem id, with its mode and
     payload fields overridden after generation."""
@@ -459,7 +494,7 @@ class TestUnknownOptions:
 
 class TestTranslationInvariance:
     def test_margins_shift_free(self):
-        base = verify_mt1(catalog("signed_square"), MIRRORED, A=0.0)
+        base = verify_mt1(catalog("signed_square"), MIRRORED)
         t = 7.5
         shifted_f = FunctionModel(
             "shifted-signed-square",
@@ -482,7 +517,7 @@ class TestTranslationInvariance:
             MIRRORED.c + t,
             IntervalR(I11.lo + t, I11.hi + t),
         )
-        rep = verify_mt1(shifted_f, moved, A=0.0)
+        rep = verify_mt1(shifted_f, moved)
         assert rep.verdict == base.verdict
         for a, b in zip(rep.margins, base.margins):
             assert a == pytest.approx(b, abs=1e-9)

@@ -48,7 +48,6 @@ MIRRORED_MT1 = make_scenario(
             "plus_b": {"points": [1.0], "weights": [0.5]},
             "minus_c": {"points": [], "weights": []},
         },
-        "A": 0.0,
     },
 )
 
@@ -811,7 +810,8 @@ FAMILY_SHAPES = {
 class TestInputRules:
     """One family reader and one split-point rule: each shape fault of a
     family, and a split point outside the interval, is the same one-line
-    input error from every verifier that reads it."""
+    input error from every verifier that reads it.  So is a payload key that
+    the theorem does not read."""
 
     def _check_error(self, tmp_path, capsys, doc) -> str:
         assert run(["check", write(tmp_path, "doc.json", doc)]) == 1
@@ -852,6 +852,34 @@ class TestInputRules:
         doc["payload"]["c"] = 5.0
         err = self._check_error(tmp_path, capsys, doc)
         assert err == "jensengap: error: split point must lie in the interval\n"
+
+    @pytest.mark.parametrize("value", [2.5, None])
+    def test_supplied_constant_is_an_unknown_field(self, tmp_path, capsys, value):
+        # A comes from f's f'' certificate alone; a supplied one, even null,
+        # is not read, so it must not pass unnoticed
+        doc = _mt1_doc()
+        assert run(["check", write(tmp_path, "plain.json", doc)]) == 0
+        capsys.readouterr()
+        doc["payload"]["A"] = value
+        err = self._check_error(tmp_path, capsys, doc)
+        assert err == "jensengap: error: mt1 payload has unknown field 'A'\n"
+
+    @pytest.mark.parametrize(
+        "theorem, mode, typo, value",
+        [
+            ("mt3", "c", "c_conventon", "printed"),
+            ("mt4", "region_restricted", "inner_2", None),
+            ("mt4", "literal", "inner_2", None),
+        ],
+    )
+    def test_misspelled_optional_field(self, tmp_path, capsys, theorem, mode, typo, value):
+        # an mt4 inner_2 takes the value of the inner2 it misspells, or of inner
+        assert run(["gen", "--theorem", theorem, "--mode", mode, "--seed", "1"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        payload = doc["payload"]
+        payload[typo] = payload.pop("inner2", payload.get("inner")) if value is None else value
+        err = self._check_error(tmp_path, capsys, doc)
+        assert err == f"jensengap: error: {theorem} payload has unknown field '{typo}'\n"
 
 
 BIG_FAMILY = [[1.5e296], [1.5e296]]

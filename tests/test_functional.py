@@ -677,8 +677,9 @@ def mutate_mt4(payload: dict, check: str) -> dict:
 
 
 def lift_mt4(payload: dict) -> dict:
-    """The mt5 payload with singleton families that share mt4's L and H."""
-    lifted = {k: payload[k] for k in ("interval", "c", "inner", "inner2", "A") if k in payload}
+    """The mt5 payload with singleton families that share mt4's L and H; every
+    other key, one that mt4 does not read included, is carried over."""
+    lifted = {k: v for k, v in payload.items() if k not in ("L", "H", "g1", "h1", "g2", "h2")}
     L, H = payload["L"], payload["H"]
     lifted.update(Ls=[L], Hs=[H], Ls_star=[L], Hs_star=[H])
     for key, field in (("gs", "g1"), ("hs", "h1"), ("gs_star", "g2"), ("hs_star", "h2")):
@@ -708,16 +709,21 @@ class TestMt4SharesMt5:
         mode=st.sampled_from(["region_restricted", "literal"]),
         fn=st.sampled_from(["signed_square", "quadratic:2", "cubic", "exp"]),
         interval=st.sampled_from([(-1.0, 1.0, 0.0), (-3.0, 5.0, 0.5), (-1e3, 1e3, 10.0)]),
-        mutation=st.sampled_from([None, "A", "length", *MT4_MUTATIONS]),
+        mutation=st.sampled_from([None, "unread", "length", *MT4_MUTATIONS]),
     )
     def test_singleton_lift_reports_the_same(self, seed, mode, fn, interval, mutation):
         lo, hi, c = interval
         payload = gen_payload(GenSpec(seed=seed, interval=iv(lo, hi), c=c), "mt4", mode)
-        if mutation == "A":
-            payload["A"] = 0.0
-        elif mutation:
-            payload = mutate_mt4(payload, mutation)
         f = model_from_spec(fn_spec_from_string(fn))
+        if mutation == "unread":  # a key that neither mt4 nor mt5 reads
+            payload["A"] = 0.0
+            for theorem, doc in (("mt4", payload), ("mt5", lift_mt4(payload))):
+                message = f"^{theorem} payload has unknown field 'A'$"
+                with pytest.raises(StructureError, match=message):
+                    run_payload(theorem, mode, f, doc)
+            return
+        if mutation:
+            payload = mutate_mt4(payload, mutation)
         try:
             mt4 = run_payload("mt4", mode, f, payload)
         except ValueError as err:  # StructureError, or DomainError outside exp's domain

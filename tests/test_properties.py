@@ -103,7 +103,7 @@ def test_unital_apply_within_range(weights, data):
 @settings(max_examples=40, deadline=None)
 def test_generated_scenarios_verify(seed):
     s = gen_two_sided_scenario(GenSpec(seed=seed))
-    rep = verify_mt1(catalog("signed_square"), s, A=0.0)
+    rep = verify_mt1(catalog("signed_square"), s)
     assert rep.verdict == "holds"
     assert min(rep.margins) >= -1e-9
 

@@ -67,6 +67,22 @@ class TestGenPayloadMode:
         assert doc["mode"] == "region_restricted" and "inner2" in payload
         assert run_scenario(doc)["verdict"] == "holds"
 
+    @pytest.mark.parametrize(
+        "spec",
+        # the default spec, and that of the golden reports' GEN_WIDE
+        [GenSpec(seed=1), GenSpec(1, IntervalR(-3.0, 3.0), 0.5, (5, 2, 3))],
+        ids=["default", "wide"],
+    )
+    @pytest.mark.parametrize(
+        "theorem_id, mode", [(t, m) for t, entry in THEOREMS.items() for m in entry.modes]
+    )
+    def test_payload_has_only_registry_fields(self, theorem_id, mode, spec):
+        # run_payload rejects any other key, so gen must write none
+        entry = THEOREMS[theorem_id]
+        for seed in range(1, 6):
+            payload = gen_payload(spec, theorem_id, mode, random.Random(seed))
+            assert set(entry.fields) <= set(payload) <= {*entry.fields, *entry.optional}
+
     @pytest.mark.parametrize("theorem_id", ["mt4", "mc2"])
     @pytest.mark.parametrize("mode", ["bogus", "regionrestricted"])
     def test_unknown_mode_rejected(self, theorem_id, mode):
@@ -154,7 +170,7 @@ class TestTwoSidedGeneration:
     @pytest.mark.parametrize("seed", range(10))
     def test_hypotheses_pass(self, seed):
         s = gen_two_sided_scenario(GenSpec(seed=seed))
-        assert verify_mt1(catalog("signed_square"), s, A=0.0).hypotheses.ok
+        assert verify_mt1(catalog("signed_square"), s).hypotheses.ok
 
     def test_spread_ratio_below_one(self):
         s = gen_two_sided_scenario(GenSpec(seed=5), spread_ratio=0.5)
