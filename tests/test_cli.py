@@ -868,16 +868,14 @@ class TestInputRules:
         "theorem, mode, typo, value",
         [
             ("mt3", "c", "c_conventon", "printed"),
-            ("mt4", "region_restricted", "inner_2", None),
-            ("mt4", "literal", "inner_2", None),
+            ("mt4", "region_restricted", "inner_2", [0.0, 1.0]),
+            ("mt4", "literal", "inner_2", [0.0, 1.0]),
         ],
     )
     def test_misspelled_optional_field(self, tmp_path, capsys, theorem, mode, typo, value):
-        # an mt4 inner_2 takes the value of the inner2 it misspells, or of inner
         assert run(["gen", "--theorem", theorem, "--mode", mode, "--seed", "1"]) == 0
         doc = json.loads(capsys.readouterr().out)
-        payload = doc["payload"]
-        payload[typo] = payload.pop("inner2", payload.get("inner")) if value is None else value
+        doc["payload"][typo] = value
         err = self._check_error(tmp_path, capsys, doc)
         assert err == f"jensengap: error: {theorem} payload has unknown field '{typo}'\n"
 
