@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import random
 import stat
@@ -132,10 +133,40 @@ def _reject_constant(token: str):
     raise StructureError(f"non-finite number {token} in the document")
 
 
+def _past_range(token: str) -> StructureError:
+    shown = token if len(token) <= 30 else f"{token[:12]}...{token[-6:]} ({len(token)} characters)"
+    return StructureError(f"number {shown} in the document is past the float range")
+
+
+def _finite_float(token: str) -> float:
+    """json's hook for a number with a fraction or exponent: a literal past
+    the float range, which json would read as infinite, is rejected."""
+    value = float(token)
+    if math.isinf(value):
+        raise _past_range(token)
+    return value
+
+
+def _finite_int(token: str) -> int:
+    """json's hook for an integer: it stays an int, unless it is past the
+    float range, which no weight, point or value may be."""
+    value = int(token)
+    try:
+        float(value)
+    except OverflowError:
+        raise _past_range(token) from None
+    return value
+
+
 def _cmd_check(args: argparse.Namespace) -> int:
     if args.tol is not None:
         check_tolerance(args.tol)
-    doc = json.loads(_read_text(args.path), parse_constant=_reject_constant)
+    doc = json.loads(
+        _read_text(args.path),
+        parse_float=_finite_float,
+        parse_int=_finite_int,
+        parse_constant=_reject_constant,
+    )
     many = isinstance(doc, list)
     reports = [run_scenario(d, tol=args.tol) for d in (doc if many else [doc])]
     _emit([dumps(reports if many else reports[0])], args.out)

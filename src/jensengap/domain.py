@@ -25,7 +25,9 @@ one place a second moment is formed, for spreads, verifiers and generators.
 closed interval, and the two sides at c are the halves of the interval or,
 in literal mode, the interval itself.  The functional split-point verifiers
 and their generators take their sides from it, and ``Mt1Scenario`` checks
-its c through it.
+its c through it.  ``second_inner`` is the one rule for the second side's
+inner intervals: literal mode shares the first side's and takes no other,
+and region_restricted mode requires them.
 
 The value types are plain classes with ``__slots__``, each validating its
 fields once, in ``__init__``, where groups and functionals also sum their
@@ -109,6 +111,20 @@ def sides(mode: str, interval: IntervalR, c: float) -> tuple[IntervalR, Interval
     if mode == "literal":
         return interval, interval
     return IntervalR(interval.lo, c), IntervalR(c, interval.hi)
+
+
+def second_inner(mode: str, first, second, what: str):
+    """The second side's inner interval (or ladder of them): in literal mode
+    the first side's, and a supplied second one is an input error; in
+    region_restricted mode the supplied one, which must be given.  ``what``
+    names it in the error."""
+    if mode == "literal":
+        if second is not None:
+            raise StructureError(f"literal mode reads no {what}: both sides share the first")
+        return first
+    if second is None:
+        raise StructureError(f"region_restricted mode needs a {what}")
+    return second
 
 
 class WeightedGroup:

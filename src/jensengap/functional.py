@@ -10,17 +10,18 @@ or re-validates them.  Those two and every sum over a family go through
 terms are listed first, so a member's own error (a length mismatch, a value
 outside f's domain) is its own.
 
-mt4 runs as mt5 with singleton families that share one (L, H) pair, under
-its own check names; it2 stays a verifier of its own (see the README).
+mt4 runs as mt5, and mc1 as mc3, with singleton families under their own
+check names; it2 and ic1 stay verifiers of their own (see the README).
 
-The split-point verifiers (mt4, mt5, mc1, mc2, mc3) read their mode and
-split point c through ``domain.sides``; a c outside the interval is an
-input error.  "literal" mode applies the range constraints exactly as
-stated: one shared inner interval with the outer functions anywhere
-outside it.  The default "region_restricted" additionally confines the
-first pair (or the unstarred family, or the g-side) to the closed half-line
-left of c and the second pair to the right half, which is the configuration
-the two-sided concavity/convexity argument needs.  The literal regime admits genuine
+The split-point verifiers (mt4, mt5, mc1, mc2, mc3) read their mode and split
+point c through ``domain.sides``, which rejects a c outside the interval, and
+the second side's inner intervals through ``domain.second_inner``.  "literal"
+mode applies the range constraints exactly as stated: one shared inner
+interval with the outer functions anywhere outside it.  The default
+"region_restricted" additionally confines the first pair (or the unstarred
+family, or the g-side) to the closed half-line left of c and the second pair
+to the right half, which is the configuration the two-sided
+concavity/convexity argument needs.  The literal regime admits genuine
 violations and is kept for hypothesis exploration; reports label the mode.
 
 Hypothesis residuals carry stable tags: "1.4"/"1.7"/"1.9"/"1.11" for the
@@ -48,6 +49,7 @@ from .domain import (  # noqa: F401  (the functional types are re-exported)
     as_functional,
     checked_fsum,
     moment,
+    second_inner,
     sides,
 )
 from .funclib import FunctionModel, eval_fn
@@ -279,12 +281,10 @@ def _split_transfer(
     cs = CheckSet(tol)
     for name, fam in zip(totals, ls):
         cs.unit_total(name, checked_fsum((L.total for L in fam), f"{name} sum"))
+    inner2 = second_inner(mode, inner, inner2, "second inner interval")
     if mode == "literal":
         cs.inside("inner_in_interval", (inner.lo, inner.hi), interval)
-        inner2 = inner
     else:
-        if inner2 is None:
-            raise StructureError("region_restricted mode needs a second inner interval")
         cs.inside("region.inner1", (inner.lo, inner.hi), outer1)
         cs.inside("region.inner2", (inner2.lo, inner2.hi), outer2)
     vs = [[u.values for u in fun] for fun in us]
@@ -356,27 +356,10 @@ def verify_mc1(
     In region_restricted mode g1 is confined to values at or below c and g2
     at or above c; literal mode only requires both inside the inner interval.
     """
-    cls_interval = interval if interval is not None else inner
-    sides(mode, cls_interval, c)
-    L = as_functional(L)
-    g1, g2 = as_function(g1), as_function(g2)
-    v1, v2 = g1.values, g2.values
-    cs = CheckSet(tol)
-    cs.unit_total("unital.L", L.total)
-    cs.inside("range.g1", v1, inner)
-    cs.inside("range.g2", v2, inner)
-    if mode == "region_restricted":
-        cs.at_least("region.g1_left_of_c", c - max(v1))
-        cs.at_least("region.g2_right_of_c", min(v2) - c)
-    m1, m2 = apply(L, g1), apply(L, g2)
-    sq1, sq2 = _second_moments((L, L), (v1, v2))
-    cs.matched("2.17", sq1 - m1 * m1, sq2 - m2 * m2)
-    cs.witness("witness.K1c", k1_witness(f, c, cls_interval, tol=tol))
-    if not cs.ok:
-        return ChainReport(UNMET, hypotheses=cs)
-    gap1 = apply_fn(L, f, g1) - eval_fn(f, m1)
-    gap2 = apply_fn(L, f, g2) - eval_fn(f, m2)
-    return judge(cs, (gap2 - gap1,))
+    return _gap_comparison(
+        f, [L], [g1], [g2], ("unital.L", "g1", "g2", "2.17"), inner, interval or inner, None,
+        c=c, mode=mode, tol=tol,
+    )
 
 
 def verify_mc2(
@@ -404,8 +387,7 @@ def verify_mc2(
     Ls, gs = _family(Ls, gs, 2)
     hs = _family(Ls, hs, 2)[1]
     n = len(Ls)
-    if h_inners is None:
-        h_inners = g_inners
+    h_inners = second_inner(mode, g_inners, h_inners, "second ladder of inner intervals")
     if len(g_inners) != n - 1 or len(h_inners) != n - 1:
         raise StructureError("each ladder needs exactly n-1 inner intervals")
     vgs, vhs = [g.values for g in gs], [h.values for h in hs]
@@ -433,6 +415,45 @@ def verify_mc2(
     return judge(cs, [(h_lift[i + 1] - h_lift[i]) - (g_lift[i + 1] - g_lift[i]) for i in links])
 
 
+def _gap_comparison(
+    f: FunctionModel, Ls, gs, hs, names: Sequence[str], ranges: IntervalR, interval: IntervalR,
+    inclusion: IntervalR | None, *, c: float, mode: str, tol: float,
+) -> ChainReport:
+    """Jensen-gap comparison [sum L(f.h) - f(sum L(h))] - [the same over g]
+    of a family L under matched aggregate variances.  ``names`` are the
+    totals check, the g and h range-label templates ("{}" takes the member's
+    1-based index) and the variance tag.  Values must lie in ``ranges``;
+    ``sides`` and ``k1_witness`` read ``interval``.  An ``inclusion`` interval
+    must hold both aggregate means, reported as ``details["inclusion"]``."""
+    total, g_label, h_label, tag = names
+    sides(mode, interval, c)
+    Ls, gs = _family(Ls, gs)
+    hs = _family(Ls, hs)[1]
+    vgs, vhs = [g.values for g in gs], [h.values for h in hs]
+    cs = CheckSet(tol)
+    cs.unit_total(total, checked_fsum((L.total for L in Ls), "Ls totals sum"))
+    for i, (vg, vh) in enumerate(zip(vgs, vhs), start=1):
+        g, h = g_label.format(i), h_label.format(i)
+        cs.inside(f"range.{g}", vg, ranges)
+        cs.inside(f"range.{h}", vh, ranges)
+        if mode == "region_restricted":
+            cs.at_least(f"region.{g}_left_of_c", c - max(vg))
+            cs.at_least(f"region.{h}_right_of_c", min(vh) - c)
+    g_mean, h_mean = [checked_fsum(list(map(apply, Ls, us)), _MEANS) for us in (gs, hs)]
+    g_sq, h_sq = [checked_fsum(_second_moments(Ls, vs), _SQUARES) for vs in (vgs, vhs)]
+    cs.matched(tag, g_sq - g_mean * g_mean, h_sq - h_mean * h_mean)
+    cs.witness("witness.K1c", k1_witness(f, c, interval, tol=tol))
+    if not cs.ok:
+        return ChainReport(UNMET, hypotheses=cs)
+    g_gap = checked_fsum(list(map(apply_fn, Ls, repeat(f), gs)), _LIFTS) - eval_fn(f, g_mean)
+    h_gap = checked_fsum(list(map(apply_fn, Ls, repeat(f), hs)), _LIFTS) - eval_fn(f, h_mean)
+    if inclusion is None:
+        return judge(cs, (h_gap - g_gap,))
+    lo, hi = inclusion.lo, inclusion.hi
+    inside = cs.admits(g_mean, lo, hi) and cs.admits(h_mean, lo, hi)
+    return judge(cs, (h_gap - g_gap,), conclusion=inside, details={"inclusion": inside})
+
+
 def verify_mc3(
     f: FunctionModel,
     Ls,
@@ -447,36 +468,15 @@ def verify_mc3(
     """Subunital-family comparison under matched aggregate variances (tag
     "2.22"): margin of the aggregate Jensen-gap comparison, with the verdict
     also requiring both aggregate means inside the interval (tag "2.23",
-    reported as ``details["inclusion"]``).
+    reported as ``details["inclusion"]``).  verify_mc1 is its singleton case.
 
     The stated inclusion lists one aggregate twice; it is implemented as the
     pair (sum L_i(g_i), sum L_i(h_i)), reading the duplication as a typo.
     """
-    sides(mode, interval, c)
-    Ls, gs = _family(Ls, gs)
-    hs = _family(Ls, hs)[1]
-    vgs, vhs = [g.values for g in gs], [h.values for h in hs]
-    cs = CheckSet(tol)
-    cs.unit_total("totals", checked_fsum((L.total for L in Ls), "Ls totals sum"))
-    for i, (vg, vh) in enumerate(zip(vgs, vhs), start=1):
-        cs.inside(f"range.g{i}", vg, interval)
-        cs.inside(f"range.h{i}", vh, interval)
-        if mode == "region_restricted":
-            cs.at_least(f"region.g{i}_left_of_c", c - max(vg))
-            cs.at_least(f"region.h{i}_right_of_c", min(vh) - c)
-    g_mean = checked_fsum(list(map(apply, Ls, gs)), _MEANS)
-    h_mean = checked_fsum(list(map(apply, Ls, hs)), _MEANS)
-    g_var = checked_fsum(_second_moments(Ls, vgs), _SQUARES) - g_mean * g_mean
-    h_var = checked_fsum(_second_moments(Ls, vhs), _SQUARES) - h_mean * h_mean
-    cs.matched("2.22", g_var, h_var)
-    cs.witness("witness.K1c", k1_witness(f, c, interval, tol=tol))
-    if not cs.ok:
-        return ChainReport(UNMET, hypotheses=cs)
-    lo, hi = interval.lo, interval.hi
-    inclusion = cs.admits(g_mean, lo, hi) and cs.admits(h_mean, lo, hi)
-    g_gap = checked_fsum(list(map(apply_fn, Ls, repeat(f), gs)), _LIFTS) - eval_fn(f, g_mean)
-    h_gap = checked_fsum(list(map(apply_fn, Ls, repeat(f), hs)), _LIFTS) - eval_fn(f, h_mean)
-    return judge(cs, (h_gap - g_gap,), conclusion=inclusion, details={"inclusion": inclusion})
+    return _gap_comparison(
+        f, Ls, gs, hs, ("totals", "g{}", "h{}", "2.22"), interval, interval, interval,
+        c=c, mode=mode, tol=tol,
+    )
 
 
 def verify_mt5(

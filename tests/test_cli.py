@@ -879,6 +879,33 @@ class TestInputRules:
         err = self._check_error(tmp_path, capsys, doc)
         assert err == f"jensengap: error: {theorem} payload has unknown field '{typo}'\n"
 
+    @pytest.mark.parametrize(
+        "theorem, mode, edit, message",
+        [
+            ("mt4", "literal", {"inner2": [-50.0, 50.0]},
+             "literal mode reads no second inner interval: both sides share the first"),
+            ("mt5", "literal", {"inner2": [-50.0, 50.0]},
+             "literal mode reads no second inner interval: both sides share the first"),
+            ("mt4", "region_restricted", {"inner2": None},
+             "region_restricted mode needs a second inner interval"),
+            ("mc2", "region_restricted", {"h_inners": None},
+             "region_restricted mode needs a second ladder of inner intervals"),
+            ("mc2", "literal", {"h_inners": [[-0.5, 0.5]]},
+             "literal mode reads no second ladder of inner intervals: both sides share the first"),
+        ],
+    )
+    def test_second_side_inner_intervals(self, tmp_path, capsys, theorem, mode, edit, message):
+        # literal mode shares the first side's inner intervals and takes no
+        # other; region_restricted mode must be given the second side's
+        assert run(["gen", "--theorem", theorem, "--mode", mode, "--seed", "1"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        for key, value in edit.items():
+            if value is None:
+                del doc["payload"][key]
+            else:
+                doc["payload"][key] = value
+        assert self._check_error(tmp_path, capsys, doc) == f"jensengap: error: {message}\n"
+
 
 BIG_FAMILY = [[1.5e296], [1.5e296]]
 
@@ -1003,6 +1030,47 @@ class TestNoTraceback:
         assert rc == 1 and err.startswith("jensengap: error:")
 
 
+#: a weight literal past the float range: as a float, and as an integer of 401 digits
+PAST_RANGE = ["1e400", "-1e400", "1" + "0" * 400, "-1" + "0" * 400]
+
+
+class TestFiniteNumbers:
+    """No document may hold a number past the float range: check rejects it
+    as it reads the text, in one error line naming the literal, before json
+    could turn it into an infinity or a traceback."""
+
+    @pytest.mark.parametrize("literal", PAST_RANGE, ids=["float", "-float", "int", "-int"])
+    def test_literal_past_the_float_range_is_an_input_error(self, tmp_path, capsys, literal):
+        doc = _mt1_doc()
+        doc["payload"]["left"]["plus_a"]["weights"][0] = "WEIGHT"
+        text = json.dumps(doc).replace('"WEIGHT"', literal)
+        assert run(["check", write(tmp_path, "doc.json", text)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("jensengap: error: number ")
+        assert captured.err.endswith(" in the document is past the float range\n")
+        shown = literal if len(literal) <= 30 else f"{literal[:12]}...{literal[-6:]}"
+        assert shown in captured.err
+
+    @pytest.mark.parametrize(
+        "seed", [2**53 + 1, 10**308, -(10**308)], ids=["2^53+1", "1e308", "-1e308"]
+    )
+    def test_integers_inside_the_float_range_stay_int(self, tmp_path, capsys, seed):
+        doc = {**_mt1_doc(), "seed": seed}
+        assert run(["check", write(tmp_path, "doc.json", doc)]) == 0
+        text = capsys.readouterr().out
+        assert f'"seed": {seed},' in text
+        assert json.loads(text)["provenance"]["seed"] == seed
+
+    @pytest.mark.parametrize("literal", ["1e-400", "1.7976931348623157e308"])
+    def test_literals_inside_the_float_range_are_read(self, tmp_path, capsys, literal):
+        # an underflow to 0.0 and the largest float are numbers of the float range
+        doc = {**_mt1_doc(), "seed": "SEED"}
+        text = json.dumps(doc).replace('"SEED"', literal)
+        assert run(["check", write(tmp_path, "doc.json", text)]) == 0
+        assert json.loads(capsys.readouterr().out)["provenance"]["seed"] == float(literal)
+
+
 #: every theorem id with each of its modes
 ID_MODES = [(t, m) for t, entry in THEOREMS.items() for m in entry.modes]
 #: replacement leaves for the mutation property
@@ -1054,6 +1122,15 @@ def test_mutated_documents_never_raise(tmp_path_factory, case, seed, data):
     assert err.getvalue() == "" or (
         err.getvalue().startswith("jensengap: error:") and err.getvalue().count("\n") == 1
     )
+
+
+@pytest.mark.parametrize("theorem, mode", ID_MODES)
+def test_reports_of_generated_documents_are_finite(theorem, mode):
+    """Finite numbers in, finite numbers out: the report of every generated
+    document is JSON as RFC 8259 has it, with no NaN or infinity."""
+    for seed in range(1, 6):
+        report = run_scenario(json.loads(_generated(theorem, mode, seed)))
+        json.dumps(report, allow_nan=False)
 
 
 def test_import_leaves_numpy_out():

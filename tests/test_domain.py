@@ -531,6 +531,15 @@ class TestSplitPoint:
             Mt1Scenario(left, right, 5.0, IntervalR(-1, 1))
         assert Mt1Scenario(left, right, 1.0, IntervalR(-1, 1)).c == 1.0
 
+    def test_second_inner_of_each_mode(self):
+        first, second = IntervalR(-1.0, 0.0), IntervalR(0.0, 1.0)
+        assert domain.second_inner("literal", first, None, "second x") is first
+        assert domain.second_inner("region_restricted", first, second, "second x") is second
+        with pytest.raises(StructureError, match="^literal mode reads no second x: both sides"):
+            domain.second_inner("literal", first, second, "second x")
+        with pytest.raises(StructureError, match="^region_restricted mode needs a second x$"):
+            domain.second_inner("region_restricted", first, None, "second x")
+
 
 def test_no_module_but_domain_names_fsum():
     """Every sum that feeds a margin or an equality check goes through

@@ -14,7 +14,13 @@ from jensengap.domain import (
     WeightedGroup,
     spread,
 )
-from jensengap.funclib import TabulatedFunction, catalog, fn_spec_from_string, tabulated_model
+from jensengap.funclib import (
+    DomainError,
+    TabulatedFunction,
+    catalog,
+    fn_spec_from_string,
+    tabulated_model,
+)
 from jensengap.functional import (
     DiscreteFunctional,
     FunctionOnOmega,
@@ -626,6 +632,8 @@ class TestSplitPointRule:
     @pytest.mark.parametrize("theorem", sorted(SPLIT_CALLS))
     def test_split_point_at_an_end_is_read(self, theorem, c):
         verifier, args, kwargs = SPLIT_CALLS[theorem]
+        # literal mode shares the first side's inner intervals and takes no second
+        kwargs = {k: v for k, v in kwargs.items() if k not in ("inner2", "h_inners")}
         assert verifier(*args, **{**kwargs, "c": c}, mode="literal").verdict in (HOLDS, UNMET)
 
     def test_mc1_reads_c_against_inner_without_an_interval(self):
@@ -743,3 +751,163 @@ class TestMt4SharesMt5:
         if mutation == "region.inner1":
             name = "region.inner1" if mode == "region_restricted" else "inner_in_interval"
             assert checks[name]["residual"] == lo - payload["inner"][0] > 0.0
+
+
+#: mc1's check names, in report order, for each mode
+MC1_CHECKS = {
+    "region_restricted": ["unital.L", "range.g1", "range.g2", "region.g1_left_of_c",
+                          "region.g2_right_of_c", "2.17", "witness.K1c"],
+    "literal": ["unital.L", "range.g1", "range.g2", "2.17", "witness.K1c"],
+}
+#: mc1 check name -> name of the same check in the report of the singleton mc3 lift
+MC1_TO_MC3 = {
+    "unital.L": "totals",
+    "range.g2": "range.h1",
+    "region.g2_right_of_c": "region.h1_right_of_c",
+    "2.17": "2.22",
+}
+MC1_MUTATIONS = ("unital.L", "range.g2", "region.g1_left_of_c", "2.17", "witness.K1c")
+#: a function with no K1 witness at a split point inside an interval around 0
+NSS = catalog("neg_signed_square")
+
+
+def mutate_mc1(payload: dict, check: str) -> dict:
+    """A copy of an mc1 payload edited so that ``check`` fails; the
+    witness.K1c mutation is a change of function (``NSS``), not of payload."""
+    p = copy.deepcopy(payload)
+    lo, hi = p["inner"]
+    if check == "unital.L":
+        p["L"][0] *= 1.1
+    elif check == "range.g2":
+        p["g2"][-1] = hi + 0.25 * (hi - lo)
+    elif check == "region.g1_left_of_c":  # inside the inner interval, right of c
+        p["g1"][0] = 0.5 * (p["c"] + hi)
+    elif check == "2.17":  # shrink g2 about its mean: same mean, smaller variance
+        m = apply(p["L"], p["g2"])
+        p["g2"] = [m + 0.5 * (x - m) for x in p["g2"]]
+    elif check == "length":
+        p["g1"].pop()
+    return p
+
+
+def lift_mc1(payload: dict) -> dict:
+    """The mc3 payload with singleton families, whose interval is mc1's inner
+    interval: mc3 reads its ranges against its interval."""
+    return {"Ls": [payload["L"]], "gs": [payload["g1"]], "hs": [payload["g2"]],
+            "c": payload["c"], "interval": payload["inner"]}
+
+
+class TestMc1SharesMc3:
+    """mc1 runs through the mc3 code with singleton families, and reports
+    under its own check names; mc3 adds only its inclusion conclusion."""
+
+    @pytest.mark.parametrize("check", MC1_MUTATIONS)
+    @pytest.mark.parametrize("mode", ["region_restricted", "literal"])
+    def test_unmet_report_lists_mc1_names(self, mode, check):
+        payload = mutate_mc1(gen_payload(GenSpec(seed=5), "mc1", mode), check)
+        f = NSS if check == "witness.K1c" else SS
+        report = run_payload("mc1", mode, f, payload)
+        names = [c["name"] for c in report["hypotheses"]]
+        assert names == MC1_CHECKS[mode]
+        failed = {c["name"] for c in report["hypotheses"] if not c["ok"]}
+        assert report["verdict"] == UNMET or check not in names
+        assert check in failed or check not in names
+        assert report["details"] == {}
+
+    @pytest.mark.parametrize("mode", ["region_restricted", "literal"])
+    def test_ranges_read_inner_and_the_witness_reads_interval(self, mode):
+        """The one place mc1's lift differs: its values must lie in ``inner``,
+        while its split point and witness read the wider ``interval``."""
+        rep = verify_mc1(
+            SS, HALF, [-2, -1], [1, 2.5], c=0.0, inner=iv(-2, 2), interval=iv(-3, 3), mode=mode
+        )
+        checks = {c.name: c for c in rep.hypotheses.checks}
+        assert not checks["range.g2"].ok and checks["range.g2"].residual == 0.5
+        exp = catalog("exp")
+        args = (exp, HALF, [-2, -1], [1, 2])
+        assert verify_mc1(*args, c=0.0, inner=iv(-2, 2), mode=mode).verdict in (HOLDS, UNMET)
+        with pytest.raises(DomainError, match="interval"):
+            verify_mc1(*args, c=0.0, inner=iv(-2, 2), interval=iv(-3, 800), mode=mode)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        mode=st.sampled_from(["region_restricted", "literal"]),
+        fn=st.sampled_from(["signed_square", "cubic", "quadratic:2", "exp"]),
+        interval=st.sampled_from([(-1.0, 1.0, 0.0), (-3.0, 5.0, 0.5), (-1e4, 1e4, 0.0)]),
+        mutation=st.sampled_from([None, "length", *MC1_MUTATIONS]),
+        with_interval=st.booleans(),
+    )
+    def test_singleton_lift_reports_the_same(self, seed, mode, fn, interval, mutation, with_interval):
+        lo, hi, c = interval
+        payload = gen_payload(GenSpec(seed=seed, interval=iv(lo, hi), c=c), "mc1", mode)
+        f = model_from_spec(fn_spec_from_string(fn))
+        if mutation:
+            payload = mutate_mc1(payload, mutation)
+            f = NSS if mutation == "witness.K1c" else f
+        # the lift reads everything against mc1's inner interval: an mc1
+        # interval equal to it, or none, which mc1 then reads as inner
+        if with_interval:
+            payload["interval"] = list(payload["inner"])
+        else:
+            del payload["interval"]
+        try:
+            mc1 = run_payload("mc1", mode, f, payload)
+        except ValueError as err:  # StructureError, or DomainError outside exp's domain
+            with pytest.raises(type(err)) as lifted_err:
+                run_payload("mc3", mode, f, lift_mc1(payload))
+            assert str(lifted_err.value) == str(err)
+            return
+        mc3 = run_payload("mc3", mode, f, lift_mc1(payload))
+        for key in ("verdict", "margins", "margin", "chain", "values"):
+            assert mc3[key] == mc1[key], key
+        assert mc1["details"] == {}
+        assert mc3["details"] == ({} if mc1["verdict"] == UNMET else {"inclusion": True})
+        renamed = [{**c, "name": MC1_TO_MC3.get(c["name"], c["name"])} for c in mc1["hypotheses"]]
+        assert mc3["hypotheses"] == renamed
+        if mutation in MC1_MUTATIONS and mutation in MC1_CHECKS[mode]:
+            assert mc1["verdict"] == UNMET
+            assert not {c["name"]: c["ok"] for c in mc1["hypotheses"]}[mutation]
+
+
+class TestSecondSideRule:
+    """One rule for the second side's inner intervals (``domain.second_inner``):
+    literal mode shares the first side's and rejects a supplied one, and
+    region_restricted mode requires it."""
+
+    LITERAL = "literal mode reads no {}: both sides share the first"
+    NEEDED = "region_restricted mode needs a {}"
+
+    @pytest.mark.parametrize("theorem", ["mt4", "mt5"])
+    def test_literal_rejects_a_second_inner_interval(self, theorem):
+        verifier, args, kwargs = SPLIT_CALLS[theorem]
+        message = self.LITERAL.format("second inner interval")
+        with pytest.raises(StructureError, match=f"^{message}$"):
+            verifier(*args, **kwargs, mode="literal")
+
+    @pytest.mark.parametrize("theorem", ["mt4", "mt5"])
+    def test_region_needs_a_second_inner_interval(self, theorem):
+        verifier, args, kwargs = SPLIT_CALLS[theorem]
+        kwargs = {**kwargs, "inner2": None}
+        with pytest.raises(StructureError, match="^region_restricted mode needs a second inner interval$"):
+            verifier(*args, **kwargs, mode="region_restricted")
+
+    def test_mc2_literal_rejects_a_second_ladder(self):
+        verifier, args, kwargs = SPLIT_CALLS["mc2"]
+        message = self.LITERAL.format("second ladder of inner intervals")
+        with pytest.raises(StructureError, match=f"^{message}$"):
+            verifier(*args, **kwargs, mode="literal")
+
+    def test_mc2_region_needs_a_second_ladder(self):
+        verifier, args, kwargs = SPLIT_CALLS["mc2"]
+        kwargs = {k: v for k, v in kwargs.items() if k != "h_inners"}
+        message = self.NEEDED.format("second ladder of inner intervals")
+        with pytest.raises(StructureError, match=f"^{message}$"):
+            verifier(*args, **kwargs, mode="region_restricted")
+
+    @pytest.mark.parametrize("theorem", ["mt4", "mt5", "mc2"])
+    @pytest.mark.parametrize("mode", ["region_restricted", "literal"])
+    def test_generated_payloads_follow_the_rule(self, theorem, mode):
+        payload = gen_payload(GenSpec(seed=1), theorem, mode)
+        second = "h_inners" if theorem == "mc2" else "inner2"
+        assert (second in payload) == (mode == "region_restricted")
