@@ -110,28 +110,31 @@ def verify_mt1(
     s: Mt1Scenario,
     *,
     tol: float = EPS_EQ,
-    weight_reading: str = "matched",
+    mode: str = "proper",
 ) -> ChainReport:
     """Four-term chain: gap_left <= (A/2) spread_left = (A/2) spread_right <= gap_right.
 
     Requires matched spreads and separation at c; f must be 3-convex at c
     with the constant A that ``k1_witness`` reads from f's f'' certificate.
 
-    ``weight_reading`` selects how the right gap is evaluated: "matched"
-    (default) uses the right configuration's own weights, which is what the
-    spread-equality hypothesis is stated with; "literal_alpha" reuses the
-    left configuration's weights on the right points, the index-sharing
-    reading kept for hypothesis exploration.
+    ``mode`` selects how the right gap is evaluated: "proper" (default) uses
+    the right configuration's own weights, which is what the spread-equality
+    hypothesis is stated with; "literal_alpha" reuses the left
+    configuration's weights on the right points, the index-sharing reading
+    kept for hypothesis exploration.  The report names the weights read in
+    ``details["weight_reading"]``: "matched" in proper mode, else
+    "literal_alpha".
     """
-    if weight_reading not in ("matched", "literal_alpha"):
-        raise StructureError(f"unknown weight reading {weight_reading!r}")
-    details: dict = {"c": s.c, "weight_reading": weight_reading}
+    if mode not in ("proper", "literal_alpha"):
+        raise StructureError(f"unknown mode {mode!r}")
+    literal = mode == "literal_alpha"
+    details: dict = {"c": s.c, "weight_reading": mode if literal else "matched"}
     cs, vals = _base_checkset(f, s, tol)
     if vals:
         cs.at_least("2.2", min(s.c - vals["max_left"], vals["min_right"] - s.c))
         sl, sr = vals["spread_left"], vals["spread_right"]
         cs.matched("2.1", sl, sr)
-    if weight_reading == "literal_alpha":
+    if literal:
         sizes_ok = all(
             len(wg) == len(pg)
             for (_, wg, _), (_, pg, _) in zip(s.left.all_groups(), s.right.all_groups())
@@ -143,7 +146,7 @@ def verify_mt1(
     if not cs.witness("witness.K1c", A):
         return ChainReport(UNMET, hypotheses=cs, details=details)
     gap_l = jensen_affine_gap(f, s.left, tol)
-    if weight_reading == "literal_alpha":
+    if literal:
         gap_r = cross_weighted_gap(f, s.left, s.right)
     else:
         gap_r = jensen_affine_gap(f, s.right, tol)
@@ -188,7 +191,7 @@ def _signed_witness(
 def _branch_chain(
     f: FunctionModel,
     s: Mt1Scenario,
-    branch: str,
+    mode: str,
     tol: float,
     concave: bool,
     c_convention: str,
@@ -201,10 +204,11 @@ def _branch_chain(
     ("witness.K1c" or "witness.K2c") and the chain order (ascending or
     descending).  ``c_convention`` is the direction of branch c's straddle:
     f''(max_left-) < 0 < f''(min_right+) when "printed", the reverse when
-    "mirrored".  An unknown branch is an error, checked before the convention.
+    "mirrored".  The mode is the branch, or "auto"; an unknown mode is an
+    error, checked before the convention.
     """
-    if branch not in ("auto", "a", "b", "c"):
-        raise StructureError(f"unknown branch {branch!r}")
+    if mode not in ("auto", "a", "b", "c"):
+        raise StructureError(f"unknown mode {mode!r}")
     if c_convention not in ("mirrored", "printed"):
         raise StructureError(f"unknown c_convention {c_convention!r}")
     if concave:
@@ -213,11 +217,11 @@ def _branch_chain(
         tag, shaped, kind, order, sigma = "2.8", is_3convex, "K1c", "ascending", 1.0
     cs, vals = _base_checkset(f, s, tol)
     if not cs.ok:
-        return ChainReport(UNMET, hypotheses=cs, details={"branch": branch})
+        return ChainReport(UNMET, hypotheses=cs, details={"branch": mode})
     a_tt, r_tt = vals["max_left"], vals["min_right"]
     sl, sr = vals["spread_left"], vals["spread_right"]
     if not cs.at_least(tag, r_tt - a_tt, scale=max(abs(a_tt), abs(r_tt))):
-        return ChainReport(UNMET, hypotheses=cs, details={"branch": branch})
+        return ChainReport(UNMET, hypotheses=cs, details={"branch": mode})
     d2m, d2p = f.d2_minus(a_tt), f.d2_plus(r_tt)
     scale = max(abs(sl), abs(sr))
     s_a, s_b = (sr, sl) if concave else (sl, sr)
@@ -230,7 +234,7 @@ def _branch_chain(
             return cs.admits(sigma * d2p, hi=0.0) and cs.admits(s_b, hi=s_a, scale=scale)
         return c_sign * d2m < 0.0 < c_sign * d2p and shaped(f, s.interval, tol=tol)
 
-    candidates = ("a", "b", "c") if branch == "auto" else (branch,)
+    candidates = ("a", "b", "c") if mode == "auto" else (mode,)
     gates = {b: gate(b) for b in candidates}
     chosen = next((b for b in candidates if gates[b]), None)
     details: dict = {
@@ -263,26 +267,26 @@ def _branch_chain(
 def verify_mt2(
     f: FunctionModel,
     s: Mt1Scenario,
-    branch: str = "auto",
+    mode: str = "auto",
     *,
     tol: float = EPS_EQ,
 ) -> ChainReport:
     """Chain under the weakened hypotheses for f 3-convex at some point
     between the side extremes.
 
-    Branch gates (auto tries a, b, c in order):
+    The mode is the branch, or "auto", which tries a, b, c in order:
       a: left second derivative at the left maximum >= 0 and spread_left <= spread_right
       b: right second derivative at the right minimum <= 0 and spread_left >= spread_right
       c: the two one-sided values straddle 0 upward strictly and f is
          3-convex on the interval (witness constant 0).
     """
-    return _branch_chain(f, s, branch, tol, concave=False, c_convention="printed")
+    return _branch_chain(f, s, mode, tol, concave=False, c_convention="printed")
 
 
 def verify_mt3(
     f: FunctionModel,
     s: Mt1Scenario,
-    branch: str = "auto",
+    mode: str = "auto",
     *,
     c_convention: str = "mirrored",
     tol: float = EPS_EQ,
@@ -303,7 +307,7 @@ def verify_mt3(
     The report records which was used, and the constant is checked against
     both sandwich orientations in ``details``.
     """
-    rep = _branch_chain(f, s, branch, tol, concave=True, c_convention=c_convention)
+    rep = _branch_chain(f, s, mode, tol, concave=True, c_convention=c_convention)
     if "max_left" in rep.details:  # the side extremes passed the ordering check
         rep.details["c_convention"] = c_convention
     return rep

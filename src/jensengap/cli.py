@@ -158,6 +158,19 @@ def _finite_int(token: str) -> int:
     return value
 
 
+def _reject_booleans(doc) -> None:
+    """No field of a document takes a boolean, which Python would read as 0 or 1."""
+    stack = [doc]
+    while stack:
+        v = stack.pop()
+        if v is True or v is False:
+            raise StructureError(f"boolean {'true' if v else 'false'} in the document")
+        if isinstance(v, dict):
+            stack.extend(v.values())
+        elif isinstance(v, list):
+            stack.extend(v)
+
+
 def _cmd_check(args: argparse.Namespace) -> int:
     if args.tol is not None:
         check_tolerance(args.tol)
@@ -167,7 +180,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
         parse_int=_finite_int,
         parse_constant=_reject_constant,
     )
+    _reject_booleans(doc)
     many = isinstance(doc, list)
+    if many and not doc:
+        raise StructureError("the list of documents is empty")
     reports = [run_scenario(d, tol=args.tol) for d in (doc if many else [doc])]
     _emit([dumps(reports if many else reports[0])], args.out)
     verdicts = {r["verdict"] for r in reports}

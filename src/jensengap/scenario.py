@@ -6,9 +6,9 @@ A scenario file is a single JSON object:
     {"schema_version": 1, "theorem_id": "mt1", "mode": "proper",
      "function": {"name": "signed_square"}, "payload": {...}, "seed": 7}
 
-``THEOREMS`` has one entry per theorem id: its modes with the CLI default
-function of each, its payload fields and its verifier.  Adding a theorem
-means one entry there plus one generator in ``scengen.GENERATORS``.  A
+``THEOREMS`` has one entry per theorem id: its verifier and generator, its
+modes with the CLI default function of each, and its payload fields.
+Adding a theorem is one entry there plus its verifier and its generator.  A
 report is a JSON object with verdict, headline margin, chain values, the
 named hypothesis residuals, and provenance.  Keys are emitted sorted, so
 identical inputs produce byte-identical documents.
@@ -16,13 +16,11 @@ identical inputs produce byte-identical documents.
 
 from __future__ import annotations
 
-import importlib
 import math
 import sys
 from json.encoder import encode_basestring_ascii
 from typing import Any
 
-from . import _SOURCES
 from .domain import (
     EPS_EQ,
     AffineConfig,
@@ -43,23 +41,25 @@ SCHEMA_VERSION = 1
 class Theorem:
     """Registry entry: everything the engine knows about one theorem id.  An
     optional payload field absent or null takes the verifier's default, and
-    ``run_payload`` rejects any other key."""
+    ``run_payload`` rejects any other key.  A theorem with more than one mode
+    gets it as the verifier's ``mode`` keyword."""
 
-    __slots__ = ("verifier", "default_fn", "modes", "fields", "optional", "mode_arg", "mode_values")
+    __slots__ = ("verifier", "generator", "default_fn", "modes", "fields", "optional")
 
     def __init__(
         self,
         verifier: str,
+        generator: str,
         default_fn: dict[str, str],
         fields: tuple[str, ...],
         optional: tuple[str, ...] = (),
-        mode_arg: str = "mode",
-        mode_values: dict[str, str] | None = None,
     ):
         #: name of the verifier in this module, resolved on first use
         #: (``__getattr__``) and looked up at call time, so that a wrapper
         #: installed on the module attribute sees every call
         self.verifier = verifier
+        #: name of the payload generator in ``scengen``
+        self.generator = generator
         #: mode -> default function of the CLI; the first mode is the default
         self.default_fn = default_fn
         self.modes = tuple(default_fn)
@@ -67,10 +67,6 @@ class Theorem:
         self.fields = fields
         #: optional payload fields, passed only when present and not null
         self.optional = optional
-        #: verifier keyword that receives the mode; single-mode ids pass none
-        self.mode_arg = mode_arg
-        #: the verifier's value of each mode whose name differs from it
-        self.mode_values = {} if mode_values is None else mode_values
 
 
 #: the payload fields of a two-sided scenario, passed on as one Mt1Scenario
@@ -82,50 +78,44 @@ SPLIT = {"region_restricted": "signed_square", "literal": "quadratic:2"}
 
 THEOREMS = {
     "mt1": Theorem(
-        "verify_mt1",
-        {"proper": "signed_square", "literal_alpha": "signed_square"},
-        AFFINE_FIELDS,
-        mode_arg="weight_reading",
-        mode_values={"proper": "matched"},
+        "verify_mt1", "_gen_two_sided",
+        {"proper": "signed_square", "literal_alpha": "signed_square"}, AFFINE_FIELDS,
     ),
     "mt2": Theorem(
-        "verify_mt2",
+        "verify_mt2", "_gen_mt2",
         {"auto": "signed_square", "a": "exp", "b": "quadratic:-3", "c": "signed_square"},
         AFFINE_FIELDS,
-        mode_arg="branch",
     ),
     "mt3": Theorem(
-        "verify_mt3",
+        "verify_mt3", "_gen_two_sided",
         {"auto": "quadratic:2", "a": "quadratic:-3", "b": "quadratic:2", "c": "neg_signed_square"},
-        AFFINE_FIELDS,
-        ("c_convention",),
-        mode_arg="branch",
+        AFFINE_FIELDS, ("c_convention",),
     ),
-    "it2": Theorem("verify_it2", STANDARD, ("L", "g", "H", "h", "inner", "interval")),
-    "it3": Theorem("verify_it3", STANDARD, ("Ls", "gs", "Hs", "hs", "inner", "interval")),
-    "ic1": Theorem("verify_ic1", STANDARD, ("L", "g", "inner")),
-    "ic2": Theorem("verify_ic2", STANDARD, ("Ls", "gs", "inners", "interval")),
-    "ic3": Theorem("verify_ic3", STANDARD, ("Ls", "gs", "interval")),
+    "it2": Theorem("verify_it2", "_gen_it2", STANDARD, ("L", "g", "H", "h", "inner", "interval")),
+    "it3": Theorem(
+        "verify_it3", "_gen_it3", STANDARD, ("Ls", "gs", "Hs", "hs", "inner", "interval")
+    ),
+    "ic1": Theorem("verify_ic1", "_gen_ic1", STANDARD, ("L", "g", "inner")),
+    "ic2": Theorem("verify_ic2", "_gen_ic2", STANDARD, ("Ls", "gs", "inners", "interval")),
+    "ic3": Theorem("verify_ic3", "_gen_ic3", STANDARD, ("Ls", "gs", "interval")),
     "mt4": Theorem(
-        "verify_mt4",
-        SPLIT,
-        ("L", "H", "g1", "h1", "g2", "h2", "c", "interval", "inner"),
-        ("inner2",),
+        "verify_mt4", "_gen_mt4", SPLIT,
+        ("L", "H", "g1", "h1", "g2", "h2", "c", "interval", "inner"), ("inner2",),
     ),
     "mt5": Theorem(
-        "verify_mt5",
-        SPLIT,
+        "verify_mt5", "_gen_mt5", SPLIT,
         (
             "Ls", "gs", "Hs", "hs", "Ls_star", "gs_star", "Hs_star", "hs_star",
             "c", "interval", "inner",
         ),
         ("inner2",),
     ),
-    "mc1": Theorem("verify_mc1", SPLIT, ("L", "g1", "g2", "c", "inner"), ("interval",)),
+    "mc1": Theorem("verify_mc1", "_gen_mc1", SPLIT, ("L", "g1", "g2", "c", "inner"), ("interval",)),
     "mc2": Theorem(
-        "verify_mc2", SPLIT, ("Ls", "gs", "hs", "c", "interval", "g_inners"), ("h_inners",)
+        "verify_mc2", "_gen_mc2", SPLIT, ("Ls", "gs", "hs", "c", "interval", "g_inners"),
+        ("h_inners",),
     ),
-    "mc3": Theorem("verify_mc3", SPLIT, ("Ls", "gs", "hs", "c", "interval")),
+    "mc3": Theorem("verify_mc3", "_gen_mc3", SPLIT, ("Ls", "gs", "hs", "c", "interval")),
 }
 ALL_IDS = tuple(THEOREMS)
 _VERIFIERS = frozenset(entry.verifier for entry in THEOREMS.values())
@@ -133,14 +123,12 @@ _this = sys.modules[__name__]
 
 
 def __getattr__(name: str) -> Any:
-    """Resolve a registered verifier on first use from the defining module
-    that the package's export table names, and bind it here, so only the
-    verifiers a process runs are imported."""
+    """Resolve a registered verifier on first use through the package's lazy
+    namespace and bind it here, so only the verifiers a process runs are
+    imported."""
     if name not in _VERIFIERS:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    module, attr = _SOURCES[name]
-    value = getattr(importlib.import_module(f".{module}", __package__), attr)
-    globals()[name] = value
+    value = globals()[name] = getattr(sys.modules[__package__], name)
     return value
 
 
@@ -221,6 +209,13 @@ def _write(v: Any, nl: str) -> str:
     raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
 
 
+def _known(obj: dict, keys: tuple[str, ...] | set[str], what: str) -> None:
+    """Reject a key of obj that is not among the keys read from it."""
+    unread = obj.keys() - keys
+    if unread:
+        raise StructureError(f"{what} has unknown field {min(map(repr, unread))}")
+
+
 def _need(payload: dict, key: str, theorem_id: str) -> Any:
     if key not in payload or payload[key] is None:
         raise StructureError(f"{theorem_id} payload is missing field {key!r}")
@@ -276,13 +271,16 @@ def mt1_scenario_to(s: Mt1Scenario) -> dict:
 
 
 def model_from_spec(d: dict) -> FunctionModel:
-    """The catalog model of a function spec.  A ``point`` must be a number,
-    as ``gen`` writes it, but it does not change the model."""
+    """The catalog model of a function spec: a name, a ``path`` for a table
+    or else a ``param``, and a ``point``, which must be a number, as ``gen``
+    writes it, but does not change the model.  Any other key is rejected."""
     if not isinstance(d, dict) or "name" not in d:
         raise StructureError(f"function spec must be an object with a name, got {d!r}")
-    float(d.get("point", 0.0))
     name = d["name"]
-    return catalog(name, d.get("path" if name == "tabulated-spline" else "param"))
+    arg = "path" if name == "tabulated-spline" else "param"
+    _known(d, ("name", "point", arg), f"function spec of {name!r}")
+    float(d.get("point", 0.0))
+    return catalog(name, d.get(arg))
 
 
 def make_scenario(
@@ -368,15 +366,13 @@ def run_payload(
     entry, mode = lookup(theorem_id, mode)
     if not isinstance(payload, dict):
         raise StructureError("payload must be an object")
-    unread = payload.keys() - {*entry.fields, *entry.optional}
-    if unread:
-        raise StructureError(f"{theorem_id} payload has unknown field {min(map(repr, unread))}")
+    _known(payload, {*entry.fields, *entry.optional}, f"{theorem_id} payload")
     args = {key: _parse_field(key, _need(payload, key, theorem_id)) for key in entry.fields}
     for key in entry.optional:
         if payload.get(key) is not None:
             args[key] = _parse_field(key, payload[key])
     if len(entry.modes) > 1:
-        args[entry.mode_arg] = entry.mode_values.get(mode, mode)
+        args["mode"] = mode
     if entry.fields == AFFINE_FIELDS:
         args["s"] = Mt1Scenario(**{key: args.pop(key) for key in AFFINE_FIELDS})
     rep = getattr(_this, entry.verifier)(f, tol=tol, **args)
@@ -389,19 +385,26 @@ def check_tolerance(tol: float) -> None:
         raise StructureError(f"tolerance must be finite and >= 0, got {tol!r}")
 
 
+#: the keys a scenario document may have
+_DOC_FIELDS = ("schema_version", "theorem_id", "mode", "function", "payload", "seed", "tolerances")
+
+
 def run_scenario(doc: Any, tol: float | None = None) -> dict:
     """Verify a parsed scenario document and return its report; ``tol``
-    overrides the document's ``tolerances.eq``, and either is checked first."""
+    overrides the document's ``tolerances.eq``, and either is checked first.
+    A key of the document or of its tolerances that is not read is rejected."""
     if not isinstance(doc, dict):
         raise StructureError("scenario document must be a JSON object")
     sv = doc.get("schema_version")
     if sv != SCHEMA_VERSION:
         raise StructureError(f"unsupported schema_version {sv!r} (expected {SCHEMA_VERSION})")
+    _known(doc, _DOC_FIELDS, "scenario document")
+    tolerances = doc.get("tolerances")
+    tolerances = {} if tolerances is None else tolerances
+    if not isinstance(tolerances, dict):
+        raise StructureError(f"tolerances must be an object, got {tolerances!r}")
+    _known(tolerances, ("eq",), "tolerances")
     if tol is None:
-        tolerances = doc.get("tolerances")
-        tolerances = {} if tolerances is None else tolerances
-        if not isinstance(tolerances, dict):
-            raise StructureError(f"tolerances must be an object, got {tolerances!r}")
         tol = float(tolerances.get("eq", EPS_EQ))
     check_tolerance(tol)
     theorem_id = doc.get("theorem_id")

@@ -449,36 +449,19 @@ def _gen_mc3(spec: GenSpec, mode: str, rng: random.Random) -> dict:
     return {"interval": base["interval"], "c": base["c"], "Ls": Ls, "gs": gs, "hs": hs}
 
 
-#: payload generator of every theorem id, in registry order
-GENERATORS = {
-    "mt1": _gen_two_sided,
-    "mt2": _gen_mt2,
-    "mt3": _gen_two_sided,
-    "it2": _gen_it2,
-    "it3": _gen_it3,
-    "ic1": _gen_ic1,
-    "ic2": _gen_ic2,
-    "ic3": _gen_ic3,
-    "mt4": _gen_mt4,
-    "mt5": _gen_mt5,
-    "mc1": _gen_mc1,
-    "mc2": _gen_mc2,
-    "mc3": _gen_mc3,
-}
-
-
 def gen_payload(
     spec: GenSpec, theorem_id: str, mode: str | None, rng: random.Random | None = None
 ) -> dict:
-    """Scenario payload for any theorem id, ready for dispatch or serialization.
-    ``lookup`` reads the mode (None is the theorem's first) and rejects a bad one.
+    """Scenario payload for any theorem id, ready for dispatch or serialization,
+    from the generator that the id's registry entry names.  ``lookup`` reads
+    the mode (None is the theorem's first) and rejects a bad one.
 
     Equality constraints hold by construction; draws are rejected and
     retried when the two-point roots would violate the range constraints.
     """
-    _, mode = lookup(theorem_id, mode)
+    entry, mode = lookup(theorem_id, mode)
     rng = rng if rng is not None else random.Random(spec.seed)
-    gen = GENERATORS[theorem_id]
+    gen = globals()[entry.generator]
     for _ in range(RETRY_CAP):
         try:
             return gen(spec, mode, rng)

@@ -123,13 +123,13 @@ def test_criterion_4_weakened_hypothesis_branches():
             rng = random.Random(93000 + i)
             ratio = rng.uniform(0.4, 0.95)
             s = gen_two_sided_scenario(GenSpec(seed=93000 + i), rng, spread_ratio=ratio)
-            rep = verify_mt2(EXP, s, branch="a")
+            rep = verify_mt2(EXP, s, mode="a")
             assert rep.verdict == "holds", (i, rep.hypotheses.violations)
             assert rep.details["A"] == pytest.approx(1.0)
             assert min(rep.margins) >= -1e-9
         for i in range(500):
             s = gen_two_sided_scenario(GenSpec(seed=94000 + i))
-            rep = verify_mt2(SS, s, branch="c")
+            rep = verify_mt2(SS, s, mode="c")
             assert rep.verdict == "holds"
             assert min(rep.margins) >= -1e-9
         for i in range(50):
@@ -137,7 +137,7 @@ def test_criterion_4_weakened_hypothesis_branches():
             ratio = 1.0 / rng.uniform(0.4, 0.9)  # spread_left > spread_right
             s = gen_two_sided_scenario(GenSpec(seed=95000 + i), rng, spread_ratio=ratio)
             for branch in ("a", "auto"):
-                rep = verify_mt2(EXP, s, branch=branch)
+                rep = verify_mt2(EXP, s, mode=branch)
                 assert rep.verdict == "hypotheses-unmet", (i, branch, rep.verdict)
 
 

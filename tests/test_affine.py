@@ -172,13 +172,13 @@ class TestVerifyMt1:
         right = cfg((0.0,), (0.5,), (y,), (0.5,))
         s = Mt1Scenario(left, right, 0.0, I11)
         matched = verify_mt1(catalog("signed_square"), s)
-        literal = verify_mt1(catalog("signed_square"), s, weight_reading="literal_alpha")
+        literal = verify_mt1(catalog("signed_square"), s, mode="literal_alpha")
         assert matched.details["weight_reading"] == "matched"
         assert literal.details["weight_reading"] == "literal_alpha"
         assert abs(matched.values["gap_right"] - literal.values["gap_right"]) > 1e-3
         # equal weights on both sides make the two readings coincide
         mirrored_literal = verify_mt1(
-            catalog("signed_square"), MIRRORED, weight_reading="literal_alpha"
+            catalog("signed_square"), MIRRORED, mode="literal_alpha"
         )
         assert mirrored_literal.chain == pytest.approx((-0.25, 0.0, 0.0, 0.25), abs=1e-12)
 
@@ -219,7 +219,7 @@ def _witness_cases(f, c):
             for seed in range(4):
                 s = gen_two_sided_scenario(GenSpec(seed=seed, c=c), random.Random(seed), ratio)
                 for branch in ("a", "b"):
-                    d = verify(f, s, branch=branch).details
+                    d = verify(f, s, mode=branch).details
                     nonneg = (branch == "a") == (theorem == "mt2")
                     applies = (
                         d.get("branch") == branch
@@ -283,7 +283,7 @@ class TestVerifyMt2:
             d2_certificate=lambda lo, hi: (-math.exp(-lo), -math.exp(-hi)),
         )
         s = scenario_with_spreads((-0.6, -0.2), (0.2, 0.4))  # spreads 0.04 >= 0.01
-        rep = verify_mt2(f, s, branch="b")
+        rep = verify_mt2(f, s, mode="b")
         assert rep.verdict == "holds"
         assert rep.details["A"] == -1.0
 
@@ -299,19 +299,19 @@ class TestVerifyMt2:
             d2_certificate=lambda lo, hi: (math.nan, math.nan),
         )
         s = scenario_with_spreads((-0.4, -0.2), (0.2, 0.6))  # spreads 0.01 <= 0.04
-        rep = verify_mt2(f, s, branch="a")
+        rep = verify_mt2(f, s, mode="a")
         assert rep.hypotheses.violations == (("witness.K1c", 0.0),)
         assert rep.verdict == "hypotheses-unmet"
 
     def test_requested_branch_gate_failure_is_unmet(self):
-        rep = verify_mt2(catalog("signed_square"), MIRRORED, branch="a")
+        rep = verify_mt2(catalog("signed_square"), MIRRORED, mode="a")
         assert rep.verdict == "hypotheses-unmet"
 
     def test_spread_order_violation_never_fails(self):
         # spreads 0.04 > 0.01 break the branch-a ordering for exp
         s = scenario_with_spreads((-0.6, -0.2), (0.2, 0.4))
         for branch in ("a", "auto"):
-            rep = verify_mt2(catalog("exp"), s, branch=branch)
+            rep = verify_mt2(catalog("exp"), s, mode=branch)
             assert rep.verdict == "hypotheses-unmet"
 
     def test_ordering_violation_is_unmet(self):
@@ -339,7 +339,7 @@ class TestVerifyMt3:
 
     def test_printed_c_convention_rejects_concave_case(self):
         rep = verify_mt3(
-            negate(catalog("signed_square")), MIRRORED, branch="c", c_convention="printed"
+            negate(catalog("signed_square")), MIRRORED, mode="c", c_convention="printed"
         )
         assert rep.verdict == "hypotheses-unmet"
         assert rep.details["c_convention"] == "printed"
@@ -349,13 +349,13 @@ class TestVerifyMt3:
         # under which the middle ordering (A/2)*sl >= (A/2)*sr is genuinely false.
         f = negate(catalog("exp"))
         s = scenario_with_spreads((-0.8, -0.2), (0.2, 0.4))  # spreads 0.09 > 0.01
-        rep = verify_mt3(f, s, branch="a")
+        rep = verify_mt3(f, s, mode="a")
         assert rep.verdict == "fails"
         assert rep.margins[1] < -1e-9  # middle link is the broken one
         assert rep.margins[0] >= -1e-9 and rep.margins[2] >= -1e-9
 
     def test_sandwich_orientations_recorded(self):
-        rep = verify_mt3(negate(catalog("exp")), MIRRORED, branch="a")
+        rep = verify_mt3(negate(catalog("exp")), MIRRORED, mode="a")
         assert "sandwich_descending_ok" in rep.details
         assert "sandwich_ascending_ok" in rep.details
 
@@ -369,7 +369,7 @@ class TestVerifyMt3:
             d2_plus=lambda x: math.exp(-x),
             d2_certificate=lambda lo, hi: (math.exp(-lo), math.exp(-hi)),
         )
-        rep = verify_mt3(f, MIRRORED, branch="b")  # spreads 0.25 <= 0.25
+        rep = verify_mt3(f, MIRRORED, mode="b")  # spreads 0.25 <= 0.25
         assert rep.verdict == "holds"
         assert rep.details["branch"] == "b"
         assert rep.details["A"] == 1.0
@@ -395,12 +395,12 @@ class TestVerifyMt3:
             d2_plus=d2_plus,
             d2_certificate=lambda lo, hi: (d2_plus(lo), d2_minus(hi)),
         )
-        printed = verify_mt3(f, MIRRORED, branch="c", c_convention="printed")
+        printed = verify_mt3(f, MIRRORED, mode="c", c_convention="printed")
         assert printed.verdict == "holds"
         assert printed.details["branch"] == "c"
         assert printed.details["c_convention"] == "printed"
         assert printed.details["A"] == 0.0
-        mirrored = verify_mt3(f, MIRRORED, branch="c")
+        mirrored = verify_mt3(f, MIRRORED, mode="c")
         assert mirrored.verdict == "hypotheses-unmet"
         assert mirrored.details["c_convention"] == "mirrored"
 
@@ -415,7 +415,7 @@ class TestHugeCurvature:
         # branch b of `gen --seed 0`, with f = q x^2 / 2
         payload = gen_payload(GenSpec(seed=0), theorem, "b", random.Random(0))
         s = Mt1Scenario(config_from(payload["left"]), config_from(payload["right"]), 0.0, I11)
-        rep = verify(catalog("quadratic", q), s, branch="b")
+        rep = verify(catalog("quadratic", q), s, mode="b")
         assert rep.details["A"] == q
         assert all(map(math.isfinite, rep.margins))
 
@@ -457,21 +457,22 @@ def _affine_doc(theorem, mode, **payload_fields):
 
 
 class TestUnknownOptions:
-    """An unknown branch or c_convention is a StructureError; the branch is
-    checked first.  `check` reports either as one error line and exit 1."""
+    """An unknown mode (mt2's and mt3's branch) or c_convention is a
+    StructureError; the mode is checked first.  `check` reports either as
+    one error line and exit 1."""
 
     @pytest.mark.parametrize("verify", [verify_mt2, verify_mt3])
     def test_unknown_branch(self, verify):
-        with pytest.raises(StructureError, match="unknown branch 'd'"):
-            verify(catalog("quadratic", 2), MIRRORED, branch="d")
+        with pytest.raises(StructureError, match="^unknown mode 'd'$"):
+            verify(catalog("quadratic", 2), MIRRORED, mode="d")
 
     def test_unknown_c_convention(self):
         with pytest.raises(StructureError, match="unknown c_convention 'upward'"):
             verify_mt3(catalog("quadratic", 2), MIRRORED, c_convention="upward")
 
     def test_branch_is_checked_before_c_convention(self):
-        with pytest.raises(StructureError, match="unknown branch"):
-            verify_mt3(catalog("quadratic", 2), MIRRORED, branch="d", c_convention="upward")
+        with pytest.raises(StructureError, match="unknown mode"):
+            verify_mt3(catalog("quadratic", 2), MIRRORED, mode="d", c_convention="upward")
 
     @pytest.mark.parametrize(
         "doc",

@@ -128,6 +128,8 @@ class TestCheck:
             ([], "tolerance"),
             ("x", "tolerance"),
             ({"eq": -1e-9}, "tolerance"),
+            # a tolerance the user believes applied must not pass unnoticed
+            ({"eq": 1e-9, "abs": 1}, "tolerances has unknown field 'abs'"),
             # the parser rejects a non-finite number before any field is read
             ({"eq": math.nan}, "NaN"),
             ({"eq": math.inf}, "Infinity"),
@@ -166,7 +168,9 @@ class TestCheck:
     @pytest.mark.parametrize(
         "doc_tol, tol",
         [([1], None), ("x", None), ({"eq": -1.0}, None), ({"eq": math.nan}, None),
-         ({"eq": math.inf}, None), (None, -1e-9), (None, math.nan), (None, math.inf)],
+         ({"eq": math.inf}, None), (None, -1e-9), (None, math.nan), (None, math.inf),
+         # --tol overrides eq, but a key that nothing reads is still rejected
+         ({"abs": 1}, 1e-9)],
     )
     def test_run_scenario_rejects_bad_tolerances(self, doc_tol, tol):
         doc = {**MIRRORED_MT1, "tolerances": doc_tol}
@@ -195,7 +199,7 @@ class TestCheck:
     @pytest.mark.parametrize(
         "verdicts, code",
         [
-            ([], 0),
+            (["holds"], 0),
             (["holds", "holds"], 0),
             (["holds", "hypotheses-unmet"], 3),
             (["hypotheses-unmet", "fails"], 2),
@@ -794,6 +798,13 @@ def _mt1_doc() -> dict:
     return json.loads(dumps(doc))
 
 
+def _ic1_doc() -> dict:
+    """The ic1 document of `gen --theorem ic1 --seed 1`."""
+    payload = gen_payload(GenSpec(seed=1), "ic1", "standard", random.Random(1))
+    doc = make_scenario("ic1", "standard", fn_spec_from_string("quadratic:2"), payload, seed=1)
+    return json.loads(dumps(doc))
+
+
 #: a family of two functionals, each weighing one value by 1.5e296
 #: theorem id -> (the function list cut short by one, the keys of the family
 #: cut to fewer members than allowed, the least number of members)
@@ -810,8 +821,9 @@ FAMILY_SHAPES = {
 class TestInputRules:
     """One family reader and one split-point rule: each shape fault of a
     family, and a split point outside the interval, is the same one-line
-    input error from every verifier that reads it.  So is a payload key that
-    the theorem does not read."""
+    input error from every verifier that reads it.  So is a key that nothing
+    reads, in the payload, the document or its function spec, a boolean,
+    which no field takes, and an empty list of documents."""
 
     def _check_error(self, tmp_path, capsys, doc) -> str:
         assert run(["check", write(tmp_path, "doc.json", doc)]) == 1
@@ -905,6 +917,66 @@ class TestInputRules:
             else:
                 doc["payload"][key] = value
         assert self._check_error(tmp_path, capsys, doc) == f"jensengap: error: {message}\n"
+
+    def test_unknown_document_key(self, tmp_path, capsys):
+        doc = _ic1_doc()
+        assert run(["check", write(tmp_path, "plain.json", doc)]) == 0
+        capsys.readouterr()
+        doc["bogus"] = 1
+        err = self._check_error(tmp_path, capsys, doc)
+        assert err == "jensengap: error: scenario document has unknown field 'bogus'\n"
+
+    @pytest.mark.parametrize(
+        "function, key",
+        [
+            ({"name": "quadratic", "param": 2, "colour": "red"}, "colour"),
+            ({"name": "quadratic", "param": 2, "path": "TABLE"}, "path"),
+            ({"name": "tabulated-spline", "path": "TABLE", "param": 2}, "param"),
+        ],
+    )
+    def test_unknown_function_key(self, tmp_path, capsys, function, key):
+        # the path is a real table of x^2, so the key alone is wrong
+        table = tmp_path / "x2.txt"
+        nodes = [-1.0 + i / 100 for i in range(201)]
+        table.write_text("".join(f"{x!r} {x * x!r}\n" for x in nodes), encoding="utf-8")
+        function = {k: str(table) if v == "TABLE" else v for k, v in function.items()}
+        doc = {**_ic1_doc(), "function": function}
+        err = self._check_error(tmp_path, capsys, doc)
+        name = function["name"]
+        assert err == f"jensengap: error: function spec of {name!r} has unknown field {key!r}\n"
+
+    @pytest.mark.parametrize(
+        "edit, token",
+        [
+            # Python reads true as 1: a weight of one, schema version 1, q = 1
+            (lambda doc: doc["payload"].update(L=[True], g=doc["payload"]["g"][:1]), "true"),
+            (lambda doc: doc.update(schema_version=True), "true"),
+            (lambda doc: doc["function"].update(param=True), "true"),
+            (lambda doc: doc.update(seed=False), "false"),
+        ],
+        ids=["weight", "schema_version", "param", "seed"],
+    )
+    def test_no_field_takes_a_boolean(self, tmp_path, capsys, edit, token):
+        doc = _ic1_doc()
+        edit(doc)
+        err = self._check_error(tmp_path, capsys, doc)
+        assert err == f"jensengap: error: boolean {token} in the document\n"
+
+    def test_boolean_in_a_list_of_documents(self, tmp_path, capsys):
+        bad = {**_ic1_doc(), "mode": True}
+        err = self._check_error(tmp_path, capsys, [_ic1_doc(), bad])
+        assert err == "jensengap: error: boolean true in the document\n"
+
+    def test_empty_list_from_stdin(self, capsys, monkeypatch):
+        feed_stdin(monkeypatch, "[]")
+        assert run(["check", "-"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "jensengap: error: the list of documents is empty\n"
+
+    def test_run_scenario_rejects_an_unknown_document_key(self):
+        with pytest.raises(StructureError, match="^scenario document has unknown field 'bogus'$"):
+            run_scenario({**_ic1_doc(), "bogus": None})
 
 
 BIG_FAMILY = [[1.5e296], [1.5e296]]

@@ -154,11 +154,23 @@ def test_reports_are_byte_identical(tmp_path):
     assert not changed, changed
 
 
-def test_generator_table_matches_registry():
-    from jensengap.scenario import THEOREMS
-    from jensengap.scengen import GENERATORS
+def test_registry_names_each_generator_and_verifier():
+    """A THEOREMS entry is the one table row of its theorem: it names a
+    generator, a function in scengen, and a verifier, which resolves through
+    jensengap.scenario to the function the package exports."""
+    import inspect
 
-    assert list(GENERATORS) == list(THEOREMS)
+    import jensengap
+    from jensengap import scenario, scengen
+    from jensengap.scenario import THEOREMS, Theorem
+
+    fields = ["verifier", "generator", "default_fn", "fields", "optional"]
+    assert list(inspect.signature(Theorem).parameters) == fields
+    for theorem_id, entry in THEOREMS.items():
+        assert inspect.isfunction(getattr(scengen, entry.generator)), theorem_id
+        verifier = getattr(scenario, entry.verifier)
+        assert inspect.isfunction(verifier) and verifier.__name__ == entry.verifier
+        assert verifier is getattr(jensengap, entry.verifier)
 
 
 if __name__ == "__main__":

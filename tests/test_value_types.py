@@ -3,6 +3,7 @@ convert their fields."""
 
 import inspect
 import math
+import random
 import re
 
 import pytest
@@ -23,8 +24,8 @@ from jensengap.domain import (
 from jensengap.funclib import FunctionModel, TabulatedFunction, catalog
 from jensengap.report import HOLDS, ChainReport
 from jensengap import scenario
-from jensengap.scenario import THEOREMS, Theorem
-from jensengap.scengen import GenSpec, SearchResult
+from jensengap.scenario import THEOREMS, Theorem, run_payload
+from jensengap.scengen import GenSpec, SearchResult, gen_payload
 
 VALUE_TYPES = [
     IntervalR, WeightedGroup, AffineConfig, Check, CheckSet, FunctionModel,
@@ -105,9 +106,9 @@ def test_mutable_defaults_are_not_shared():
     assert a.values is not b.values
     r1, r2 = SearchResult({}, -1.0), SearchResult({}, -1.0)
     assert r1.details is not r2.details and r1.seed_trace == ()
-    t1, t2 = Theorem("verify_x", {"m": "f"}, ()), Theorem("verify_y", {"m": "f"}, ())
+    t1, t2 = (Theorem(f"verify_{x}", f"_gen_{x}", {"m": "f"}, ()) for x in "xy")
     # optional is a tuple, immutable, so two entries may share it
-    assert t1.optional == t2.optional == () and t1.mode_values is not t2.mode_values
+    assert t1.optional == t2.optional == ()
 
 
 @pytest.mark.parametrize("theorem_id", list(THEOREMS))
@@ -118,6 +119,55 @@ def test_optional_fields_take_the_verifiers_default(theorem_id):
     params = inspect.signature(getattr(scenario, entry.verifier)).parameters
     for key in entry.optional:
         assert params[key].default is not inspect.Parameter.empty
+
+
+def _counting(f: FunctionModel, calls: list) -> FunctionModel:
+    """f with every map wrapped to record its calls."""
+
+    def count(g):
+        def counted(*args):
+            calls.append(args)
+            return g(*args)
+
+        return counted
+
+    maps = (f.fn, f.d2_minus, f.d2_plus, f.d2_certificate)
+    return FunctionModel(f.name, f.domain, *map(count, maps))
+
+
+@pytest.mark.parametrize(
+    "theorem_id", [t for t, entry in THEOREMS.items() if len(entry.modes) > 1]
+)
+def test_each_registry_mode_reaches_the_verifier_as_mode(theorem_id, monkeypatch):
+    """A theorem with more than one mode hands it to its verifier as the
+    keyword ``mode``, under the document's name, the first mode by default;
+    an unknown mode is an input error raised before f is evaluated."""
+    entry = THEOREMS[theorem_id]
+    verifier = getattr(scenario, entry.verifier)
+    assert inspect.signature(verifier).parameters["mode"].default == entry.modes[0]
+    passed = []
+
+    def spy(*args, **kwargs):
+        passed.append(kwargs["mode"])
+        return verifier(*args, **kwargs)
+
+    def unknown(*args, **kwargs):
+        return verifier(*args, **{**kwargs, "mode": "sideways"})
+
+    monkeypatch.setattr(scenario, entry.verifier, spy)
+    payloads = {}
+    for mode in entry.modes:
+        f = catalog(*entry.default_fn[mode].split(":"))
+        payloads[mode] = gen_payload(GenSpec(seed=1), theorem_id, mode, random.Random(1))
+        assert run_payload(theorem_id, mode, f, payloads[mode])["mode"] == mode
+    assert passed == list(entry.modes)
+    monkeypatch.setattr(scenario, entry.verifier, unknown)
+    for mode, payload in payloads.items():
+        calls: list = []
+        f = _counting(catalog(*entry.default_fn[mode].split(":")), calls)
+        with pytest.raises(StructureError, match="^unknown mode 'sideways'$"):
+            run_payload(theorem_id, mode, f, payload)
+        assert calls == []
 
 
 def test_groups_and_configurations_compare_by_value():
