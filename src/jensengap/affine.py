@@ -21,6 +21,7 @@ equality, "2.2" separation at c, "2.8"/"2.10" ordering of the side extremes.
 from __future__ import annotations
 
 from math import isnan, nan
+from operator import mul
 
 from .analysis import AInterval, curvature_sandwich, is_3concave, is_3convex, k1_witness
 # validate_affine_config is imported but unused: the benchmark's tracer
@@ -37,8 +38,19 @@ from .domain import (  # noqa: F401  (validate_affine_config is re-exported)
     spread,
     validate_affine_config,
 )
-from .funclib import FunctionModel, eval_fn, require_in_domain
+from .funclib import FunctionModel, eval_fn, lift, require_in_domain
 from .report import UNMET, ChainReport, chain_report
+
+
+def _sizes_match(a: AffineConfig, b: AffineConfig) -> bool:
+    """Whether each group of a has as many points as b's group of the same label."""
+    return all(len(g) == len(h) for (_, g, _), (_, h, _) in zip(a.all_groups(), b.all_groups()))
+
+
+def _signed(weight_groups, point_groups) -> tuple[list, list]:
+    """The signed weights of one ``all_groups`` tuple and the points of another, in order."""
+    weights = [sign * w for _, g, sign in weight_groups for w in g.weights]
+    return weights, [p for _, g, _ in point_groups for p in g.points]
 
 
 def jensen_affine_gap(f: FunctionModel, cfg: AffineConfig, tol: float = EPS_EQ) -> float:
@@ -49,12 +61,8 @@ def jensen_affine_gap(f: FunctionModel, cfg: AffineConfig, tol: float = EPS_EQ) 
     the slack of ``combination_value``'s hull postcondition.
     """
     value = combination_value(cfg, tol)
-    terms = []
-    for _, grp, sign in cfg.all_groups():
-        for p, w in zip(grp.points, grp.weights):
-            if w != 0.0:
-                terms.append(sign * w * eval_fn(f, p))
-    return checked_fsum(terms, "affine gap sum(w * f(p))") - eval_fn(f, value)
+    groups = cfg.all_groups()
+    return lift(f, *_signed(groups, groups), "affine gap sum(w * f(p))") - eval_fn(f, value)
 
 
 def cross_weighted_gap(
@@ -63,18 +71,12 @@ def cross_weighted_gap(
     """Gap of the index-sharing reading: one configuration's weights applied
     to another's points.  Group sizes must match; no hull guarantee holds for
     the crossed combination, so this is an exploration quantity only."""
-    for (_, wg, _), (_, pg, _) in zip(weights_from.all_groups(), points_from.all_groups()):
-        if len(wg) != len(pg):
-            raise StructureError("index-sharing reading needs equal group sizes")
-    terms = []
-    value_terms = []
-    for (_, wg, sign), (_, pg, _) in zip(weights_from.all_groups(), points_from.all_groups()):
-        for w, p in zip(wg.weights, pg.points):
-            value_terms.append(sign * w * p)
-            if w != 0.0:
-                terms.append(sign * w * eval_fn(f, p))
-    total = checked_fsum(terms, "crossed gap sum(w * f(p))")
-    return total - eval_fn(f, checked_fsum(value_terms, "crossed value sum(w * p)"))
+    if not _sizes_match(weights_from, points_from):
+        raise StructureError("index-sharing reading needs equal group sizes")
+    weights, points = _signed(weights_from.all_groups(), points_from.all_groups())
+    total = lift(f, weights, points, "crossed gap sum(w * f(p))")
+    value = checked_fsum(map(mul, weights, points), "crossed value sum(w * p)")
+    return total - eval_fn(f, value)
 
 
 def _base_checkset(f: FunctionModel, s: Mt1Scenario, tol: float) -> tuple[CheckSet, dict]:
@@ -135,11 +137,7 @@ def verify_mt1(
         sl, sr = vals["spread_left"], vals["spread_right"]
         cs.matched("2.1", sl, sr)
     if literal:
-        sizes_ok = all(
-            len(wg) == len(pg)
-            for (_, wg, _), (_, pg, _) in zip(s.left.all_groups(), s.right.all_groups())
-        )
-        cs.record("literal_alpha.sizes", 0.0, sizes_ok)
+        cs.record("literal_alpha.sizes", 0.0, _sizes_match(s.left, s.right))
     if not cs.ok:
         return ChainReport(UNMET, hypotheses=cs, details=details)
     A = k1_witness(f, s.c, s.interval, tol=tol)

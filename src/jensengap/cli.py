@@ -220,14 +220,16 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _request(args: argparse.Namespace):
     """The request of gen and search: (mode, function spec, its model, GenSpec).
-    An interval outside the function's domain is rejected before any work."""
-    from .scengen import GenSpec
+    An interval outside the function's domain, and a branch c of mt2 or mt3
+    that the function cannot meet, are rejected before any work."""
+    from .scengen import GenSpec, check_branch_c
 
     entry, mode = lookup(args.theorem, args.mode)
     spec = GenSpec(args.seed, _parse_interval(args.interval), args.point, _parse_sizes(args.sizes))
     fn_spec = fn_spec_from_string(args.fn or entry.default_fn[mode], point=args.point)
     f = model_from_spec(fn_spec)
     require_in_domain(f, spec.interval.lo, spec.interval.hi)
+    check_branch_c(f, args.theorem, mode, spec)
     return mode, fn_spec, f, spec
 
 

@@ -19,7 +19,7 @@ postcondition) is a call of one of its methods.
 A functional is a nonnegative weight vector over the indices 1..n; it is
 unital when its weights sum to 1.  Functions are plain value vectors of
 matching length, and ``apply`` is their weighted sum.  ``moment`` is the
-one place a second moment is formed, for spreads, verifiers and generators.
+one place a sum(w * x) or sum(w * x**2) is formed, ``apply``'s included.
 
 ``sides`` is the one split-point rule: a split point c must lie in its
 closed interval, and the two sides at c are the halves of the interval or,
@@ -283,11 +283,9 @@ def barycenter(g: WeightedGroup) -> float:
     """Weight-normalized mean of a group; requires positive total weight.
     A sum past the float range is malformed input, though infinite or NaN
     weights or points may give an infinite mean."""
-    total = g.total
-    if total <= 0.0:
+    if g.total <= 0.0:
         raise StructureError("barycenter needs positive total weight")
-    w, p = g.weights, g.points
-    return checked_fsum(map(mul, w, p), "barycenter sum(w * p)", w, p) / total
+    return moment(g.weights, g.points, "barycenter sum(w * p)", 1) / g.total
 
 
 def _require_structure(cfg: AffineConfig) -> None:
@@ -410,4 +408,4 @@ def apply(L, u) -> float:
     w, v = as_functional(L).weights, as_function(u).values
     if len(w) != len(v):
         raise StructureError(f"length mismatch: {len(w)} weights vs {len(v)} values")
-    return checked_fsum(map(mul, w, v), "weighted sum L(u)", w, v)
+    return moment(w, v, "weighted sum L(u)", 1)

@@ -9,7 +9,7 @@ that meet [lo, hi].  A function known only by its values is read as a
 table (``tabulated_model``).  That certificate is the one source of the
 paper's constant A: at any c, the A for which f(x) - (A/2) x^2 is concave
 left of c and convex right of it are exactly [f''(c-), f''(c+)] when f''
-is nondecreasing (``analysis``).
+is nondecreasing (``analysis``).  ``lift`` forms every sum(w * f(x)).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .domain import IntervalR, StructureError
+from .domain import IntervalR, StructureError, checked_fsum
 
 
 class DomainError(ValueError):
@@ -67,12 +67,16 @@ class FunctionModel:
         self.d2_certificate = d2_certificate
 
 
-def eval_fn(f: FunctionModel, x: float) -> float:
+def _in_domain(dom: IntervalR, x: float) -> bool:
+    """Whether x lies in dom within the slack DOMAIN_SLACK * max(1, |x|)."""
     slack = abs(x)
     slack = DOMAIN_SLACK * (slack if slack > 1.0 else 1.0)
-    dom = f.domain
-    if not dom.lo - slack <= x <= dom.hi + slack:
-        raise DomainError(f"{f.name}: x={x!r} outside domain [{dom.lo}, {dom.hi}]")
+    return dom.lo - slack <= x <= dom.hi + slack
+
+
+def eval_fn(f: FunctionModel, x: float) -> float:
+    if not _in_domain(f.domain, x):
+        raise DomainError(f"{f.name}: x={x!r} outside domain [{f.domain.lo}, {f.domain.hi}]")
     value = float(f.fn(x))
     if not math.isfinite(value):
         raise DomainError(f"{f.name}: non-finite value at x={x!r}")
@@ -83,11 +87,18 @@ def require_in_domain(f: FunctionModel, lo: float, hi: float, what: str = "inter
     """Reject [lo, hi] unless both ends lie in f's domain, with eval_fn's
     slack, before any evaluation; the error names ``what``."""
     dom = f.domain
-    for x in (lo, hi):
-        slack = abs(x)
-        slack = DOMAIN_SLACK * (slack if slack > 1.0 else 1.0)
-        if not dom.lo - slack <= x <= dom.hi + slack:
-            raise DomainError(f"{f.name}: {what} [{lo}, {hi}] outside domain [{dom.lo}, {dom.hi}]")
+    if not (_in_domain(dom, lo) and _in_domain(dom, hi)):
+        raise DomainError(f"{f.name}: {what} [{lo}, {hi}] outside domain [{dom.lo}, {dom.hi}]")
+
+
+def lift(f: FunctionModel, weights, xs, what: str, *factors) -> float:
+    """sum(w * f(x)) over the nonzero weights as a ``checked_fsum`` naming ``what``
+    over ``factors``; each f(x) is evaluated first, so an error of f is its own."""
+    terms = []
+    for w, x in zip(weights, xs):
+        if w != 0.0:
+            terms.append(w * eval_fn(f, x))
+    return checked_fsum(terms, what, *factors)
 
 
 def _monotone_model(
@@ -131,6 +142,8 @@ def catalog(name: str, param: float | str | None = None) -> FunctionModel:
         if param is None:
             raise StructureError("quadratic needs a parameter, e.g. quadratic:2")
         q = float(param)
+        if not math.isfinite(q):
+            raise StructureError(f"quadratic parameter must be a finite number, got {param!r}")
         return _monotone_model(
             f"quadratic({q:g})", wide, lambda x, q=q: 0.5 * q * x * x, lambda x, q=q: q
         )

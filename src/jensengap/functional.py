@@ -4,11 +4,11 @@ A functional is a nonnegative weight vector over the indices 1..n and a
 function a value vector of matching length (``domain.DiscreteFunctional``,
 ``domain.FunctionOnOmega``, re-exported here).  Each verifier converts its
 weight and value lists once, a family's through ``_family``, and passes the
-converted objects to ``apply`` and ``apply_fn``, so no weighted sum rebuilds
-or re-validates them.  Those two and every sum over a family go through
-``domain.checked_fsum``, which names a sum past the float range.  A family's
-terms are listed first, so a member's own error (a length mismatch, a value
-outside f's domain) is its own.
+converted objects to ``apply`` and ``apply_fn`` (``domain.moment`` and
+``funclib.lift``), so no weighted sum rebuilds or re-validates them.  Every
+sum is a ``domain.checked_fsum``, which names one past the float range; a
+family's terms are listed first, so a member's own error (a length
+mismatch, a value outside f's domain) is its own.
 
 mt4 runs as mt5, and mc1 as mc3, with singleton families under their own
 check names; it2 and ic1 stay verifiers of their own (see the README).
@@ -52,7 +52,7 @@ from .domain import (  # noqa: F401  (the functional types are re-exported)
     second_inner,
     sides,
 )
-from .funclib import FunctionModel, eval_fn
+from .funclib import FunctionModel, eval_fn, lift
 from .report import UNMET, ChainReport, chain_report, judge
 
 #: the names of the sums over a family of (functional, function) pairs
@@ -81,9 +81,7 @@ def apply_fn(L, f: FunctionModel, u) -> float:
     w, v = as_functional(L).weights, as_function(u).values
     if len(w) != len(v):
         raise StructureError(f"length mismatch: {len(w)} weights vs {len(v)} values")
-    # the values are evaluated first, so that an error of f is not the sum's
-    terms = [wi * eval_fn(f, vi) for wi, vi in zip(w, v) if wi != 0.0]
-    return checked_fsum(terms, "weighted sum L(f(u))", w)
+    return lift(f, w, v, "weighted sum L(f(u))", w)
 
 
 def _pair_range_checks(
@@ -390,29 +388,24 @@ def verify_mc2(
     h_inners = second_inner(mode, g_inners, h_inners, "second ladder of inner intervals")
     if len(g_inners) != n - 1 or len(h_inners) != n - 1:
         raise StructureError("each ladder needs exactly n-1 inner intervals")
-    vgs, vhs = [g.values for g in gs], [h.values for h in hs]
     cs = CheckSet(tol)
     for i, L in enumerate(Ls, start=1):
         cs.unit_total(f"unital.L{i}", L.total)
-    _ladder_checks(cs, "g", vgs, g_inners, g_outer)
-    _ladder_checks(cs, "h", vhs, h_inners, h_outer)
-    g_means = list(map(apply, Ls, gs))
-    h_means = list(map(apply, Ls, hs))
-    g_sqs = _second_moments(Ls, vgs)
-    h_sqs = _second_moments(Ls, vhs)
+    moments = []  # per ladder, each rung's mean and second moment
+    for label, us, inners, outer in (("g", gs, g_inners, g_outer), ("h", hs, h_inners, h_outer)):
+        vs = [u.values for u in us]
+        _ladder_checks(cs, label, vs, inners, outer)
+        moments.append((list(map(apply, Ls, us)), _second_moments(Ls, vs)))
+    (g_means, g_sqs), (h_means, h_sqs) = moments
     for i in range(n - 1):
         cs.matched(f"2.19.g[{i + 1}]", g_means[i], g_means[i + 1])
         cs.matched(f"2.19.h[{i + 1}]", h_means[i], h_means[i + 1])
-        dg = g_sqs[i + 1] - g_sqs[i]
-        dh = h_sqs[i + 1] - h_sqs[i]
-        cs.matched(f"2.20[{i + 1}]", dg, dh)
+        cs.matched(f"2.20[{i + 1}]", g_sqs[i + 1] - g_sqs[i], h_sqs[i + 1] - h_sqs[i])
     cs.witness("witness.K1c", k1_witness(f, c, interval, tol=tol))
     if not cs.ok:
         return ChainReport(UNMET, hypotheses=cs)
-    g_lift = list(map(apply_fn, Ls, repeat(f), gs))
-    h_lift = list(map(apply_fn, Ls, repeat(f), hs))
-    links = range(n - 1)
-    return judge(cs, [(h_lift[i + 1] - h_lift[i]) - (g_lift[i + 1] - g_lift[i]) for i in links])
+    g_lf, h_lf = [list(map(apply_fn, Ls, repeat(f), us)) for us in (gs, hs)]
+    return judge(cs, [(h_lf[i + 1] - h_lf[i]) - (g_lf[i + 1] - g_lf[i]) for i in range(n - 1)])
 
 
 def _gap_comparison(

@@ -304,19 +304,14 @@ def make_scenario(
 
 
 def _num(x: Any) -> Any:
-    if isinstance(x, float) and math.isnan(x):
-        return None
-    return x
+    """None for a NaN, the one value unequal to itself; x itself otherwise."""
+    return None if x != x else x
 
 
 def _checks_json(cs: CheckSet | None) -> list[dict]:
     if cs is None:
         return []
-    # a residual is a float, and NaN is the one float unequal to itself
-    return [
-        {"name": c.name, "residual": c.residual if c.residual == c.residual else None, "ok": c.ok}
-        for c in cs.checks
-    ]
+    return [{"name": c.name, "residual": _num(c.residual), "ok": c.ok} for c in cs.checks]
 
 
 def _report(theorem_id: str, mode: str, rep: ChainReport) -> dict:

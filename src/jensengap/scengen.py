@@ -86,6 +86,25 @@ def check_count(what: str, k: int, spec: GenSpec) -> None:
         raise StructureError(f"{what} * (n + m + l) must be at most {MAX_POINTS}")
 
 
+def check_branch_c(f: FunctionModel, theorem_id: str, mode: str, spec: GenSpec) -> None:
+    """Reject branch c of mt2 unless f'' is below 0 somewhere on [lo, c] and
+    above 0 on [c, hi], by f's certificate, so that its gate can hold; mt3,
+    read in its default mirrored convention, needs the reverse."""
+    if mode != "c" or theorem_id not in ("mt2", "mt3"):
+        return
+    sign = 1.0 if theorem_id == "mt2" else -1.0
+    lo, c, hi = spec.interval.lo, spec.c, spec.interval.hi
+    if not (
+        any(sign * v < 0.0 for v in f.d2_certificate(lo, c))
+        and any(sign * v > 0.0 for v in f.d2_certificate(c, hi))
+    ):
+        left, right = ("< 0", "> 0") if sign > 0.0 else ("> 0", "< 0")
+        raise StructureError(
+            f"{theorem_id} mode c needs f'' {left} somewhere on [{lo}, {c}] and {right} "
+            f"on [{c}, {hi}], which {f.name} does not have"
+        )
+
+
 class SearchResult:
     __slots__ = ("payload", "margin", "seed_trace", "details")
 
@@ -408,13 +427,10 @@ def _gen_mc1(spec: GenSpec, mode: str, rng: random.Random) -> dict:
 def _gen_mc2(spec: GenSpec, mode: str, rng: random.Random) -> dict:
     interval, c = spec.interval, spec.c
     if mode == "region_restricted":
-        g_side, h_side = sides(mode, interval, c)
-        g_lo, g_hi = g_side.lo, g_side.hi
-        h_lo, h_hi = h_side.lo, h_side.hi
-        g_center = rng.uniform(g_lo + 0.35 * (g_hi - g_lo), g_hi - 0.35 * (g_hi - g_lo))
-        h_center = rng.uniform(h_lo + 0.35 * (h_hi - h_lo), h_hi - 0.35 * (h_hi - h_lo))
-        d_max = min(g_hi - g_center, g_center - g_lo, h_hi - h_center, h_center - h_lo)
-        ds = _ladder_steps(rng, d_max)
+        halves = sides(mode, interval, c)
+        centers = [rng.uniform(s.lo + 0.35 * s.width, s.hi - 0.35 * s.width) for s in halves]
+        g_center, h_center = centers
+        ds = _ladder_steps(rng, min(min(s.hi - m, m - s.lo) for s, m in zip(halves, centers)))
         inners = {
             "g_inners": _rungs(g_center, g_center, ds[:-1]),
             "h_inners": _rungs(h_center, h_center, ds[:-1]),

@@ -522,3 +522,43 @@ class TestTranslationInvariance:
         assert rep.verdict == base.verdict
         for a, b in zip(rep.margins, base.margins):
             assert a == pytest.approx(b, abs=1e-9)
+
+
+def test_mt1_without_a_k1c_witness_is_unmet():
+    """-x^3 has f'' = -6x decreasing, so no constant A makes it 3-convex at c:
+    every hypothesis of the generated scenario holds, and the witness fails."""
+    rep = verify_mt1(negate(catalog("cubic")), gen_two_sided_scenario(GenSpec(seed=1)))
+    assert rep.verdict == "hypotheses-unmet"
+    assert rep.hypotheses.violations == (("witness.K1c", 0.0),)
+
+
+def test_mt2_a_with_c_outside_the_side_extremes_takes_the_sandwich():
+    """With c = 0.9 outside [max_left, min_right] = [-0.6, -0.5], branch a's
+    constant comes from the K1 sandwich, which for quadratic:2 is [2, 2]."""
+    left, right = two_point_side(-1.0, -0.6), two_point_side(-0.5, 0.5)
+    rep = verify_mt2(catalog("quadratic", 2), Mt1Scenario(left, right, 0.9, I11), mode="a")
+    assert rep.verdict == "holds" and rep.details["branch"] == "a"
+    assert (rep.details["max_left"], rep.details["min_right"]) == (-0.6, -0.5)
+    assert rep.details["A"] == 2.0
+
+
+def test_gaps_weigh_f_through_one_kernel(monkeypatch):
+    """Both affine gaps form sum(w * f(p)) in funclib.lift, with the signed
+    weights and the points flattened in all_groups order, zeros included."""
+    calls = []
+    lift = affine.lift
+
+    def spy(f, weights, xs, what, *factors):
+        calls.append((list(weights), list(xs), what, factors))
+        return lift(f, weights, xs, what, *factors)
+
+    monkeypatch.setattr(affine, "lift", spy)
+    s = cfg((-1.0, 0.0), (0.25, 0.0), (1.0,), (0.75,), (0.5,), (0.0,))
+    f = catalog("quadratic", 2)
+    jensen_affine_gap(f, s)
+    affine.cross_weighted_gap(f, s, s)
+    signed = ([0.25, 0.0, 0.75, -0.0], [-1.0, 0.0, 1.0, 0.5])
+    assert calls == [
+        (*signed, "affine gap sum(w * f(p))", ()),
+        (*signed, "crossed gap sum(w * f(p))", ()),
+    ]

@@ -465,3 +465,13 @@ class TestCertificate:
         for _ in range(3):
             with pytest.raises(DomainError):
                 query(f, IntervalR(*interval))
+
+
+@pytest.mark.parametrize("shaped", [is_3convex, is_3concave])
+def test_zero_width_interval_has_no_shape(shaped):
+    assert shaped(catalog("cubic"), IntervalR(0.5, 0.5)) is False
+
+
+@pytest.mark.parametrize("lo, hi, mid", [(1.0, math.inf, 1.0), (-math.inf, 2.0, 2.0)])
+def test_midpoint_with_one_infinite_end_is_the_finite_end(lo, hi, mid):
+    assert AInterval(lo, hi, True).midpoint() == mid

@@ -1143,6 +1143,130 @@ class TestFiniteNumbers:
         assert json.loads(capsys.readouterr().out)["provenance"]["seed"] == float(literal)
 
 
+def _no_work(*args, **kwargs):
+    raise AssertionError("work started before the input error")
+
+
+class TestNonFiniteParameter:
+    """A function parameter that is not a finite number (nan, inf, -inf, or
+    1e309, which float reads as inf) is an input error from every entry
+    point: one error line naming the parameter, before any work."""
+
+    MESSAGE = "jensengap: error: quadratic parameter must be a finite number, got "
+
+    def _error(self, capsys, args) -> str:
+        assert run(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith(self.MESSAGE)
+        return captured.err
+
+    @pytest.mark.parametrize("param, shown", [("nan", "nan"), ("1e309", "inf"), ("-inf", "-inf")])
+    def test_analyze(self, capsys, monkeypatch, param, shown):
+        monkeypatch.setattr(cli, "classify_at_point", _no_work)
+        err = self._error(capsys, ["analyze", "--fn", f"quadratic:{param}"])
+        assert err == f"{self.MESSAGE}{shown}\n"
+
+    @pytest.mark.parametrize("command", ["gen", "search"])
+    @pytest.mark.parametrize("theorem", ["mt3", "ic1"])
+    def test_gen_and_search(self, capsys, monkeypatch, command, theorem):
+        monkeypatch.setattr(scengen, "gen_payload", _no_work)
+        args = [command, "--theorem", theorem, "--fn", "quadratic:nan"]
+        assert self._error(capsys, args) == f"{self.MESSAGE}nan\n"
+
+    @pytest.mark.parametrize("param", ["nan", "inf", "-inf", "1e309"])
+    def test_document(self, tmp_path, capsys, monkeypatch, param):
+        monkeypatch.setattr("jensengap.scenario.run_payload", _no_work)
+        doc = {**_ic1_doc(), "function": {"name": "quadratic", "param": param}}
+        err = self._error(capsys, ["check", write(tmp_path, "doc.json", doc)])
+        assert err == f"{self.MESSAGE}{param!r}\n"
+
+
+class TestBranchCNeedsASignChange:
+    """Branch c of mt2 needs f'' < 0 somewhere on [lo, c] and f'' > 0 on
+    [c, hi]; mt3, in the mirrored convention that gen documents get, the
+    reverse.  gen and search reject a function without such values, by its
+    f'' certificate, before any draw; the default functions pass."""
+
+    @pytest.mark.parametrize(
+        "theorem, fn, place, message",
+        [
+            ("mt2", "exp", [], "mt2 mode c needs f'' < 0 somewhere on [-1.0, 0.0] and > 0 "
+             "on [0.0, 1.0], which exp does not have"),
+            ("mt3", "quadratic:2", [], "mt3 mode c needs f'' > 0 somewhere on [-1.0, 0.0] "
+             "and < 0 on [0.0, 1.0], which quadratic(2) does not have"),
+            ("mt2", "cubic", ["--interval=0.5,7", "--point", "2"], "mt2 mode c needs f'' < 0 "
+             "somewhere on [0.5, 2.0] and > 0 on [2.0, 7.0], which cubic does not have"),
+            ("mt3", "signed_square", [], "mt3 mode c needs f'' > 0 somewhere on [-1.0, 0.0] "
+             "and < 0 on [0.0, 1.0], which signed_square does not have"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["gen", "search"])
+    def test_exit_1_before_any_draw(
+        self, capsys, monkeypatch, command, theorem, fn, place, message
+    ):
+        monkeypatch.setattr(scengen, "gen_payload", _no_work)
+        assert run([command, "--theorem", theorem, "--mode", "c", "--fn", fn, *place]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"jensengap: error: {message}\n"
+
+    @pytest.mark.parametrize("theorem", ["mt2", "mt3"])
+    def test_default_function_passes(self, capsys, theorem):
+        assert run(["gen", "--theorem", theorem, "--mode", "c", "--seed", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["theorem_id"] == theorem
+
+    def test_other_modes_are_not_read(self, capsys):
+        """exp meets mt2's branch a; only mode c reads the sign change."""
+        assert run(["gen", "--theorem", "mt2", "--mode", "a", "--fn", "exp", "--seed", "1"]) == 0
+
+
+class TestDocumentShapes:
+    """A document, payload, configuration, group, interval or function spec
+    of the wrong JSON type, and a missing payload field, are input errors
+    with one error line naming what is wrong."""
+
+    @pytest.mark.parametrize("text", ['"ic1"', "[1]"], ids=["string", "list member"])
+    def test_document_that_is_not_an_object(self, tmp_path, capsys, text):
+        assert run(["check", write(tmp_path, "doc.json", text)]) == 1
+        message = "scenario document must be a JSON object"
+        assert capsys.readouterr().err == f"jensengap: error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda d: {**d, "payload": [1]}, "payload must be an object"),
+            (lambda d: {**d, "payload": {k: v for k, v in d["payload"].items() if k != "inner"}},
+             "ic1 payload is missing field 'inner'"),
+            (lambda d: {**d, "payload": {**d["payload"], "inner": [0.0]}},
+             "interval must be a [lo, hi] pair, got [0.0]"),
+            (lambda d: {**d, "function": "quadratic:2"},
+             "function spec must be an object with a name, got 'quadratic:2'"),
+        ],
+        ids=["payload", "missing field", "interval", "function spec"],
+    )
+    def test_ic1(self, tmp_path, capsys, edit, message):
+        doc = edit(_ic1_doc())
+        assert run(["check", write(tmp_path, "doc.json", doc)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"jensengap: error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda p: p["left"].update(plus_b=[1.0]),
+             "weighted group must be an object, got [1.0]"),
+            (lambda p: p.update(right=[]), "affine configuration must be an object, got []"),
+        ],
+        ids=["group", "configuration"],
+    )
+    def test_mt1(self, tmp_path, capsys, edit, message):
+        doc = _mt1_doc()
+        edit(doc["payload"])
+        assert run(["check", write(tmp_path, "doc.json", doc)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"jensengap: error: {message}\n"
+
+
 #: every theorem id with each of its modes
 ID_MODES = [(t, m) for t, entry in THEOREMS.items() for m in entry.modes]
 #: replacement leaves for the mutation property

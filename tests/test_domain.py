@@ -609,3 +609,26 @@ def test_no_verifier_compares_with_tol_by_hand():
                 hits.append(f"{path.name}:{node.lineno}")
     assert exempted == exempt
     assert sorted(set(hits)) == []
+
+
+@pytest.mark.parametrize("empty", ["plus_a", "plus_b"])
+def test_an_empty_plus_group_is_a_structure_error(empty):
+    one = WeightedGroup((0.0,), (1.0,))
+    groups = {"plus_a": one, "plus_b": one, empty: WeightedGroup((), ())}
+    with pytest.raises(StructureError, match=f"^{empty} group is empty$"):
+        validate_affine_config(AffineConfig(groups["plus_a"], groups["plus_b"]))
+
+
+def test_first_moments_are_the_moment_kernel(monkeypatch):
+    """apply and barycenter form sum(w * x) in domain.moment, under their own names."""
+    calls = []
+    kernel = domain.moment
+
+    def spy(w, x, what="weighted sum L(u**2)", k=2):
+        calls.append((what, k))
+        return kernel(w, x, what, k)
+
+    monkeypatch.setattr(domain, "moment", spy)
+    assert domain.apply([0.5, 0.5], [1.0, 3.0]) == 2.0
+    assert barycenter(WeightedGroup((1.0, 3.0), (0.25, 0.25))) == 2.0
+    assert calls == [("weighted sum L(u)", 1), ("barycenter sum(w * p)", 1)]

@@ -1,7 +1,11 @@
+import ast
 import math
+import re
+from pathlib import Path
 
 import pytest
 
+from jensengap import funclib
 from jensengap.analysis import k1_witness
 from jensengap.domain import IntervalR, StructureError
 from jensengap.funclib import (
@@ -12,6 +16,7 @@ from jensengap.funclib import (
     catalog,
     eval_fn,
     fn_spec_from_string,
+    lift,
     load_table,
     negate,
     tabulated_model,
@@ -225,3 +230,65 @@ class TestTableFileCache:
             tables.append(catalog("tabulated-spline", str(path)).fn)
             assert _parse_table.cache_info().currsize <= TABLE_CACHE_SIZE
         assert len({id(t) for t in tables}) == len(tables)
+
+
+@pytest.mark.parametrize(
+    "param", [math.nan, math.inf, -math.inf, "nan", "inf", "1e309"],
+    ids=["nan", "inf", "-inf", "'nan'", "'inf'", "'1e309'"],
+)
+def test_catalog_rejects_a_parameter_that_is_not_finite(param):
+    message = f"^quadratic parameter must be a finite number, got {re.escape(repr(param))}$"
+    with pytest.raises(StructureError, match=message):
+        catalog("quadratic", param)
+
+
+def test_a_non_finite_value_is_a_domain_error():
+    message = r"^quadratic\(1e\+308\): non-finite value at x=1000000.0$"
+    with pytest.raises(DomainError, match=message):
+        eval_fn(catalog("quadratic", 1e308), 1e6)
+
+
+class TestLift:
+    """funclib.lift is the one sum(w * f(x)): zero weights are skipped, and
+    every f(x) is evaluated before the sum."""
+
+    def test_zero_weights_are_not_evaluated(self):
+        f = catalog("exp")
+        assert lift(f, [0.0, 2.0, -0.0], [50.0, 0.0, math.nan], "s") == 2.0
+
+    def test_an_error_of_f_is_its_own(self):
+        # the first two terms alone would sum past the float range
+        f = catalog("quadratic", 2)
+        with pytest.raises(DomainError, match="outside domain"):
+            lift(f, [1e308, 1e308, 1.0], [1e3, 1e3, 2e6], "s", [1e308, 1e308, 1.0])
+
+    def test_a_sum_past_the_float_range_names_it(self):
+        f = catalog("quadratic", 2)
+        with pytest.raises(StructureError, match="^my sum past the float range$"):
+            lift(f, [1e308, 1e308], [1e3, 1e3], "my sum", [1e308, 1e308])
+
+
+def test_only_lift_weighs_a_value_of_f():
+    """No module but funclib.lift multiplies an eval_fn value inside a loop
+    or a comprehension: every sum(w * f(x)) goes through lift."""
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)
+    found = set()
+    for path in sorted(Path(funclib.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.Lambda)):
+                continue
+            for loop in ast.walk(func):
+                if not isinstance(loop, loops):
+                    continue
+                for node in ast.walk(loop):
+                    if (
+                        isinstance(node, ast.BinOp)
+                        and isinstance(node.op, ast.Mult)
+                        and any(
+                            isinstance(side, ast.Call) and getattr(side.func, "id", None) == "eval_fn"
+                            for side in (node.left, node.right)
+                        )
+                    ):
+                        found.add((path.stem, getattr(func, "name", "<lambda>")))
+    assert found == {("funclib", "lift")}

@@ -911,3 +911,33 @@ class TestSecondSideRule:
         payload = gen_payload(GenSpec(seed=1), theorem, mode)
         second = "h_inners" if theorem == "mc2" else "inner2"
         assert (second in payload) == (mode == "region_restricted")
+
+
+def test_ic2_needs_n_minus_1_inner_intervals():
+    with pytest.raises(StructureError, match="need exactly n-1 nested inner intervals"):
+        verify_ic2(
+            catalog("quadratic", 2), [[1.0], [1.0]], [[0.0], [0.0]],
+            inners=[], interval=IntervalR(-1.0, 1.0),
+        )
+
+
+@pytest.mark.parametrize("g_count, h_count", [(0, 0), (1, 0), (0, 1), (2, 1)])
+def test_mc2_needs_n_minus_1_inner_intervals_per_ladder(g_count, h_count):
+    with pytest.raises(StructureError, match="each ladder needs exactly n-1 inner intervals"):
+        verify_mc2(
+            catalog("quadratic", 2), [[1.0], [1.0]], [[-0.5], [-0.5]], [[0.5], [0.5]],
+            c=0.0, interval=IntervalR(-1.0, 1.0),
+            g_inners=[IntervalR(-0.6, -0.4)] * g_count, h_inners=[IntervalR(0.4, 0.6)] * h_count,
+        )
+
+
+def test_mc2_records_each_link_g_then_h_then_the_moments():
+    """The two ladders run through one path: their ladder checks g before h,
+    then per link 2.19.g, 2.19.h and 2.20."""
+    payload = gen_payload(GenSpec(seed=1), "mc2", "region_restricted", random.Random(1))
+    rep = run_payload("mc2", "region_restricted", catalog("signed_square"), payload)
+    names = [c["name"] for c in rep["hypotheses"]]
+    assert rep["verdict"] == "holds"
+    assert names.index("nesting.g[1]") < names.index("nesting.h[1]")
+    tags = [n for n in names if n.startswith(("2.19", "2.20"))]
+    assert tags == ["2.19.g[1]", "2.19.h[1]", "2.20[1]", "2.19.g[2]", "2.19.h[2]", "2.20[2]"]

@@ -434,3 +434,73 @@ class TestTwoSidedSidesValidByConstruction:
         for side in ("left", "right"):
             report = validate_affine_config(config_from(payload[side]))
             assert report.ok, (side, report.violations)
+
+
+def test_search_drops_an_unmet_scenario():
+    """exp has f'' > 0 everywhere, so mt2's branch c is unmet on every draw;
+    with no threshold any other verdict would be kept."""
+    found = search_counterexamples(catalog("exp"), "mt2", "c", 5, 1, report_threshold=-math.inf)
+    assert found == []
+
+
+def _table_of(fn):
+    nodes = [-1.0 + 2.0 * i / 200 for i in range(201)]
+    return tabulated_model(TabulatedFunction(nodes, [fn(x) for x in nodes]))
+
+
+class TestCheckBranchC:
+    """Branch c of mt2 needs f'' < 0 somewhere on [lo, c] and > 0 on [c, hi],
+    read from f's certificate; mt3 (mirrored) the reverse.  Other theorems
+    and modes read nothing."""
+
+    @pytest.mark.parametrize(
+        "theorem, f, ok",
+        [
+            ("mt2", catalog("signed_square"), True),
+            ("mt3", catalog("neg_signed_square"), True),
+            ("mt2", catalog("neg_signed_square"), False),
+            ("mt3", catalog("signed_square"), False),
+            ("mt2", catalog("cubic"), True),
+            ("mt3", catalog("cubic"), False),
+            ("mt2", catalog("exp"), False),
+            ("mt2", _table_of(lambda x: x * abs(x)), True),
+            ("mt3", _table_of(lambda x: x * abs(x)), False),
+            ("mt3", _table_of(lambda x: -(x**3)), True),
+        ],
+    )
+    def test_sign_change_by_certificate(self, theorem, f, ok):
+        if ok:
+            scengen.check_branch_c(f, theorem, "c", SPEC)
+        else:
+            with pytest.raises(StructureError, match=f"^{theorem} mode c needs f''"):
+                scengen.check_branch_c(f, theorem, "c", SPEC)
+
+    @pytest.mark.parametrize(
+        "theorem, mode", [("mt2", "a"), ("mt2", "auto"), ("mt3", "b"), ("mt1", "proper")]
+    )
+    def test_other_theorems_and_modes_read_nothing(self, theorem, mode):
+        scengen.check_branch_c(catalog("exp"), theorem, mode, SPEC)
+
+    def test_the_split_point_divides_the_sides(self):
+        spec = GenSpec(1, IntervalR(0.5, 7.0), 2.0)
+        with pytest.raises(StructureError, match=r"\[0.5, 2.0\] and > 0 on \[2.0, 7.0\]"):
+            scengen.check_branch_c(catalog("cubic"), "mt2", "c", spec)
+        scengen.check_branch_c(catalog("cubic"), "mt2", "c", GenSpec(1, IntervalR(-3.0, 3.0), 2.5))
+
+
+@pytest.mark.parametrize(
+    "theorem, mode, interval, c",
+    [
+        # a range 3 ulps wide: the drawn inner interval rounds onto an end
+        ("ic1", "standard", IntervalR(1.0, 1.0 + 3 * 2.0**-52), 1.0 + 2.0**-52),
+        # a range of 8 subnormals: the first ladder step rounds onto delta
+        ("mc2", "literal", IntervalR(-2e-323, 2e-323), 0.0),
+    ],
+)
+def test_a_rejected_draw_is_drawn_again(theorem, mode, interval, c):
+    spec = GenSpec(1, interval, c)
+    generator = getattr(scengen, THEOREMS[theorem].generator)
+    with pytest.raises(scengen._Retry):
+        generator(spec, mode, random.Random(1))
+    payload = gen_payload(spec, theorem, mode, random.Random(1))
+    assert payload == gen_payload(spec, theorem, mode, random.Random(1))
